@@ -34,7 +34,6 @@ from .core import (
 from .enumeration import (
     enumerate_graphs,
     enumerate_posets,
-    graph_from_mask,
     poset_code,
     poset_from_code,
 )
@@ -64,10 +63,7 @@ from .formats import (
 from .graphs import (
     Graph,
     graph_betweenness,
-    graph_has_universal_line,
-    graph_universal_line,
     is_extremal_graph,
-    universal_vertices,
 )
 from .metrics import MetricSpace, graph_shortest_path_metric, metric_betweenness
 from .posets import (
@@ -84,7 +80,6 @@ from .sweeps import (
     SweepSummary,
     VerificationReport,
     graph_report,
-    iter_reports,
     metric_report,
     pair_sum_sweep,
     poset_report,
@@ -132,16 +127,12 @@ __all__ = [
     "enumerate_posets",
     "find_universal_line",
     "graph_betweenness",
-    "graph_from_mask",
-    "graph_has_universal_line",
     "graph_report",
     "graph_shortest_path_metric",
-    "graph_universal_line",
     "has_universal_line",
     "hypergraph_relation",
     "is_extremal_graph",
     "is_extremal_poset",
-    "iter_reports",
     "line_mask_set",
     "line_of",
     "maximum_chain_through_levels",
@@ -163,5 +154,4 @@ __all__ = [
     "poset_report",
     "render_line_system",
     "run_sweep",
-    "universal_vertices",
 ]

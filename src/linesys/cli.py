@@ -4,13 +4,21 @@ Subcommands: lines, bound, construct, verify, sweep.  Exit status 0 on
 success, 1 on input errors (including violated preconditions), 2 on
 internal invariant violations, 3 when a verification finds a theorem
 violation.
+
+``INPUT_KINDS`` is the one place where an input kind is described: how
+its text becomes the relation that ``lines`` prints and the report that
+``verify`` checks.  Sweepable kinds are described in
+``sweeps.SWEEP_KINDS``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate
@@ -27,19 +35,19 @@ from .graphs import graph_betweenness
 from .metrics import metric_betweenness
 from .posets import poset_betweenness
 from .sweeps import (
+    SWEEP_KINDS,
     graph_report,
     metric_report,
     pair_sum_sweep,
     poset_report,
     run_sweep,
+    shape_mismatch,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_VIOLATION = 3
-
-STRUCTURE_KINDS = ("graph", "poset", "metric", "hypergraph")
 
 
 class _UsageError(LinesysError):
@@ -54,52 +62,68 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise _UsageError(f"cannot decode {source}: {exc}") from None
 
 
-def _parse_structure(kind: str, text: str):
-    if kind == "graph":
-        return parse_graph(text)
-    if kind == "poset":
-        return parse_poset(text)
-    if kind == "metric":
-        return parse_metric(text)
-    return parse_hypergraph(text)
+def _write_json(out, row: dict) -> None:
+    out.write(json.dumps(row) + "\n")
 
 
-def _relation_of(kind: str, structure):
-    if kind == "graph":
-        return graph_betweenness(structure)
-    if kind == "poset":
-        return poset_betweenness(structure)
-    if kind == "metric":
-        return metric_betweenness(structure)
-    return structure
+def _verify_graph(g):
+    if g.size < 3:
+        raise _UsageError("graph verification needs n >= 3")
+    return graph_report(g), None
 
 
-def _metric_instance_id(m) -> str:
-    return ";".join(",".join(str(d) for d in row) for row in m.dist)
+def _verify_poset(p):
+    report, cert_issue = poset_report(p)
+    if report is None:
+        raise _UsageError(
+            "poset verification needs height >= 2 (an antichain has no bound)"
+        )
+    return report, cert_issue
+
+
+class _InputKind(NamedTuple):
+    parse: Callable[[str], object]  # text -> structure
+    relation: Callable[[object], object]  # structure -> betweenness relation
+    verify: Callable[[object], tuple] | None  # structure -> (report, defect)
+
+
+# The one place an input kind is described; verify is None when no
+# line-count theorem covers the kind.  Entries look the parsers,
+# relations and reports up when called, so patching or tracing those
+# module names reaches every subcommand.
+INPUT_KINDS = {
+    "graph": _InputKind(
+        lambda text: parse_graph(text), lambda g: graph_betweenness(g), _verify_graph
+    ),
+    "poset": _InputKind(
+        lambda text: parse_poset(text), lambda p: poset_betweenness(p), _verify_poset
+    ),
+    "metric": _InputKind(
+        lambda text: parse_metric(text),
+        lambda m: metric_betweenness(m),
+        lambda m: (metric_report(m), None),
+    ),
+    "hypergraph": _InputKind(lambda text: parse_hypergraph(text), lambda h: h, None),
+}
 
 
 def _cmd_lines(args, out) -> int:
-    structure = _parse_structure(args.kind, _read_input(args.input))
-    system = all_lines(_relation_of(args.kind, structure))
+    kind = INPUT_KINDS[args.kind]
+    system = all_lines(kind.relation(kind.parse(_read_input(args.input))))
     if args.format == "jsonl":
-        import json
-
         for entry in system.entries:
-            out.write(
-                json.dumps(
-                    {
-                        "members": list(entry.ordered),
-                        "generators": [list(g) for g in entry.generators],
-                    }
-                )
-                + "\n"
-            )
-        out.write(json.dumps({"count": system.line_count}) + "\n")
+            generators = [list(g) for g in entry.generators]
+            _write_json(out, {"members": list(entry.ordered), "generators": generators})
+        _write_json(out, {"count": system.line_count})
     else:
         out.write(render_line_system(system) + "\n")
     return EXIT_OK
@@ -127,34 +151,19 @@ def _cmd_construct(args, out) -> int:
     poset = parse_poset(_read_input(args.input))
     cert = build_certificate(poset)
     if args.format == "jsonl":
-        import json
-
-        out.write(
-            json.dumps(
-                {
-                    "chain": list(cert.chain),
-                    "layer_lines": [list(line.ordered) for line in cert.layer_lines],
-                }
-            )
-            + "\n"
-        )
+        layer_lines = [list(line.ordered) for line in cert.layer_lines]
+        _write_json(out, {"chain": list(cert.chain), "layer_lines": layer_lines})
         for step in cert.steps:
-            out.write(
-                json.dumps(
-                    {
-                        "iteration": step.iteration,
-                        "step": step.kind.value,
-                        "bottom": step.bottom,
-                        "top": step.top,
-                        "probe": step.probe,
-                        "lines": [list(line.ordered) for line in step.lines],
-                    }
-                )
-                + "\n"
-            )
-        out.write(
-            json.dumps({"distinct": cert.total_distinct, "bound": cert.bound}) + "\n"
-        )
+            row = {
+                "iteration": step.iteration,
+                "step": step.kind.value,
+                "bottom": step.bottom,
+                "top": step.top,
+                "probe": step.probe,
+                "lines": [list(line.ordered) for line in step.lines],
+            }
+            _write_json(out, row)
+        _write_json(out, {"distinct": cert.total_distinct, "bound": cert.bound})
     else:
         label = poset.universe.label
         out.write("chain: " + " ".join(label(c) for c in cert.chain) + "\n")
@@ -179,28 +188,13 @@ def _cmd_construct(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.kind == "hypergraph":
+    kind = INPUT_KINDS[args.kind]
+    if kind.verify is None:
         raise _UsageError(
             "no line-count theorem covers general 3-uniform hypergraphs; "
             "verify supports graph, poset, and metric"
         )
-    text = _read_input(args.input)
-    cert_issue = None
-    if args.kind == "graph":
-        g = parse_graph(text)
-        if g.size < 3:
-            raise _UsageError("graph verification needs n >= 3")
-        report = graph_report(g)
-    elif args.kind == "poset":
-        p = parse_poset(text)
-        report, cert_issue = poset_report(p)
-        if report is None:
-            raise _UsageError(
-                "poset verification needs height >= 2 (an antichain has no bound)"
-            )
-    else:
-        m = parse_metric(text)
-        report = metric_report(m, _metric_instance_id(m))
+    report, cert_issue = kind.verify(kind.parse(_read_input(args.input)))
     if args.format == "jsonl":
         out.write(report.json_line() + "\n")
     else:
@@ -213,11 +207,7 @@ def _cmd_verify(args, out) -> int:
         out.write(
             f"extremal shape: {'yes' if report.extremal_shape_match else 'no'}\n"
         )
-    violation = not report.meets_bound or (
-        args.kind != "metric"
-        and not report.has_universal
-        and report.is_equality_case != report.extremal_shape_match
-    )
+    violation = not report.meets_bound or shape_mismatch(report)
     if cert_issue is not None:
         out.write(f"certificate problem: {cert_issue}\n")
         return EXIT_INTERNAL
@@ -231,7 +221,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    if args.kind == "pairsum":
+    if args.kind not in SWEEP_KINDS:  # "pairsum", the only other choice
         summary = pair_sum_sweep(args.n)
         out.write(
             f"pair-sum sweep up to n {summary.max_n}: {summary.cases} cases\n"
@@ -246,20 +236,14 @@ def _cmd_sweep(args, out) -> int:
         out.write(f"result: {'ok' if summary.ok else 'VIOLATION'}\n")
         return EXIT_OK if summary.ok else EXIT_VIOLATION
 
-    sink = None
-    close_me = None
-    if args.format == "jsonl":
-        if args.out is not None:
-            close_me = open(args.out, "w")
-            stream = close_me
-        else:
+    with ExitStack() as stack:
+        sink = None
+        if args.format == "jsonl":
             stream = out
-        sink = lambda report: stream.write(report.json_line() + "\n")
-    try:
+            if args.out is not None:
+                stream = stack.enter_context(open(args.out, "w"))
+            sink = lambda report: stream.write(report.json_line() + "\n")
         summary = run_sweep(args.kind, args.n, workers=args.workers, report_sink=sink)
-    finally:
-        if close_me is not None:
-            close_me.close()
     target = sys.stderr if args.format == "jsonl" and args.out is None else out
     target.write(
         f"kind {summary.kind} n {summary.n}\n"
@@ -291,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lines = sub.add_parser("lines", help="print the distinct lines of one structure")
-    lines.add_argument("--kind", choices=STRUCTURE_KINDS, required=True)
+    lines.add_argument("--kind", choices=tuple(INPUT_KINDS), required=True)
     lines.add_argument("--format", choices=("text", "jsonl"), default="text")
     lines.add_argument("input", nargs="?", default="-", help="input path or - for stdin")
 
@@ -308,14 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("input", nargs="?", default="-")
 
     verify = sub.add_parser("verify", help="check one instance against its bound")
-    verify.add_argument("--kind", choices=("graph", "poset", "metric", "hypergraph"), required=True)
+    verify.add_argument("--kind", choices=tuple(INPUT_KINDS), required=True)
     verify.add_argument("--format", choices=("text", "jsonl"), default="text")
     verify.add_argument("input", nargs="?", default="-")
 
     sweep = sub.add_parser("sweep", help="exhaustively verify all instances of size n")
-    sweep.add_argument(
-        "--kind", choices=("graph", "poset", "metric", "pairsum"), required=True
-    )
+    sweep.add_argument("--kind", choices=(*SWEEP_KINDS, "pairsum"), required=True)
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--format", choices=("text", "jsonl"), default="text")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import GroundSet, pair_list
 from .errors import CapError
@@ -22,10 +22,9 @@ from .posets import Poset
 
 GRAPH_ENUM_CAP = 8
 POSET_ENUM_CAP = 6
-
-
-def graph_from_mask(n: int, mask: int) -> Graph:
-    return Graph.from_mask(n, mask)
+# Metrics are enumerated as the shortest-path metrics of every graph
+# mask, each validated in O(n^3), so their cap sits below the graphs'.
+METRIC_ENUM_CAP = 6
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -116,12 +115,16 @@ def poset_state(p: Poset) -> tuple[int, ...]:
     )
 
 
-def poset_code(p: Poset) -> int:
-    """Big-endian base-3 encoding of the pair-state vector."""
+def state_code(state: Iterable[int]) -> int:
+    """Big-endian base-3 encoding of a pair-state vector."""
     code = 0
-    for s in poset_state(p):
+    for s in state:
         code = code * 3 + s
     return code
+
+
+def poset_code(p: Poset) -> int:
+    return state_code(poset_state(p))
 
 
 def poset_from_code(n: int, code: int) -> Poset:

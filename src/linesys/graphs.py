@@ -108,36 +108,6 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
     return BetweennessRelation._from_matrices(g.universe, frozen, frozen)
 
 
-def universal_vertices(g: Graph) -> list[int]:
-    """Vertices adjacent to every other vertex."""
-    n = g.size
-    full = (1 << n) - 1
-    return [v for v in range(n) if g.adj[v] == full ^ (1 << v)]
-
-
-def graph_universal_line(g: Graph) -> tuple[int, int] | None:
-    """Witness pair for a universal line, via the degree criterion.
-
-    A line is universal exactly when both its generators are universal
-    vertices, so it suffices to look for two of them.  Agreement with
-    the generic detector is covered by tests.
-    """
-    if g.size < 2:
-        raise SizeError("universal lines need at least two points")
-    if g.size == 2:
-        # The pair line is the whole universe whether or not the edge
-        # exists; the degree criterion only holds from three points up.
-        return (0, 1)
-    universal = universal_vertices(g)
-    if len(universal) >= 2:
-        return (universal[0], universal[1])
-    return None
-
-
-def graph_has_universal_line(g: Graph) -> bool:
-    return graph_universal_line(g) is not None
-
-
 def is_extremal_graph(g: Graph) -> bool:
     """True when g is a clique on all but one vertex plus a vertex with
     at most one neighbor: the only shape attaining exactly n distinct

@@ -10,25 +10,33 @@ failing instance.
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
 so output is byte-identical across runs and worker counts.
+
+``SWEEP_KINDS`` is the one place where a sweepable kind is described:
+its size range, chunk list, instance generator and whether its equality
+cases are compared with an extremal shape.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate, certificate_issues
 from .core import line_mask_set, pair_list
 from .enumeration import (
     GRAPH_ENUM_CAP,
+    METRIC_ENUM_CAP,
     POSET_ENUM_CAP,
     _iter_states,
+    poset_code,
     poset_from_state,
     poset_state_prefixes,
+    state_code,
 )
 from .errors import CapError, DomainError, LinesysError
 from .graphs import Graph, graph_betweenness, is_extremal_graph
@@ -65,19 +73,9 @@ class VerificationReport:
     extremal_shape_match: bool
 
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "structure_kind": self.structure_kind,
-                "n": self.n,
-                "instance_id": self.instance_id,
-                "line_count": self.line_count,
-                "bound": self.bound,
-                "has_universal": self.has_universal,
-                "meets_bound": self.meets_bound,
-                "is_equality_case": self.is_equality_case,
-                "extremal_shape_match": self.extremal_shape_match,
-            }
-        )
+        # The instance dict holds exactly the fields, in declaration
+        # order, which is the fixed key order of the jsonl format.
+        return json.dumps(vars(self))
 
 
 @dataclass
@@ -95,15 +93,8 @@ class _Fold:
     certificate_failures: list = field(default_factory=list)
 
     def merge(self, other: "_Fold") -> None:
-        self.enumerated += other.enumerated
-        self.reported += other.reported
-        self.checked += other.checked
-        self.universal_count += other.universal_count
-        self.violations += other.violations
-        self.equality_ids += other.equality_ids
-        self.shape_ids += other.shape_ids
-        self.mismatch_ids += other.mismatch_ids
-        self.certificate_failures += other.certificate_failures
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -141,26 +132,34 @@ def _graph_shape(g: Graph) -> bool:
     return False
 
 
+def _report(
+    kind: str, relation, bound: int, instance_id: int | str, shape: bool
+) -> VerificationReport:
+    """The record every kind shares: distinct lines of ``relation``
+    counted and compared with ``bound``, equality measured against n."""
+    n = relation.universe.size
+    masks = line_mask_set(relation)
+    count = len(masks)
+    universal = (1 << n) - 1 in masks
+    return VerificationReport(
+        structure_kind=kind,
+        n=n,
+        instance_id=instance_id,
+        line_count=count,
+        bound=bound,
+        has_universal=universal,
+        meets_bound=universal or count >= bound,
+        is_equality_case=not universal and count == n,
+        extremal_shape_match=shape,
+    )
+
+
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one graph: at least n distinct lines
     unless some line is universal, equality only on the extremal shape."""
-    n = g.size
-    masks = line_mask_set(graph_betweenness(g))
-    count = len(masks)
-    universal = (1 << n) - 1 in masks
-    meets = universal or count >= n
-    equality = not universal and count == n
-    return VerificationReport(
-        structure_kind="graph",
-        n=n,
-        instance_id=g.edge_mask() if instance_id is None else instance_id,
-        line_count=count,
-        bound=n,
-        has_universal=universal,
-        meets_bound=meets,
-        is_equality_case=equality,
-        extremal_shape_match=_graph_shape(g),
-    )
+    if instance_id is None:
+        instance_id = g.edge_mask()
+    return _report("graph", graph_betweenness(g), g.size, instance_id, _graph_shape(g))
 
 
 def poset_report(p, instance_id: int | str | None = None):
@@ -171,63 +170,45 @@ def poset_report(p, instance_id: int | str | None = None):
     when no line is universal; its first defect (or construction error)
     is returned alongside the report.
     """
-    n = p.size
-    height = p.height
-    if height < 2:
+    if p.height < 2:
         return None, None
-    masks = line_mask_set(poset_betweenness(p))
-    count = len(masks)
-    universal = (1 << n) - 1 in masks
-    bound = dbe_bound(n, height)
-    meets = universal or count >= bound
-    equality = not universal and count == n
+    if instance_id is None:
+        instance_id = poset_code(p)
+    bound = dbe_bound(p.size, p.height)
+    report = _report(
+        "poset", poset_betweenness(p), bound, instance_id, is_extremal_poset(p)
+    )
     cert_issue = None
-    if not universal:
+    if not report.has_universal:
         try:
             issues = certificate_issues(build_certificate(p), p)
             if issues:
                 cert_issue = issues[0]
         except LinesysError as exc:
             cert_issue = f"certificate construction failed: {exc}"
-    if instance_id is None:
-        from .enumeration import poset_code
-
-        instance_id = poset_code(p)
-    report = VerificationReport(
-        structure_kind="poset",
-        n=n,
-        instance_id=instance_id,
-        line_count=count,
-        bound=bound,
-        has_universal=universal,
-        meets_bound=meets,
-        is_equality_case=equality,
-        extremal_shape_match=is_extremal_poset(p),
-    )
     return report, cert_issue
 
 
-def metric_report(m, instance_id: int | str) -> VerificationReport:
+def metric_report(m, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one metric space: at least n distinct
-    lines or a universal line (evidence sweep; no extremal shape)."""
-    n = m.size
-    masks = line_mask_set(metric_betweenness(m))
-    count = len(masks)
-    universal = (1 << n) - 1 in masks
-    return VerificationReport(
-        structure_kind="metric",
-        n=n,
-        instance_id=instance_id,
-        line_count=count,
-        bound=n,
-        has_universal=universal,
-        meets_bound=universal or count >= n,
-        is_equality_case=not universal and count == n,
-        extremal_shape_match=False,
+    lines or a universal line (evidence sweep; no extremal shape).  The
+    default id spells out the distance matrix, rows separated by ";"."""
+    if instance_id is None:
+        instance_id = ";".join(",".join(str(d) for d in row) for row in m.dist)
+    return _report("metric", metric_betweenness(m), m.size, instance_id, False)
+
+
+def shape_mismatch(report: VerificationReport) -> bool:
+    """True when the kind has an extremal shape and, with no universal
+    line, the equality case and the shape match disagree."""
+    return (
+        SWEEP_KINDS[report.structure_kind].compare_shape
+        and not report.has_universal
+        and report.is_equality_case != report.extremal_shape_match
     )
 
 
-def _fold_report(fold: _Fold, report: VerificationReport, compare_shape: bool) -> None:
+def _fold_report(fold: _Fold, report: VerificationReport) -> None:
     fold.reported += 1
     if report.has_universal:
         fold.universal_count += 1
@@ -239,85 +220,75 @@ def _fold_report(fold: _Fold, report: VerificationReport, compare_shape: bool) -
         fold.equality_ids.append(report.instance_id)
     if report.extremal_shape_match:
         fold.shape_ids.append(report.instance_id)
-    if (
-        compare_shape
-        and not report.has_universal
-        and report.is_equality_case != report.extremal_shape_match
-    ):
+    if shape_mismatch(report):
         fold.mismatch_ids.append(report.instance_id)
+
+
+def _mask_chunks(n: int) -> list[tuple[int, int]]:
+    total = 1 << len(pair_list(n))
+    return [(lo, min(lo + _CHUNK_MASKS, total)) for lo in range(0, total, _CHUNK_MASKS)]
+
+
+def _poset_chunks(n: int) -> list[tuple[int, ...]]:
+    return poset_state_prefixes(n, _POSET_PREFIX_DEPTH)
+
+
+def _graph_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple]:
+    for mask in range(*chunk):
+        yield graph_report(Graph.from_mask(n, mask), mask), None
+
+
+def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple]:
+    for state in _iter_states(n, prefix):
+        yield poset_report(poset_from_state(n, state), state_code(state))
+
+
+def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple]:
+    # Disconnected graphs have no shortest-path metric: they count as
+    # enumerated but are not reported.
+    for mask in range(*chunk):
+        try:
+            m = graph_shortest_path_metric(Graph.from_mask(n, mask))
+        except DisconnectedError:
+            yield None, None
+            continue
+        yield metric_report(m, mask), None
+
+
+class _SweepKind(NamedTuple):
+    min_n: int
+    cap: int
+    chunks: Callable[[int], list]  # n -> canonically ordered work units
+    instances: Callable[[int, tuple], Iterator[tuple]]  # (n, unit) -> instances
+    compare_shape: bool  # equality cases are checked against the extremal shape
+
+
+# The one place a sweepable structure kind is described.  A kind's
+# instance generator yields one (report, certificate defect) pair per
+# enumerated instance, the report None when the bound does not apply.
+# Entries call the module functions they name, so patching or tracing
+# one of them (graph_report, certificate_issues, ...) reaches every sweep.
+SWEEP_KINDS = {
+    "graph": _SweepKind(3, GRAPH_ENUM_CAP, _mask_chunks, _graph_instances, True),
+    "poset": _SweepKind(2, POSET_ENUM_CAP, _poset_chunks, _poset_instances, True),
+    "metric": _SweepKind(2, METRIC_ENUM_CAP, _mask_chunks, _metric_instances, False),
+}
 
 
 def _run_chunk(args):
     kind, n, chunk, collect = args
     fold = _Fold()
     reports = [] if collect else None
-    if kind == "graph":
-        lo, hi = chunk
-        fold.enumerated = hi - lo
-        for mask in range(lo, hi):
-            report = graph_report(Graph.from_mask(n, mask), mask)
-            _fold_report(fold, report, compare_shape=True)
-            if collect:
-                reports.append(report)
-    elif kind == "poset":
-        for state in _iter_states(n, chunk):
-            fold.enumerated += 1
-            code = 0
-            for s in state:
-                code = code * 3 + s
-            report, cert_issue = poset_report(poset_from_state(n, state), code)
-            if report is None:
-                continue
-            _fold_report(fold, report, compare_shape=True)
-            if cert_issue is not None:
-                fold.certificate_failures.append((code, cert_issue))
-            if collect:
-                reports.append(report)
-    elif kind == "metric":
-        lo, hi = chunk
-        fold.enumerated = hi - lo
-        for mask in range(lo, hi):
-            g = Graph.from_mask(n, mask)
-            try:
-                m = graph_shortest_path_metric(g)
-            except DisconnectedError:
-                continue
-            report = metric_report(m, mask)
-            _fold_report(fold, report, compare_shape=False)
-            if collect:
-                reports.append(report)
-    else:
-        raise DomainError(f"unknown sweep kind {kind!r}")
+    for report, cert_issue in SWEEP_KINDS[kind].instances(n, chunk):
+        fold.enumerated += 1
+        if report is None:
+            continue
+        _fold_report(fold, report)
+        if cert_issue is not None:
+            fold.certificate_failures.append((report.instance_id, cert_issue))
+        if collect:
+            reports.append(report)
     return fold, reports
-
-
-def _chunks(kind: str, n: int) -> list:
-    if kind == "poset":
-        return poset_state_prefixes(n, _POSET_PREFIX_DEPTH)
-    total = 1 << len(pair_list(n))
-    return [
-        (lo, min(lo + _CHUNK_MASKS, total)) for lo in range(0, total, _CHUNK_MASKS)
-    ]
-
-
-def _check_domain(kind: str, n: int) -> None:
-    if kind == "graph":
-        if n > GRAPH_ENUM_CAP:
-            raise CapError(f"graph sweeps support n <= {GRAPH_ENUM_CAP}, got {n}")
-        if n < 3:
-            raise DomainError(f"graph sweeps need n >= 3, got {n}")
-    elif kind == "poset":
-        if n > POSET_ENUM_CAP:
-            raise CapError(f"poset sweeps support n <= {POSET_ENUM_CAP}, got {n}")
-        if n < 2:
-            raise DomainError(f"poset sweeps need n >= 2, got {n}")
-    elif kind == "metric":
-        if n > 6:
-            raise CapError(f"metric sweeps support n <= 6, got {n}")
-        if n < 2:
-            raise DomainError(f"metric sweeps need n >= 2, got {n}")
-    else:
-        raise DomainError(f"unknown sweep kind {kind!r}")
 
 
 def run_sweep(
@@ -328,15 +299,21 @@ def run_sweep(
 ) -> SweepSummary:
     """Run one exhaustive sweep and fold the results into a summary.
 
-    ``kind`` is "graph", "poset", or "metric".  With ``report_sink``
-    every per-instance report is passed to it in canonical enumeration
-    order (the JSON-lines writer of the command-line client plugs in
-    here).  Worker processes split the canonical chunk list; the fold
-    and the report stream are identical for every worker count.
+    ``kind`` is a key of ``SWEEP_KINDS``.  With ``report_sink`` every
+    per-instance report is passed to it in canonical enumeration order
+    (the JSON-lines writer of the command-line client plugs in here).
+    Worker processes split the canonical chunk list; the fold and the
+    report stream are identical for every worker count.
     """
-    _check_domain(kind, n)
+    entry = SWEEP_KINDS.get(kind)
+    if entry is None:
+        raise DomainError(f"unknown sweep kind {kind!r}")
+    if n > entry.cap:
+        raise CapError(f"{kind} sweeps support n <= {entry.cap}, got {n}")
+    if n < entry.min_n:
+        raise DomainError(f"{kind} sweeps need n >= {entry.min_n}, got {n}")
     collect = report_sink is not None
-    args = [(kind, n, chunk, collect) for chunk in _chunks(kind, n)]
+    args = [(kind, n, chunk, collect) for chunk in entry.chunks(n)]
     total = _Fold()
 
     def consume(result) -> None:
@@ -346,12 +323,14 @@ def run_sweep(
             for report in reports:
                 report_sink(report)
 
-    if workers <= 1 or len(args) == 1:
+    # No flag value may start more processes than there are chunks or CPUs.
+    workers = min(workers, len(args), os.cpu_count() or 1)
+    if workers <= 1:
         for arg in args:
             consume(_run_chunk(arg))
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(args))) as pool:
+        with ctx.Pool(workers) as pool:
             for result in pool.imap(_run_chunk, args):
                 consume(result)
 
@@ -382,14 +361,6 @@ def run_sweep(
         certificate_failures=tuple(total.certificate_failures),
         issues=tuple(issues),
     )
-
-
-def iter_reports(kind: str, n: int) -> Iterator[VerificationReport]:
-    """Stream every per-instance report in canonical order."""
-    _check_domain(kind, n)
-    for chunk in _chunks(kind, n):
-        _fold_result, reports = _run_chunk((kind, n, chunk, True))
-        yield from reports
 
 
 @dataclass(frozen=True)

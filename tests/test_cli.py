@@ -233,3 +233,17 @@ def test_missing_file_exits_one():
 def test_output_is_deterministic(graph_file):
     outputs = {run_cli(["lines", "--kind", "graph", graph_file])[1] for _ in range(3)}
     assert len(outputs) == 1
+
+
+def test_undecodable_input_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"3 1\n0 \xff\n")
+    code, out = run_cli(["lines", "--kind", "graph", str(bad)])
+    assert (code, out) == (EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot decode ") and err.count("\n") == 1
+    stdin = io.TextIOWrapper(io.BytesIO(b"3 1\n0 \xff\n"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out = run_cli(["lines", "--kind", "graph"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err.startswith("error: cannot decode standard input: ")

@@ -9,14 +9,10 @@ from linesys import (
     SizeError,
     UnknownPointError,
     all_lines,
-    find_universal_line,
     graph_betweenness,
-    graph_has_universal_line,
-    graph_universal_line,
     is_extremal_graph,
     line_of,
     pair_list,
-    universal_vertices,
 )
 
 
@@ -88,24 +84,6 @@ def test_graph_betweenness_matches_explicit_triangle_triples():
     assert set(rel.triples()) == expected
 
 
-def test_universal_vertices():
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert universal_vertices(star) == [0]
-    assert universal_vertices(complete_graph(4)) == [0, 1, 2, 3]
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert universal_vertices(c5) == []
-
-
-def test_graph_universal_line_by_degrees():
-    assert graph_universal_line(complete_graph(4)) == (0, 1)
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert graph_universal_line(star) is None
-    k4_minus_edge = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert graph_universal_line(k4_minus_edge) == (2, 3)
-    with pytest.raises(SizeError):
-        graph_universal_line(Graph.from_edges(1, []))
-
-
 def test_extremal_shapes():
     pendant = Graph.from_edges(5, list(pair_list(4)) + [(0, 4)])
     assert is_extremal_graph(pendant)
@@ -141,28 +119,9 @@ def test_non_edges_give_pair_lines(case):
 
 
 @given(graph_strategy)
-def test_degree_detector_agrees_with_generic_universal_detector(case):
-    n, mask = case
-    g = Graph.from_mask(n, mask)
-    assert graph_universal_line(g) == find_universal_line(graph_betweenness(g))
-
-
-def test_degree_detector_agrees_exhaustively_up_to_n4():
-    for n in (2, 3, 4):
-        for mask in range(1 << len(pair_list(n))):
-            g = Graph.from_mask(n, mask)
-            assert graph_universal_line(g) == find_universal_line(graph_betweenness(g))
-
-
-@given(graph_strategy)
 def test_line_sets_match_brute_force(case):
     n, mask = case
     g = Graph.from_mask(n, mask)
     assert all_lines(graph_betweenness(g)).member_sets() == brute_force_line_sets(
         n, list(g.edges())
     )
-
-
-def test_graph_has_universal_line_wrapper():
-    assert graph_has_universal_line(complete_graph(4))
-    assert not graph_has_universal_line(Graph.from_edges(4, []))

@@ -9,7 +9,6 @@ from linesys import (
     Poset,
     dbe_bound,
     graph_report,
-    iter_reports,
     metric_report,
     pair_list,
     pair_sum_sweep,
@@ -137,9 +136,11 @@ def test_sweep_domain_checks():
 
 
 def test_sweep_reports_stream_in_canonical_order():
-    ids = [r.instance_id for r in iter_reports("graph", 4)]
+    ids = []
+    run_sweep("graph", 4, report_sink=lambda r: ids.append(r.instance_id))
     assert ids == list(range(64))
-    poset_ids = [r.instance_id for r in iter_reports("poset", 3)]
+    poset_ids = []
+    run_sweep("poset", 3, report_sink=lambda r: poset_ids.append(r.instance_id))
     assert poset_ids == sorted(poset_ids)
 
 
@@ -213,3 +214,34 @@ def test_exhaustive_min_pair_sum_agrees_with_plain_composition_search():
                 if sum(combo) == n
             )
             assert sweeps._exhaustive_min_pair_sum(n, parts) == plain
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records the pool size and
+    runs every chunk in this process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_worker_count_is_clamped_to_cpus(monkeypatch, cpus, pools):
+    context = _RecordingContext()
+    monkeypatch.setattr(sweeps.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
+    summary = run_sweep("poset", 4, workers=1_000_000)
+    assert context.sizes == pools
+    assert summary == run_sweep("poset", 4, workers=1)

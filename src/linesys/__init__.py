@@ -17,18 +17,11 @@ from .construct import (
 )
 from .core import (
     BetweennessRelation,
-    GroundSet,
-    Line,
-    LineEntry,
-    LineSystem,
     all_lines,
-    find_universal_line,
-    has_universal_line,
+    bits_of,
     hypergraph_relation,
     line_mask_set,
     line_of,
-    nested_entries,
-    overlapping_entries,
     pair_list,
 )
 from .enumeration import (
@@ -96,14 +89,10 @@ __all__ = [
     "DisconnectedError",
     "DomainError",
     "Graph",
-    "GroundSet",
     "HeightError",
     "IdenticalPointsError",
     "InternalError",
-    "Line",
     "LineCertificate",
-    "LineEntry",
-    "LineSystem",
     "LinesysError",
     "MalformedEdgeError",
     "MetricError",
@@ -119,17 +108,16 @@ __all__ = [
     "UnknownPointError",
     "VerificationReport",
     "all_lines",
+    "bits_of",
     "build_certificate",
     "certificate_issues",
     "comparability_graph",
     "dbe_bound",
     "enumerate_graphs",
     "enumerate_posets",
-    "find_universal_line",
     "graph_betweenness",
     "graph_report",
     "graph_shortest_path_metric",
-    "has_universal_line",
     "hypergraph_relation",
     "is_extremal_graph",
     "is_extremal_poset",
@@ -140,8 +128,6 @@ __all__ = [
     "metric_report",
     "mirsky_partition",
     "min_pair_sum",
-    "nested_entries",
-    "overlapping_entries",
     "pair_list",
     "pair_sum_sweep",
     "parse_graph",

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate
-from .core import all_lines
+from .core import all_lines, bits_of
 from .errors import InternalError, LinesysError
 from .formats import (
     parse_graph,
@@ -30,6 +30,7 @@ from .formats import (
     parse_metric,
     parse_poset,
     render_line_system,
+    render_points,
 )
 from .graphs import graph_betweenness
 from .metrics import metric_betweenness
@@ -42,6 +43,7 @@ from .sweeps import (
     poset_report,
     run_sweep,
     shape_mismatch,
+    sweep_kind,
 )
 
 EXIT_OK = 0
@@ -62,12 +64,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_input(path: str) -> str:
-    try:
-        if path == "-":
+    # Files and standard input are both decoded strictly as UTF-8, so
+    # the same bytes give the same result whatever the locale.
+    if path == "-":
+        if not hasattr(sys.stdin, "buffer"):  # already text, as io.StringIO
             return sys.stdin.read()
-        return Path(path).read_text()
+        source, data = "standard input", sys.stdin.buffer.read()
+    else:
+        source, data = path, Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        source = "standard input" if path == "-" else path
         raise _UsageError(f"cannot decode {source}: {exc}") from None
 
 
@@ -118,14 +125,14 @@ INPUT_KINDS = {
 
 def _cmd_lines(args, out) -> int:
     kind = INPUT_KINDS[args.kind]
-    system = all_lines(kind.relation(kind.parse(_read_input(args.input))))
+    lines = all_lines(kind.relation(kind.parse(_read_input(args.input))))
     if args.format == "jsonl":
-        for entry in system.entries:
-            generators = [list(g) for g in entry.generators]
-            _write_json(out, {"members": list(entry.ordered), "generators": generators})
-        _write_json(out, {"count": system.line_count})
+        for mask, pairs in lines.items():
+            generators = [list(g) for g in pairs]
+            _write_json(out, {"members": list(bits_of(mask)), "generators": generators})
+        _write_json(out, {"count": len(lines)})
     else:
-        out.write(render_line_system(system) + "\n")
+        out.write(render_line_system(lines) + "\n")
     return EXIT_OK
 
 
@@ -151,7 +158,7 @@ def _cmd_construct(args, out) -> int:
     poset = parse_poset(_read_input(args.input))
     cert = build_certificate(poset)
     if args.format == "jsonl":
-        layer_lines = [list(line.ordered) for line in cert.layer_lines]
+        layer_lines = [list(bits_of(mask)) for _, mask in cert.layer_lines]
         _write_json(out, {"chain": list(cert.chain), "layer_lines": layer_lines})
         for step in cert.steps:
             row = {
@@ -160,29 +167,24 @@ def _cmd_construct(args, out) -> int:
                 "bottom": step.bottom,
                 "top": step.top,
                 "probe": step.probe,
-                "lines": [list(line.ordered) for line in step.lines],
+                "lines": [list(bits_of(mask)) for _, mask in step.lines],
             }
             _write_json(out, row)
         _write_json(out, {"distinct": cert.total_distinct, "bound": cert.bound})
     else:
-        label = poset.universe.label
-        out.write("chain: " + " ".join(label(c) for c in cert.chain) + "\n")
-        for line in cert.layer_lines:
-            out.write(
-                "layer line: " + " ".join(label(p) for p in line.ordered) + "\n"
-            )
+        out.write("chain: " + " ".join(map(str, cert.chain)) + "\n")
+        for _, mask in cert.layer_lines:
+            out.write("layer line: " + render_points(mask) + "\n")
         for step in cert.steps:
             head = (
                 f"iteration {step.iteration} step {step.kind.value} "
                 f"window {step.bottom}..{step.top}"
             )
             if step.probe is not None:
-                head += f" outside {label(step.probe)}"
+                head += f" outside {step.probe}"
             out.write(head + "\n")
-            for line in step.lines:
-                out.write(
-                    "  line: " + " ".join(label(p) for p in line.ordered) + "\n"
-                )
+            for _, mask in step.lines:
+                out.write("  line: " + render_points(mask) + "\n")
         out.write(f"distinct {cert.total_distinct} >= bound {cert.bound}\n")
     return EXIT_OK
 
@@ -236,6 +238,7 @@ def _cmd_sweep(args, out) -> int:
         out.write(f"result: {'ok' if summary.ok else 'VIOLATION'}\n")
         return EXIT_OK if summary.ok else EXIT_VIOLATION
 
+    sweep_kind(args.kind, args.n)  # reject a bad size before --out is opened
     with ExitStack() as stack:
         sink = None
         if args.format == "jsonl":

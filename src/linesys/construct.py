@@ -18,8 +18,8 @@ the window reacts: fan out and stop when it is incomparable with both
 above ("2b"), or lower the top symmetrically ("2c").
 
 The certificate stores every window position, probe point, and line
-(with its generator), so an independent pass can replay the bookkeeping
-and recompute each line from scratch.
+(as its generating pair and member mask), so an independent pass can
+replay the bookkeeping and recompute each line from scratch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import combinations
 
 from .bounds import dbe_bound
-from .core import Line, line_of, pair_list
+from .core import line_of, pair_list
 from .errors import HeightError, InternalError, UniversalLineError
 from .posets import (
     Poset,
@@ -37,6 +37,14 @@ from .posets import (
     mirsky_partition,
     poset_betweenness,
 )
+
+
+# A recorded line: its generating pair (ascending) and its member mask.
+GeneratedLine = tuple[tuple[int, int], int]
+
+
+def _line(rel, a: int, b: int) -> GeneratedLine:
+    return ((a, b) if a < b else (b, a)), line_of(rel, a, b)
 
 
 class StepKind(str, Enum):
@@ -62,7 +70,7 @@ class ProcessStep:
     bottom: int
     top: int
     probe: int | None
-    lines: tuple[Line, ...]
+    lines: tuple[GeneratedLine, ...]
 
 
 @dataclass(frozen=True)
@@ -72,16 +80,14 @@ class LineCertificate:
     size: int
     height: int
     chain: tuple[int, ...]
-    layer_lines: tuple[Line, ...]
+    layer_lines: tuple[GeneratedLine, ...]
     steps: tuple[ProcessStep, ...]
 
-    def process_lines(self) -> tuple[Line, ...]:
+    def process_lines(self) -> tuple[GeneratedLine, ...]:
         return tuple(line for step in self.steps for line in step.lines)
 
-    def distinct_member_sets(self) -> set[frozenset[int]]:
-        found = {line.members for line in self.layer_lines}
-        found.update(line.members for line in self.process_lines())
-        return found
+    def distinct_member_sets(self) -> set[int]:
+        return {mask for _, mask in self.layer_lines + self.process_lines()}
 
     @property
     def total_distinct(self) -> int:
@@ -108,7 +114,7 @@ def build_certificate(p: Poset) -> LineCertificate:
     rel = poset_betweenness(p)
     chain = maximum_chain_through_levels(p)
     layer_lines = [
-        line_of(rel, a, b)
+        _line(rel, a, b)
         for layer in mirsky_partition(p).layers
         for a, b in combinations(sorted(layer), 2)
     ]
@@ -120,7 +126,7 @@ def build_certificate(p: Poset) -> LineCertificate:
     while True:
         iteration += 1
         if bottom == top:
-            closing = line_of(rel, chain[0], chain[height - 1])
+            closing = _line(rel, chain[0], chain[height - 1])
             steps.append(
                 ProcessStep(iteration, StepKind.CLOSE, bottom, top, None, (closing,))
             )
@@ -137,8 +143,8 @@ def build_certificate(p: Poset) -> LineCertificate:
         with_high = p.comparable(probe, high)
         if not with_low and not with_high:
             fan = tuple(
-                line_of(rel, chain[i - 1], probe) for i in range(bottom, top + 1)
-            ) + (line_of(rel, chain[0], chain[height - 1]),)
+                _line(rel, chain[i - 1], probe) for i in range(bottom, top + 1)
+            ) + (_line(rel, chain[0], chain[height - 1]),)
             steps.append(
                 ProcessStep(iteration, StepKind.SPLIT, bottom, top, probe, fan)
             )
@@ -148,7 +154,7 @@ def build_certificate(p: Poset) -> LineCertificate:
                 i for i in range(bottom, top) if not p.comparable(chain[i - 1], probe)
             )
             added = tuple(
-                line_of(rel, chain[i - 1], probe)
+                _line(rel, chain[i - 1], probe)
                 for i in range(bottom, new_bottom + 1)
             )
             steps.append(
@@ -164,7 +170,7 @@ def build_certificate(p: Poset) -> LineCertificate:
                 if not p.comparable(chain[i - 1], probe)
             )
             added = tuple(
-                line_of(rel, chain[i - 1], probe) for i in range(new_top, top + 1)
+                _line(rel, chain[i - 1], probe) for i in range(new_top, top + 1)
             )
             steps.append(
                 ProcessStep(iteration, StepKind.LOWER_TOP, bottom, top, probe, added)
@@ -218,14 +224,11 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         for layer in mirsky_partition(p).layers
         for pair in combinations(sorted(layer), 2)
     )
-    if sorted(line.generator for line in cert.layer_lines) != expected_pairs:
+    if sorted(pair for pair, _ in cert.layer_lines) != expected_pairs:
         issues.append("layer lines do not cover exactly the within-level pairs")
-    for line in cert.layer_lines + cert.process_lines():
-        recomputed = line_of(rel, *line.generator)
-        if recomputed.members != line.members:
-            issues.append(
-                f"line of pair {line.generator} recomputes to different members"
-            )
+    for pair, mask in cert.layer_lines + cert.process_lines():
+        if line_of(rel, *pair) != mask:
+            issues.append(f"line of pair {pair} recomputes to different members")
 
     if not cert.steps:
         issues.append("certificate records no process steps")
@@ -248,7 +251,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         if step.kind is StepKind.CLOSE:
             if bottom != top or step.probe is not None:
                 issues.append("closing step on an open window")
-            if [line.generator for line in step.lines] != [
+            if [pair for pair, _ in step.lines] != [
                 tuple(sorted((chain[0], chain[height - 1])))
             ]:
                 issues.append("closing step does not add the full-chain line")
@@ -267,7 +270,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
             span = [
                 tuple(sorted((chain[i - 1], probe))) for i in range(bottom, top + 1)
             ] + [tuple(sorted((chain[0], chain[height - 1])))]
-            if [line.generator for line in step.lines] != span:
+            if [pair for pair, _ in step.lines] != span:
                 issues.append(f"step {pos} fan does not cover the window")
         elif step.kind is StepKind.RAISE_BOTTOM:
             if with_low or not with_high:
@@ -281,7 +284,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
                 tuple(sorted((chain[i - 1], probe)))
                 for i in range(bottom, new_bottom + 1)
             ]
-            if [line.generator for line in step.lines] != span:
+            if [pair for pair, _ in step.lines] != span:
                 issues.append(f"step {pos} lines do not match the raised range")
             bottom = new_bottom
         elif step.kind is StepKind.LOWER_TOP:
@@ -296,7 +299,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
                 tuple(sorted((chain[i - 1], probe)))
                 for i in range(new_top, top + 1)
             ]
-            if [line.generator for line in step.lines] != span:
+            if [pair for pair, _ in step.lines] != span:
                 issues.append(f"step {pos} lines do not match the lowered range")
             top = new_top
     if full in {

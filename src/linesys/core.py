@@ -1,4 +1,4 @@
-"""Ground sets, betweenness relations, and the lines they induce.
+"""Betweenness relations and the lines they induce.
 
 A betweenness relation on points 0..n-1 is a set of triples (a, x, b),
 read "x lies between a and b", symmetric in the outer pair.  The line
@@ -7,9 +7,11 @@ point witnessed between or beyond them:
 
     line(a, b) = {a, b} | {x : (x,a,b) or (a,x,b) or (a,b,x) in relation}
 
-Lines are compared as point sets: two generating pairs that produce the
-same member set produce the same line.  This is the counting convention
-used by every bound and sweep in the package.
+A point set is an int bitmask, bit p standing for point p, from
+parsing to printing; only output turns a mask into a sorted point
+list.  Lines are compared as masks: two generating pairs that produce
+the same member set produce the same line.  This is the counting
+convention used by every bound and sweep in the package.
 
 Every structure kind handled by this package (graph, poset, metric
 space, 3-uniform hypergraph) compiles into a BetweennessRelation, so a
@@ -18,9 +20,9 @@ single line evaluator serves all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -49,51 +51,21 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def points_of(mask: int) -> frozenset[int]:
-    return frozenset(bits_of(mask))
+def check_point(n: int, point: int) -> None:
+    """Reject a point identifier outside the ground set 0..n-1."""
+    if not 0 <= point < n:
+        raise UnknownPointError(f"point {point} not in ground set of size {n}")
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """An ordered finite set of points, identified by 0..size-1.
-
-    ``labels`` optionally supplies an external name per point; rendering
-    falls back to the numeric identifier when absent.
-    """
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise SizeError(f"ground set needs at least one point, got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise SizeError(
-                f"expected {self.size} labels, got {len(self.labels)}"
-            )
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def of(size: int) -> "GroundSet":
-        """Shared unlabeled ground set of the given size."""
-        return GroundSet(size)
-
-    @property
-    def points(self) -> range:
-        return range(self.size)
-
-    def label(self, point: int) -> str:
-        return str(point) if self.labels is None else self.labels[point]
-
-    def check_point(self, point: int) -> None:
-        if not 0 <= point < self.size:
-            raise UnknownPointError(
-                f"point {point} not in ground set of size {self.size}"
-            )
+def check_size(n: int) -> int:
+    """Return n, the size of a ground set, after rejecting an empty one."""
+    if n < 1:
+        raise SizeError(f"ground set needs at least one point, got {n}")
+    return n
 
 
 class BetweennessRelation:
-    """Immutable set of betweenness triples over a ground set.
+    """Immutable set of betweenness triples over points 0..size-1.
 
     The triple set is stored as two n x n bitmask matrices:
 
@@ -106,15 +78,15 @@ class BetweennessRelation:
     to share across workers.
     """
 
-    __slots__ = ("universe", "_mid", "_outer")
+    __slots__ = ("size", "_mid", "_outer")
 
-    def __init__(self, universe: GroundSet, triples: Iterable[tuple[int, int, int]]):
-        n = universe.size
+    def __init__(self, size: int, triples: Iterable[tuple[int, int, int]]):
+        n = check_size(size)
         mid = [[0] * n for _ in range(n)]
         outer = [[0] * n for _ in range(n)]
         for a, x, b in triples:
             for p in (a, x, b):
-                universe.check_point(p)
+                check_point(n, p)
             if a == x or x == b or a == b:
                 raise IdenticalPointsError(f"degenerate triple ({a}, {x}, {b})")
             xbit = 1 << x
@@ -122,18 +94,18 @@ class BetweennessRelation:
             mid[b][a] |= xbit
             outer[x][a] |= 1 << b
             outer[x][b] |= 1 << a
-        self.universe = universe
+        self.size = n
         self._mid = tuple(map(tuple, mid))
         self._outer = tuple(map(tuple, outer))
 
     @classmethod
-    def _from_matrices(cls, universe, mid, outer) -> "BetweennessRelation":
+    def _from_matrices(cls, size, mid, outer) -> "BetweennessRelation":
         # Fast path for structure adapters that assemble the matrices
         # directly; the caller guarantees they encode a symmetric triple
         # set.  Equivalence with the triple constructor is covered by
         # tests on every adapter.
         rel = cls.__new__(cls)
-        rel.universe = universe
+        rel.size = size
         rel._mid = mid
         rel._outer = outer
         return rel
@@ -141,12 +113,12 @@ class BetweennessRelation:
     def has(self, a: int, x: int, b: int) -> bool:
         """True when x lies between a and b."""
         for p in (a, x, b):
-            self.universe.check_point(p)
+            check_point(self.size, p)
         return bool(self._outer[x][a] >> b & 1)
 
     def triples(self) -> Iterator[tuple[int, int, int]]:
         """Iterate every stored triple, both outer orientations included."""
-        n = self.universe.size
+        n = self.size
         for x in range(n):
             row = self._outer[x]
             for a in range(n):
@@ -169,111 +141,47 @@ class BetweennessRelation:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Line:
-    """A line together with the pair that generated it.
-
-    Equality and hashing use only the member set: distinct generators
-    producing the same point set are the same line.
-    """
-
-    generator: tuple[int, int]
-    members: frozenset[int]
-
-    def __eq__(self, other):
-        if not isinstance(other, Line):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
-    @property
-    def ordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-
-@dataclass(frozen=True)
-class LineEntry:
-    """One distinct member set with every generating pair producing it."""
-
-    members: frozenset[int]
-    generators: tuple[tuple[int, int], ...]
-
-    @property
-    def ordered(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-
-@dataclass(frozen=True)
-class LineSystem:
-    """All distinct lines of a relation, sorted by ordered member list.
-
-    Every unordered point pair appears as a generator of exactly one
-    entry, so generator multiplicities over the entries sum to C(n, 2).
-    """
-
-    universe: GroundSet
-    entries: tuple[LineEntry, ...]
-
-    @property
-    def line_count(self) -> int:
-        return len(self.entries)
-
-    def member_sets(self) -> set[frozenset[int]]:
-        return {entry.members for entry in self.entries}
-
-
-def line_of(rel: BetweennessRelation, a: int, b: int) -> Line:
-    """The line through two distinct points of the relation's universe."""
-    rel.universe.check_point(a)
-    rel.universe.check_point(b)
+def line_of(rel: BetweennessRelation, a: int, b: int) -> int:
+    """Members of the line through two distinct points, as a bitmask."""
+    check_point(rel.size, a)
+    check_point(rel.size, b)
     if a == b:
         raise IdenticalPointsError(f"a line needs two distinct points, got {a} twice")
-    generator = (a, b) if a < b else (b, a)
-    return Line(generator, points_of(rel.line_mask(a, b)))
+    return rel.line_mask(a, b)
 
 
-def all_lines(rel: BetweennessRelation) -> LineSystem:
-    """Deduplicated line system over all C(n, 2) generating pairs."""
-    n = rel.universe.size
+def all_lines(rel: BetweennessRelation) -> dict[int, list[tuple[int, int]]]:
+    """Every distinct line, as a mask, with the pairs that generate it.
+
+    Keys come in output order, by ascending sorted member list; each
+    pair list is in lexicographic order.  Every unordered pair
+    generates exactly one line, so the lists together hold all C(n, 2)
+    pairs.
+    """
+    n = rel.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for a, b in pair_list(n):
-        groups.setdefault(rel.line_mask(a, b), []).append((a, b))
-    entries = tuple(
-        LineEntry(points_of(mask), tuple(gens))
-        for mask, gens in sorted(
-            groups.items(), key=lambda kv: tuple(bits_of(kv[0]))
-        )
-    )
-    return LineSystem(rel.universe, entries)
+    # Pairs are grouped by sorting, not in a dict: an int hashes to its
+    # value mod 2**61 - 1, so masks of points 61 apart collide, and on
+    # large ground sets every dict keyed by masks is slow to build; the
+    # returned dict is the only one.
+    lm = rel.line_mask
+    generated = sorted([(lm(a, b), (a, b)) for a, b in pair_list(n)])
+    groups = [
+        (mask, [pair for _, pair in run])
+        for mask, run in groupby(generated, key=itemgetter(0))
+    ]
+    groups.sort(key=lambda group: tuple(bits_of(group[0])))
+    return dict(groups)
 
 
 def line_mask_set(rel: BetweennessRelation) -> set[int]:
     """Distinct line member sets as bitmasks; the sweep-facing evaluator."""
-    n = rel.universe.size
+    n = rel.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
     lm = rel.line_mask
     return {lm(a, b) for a, b in pair_list(n)}
-
-
-def find_universal_line(rel: BetweennessRelation) -> tuple[int, int] | None:
-    """Smallest lexicographic pair whose line covers every point, if any."""
-    n = rel.universe.size
-    if n < 2:
-        raise SizeError("universal lines need at least two points")
-    full = (1 << n) - 1
-    for a, b in pair_list(n):
-        if rel.line_mask(a, b) == full:
-            return (a, b)
-    return None
-
-
-def has_universal_line(rel: BetweennessRelation) -> bool:
-    return find_universal_line(rel) is not None
 
 
 def hypergraph_relation(n: int, edges: Iterable[Iterable[int]]) -> BetweennessRelation:
@@ -283,7 +191,6 @@ def hypergraph_relation(n: int, edges: Iterable[Iterable[int]]) -> BetweennessRe
     expands into all three middle choices and the generic line evaluator
     reproduces the hypergraph line {a, b} | {x : {a, b, x} is an edge}.
     """
-    universe = GroundSet.of(n)
     triples: list[tuple[int, int, int]] = []
     for edge in edges:
         vertices = tuple(edge)
@@ -298,29 +205,4 @@ def hypergraph_relation(n: int, edges: Iterable[Iterable[int]]) -> BetweennessRe
                 )
         p, q, r = sorted(vertices)
         triples += [(q, p, r), (p, q, r), (p, r, q)]
-    return BetweennessRelation(universe, triples)
-
-
-def overlapping_entries(system: LineSystem) -> list[tuple[int, int]]:
-    """Entry index pairs whose member sets share at least two points.
-
-    Lines here can behave unlike Euclidean ones; this diagnostic makes
-    the phenomenon visible without attaching any requirement to it.
-    """
-    found = []
-    for i, j in combinations(range(len(system.entries)), 2):
-        if len(system.entries[i].members & system.entries[j].members) >= 2:
-            found.append((i, j))
-    return found
-
-
-def nested_entries(system: LineSystem) -> list[tuple[int, int]]:
-    """Entry index pairs (i, j) with members(i) a proper subset of members(j)."""
-    found = []
-    for i, j in combinations(range(len(system.entries)), 2):
-        a, b = system.entries[i].members, system.entries[j].members
-        if a < b:
-            found.append((i, j))
-        elif b < a:
-            found.append((j, i))
-    return found
+    return BetweennessRelation(n, triples)

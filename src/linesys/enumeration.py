@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .core import GroundSet, pair_list
+from .core import pair_list
 from .errors import CapError
 from .graphs import Graph
 from .posets import Poset
@@ -105,7 +105,7 @@ def poset_from_state(n: int, state: tuple[int, ...]) -> Poset:
             rows[a] |= 1 << b
         elif s == 2:
             rows[b] |= 1 << a
-    return Poset(GroundSet.of(n), rows)
+    return Poset(rows)
 
 
 def poset_state(p: Poset) -> tuple[int, ...]:

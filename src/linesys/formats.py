@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import BetweennessRelation, GroundSet, LineSystem, hypergraph_relation
+from .core import BetweennessRelation, bits_of, hypergraph_relation
 from .errors import ParseError
 from .graphs import Graph
 from .metrics import MetricSpace
@@ -121,7 +121,7 @@ def parse_metric(text: str) -> MetricSpace:
             row.append(value)
         rows.append(row)
     tokens.finish()
-    return MetricSpace(GroundSet.of(n), rows)
+    return MetricSpace(rows)
 
 
 def parse_hypergraph(text: str) -> BetweennessRelation:
@@ -139,13 +139,14 @@ def parse_hypergraph(text: str) -> BetweennessRelation:
     return hypergraph_relation(n, edges)
 
 
-def render_line_system(system: LineSystem) -> str:
-    """One row of point labels per line plus a final count row; parsing
-    the rows back as sets recovers the member sets exactly."""
-    universe = system.universe
-    rows = [
-        " ".join(universe.label(p) for p in entry.ordered)
-        for entry in system.entries
-    ]
-    rows.append(f"count {system.line_count}")
+def render_points(mask: int) -> str:
+    """The points of a mask in ascending order, separated by spaces."""
+    return " ".join(map(str, bits_of(mask)))
+
+
+def render_line_system(lines: dict[int, list]) -> str:
+    """One row of points per line of ``all_lines`` plus a final count
+    row; parsing the rows back as sets recovers the member sets exactly."""
+    rows = [render_points(mask) for mask in lines]
+    rows.append(f"count {len(lines)}")
     return "\n".join(rows)

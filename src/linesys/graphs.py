@@ -9,20 +9,18 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import BetweennessRelation, GroundSet, pair_list
+from .core import BetweennessRelation, check_point, check_size, pair_list
 from .errors import SizeError, UnknownPointError
 
 
 class Graph:
     """Immutable graph stored as per-vertex neighbor bitmasks."""
 
-    __slots__ = ("universe", "adj")
+    __slots__ = ("size", "adj")
 
-    def __init__(self, universe: GroundSet, adjacency: Iterable[int]):
-        n = universe.size
+    def __init__(self, adjacency: Iterable[int]):
         adj = tuple(adjacency)
-        if len(adj) != n:
-            raise SizeError(f"expected {n} adjacency rows, got {len(adj)}")
+        n = check_size(len(adj))
         full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
@@ -33,21 +31,20 @@ class Graph:
             for u in range(v):
                 if (row >> u & 1) != (adj[u] >> v & 1):
                     raise UnknownPointError(f"adjacency is not symmetric at {u}, {v}")
-        self.universe = universe
+        self.size = n
         self.adj = adj
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        universe = GroundSet.of(n)
         adj = [0] * n
         for a, b in edges:
-            universe.check_point(a)
-            universe.check_point(b)
+            check_point(n, a)
+            check_point(n, b)
             if a == b:
                 raise UnknownPointError(f"self-loop at vertex {a}")
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        return cls(universe, adj)
+        return cls(adj)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
@@ -57,11 +54,7 @@ class Graph:
             if mask >> p & 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-        return cls(GroundSet.of(n), adj)
-
-    @property
-    def size(self) -> int:
-        return self.universe.size
+        return cls(adj)
 
     def edge_mask(self) -> int:
         """Canonical edge-bitmask encoding over pair_list(n)."""
@@ -72,12 +65,12 @@ class Graph:
         return mask
 
     def is_edge(self, a: int, b: int) -> bool:
-        self.universe.check_point(a)
-        self.universe.check_point(b)
+        check_point(self.size, a)
+        check_point(self.size, b)
         return bool(self.adj[a] >> b & 1)
 
     def degree(self, v: int) -> int:
-        self.universe.check_point(v)
+        check_point(self.size, v)
         return self.adj[v].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -105,7 +98,7 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
                 mat_a[b] = common
                 mat[b][a] = common
     frozen = tuple(map(tuple, mat))
-    return BetweennessRelation._from_matrices(g.universe, frozen, frozen)
+    return BetweennessRelation._from_matrices(n, frozen, frozen)
 
 
 def is_extremal_graph(g: Graph) -> bool:

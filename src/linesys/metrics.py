@@ -10,7 +10,7 @@ from __future__ import annotations
 import numbers
 from typing import Iterable, Sequence
 
-from .core import BetweennessRelation, GroundSet
+from .core import BetweennessRelation, check_size
 from .errors import DisconnectedError, MetricError, SizeError
 from .graphs import Graph
 
@@ -24,12 +24,12 @@ class MetricSpace:
     satisfy the triangle inequality.
     """
 
-    __slots__ = ("universe", "dist")
+    __slots__ = ("size", "dist")
 
-    def __init__(self, universe: GroundSet, dist: Iterable[Sequence]):
-        n = universe.size
+    def __init__(self, dist: Iterable[Sequence]):
         rows = tuple(tuple(row) for row in dist)
-        if len(rows) != n or any(len(row) != n for row in rows):
+        n = check_size(len(rows))
+        if any(len(row) != n for row in rows):
             raise SizeError(f"expected an {n} x {n} distance matrix")
         for i, row in enumerate(rows):
             for j, value in enumerate(row):
@@ -62,17 +62,8 @@ class MetricSpace:
                             f"triangle inequality fails: dist[{i}][{k}] > "
                             f"dist[{i}][{j}] + dist[{j}][{k}]"
                         )
-        self.universe = universe
+        self.size = n
         self.dist = rows
-
-    @classmethod
-    def from_rows(cls, dist: Iterable[Sequence]) -> "MetricSpace":
-        rows = tuple(tuple(row) for row in dist)
-        return cls(GroundSet.of(len(rows)), rows)
-
-    @property
-    def size(self) -> int:
-        return self.universe.size
 
 
 def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
@@ -86,7 +77,7 @@ def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
             for x in range(n):
                 if x != a and x != b and dist[a][x] + dist[x][b] == d_ab:
                     triples.append((a, x, b))
-    return BetweennessRelation(m.universe, triples)
+    return BetweennessRelation(n, triples)
 
 
 def graph_shortest_path_metric(g: Graph) -> MetricSpace:
@@ -120,4 +111,4 @@ def graph_shortest_path_metric(g: Graph) -> MetricSpace:
                 "shortest-path metric needs a connected graph"
             )
         rows.append(dist_row)
-    return MetricSpace(g.universe, rows)
+    return MetricSpace(rows)

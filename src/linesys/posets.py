@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import BetweennessRelation, GroundSet, bits_of
+from .core import BetweennessRelation, bits_of, check_point, check_size
 from .errors import CycleError, InternalError, SizeError, UnknownPointError
 from .graphs import Graph
 
@@ -44,13 +44,11 @@ class Poset:
     partition the poset into ``height`` antichains.
     """
 
-    __slots__ = ("universe", "succ", "pred", "levels", "height")
+    __slots__ = ("size", "succ", "pred", "levels", "height")
 
-    def __init__(self, universe: GroundSet, succ_rows: Iterable[int]):
-        n = universe.size
+    def __init__(self, succ_rows: Iterable[int]):
         succ = tuple(succ_rows)
-        if len(succ) != n:
-            raise SizeError(f"expected {n} order rows, got {len(succ)}")
+        n = check_size(len(succ))
         full = (1 << n) - 1
         for v, row in enumerate(succ):
             if row & ~full:
@@ -80,7 +78,7 @@ class Poset:
                 if levels[u] > best:
                     best = levels[u]
             levels[v] = best + 1
-        self.universe = universe
+        self.size = n
         self.succ = succ
         self.pred = tuple(pred)
         self.levels = tuple(levels)
@@ -93,25 +91,20 @@ class Poset:
         The transitive closure is taken, so supplying the full order
         relation instead of covers is accepted.
         """
-        universe = GroundSet.of(n)
         rows = [0] * n
         for a, b in covers:
-            universe.check_point(a)
-            universe.check_point(b)
+            check_point(n, a)
+            check_point(n, b)
             rows[a] |= 1 << b
         closed = _transitive_closure(rows)
         for v in range(n):
             if closed[v] >> v & 1:
                 raise CycleError(f"cover relations create a cycle through point {v}")
-        return cls(universe, closed)
-
-    @property
-    def size(self) -> int:
-        return self.universe.size
+        return cls(closed)
 
     def is_less(self, a: int, b: int) -> bool:
-        self.universe.check_point(a)
-        self.universe.check_point(b)
+        check_point(self.size, a)
+        check_point(self.size, b)
         return bool(self.succ[a] >> b & 1)
 
     def comparable(self, a: int, b: int) -> bool:
@@ -148,7 +141,7 @@ def poset_betweenness(p: Poset) -> BetweennessRelation:
             elif succ_a >> b & 1:
                 outer_a[b] = pred_a
     return BetweennessRelation._from_matrices(
-        p.universe, tuple(map(tuple, mid)), tuple(map(tuple, outer))
+        n, tuple(map(tuple, mid)), tuple(map(tuple, outer))
     )
 
 
@@ -197,7 +190,7 @@ def comparability_graph(p: Poset) -> Graph:
     Its triangles are exactly the 3-chains of the poset, so the poset
     and the graph induce the same line system.
     """
-    return Graph(p.universe, [p.succ[v] | p.pred[v] for v in range(p.size)])
+    return Graph([p.succ[v] | p.pred[v] for v in range(p.size)])
 
 
 def is_extremal_poset(p: Poset) -> bool:

@@ -137,7 +137,7 @@ def _report(
 ) -> VerificationReport:
     """The record every kind shares: distinct lines of ``relation``
     counted and compared with ``bound``, equality measured against n."""
-    n = relation.universe.size
+    n = relation.size
     masks = line_mask_set(relation)
     count = len(masks)
     universal = (1 << n) - 1 in masks
@@ -275,6 +275,18 @@ SWEEP_KINDS = {
 }
 
 
+def sweep_kind(kind: str, n: int) -> _SweepKind:
+    """The ``SWEEP_KINDS`` entry of ``kind``, once n is in its range."""
+    entry = SWEEP_KINDS.get(kind)
+    if entry is None:
+        raise DomainError(f"unknown sweep kind {kind!r}")
+    if n > entry.cap:
+        raise CapError(f"{kind} sweeps support n <= {entry.cap}, got {n}")
+    if n < entry.min_n:
+        raise DomainError(f"{kind} sweeps need n >= {entry.min_n}, got {n}")
+    return entry
+
+
 def _run_chunk(args):
     kind, n, chunk, collect = args
     fold = _Fold()
@@ -305,13 +317,7 @@ def run_sweep(
     Worker processes split the canonical chunk list; the fold and the
     report stream are identical for every worker count.
     """
-    entry = SWEEP_KINDS.get(kind)
-    if entry is None:
-        raise DomainError(f"unknown sweep kind {kind!r}")
-    if n > entry.cap:
-        raise CapError(f"{kind} sweeps support n <= {entry.cap}, got {n}")
-    if n < entry.min_n:
-        raise DomainError(f"{kind} sweeps need n >= {entry.min_n}, got {n}")
+    entry = sweep_kind(kind, n)
     collect = report_sink is not None
     args = [(kind, n, chunk, collect) for chunk in entry.chunks(n)]
     total = _Fold()

@@ -242,8 +242,29 @@ def test_undecodable_input_is_a_one_line_error(tmp_path, monkeypatch, capsys):
     assert (code, out) == (EXIT_INPUT, "")
     err = capsys.readouterr().err
     assert err.startswith("error: cannot decode ") and err.count("\n") == 1
-    stdin = io.TextIOWrapper(io.BytesIO(b"3 1\n0 \xff\n"), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", stdin)
-    code, out = run_cli(["lines", "--kind", "graph"])
-    assert (code, out) == (EXIT_INPUT, "")
-    assert capsys.readouterr().err.startswith("error: cannot decode standard input: ")
+    # A stdin that would hand undecodable bytes on as surrogates, as
+    # under a C or POSIX locale, is decoded strictly all the same.
+    for errors in ("strict", "surrogateescape"):
+        raw = io.BytesIO(b"3 1\n0 \xff\n")
+        stdin = io.TextIOWrapper(raw, encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out = run_cli(["lines", "--kind", "graph"])
+        assert (code, out) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot decode standard input: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("poset", 9), ("graph", 2)], ids=["above-cap", "below-min"]
+)
+def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, kind, n):
+    argv = ["sweep", "--kind", kind, "--n", str(n), "--format", "jsonl", "--out"]
+    earlier = tmp_path / "earlier.jsonl"
+    earlier.write_bytes(b'{"kept": true}\n')
+    assert run_cli([*argv, str(earlier)]) == (EXIT_INPUT, "")
+    assert earlier.read_bytes() == b'{"kept": true}\n'
+    absent = tmp_path / "absent.jsonl"
+    assert run_cli([*argv, str(absent)]) == (EXIT_INPUT, "")
+    assert not absent.exists()
+    assert capsys.readouterr().err.count("error: ") == 2

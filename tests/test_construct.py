@@ -11,7 +11,7 @@ from linesys import (
     build_certificate,
     certificate_issues,
     dbe_bound,
-    has_universal_line,
+    line_mask_set,
     poset_betweenness,
 )
 
@@ -33,14 +33,14 @@ def test_branching_example_full_trace():
     p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
     cert = build_certificate(p)
     assert cert.chain == (0, 1, 2)
-    assert [line.ordered for line in cert.layer_lines] == [(0, 3)]
+    assert [mask for _, mask in cert.layer_lines] == [0b1001]
     kinds = [step.kind for step in cert.steps]
     assert kinds == [StepKind.RAISE_BOTTOM, StepKind.CLOSE]
     first, second = cert.steps
     assert (first.bottom, first.top, first.probe) == (1, 3, 3)
-    assert [line.ordered for line in first.lines] == [(0, 3), (1, 3), (2, 3)]
+    assert [mask for _, mask in first.lines] == [0b1001, 0b1010, 0b1100]
     assert (second.bottom, second.top, second.probe) == (3, 3, None)
-    assert [line.ordered for line in second.lines] == [(0, 1, 2)]
+    assert [mask for _, mask in second.lines] == [0b0111]
     assert cert.total_distinct == 4 == dbe_bound(4, 3) == cert.bound
     assert certificate_issues(cert, p) == []
 
@@ -51,7 +51,7 @@ def test_weak_order_certificate_meets_bound_and_is_a_subset_of_all_lines():
     cert = build_certificate(p)
     assert dbe_bound(4, 2) == 4
     assert cert.total_distinct >= 4
-    everything = all_lines(poset_betweenness(p)).member_sets()
+    everything = set(all_lines(poset_betweenness(p)))
     assert cert.distinct_member_sets() <= everything
     assert len(everything) >= cert.total_distinct
     assert certificate_issues(cert, p) == []
@@ -64,7 +64,7 @@ def test_split_step_on_a_poset_with_an_incomparable_probe():
     assert [step.kind for step in cert.steps] == [StepKind.SPLIT]
     step = cert.steps[0]
     assert step.probe == 2
-    assert [line.ordered for line in step.lines] == [(0, 2), (1, 2), (0, 1)]
+    assert [mask for _, mask in step.lines] == [0b101, 0b110, 0b011]
     assert cert.total_distinct == 3 == cert.bound
     assert certificate_issues(cert, p) == []
 
@@ -106,7 +106,7 @@ def test_certificate_issues_flags_tampering():
 def test_random_posets_yield_valid_certificates_meeting_the_bound(case):
     n, covers = case
     p = Poset.from_covers(n, covers)
-    if p.height < 2 or has_universal_line(poset_betweenness(p)):
+    if p.height < 2 or (1 << n) - 1 in line_mask_set(poset_betweenness(p)):
         return
     cert = build_certificate(p)
     assert certificate_issues(cert, p) == []
@@ -132,8 +132,8 @@ def test_random_posets_yield_valid_certificates_meeting_the_bound(case):
 def test_certified_lines_all_appear_in_the_full_line_system(case):
     n, covers = case
     p = Poset.from_covers(n, covers)
-    if p.height < 2 or has_universal_line(poset_betweenness(p)):
+    if p.height < 2 or (1 << n) - 1 in line_mask_set(poset_betweenness(p)):
         return
     cert = build_certificate(p)
-    everything = all_lines(poset_betweenness(p)).member_sets()
+    everything = set(all_lines(poset_betweenness(p)))
     assert cert.distinct_member_sets() <= everything

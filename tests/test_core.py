@@ -4,28 +4,28 @@ from hypothesis import strategies as st
 
 from linesys import (
     BetweennessRelation,
-    GroundSet,
     IdenticalPointsError,
-    Line,
     MalformedEdgeError,
     SizeError,
     UnknownPointError,
     all_lines,
-    find_universal_line,
-    has_universal_line,
+    bits_of,
     hypergraph_relation,
     line_mask_set,
     line_of,
-    nested_entries,
-    overlapping_entries,
     pair_list,
 )
 from linesys.graphs import Graph, graph_betweenness
+from linesys.metrics import MetricSpace
 from linesys.posets import Poset, poset_betweenness
 
 
 def empty_relation(n):
-    return BetweennessRelation(GroundSet.of(n), [])
+    return BetweennessRelation(n, [])
+
+
+def mask_of(points):
+    return sum(1 << p for p in points)
 
 
 def triangle_plus_isolated():
@@ -36,14 +36,10 @@ def triangle_plus_isolated():
 
 def test_ground_set_rejects_empty():
     with pytest.raises(SizeError):
-        GroundSet(0)
-
-
-def test_ground_set_labels_must_cover_points():
-    with pytest.raises(SizeError):
-        GroundSet(3, labels=("a", "b"))
-    assert GroundSet(2, labels=("a", "b")).label(1) == "b"
-    assert GroundSet.of(2).label(1) == "1"
+        BetweennessRelation(0, [])
+    for structure in (Graph, Poset, MetricSpace):
+        with pytest.raises(SizeError):
+            structure([])
 
 
 def test_single_point_ground_set_allowed_but_line_ops_reject():
@@ -51,25 +47,25 @@ def test_single_point_ground_set_allowed_but_line_ops_reject():
     with pytest.raises(SizeError):
         all_lines(rel)
     with pytest.raises(SizeError):
-        find_universal_line(rel)
+        line_mask_set(rel)
 
 
 # --- line_of ---------------------------------------------------------------
 
 def test_line_of_empty_relation_is_the_pair():
     rel = empty_relation(3)
-    assert line_of(rel, 0, 1).members == {0, 1}
+    assert line_of(rel, 0, 1) == 0b011
 
 
 def test_line_of_chain_poset_includes_the_middle():
     p = Poset.from_covers(3, [(0, 1), (1, 2)])
     rel = poset_betweenness(p)
-    assert line_of(rel, 0, 2).members == {0, 1, 2}
+    assert line_of(rel, 0, 2) == 0b111
 
 
 def test_line_of_triangle_with_isolated_vertex():
     rel = triangle_plus_isolated()
-    assert line_of(rel, 0, 1).members == {0, 1, 2}
+    assert line_of(rel, 0, 1) == 0b0111
 
 
 def test_line_of_validates_points():
@@ -80,44 +76,30 @@ def test_line_of_validates_points():
         line_of(rel, 0, 3)
 
 
-def test_line_equality_is_by_member_set():
-    a = Line((0, 1), frozenset({0, 1, 2}))
-    b = Line((0, 2), frozenset({0, 1, 2}))
-    c = Line((0, 1), frozenset({0, 1}))
-    assert a == b and hash(a) == hash(b)
-    assert a != c
-
-
 # --- all_lines -------------------------------------------------------------
 
 def test_all_lines_empty_relation_gives_all_pairs():
-    system = all_lines(empty_relation(4))
-    assert system.line_count == 6
-    assert all(len(e.members) == 2 for e in system.entries)
+    lines = all_lines(empty_relation(4))
+    assert len(lines) == 6
+    assert all(mask.bit_count() == 2 for mask in lines)
 
 
 def test_all_lines_triangle_plus_isolated_gives_four():
-    system = all_lines(triangle_plus_isolated())
-    assert system.line_count == 4
-    assert system.member_sets() == {
-        frozenset({0, 1, 2}),
-        frozenset({0, 3}),
-        frozenset({1, 3}),
-        frozenset({2, 3}),
-    }
+    lines = all_lines(triangle_plus_isolated())
+    assert len(lines) == 4
+    assert set(lines) == {0b0111, 0b1001, 0b1010, 0b1100}
 
 
 def test_all_lines_five_cycle_gives_ten_pairs():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    system = all_lines(graph_betweenness(g))
-    assert system.line_count == 10
+    assert len(all_lines(graph_betweenness(g))) == 10
 
 
 def test_all_lines_entries_are_sorted_and_partition_the_pairs():
-    system = all_lines(triangle_plus_isolated())
-    ordered = [e.ordered for e in system.entries]
+    lines = all_lines(triangle_plus_isolated())
+    ordered = [tuple(bits_of(mask)) for mask in lines]
     assert ordered == sorted(ordered)
-    generators = [g for e in system.entries for g in e.generators]
+    generators = [g for pairs in lines.values() for g in pairs]
     assert sorted(generators) == sorted(pair_list(4))
 
 
@@ -131,40 +113,41 @@ def test_all_lines_rejects_single_point():
 def test_universal_line_complete_graph():
     g = Graph.from_edges(4, list(pair_list(4)))
     rel = graph_betweenness(g)
-    assert find_universal_line(rel) == (0, 1)
+    assert line_of(rel, 0, 1) == 0b1111
+    assert (1 << 4) - 1 in line_mask_set(rel)
 
 
 def test_universal_line_empty_relation_is_none_beyond_two_points():
-    assert find_universal_line(empty_relation(3)) is None
-    assert not has_universal_line(empty_relation(5))
+    assert (1 << 3) - 1 not in line_mask_set(empty_relation(3))
+    assert (1 << 5) - 1 not in line_mask_set(empty_relation(5))
 
 
 def test_universal_line_chain_poset():
     p = Poset.from_covers(4, [(0, 1), (1, 2), (2, 3)])
-    assert has_universal_line(poset_betweenness(p))
+    assert (1 << 4) - 1 in line_mask_set(poset_betweenness(p))
 
 
 def test_two_point_pair_line_is_universal():
-    assert find_universal_line(empty_relation(2)) == (0, 1)
+    assert line_mask_set(empty_relation(2)) == {(1 << 2) - 1}
 
 
 # --- relation construction -------------------------------------------------
 
 def test_relation_symmetrizes_outer_pair():
-    rel = BetweennessRelation(GroundSet.of(3), [(0, 1, 2)])
+    rel = BetweennessRelation(3, [(0, 1, 2)])
     assert rel.has(0, 1, 2) and rel.has(2, 1, 0)
     assert not rel.has(1, 0, 2)
 
 
 def test_relation_rejects_degenerate_and_unknown_triples():
     with pytest.raises(IdenticalPointsError):
-        BetweennessRelation(GroundSet.of(3), [(0, 0, 2)])
+        BetweennessRelation(3, [(0, 0, 2)])
     with pytest.raises(UnknownPointError):
-        BetweennessRelation(GroundSet.of(3), [(0, 1, 3)])
+        BetweennessRelation(3, [(0, 1, 3)])
 
 
 def test_relation_triples_iteration_lists_both_orientations():
-    rel = BetweennessRelation(GroundSet.of(4), [(0, 1, 2), (0, 2, 3)])
+    rel = BetweennessRelation(4, [(0, 1, 2), (0, 2, 3)])
     triples = set(rel.triples())
     assert triples == {(0, 1, 2), (2, 1, 0), (0, 2, 3), (3, 2, 0)}
 
@@ -173,18 +156,17 @@ def test_relation_triples_iteration_lists_both_orientations():
 
 def test_hypergraph_single_edge():
     rel = hypergraph_relation(3, [{0, 1, 2}])
-    assert line_of(rel, 0, 1).members == {0, 1, 2}
+    assert line_of(rel, 0, 1) == 0b111
 
 
 def test_hypergraph_no_edges_all_pair_lines():
-    system = all_lines(hypergraph_relation(4, []))
-    assert system.line_count == 6
+    assert len(all_lines(hypergraph_relation(4, []))) == 6
 
 
 def test_hypergraph_two_edges_sharing_a_pair_make_a_universal_line():
     rel = hypergraph_relation(4, [{0, 1, 2}, {0, 1, 3}])
-    assert line_of(rel, 0, 1).members == {0, 1, 2, 3}
-    assert find_universal_line(rel) == (0, 1)
+    assert line_of(rel, 0, 1) == 0b1111
+    assert (1 << 4) - 1 in line_mask_set(rel)
 
 
 def test_hypergraph_edge_is_fully_symmetric():
@@ -199,24 +181,6 @@ def test_hypergraph_rejects_malformed_edges():
         hypergraph_relation(4, [(0, 1, 1)])
     with pytest.raises(MalformedEdgeError):
         hypergraph_relation(4, [(0, 1, 4)])
-
-
-# --- diagnostics: lines can overlap in >= 2 points and can nest ------------
-
-def test_diagnostics_surface_overlap_and_nesting():
-    rel = hypergraph_relation(4, [{0, 1, 2}, {0, 1, 3}])
-    system = all_lines(rel)
-    by_members = {e.members: i for i, e in enumerate(system.entries)}
-    small = by_members[frozenset({0, 1, 2})]
-    big = by_members[frozenset({0, 1, 2, 3})]
-    assert (min(small, big), max(small, big)) in overlapping_entries(system)
-    assert (small, big) in nested_entries(system)
-
-
-def test_diagnostics_trivial_on_pair_lines():
-    system = all_lines(empty_relation(4))
-    assert overlapping_entries(system) == []
-    assert nested_entries(system) == []
 
 
 # --- properties ------------------------------------------------------------
@@ -237,45 +201,68 @@ triples_strategy = st.integers(min_value=2, max_value=7).flatmap(
 @given(triples_strategy)
 def test_lines_are_symmetric_and_contain_their_generator(case):
     n, triples = case
-    rel = BetweennessRelation(GroundSet.of(n), triples)
+    rel = BetweennessRelation(n, triples)
     for a, b in pair_list(n):
         forward = line_of(rel, a, b)
-        assert forward.members == line_of(rel, b, a).members
-        assert {a, b} <= forward.members
+        assert forward == line_of(rel, b, a)
+        assert forward & mask_of((a, b)) == mask_of((a, b))
+
+
+@given(triples_strategy)
+def test_line_of_matches_the_definition(case):
+    # line(a, b) = {a, b} | {x : (x,a,b), (a,x,b) or (a,b,x) in relation},
+    # evaluated on the symmetrized input triples, not on the matrices.
+    n, triples = case
+    rel = BetweennessRelation(n, triples)
+    stored = set(triples) | {(b, x, a) for a, x, b in triples}
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            members = {a, b} | {
+                x
+                for x in range(n)
+                if {(x, a, b), (a, x, b), (a, b, x)} & stored
+            }
+            assert line_of(rel, a, b) == mask_of(members)
 
 
 @given(triples_strategy)
 def test_line_count_at_most_pair_count(case):
     n, triples = case
-    rel = BetweennessRelation(GroundSet.of(n), triples)
-    assert all_lines(rel).line_count <= len(pair_list(n))
+    rel = BetweennessRelation(n, triples)
+    assert len(all_lines(rel)) <= len(pair_list(n))
 
 
 @given(triples_strategy)
 @settings(max_examples=50)
 def test_rebuilding_entries_from_generators_reproduces_members(case):
     n, triples = case
-    rel = BetweennessRelation(GroundSet.of(n), triples)
-    system = all_lines(rel)
-    for entry in system.entries:
-        for a, b in entry.generators:
-            assert line_of(rel, a, b).members == entry.members
-    assert sum(len(e.generators) for e in system.entries) == len(pair_list(n))
-    assert len(system.member_sets()) == system.line_count
+    rel = BetweennessRelation(n, triples)
+    lines = all_lines(rel)
+    for mask, pairs in lines.items():
+        for a, b in pairs:
+            assert line_of(rel, a, b) == mask
+        assert pairs == sorted(pairs)
+    generators = sorted(g for pairs in lines.values() for g in pairs)
+    assert generators == list(pair_list(n))
 
 
 @given(triples_strategy)
 def test_universal_detection_agrees_with_full_member_sets(case):
     n, triples = case
-    rel = BetweennessRelation(GroundSet.of(n), triples)
-    full = frozenset(range(n))
-    expected = any(e.members == full for e in all_lines(rel).entries)
-    assert has_universal_line(rel) == expected
+    rel = BetweennessRelation(n, triples)
+    expected = any(
+        all(line_of(rel, a, b) >> p & 1 for p in range(n)) for a, b in pair_list(n)
+    )
+    assert ((1 << n) - 1 in line_mask_set(rel)) == expected
 
 
 @given(triples_strategy)
 def test_line_mask_set_matches_all_lines(case):
     n, triples = case
-    rel = BetweennessRelation(GroundSet.of(n), triples)
+    rel = BetweennessRelation(n, triples)
     masks = line_mask_set(rel)
-    assert len(masks) == all_lines(rel).line_count
+    lines = all_lines(rel)
+    assert len(masks) == len(lines)
+    assert set(lines) == masks

@@ -75,14 +75,14 @@ def test_parse_hypergraph():
 
 
 def test_render_round_trip():
-    system = all_lines(graph_betweenness(parse_graph(GRAPH_K3_PLUS_ISOLATED)))
-    text = render_line_system(system)
+    lines = all_lines(graph_betweenness(parse_graph(GRAPH_K3_PLUS_ISOLATED)))
+    text = render_line_system(lines)
     rows = text.splitlines()
     assert rows[-1] == "count 4"
-    parsed = {frozenset(int(tok) for tok in row.split()) for row in rows[:-1]}
-    assert parsed == system.member_sets()
+    parsed = {sum(1 << int(tok) for tok in row.split()) for row in rows[:-1]}
+    assert parsed == set(lines)
 
 
 def test_render_is_sorted():
-    system = all_lines(graph_betweenness(parse_graph(GRAPH_K3_PLUS_ISOLATED)))
-    assert render_line_system(system) == "0 1 2\n0 3\n1 3\n2 3\ncount 4"
+    lines = all_lines(graph_betweenness(parse_graph(GRAPH_K3_PLUS_ISOLATED)))
+    assert render_line_system(lines) == "0 1 2\n0 3\n1 3\n2 3\ncount 4"

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from linesys import (
     DisconnectedError,
     Graph,
-    GroundSet,
     MetricError,
     MetricSpace,
+    SizeError,
     all_lines,
     graph_shortest_path_metric,
-    has_universal_line,
+    line_mask_set,
     line_of,
     metric_betweenness,
     pair_list,
@@ -21,7 +21,7 @@ from linesys import (
 
 
 def menger_line_sets(dist):
-    """Line member sets straight from the distance definition."""
+    """Line member masks straight from the distance definition."""
     n = len(dist)
     lines = set()
     for a, b in combinations(range(n), 2):
@@ -35,7 +35,7 @@ def menger_line_sets(dist):
                 or dist[a][b] + dist[b][x] == dist[a][x]
             ):
                 members.add(x)
-        lines.add(frozenset(members))
+        lines.add(sum(1 << p for p in members))
     return lines
 
 
@@ -44,29 +44,28 @@ def c5():
 
 
 def test_collinear_integers_produce_a_universal_line():
-    m = MetricSpace.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    m = MetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     rel = metric_betweenness(m)
-    assert line_of(rel, 0, 2).members == {0, 1, 2}
-    assert has_universal_line(rel)
+    assert line_of(rel, 0, 2) == 0b111
+    assert (1 << 3) - 1 in line_mask_set(rel)
 
 
 def test_uniform_metric_has_pair_lines_only():
     rows = [[int(i != j) for j in range(4)] for i in range(4)]
-    rel = metric_betweenness(MetricSpace.from_rows(rows))
+    rel = metric_betweenness(MetricSpace(rows))
     assert rel.is_empty()
-    system = all_lines(rel)
-    assert system.line_count == 6
-    assert not has_universal_line(rel)
+    assert len(all_lines(rel)) == 6
+    assert (1 << 4) - 1 not in line_mask_set(rel)
 
 
 def test_five_cycle_metric_has_ten_lines_none_universal():
     m = graph_shortest_path_metric(c5())
     rel = metric_betweenness(m)
-    system = all_lines(rel)
-    assert system.line_count == 10
-    assert not has_universal_line(rel)
-    assert system.member_sets() == menger_line_sets(m.dist)
-    sizes = sorted(len(e.members) for e in system.entries)
+    lines = all_lines(rel)
+    assert len(lines) == 10
+    assert (1 << 5) - 1 not in line_mask_set(rel)
+    assert set(lines) == menger_line_sets(m.dist)
+    sizes = sorted(mask.bit_count() for mask in lines)
     assert sizes == [3] * 5 + [4] * 5
 
 
@@ -86,26 +85,26 @@ def test_disconnected_graph_is_rejected():
 
 def test_metric_validation_cites_entries():
     with pytest.raises(MetricError, match=r"dist\[0\]\[0\]"):
-        MetricSpace.from_rows([[1, 1], [1, 0]])
+        MetricSpace([[1, 1], [1, 0]])
     with pytest.raises(MetricError, match=r"dist\[0\]\[1\] != dist\[1\]\[0\]"):
-        MetricSpace.from_rows([[0, 1], [2, 0]])
+        MetricSpace([[0, 1], [2, 0]])
     with pytest.raises(MetricError, match=r"must be positive"):
-        MetricSpace.from_rows([[0, 0], [0, 0]])
+        MetricSpace([[0, 0], [0, 0]])
     with pytest.raises(MetricError, match=r"triangle inequality"):
-        MetricSpace.from_rows([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+        MetricSpace([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
 
 def test_floats_are_rejected_fractions_accepted():
     with pytest.raises(MetricError, match="exact rational"):
-        MetricSpace.from_rows([[0, 0.5], [0.5, 0]])
+        MetricSpace([[0, 0.5], [0.5, 0]])
     half = Fraction(1, 2)
-    m = MetricSpace.from_rows([[0, half], [half, 0]])
+    m = MetricSpace([[0, half], [half, 0]])
     assert m.dist[0][1] == half
 
 
 def test_metric_space_shape_validation():
-    with pytest.raises(Exception):
-        MetricSpace(GroundSet.of(3), [[0, 1], [1, 0]])
+    with pytest.raises(SizeError):
+        MetricSpace([[0, 1, 2], [1, 0]])
 
 
 connected_mask_strategy = st.integers(min_value=2, max_value=6).flatmap(
@@ -128,4 +127,4 @@ def test_menger_symmetry_and_brute_force_agreement(case):
     for a, x, b in rel.triples():
         assert rel.has(b, x, a)
         assert m.dist[a][x] + m.dist[x][b] == m.dist[a][b]
-    assert all_lines(rel).member_sets() == menger_line_sets(m.dist)
+    assert set(all_lines(rel)) == menger_line_sets(m.dist)

@@ -52,7 +52,7 @@ def test_poset_report_equality_and_certificate():
 
 
 def test_metric_report_has_no_shape():
-    m = MetricSpace.from_rows([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    m = MetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     r = metric_report(m, "inline")
     assert r.has_universal and not r.extremal_shape_match
 

@@ -60,7 +60,6 @@ from .graphs import (
 )
 from .metrics import MetricSpace, graph_shortest_path_metric, metric_betweenness
 from .posets import (
-    AntichainPartition,
     Poset,
     comparability_graph,
     is_extremal_poset,
@@ -82,7 +81,6 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntichainPartition",
     "BetweennessRelation",
     "CapError",
     "CycleError",

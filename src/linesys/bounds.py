@@ -29,5 +29,4 @@ def dbe_bound(n: int, height: int) -> int:
     """
     if not 2 <= height <= n:
         raise DomainError(f"need 2 <= height <= n, got height={height}, n={n}")
-    q, r = divmod(n, height)
-    return height * comb(q, 2) + q * r + height
+    return min_pair_sum(n, height) + height

@@ -223,6 +223,11 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    if args.out is not None and (args.format != "jsonl" or args.kind not in SWEEP_KINDS):
+        raise _UsageError(
+            f"--out needs --format jsonl and a --kind with reports "
+            f"({', '.join(SWEEP_KINDS)})"
+        )
     if args.kind not in SWEEP_KINDS:  # "pairsum", the only other choice
         summary = pair_sum_sweep(args.n)
         out.write(
@@ -323,9 +328,6 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

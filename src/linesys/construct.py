@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import combinations
 
 from .bounds import dbe_bound
-from .core import line_of, pair_list
+from .core import bits_of, line_mask_set, line_of
 from .errors import HeightError, InternalError, UniversalLineError
 from .posets import (
     Poset,
@@ -115,8 +115,8 @@ def build_certificate(p: Poset) -> LineCertificate:
     chain = maximum_chain_through_levels(p)
     layer_lines = [
         _line(rel, a, b)
-        for layer in mirsky_partition(p).layers
-        for a, b in combinations(sorted(layer), 2)
+        for layer in mirsky_partition(p)
+        for a, b in combinations(bits_of(layer), 2)
     ]
 
     full = (1 << n) - 1
@@ -221,8 +221,8 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
 
     expected_pairs = sorted(
         pair
-        for layer in mirsky_partition(p).layers
-        for pair in combinations(sorted(layer), 2)
+        for layer in mirsky_partition(p)
+        for pair in combinations(bits_of(layer), 2)
     )
     if sorted(pair for pair, _ in cert.layer_lines) != expected_pairs:
         issues.append("layer lines do not cover exactly the within-level pairs")
@@ -302,9 +302,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
             if [pair for pair, _ in step.lines] != span:
                 issues.append(f"step {pos} lines do not match the lowered range")
             top = new_top
-    if full in {
-        rel.line_mask(a, b) for a, b in pair_list(n)
-    }:
+    if full in line_mask_set(rel):
         issues.append("poset has a universal line; certificate is out of scope")
 
     windows = [(s.bottom, s.top) for s in cert.steps]

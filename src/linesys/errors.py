@@ -18,7 +18,8 @@ class SizeError(LinesysError):
 
 
 class MalformedEdgeError(LinesysError):
-    """A hypergraph edge is not a 3-subset of the ground set."""
+    """An edge is malformed: a hypergraph edge that is not a 3-subset of
+    the ground set, or a graph adjacency that is not symmetric."""
 
 
 class CycleError(LinesysError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import BetweennessRelation, check_point, check_size, pair_list
-from .errors import SizeError, UnknownPointError
+from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
 
 
 class Graph:
@@ -26,11 +26,11 @@ class Graph:
             if row & ~full:
                 raise UnknownPointError(f"adjacency row {v} mentions vertices >= {n}")
             if row >> v & 1:
-                raise UnknownPointError(f"vertex {v} is adjacent to itself")
+                raise IdenticalPointsError(f"vertex {v} is adjacent to itself")
         for v, row in enumerate(adj):
             for u in range(v):
                 if (row >> u & 1) != (adj[u] >> v & 1):
-                    raise UnknownPointError(f"adjacency is not symmetric at {u}, {v}")
+                    raise MalformedEdgeError(f"adjacency is not symmetric at {u}, {v}")
         self.size = n
         self.adj = adj
 
@@ -41,7 +41,7 @@ class Graph:
             check_point(n, a)
             check_point(n, b)
             if a == b:
-                raise UnknownPointError(f"self-loop at vertex {a}")
+                raise IdenticalPointsError(f"self-loop at vertex {a}")
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         return cls(adj)
@@ -103,16 +103,19 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
 
 def is_extremal_graph(g: Graph) -> bool:
     """True when g is a clique on all but one vertex plus a vertex with
-    at most one neighbor: the only shape attaining exactly n distinct
-    lines among graphs on n >= 4 vertices with no universal line.
+    at most one neighbor, or the empty graph on 3 vertices: exactly the
+    graphs on n >= 3 vertices with no universal line and exactly n
+    distinct lines.  On n = 2 every graph has the shape.
 
     Every vertex is tried as the attached one, so ties (several valid
     decompositions) are handled.
     """
     n = g.size
-    if n < 4:
-        raise SizeError("the extremal shape is defined for graphs on >= 4 vertices")
+    if n < 2:
+        raise SizeError("the extremal shape is defined for graphs on >= 2 vertices")
     adj = g.adj
+    if n == 3 and not any(adj):
+        return True
     full = (1 << n) - 1
     for v in range(n):
         if adj[v].bit_count() > 1:

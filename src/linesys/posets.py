@@ -8,12 +8,11 @@ pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import BetweennessRelation, bits_of, check_point, check_size
-from .errors import CycleError, InternalError, SizeError, UnknownPointError
-from .graphs import Graph
+from .errors import CycleError, InternalError, UnknownPointError
+from .graphs import Graph, is_extremal_graph
 
 
 def _transitive_closure(rows: list[int]) -> list[int]:
@@ -110,10 +109,6 @@ class Poset:
     def comparable(self, a: int, b: int) -> bool:
         return bool((self.succ[a] | self.pred[a]) >> b & 1)
 
-    def comparables(self, v: int) -> int:
-        """Bitmask of points comparable with v."""
-        return self.succ[v] | self.pred[v]
-
     def relation_pairs(self) -> Iterator[tuple[int, int]]:
         """All ordered pairs (a, b) with a < b in the order."""
         for a in range(self.size):
@@ -145,24 +140,18 @@ def poset_betweenness(p: Poset) -> BetweennessRelation:
     )
 
 
-@dataclass(frozen=True)
-class AntichainPartition:
-    """Disjoint antichain layers covering the poset, one per level."""
-
-    layers: tuple[frozenset[int], ...]
-
-
-def mirsky_partition(p: Poset) -> AntichainPartition:
-    """Partition into height-many antichains by longest-chain level.
+def mirsky_partition(p: Poset) -> tuple[int, ...]:
+    """Partition into height-many antichains by longest-chain level,
+    one point mask per layer.
 
     Layer i (1-based) collects the points whose longest chain ending
     there has exactly i points; by Mirsky's theorem no partition into
     antichains can use fewer layers.
     """
-    layers = [set() for _ in range(p.height)]
+    layers = [0] * p.height
     for v, level in enumerate(p.levels):
-        layers[level - 1].add(v)
-    return AntichainPartition(tuple(frozenset(layer) for layer in layers))
+        layers[level - 1] |= 1 << v
+    return tuple(layers)
 
 
 def maximum_chain_through_levels(p: Poset) -> tuple[int, ...]:
@@ -188,23 +177,21 @@ def comparability_graph(p: Poset) -> Graph:
     """Graph joining exactly the comparable pairs.
 
     Its triangles are exactly the 3-chains of the poset, so the poset
-    and the graph induce the same line system.
+    and the graph induce the same line system, and the poset's extremal
+    shape is the graph's (``is_extremal_poset``).
     """
     return Graph([p.succ[v] | p.pred[v] for v in range(p.size)])
 
 
 def is_extremal_poset(p: Poset) -> bool:
     """True when the poset is a chain on all but one point plus a point
-    comparable with at most one chain element: the only shape attaining
-    exactly n distinct lines when no line is universal.
+    comparable with at most one other: the only shape attaining exactly
+    n distinct lines when the height is at least 2 and no line is
+    universal.
+
+    A chain is a clique of the comparability graph and the extra point
+    a vertex of degree at most one, so this is the graph shape of
+    ``comparability_graph(p)``; like it, it raises SizeError for n < 2
+    and accepts the 3-point antichain (the empty graph).
     """
-    n = p.size
-    if n < 2:
-        raise SizeError("the extremal shape needs at least two points")
-    for v in range(n):
-        if p.comparables(v).bit_count() > 1:
-            continue
-        rest = [u for u in range(n) if u != v]
-        if all(p.comparable(a, b) for i, a in enumerate(rest) for b in rest[i + 1:]):
-            return True
-    return False
+    return is_extremal_graph(comparability_graph(p))

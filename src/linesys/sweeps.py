@@ -56,10 +56,12 @@ class VerificationReport:
     ``bound`` is n for graphs and metrics and the height-dependent bound
     for posets.  ``is_equality_case`` marks instances with no universal
     line and exactly n distinct lines; ``extremal_shape_match`` marks
-    instances matching the extremal characterization of their kind (the
-    chain-plus-point shape for posets, the clique-plus-point shape for
-    graphs, extended by the empty graph when n = 3; always False for
-    metrics, which have no characterization here).
+    instances matching the extremal shape of their kind
+    (``is_extremal_graph``: a clique on all but one vertex plus a vertex
+    with at most one neighbor, or the empty graph when n = 3; a poset
+    matches when its comparability graph does, that is, a chain on all
+    but one point plus a point comparable with at most one other;
+    always False for metrics, which have no characterization here).
     """
 
     structure_kind: str
@@ -116,22 +118,6 @@ class SweepSummary:
         return not self.issues
 
 
-def _graph_shape(g: Graph) -> bool:
-    n = g.size
-    if n >= 4:
-        return is_extremal_graph(g)
-    if n == 3:
-        # Extremal shapes on 3 points, plus the empty graph.
-        if all(row == 0 for row in g.adj):
-            return True
-        return any(
-            g.adj[v].bit_count() <= 1
-            and g.adj[u] >> w & 1
-            for v, u, w in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-        )
-    return False
-
-
 def _report(
     kind: str, relation, bound: int, instance_id: int | str, shape: bool
 ) -> VerificationReport:
@@ -159,7 +145,8 @@ def graph_report(g: Graph, instance_id: int | str | None = None) -> Verification
     unless some line is universal, equality only on the extremal shape."""
     if instance_id is None:
         instance_id = g.edge_mask()
-    return _report("graph", graph_betweenness(g), g.size, instance_id, _graph_shape(g))
+    shape = is_extremal_graph(g)
+    return _report("graph", graph_betweenness(g), g.size, instance_id, shape)
 
 
 def poset_report(p, instance_id: int | str | None = None):

@@ -1,6 +1,9 @@
 """The public API: every name in ``linesys.__all__`` is exported once and
 resolves on the package, so a deleted name cannot linger as a stale
-export."""
+export.  The library sketch in the README runs as written."""
+
+import re
+from pathlib import Path
 
 import linesys
 
@@ -18,3 +21,10 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from linesys import *", namespace)
     assert set(linesys.__all__) <= namespace.keys()
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -268,3 +268,19 @@ def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, kind, n):
     assert run_cli([*argv, str(absent)]) == (EXIT_INPUT, "")
     assert not absent.exists()
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--kind", "graph", "--n", "3"],
+        ["sweep", "--kind", "pairsum", "--n", "3", "--format", "jsonl"],
+    ],
+    ids=["text-format", "pairsum"],
+)
+def test_out_without_jsonl_reports_is_rejected(tmp_path, capsys, argv):
+    target = tmp_path / "reports.jsonl"
+    assert run_cli([*argv, "--out", str(target)]) == (EXIT_INPUT, "")
+    assert not target.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out needs --format jsonl") and err.count("\n") == 1

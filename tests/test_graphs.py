@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from linesys import (
     Graph,
+    IdenticalPointsError,
+    MalformedEdgeError,
     SizeError,
     UnknownPointError,
     all_lines,
@@ -36,10 +38,16 @@ def complete_graph(n):
 
 
 def test_graph_construction_validates():
-    with pytest.raises(UnknownPointError):
+    with pytest.raises(IdenticalPointsError):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(IdenticalPointsError):
+        Graph([0b1])
+    with pytest.raises(MalformedEdgeError):
+        Graph([0b10, 0])
     with pytest.raises(UnknownPointError):
         Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(UnknownPointError):
+        Graph([0b100, 0])
     g = Graph.from_edges(3, [(0, 1)])
     assert g.is_edge(1, 0) and not g.is_edge(1, 2)
     assert g.degree(0) == 1
@@ -93,7 +101,13 @@ def test_extremal_shapes():
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert not is_extremal_graph(c5)
     with pytest.raises(SizeError):
-        is_extremal_graph(Graph.from_edges(3, []))
+        is_extremal_graph(Graph.from_edges(1, []))
+
+
+def test_every_graph_on_two_or_three_vertices_but_the_triangle_is_extremal():
+    for n in (2, 3):
+        for mask in range(1 << len(pair_list(n))):
+            assert is_extremal_graph(Graph.from_mask(n, mask)) == (mask != 0b111)
 
 
 def test_two_neighbor_attachment_is_not_extremal():

@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 from linesys import (
     CycleError,
     Poset,
+    SizeError,
     UnknownPointError,
     all_lines,
+    bits_of,
     comparability_graph,
+    enumerate_posets,
     graph_betweenness,
     is_extremal_poset,
+    line_mask_set,
     line_of,
     maximum_chain_through_levels,
     mirsky_partition,
@@ -129,11 +133,11 @@ def test_poset_betweenness_matches_explicit_triples():
 
 def test_mirsky_partition_examples():
     chain = Poset.from_covers(3, [(0, 1), (1, 2)])
-    assert mirsky_partition(chain).layers == ({0}, {1}, {2})
+    assert mirsky_partition(chain) == (0b001, 0b010, 0b100)
     antichain = Poset.from_covers(4, [])
-    assert mirsky_partition(antichain).layers == (frozenset({0, 1, 2, 3}),)
+    assert mirsky_partition(antichain) == (0b1111,)
     branching = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
-    assert mirsky_partition(branching).layers == ({0, 3}, {1}, {2})
+    assert mirsky_partition(branching) == (0b1001, 0b010, 0b100)
 
 
 def test_maximum_chain_examples():
@@ -172,6 +176,33 @@ def test_extremal_poset_shapes():
     assert not is_extremal_poset(two_comparable)
     antichain = Poset.from_covers(4, [])
     assert not is_extremal_poset(antichain)
+    with pytest.raises(SizeError):
+        is_extremal_poset(Poset([0]))
+
+
+def test_extremal_poset_matches_its_definition_exhaustively_up_to_n5():
+    # The definition on the order itself: some point is comparable with
+    # at most one other, and all the remaining points are pairwise
+    # comparable.  The 3-point antichain is the one poset where the
+    # comparability-graph shape (the empty graph on 3 vertices) says more.
+    with_universal = 0
+    for n in range(2, 6):
+        full = (1 << n) - 1
+        for p in enumerate_posets(n):
+            def comparable(a, b):
+                return p.is_less(a, b) or p.is_less(b, a)
+
+            expected = any(
+                sum(comparable(v, u) for u in range(n) if u != v) <= 1
+                and all(
+                    comparable(a, b)
+                    for a, b in combinations([u for u in range(n) if u != v], 2)
+                )
+                for v in range(n)
+            ) or (n == 3 and p.height == 1)
+            assert is_extremal_poset(p) == expected
+            with_universal += full in line_mask_set(poset_betweenness(p))
+    assert with_universal > 0
 
 
 @given(poset_strategy)
@@ -185,13 +216,10 @@ def test_levels_satisfy_the_longest_chain_recurrence(case):
 
 
 def test_mirsky_invariant_exhaustive_up_to_n6():
-    from linesys import enumerate_posets
-
     for n in range(1, 7):
         for p in enumerate_posets(n):
-            partition = mirsky_partition(p)
             chain = maximum_chain_through_levels(p)
-            assert len(partition.layers) == len(chain) == p.height
+            assert len(mirsky_partition(p)) == len(chain) == p.height
             for i, c in enumerate(chain):
                 assert p.levels[c] == i + 1
 
@@ -201,12 +229,12 @@ def test_mirsky_invariant_exhaustive_up_to_n6():
 def test_mirsky_layer_count_equals_chain_length_equals_height(case):
     n, covers = case
     p = Poset.from_covers(n, covers)
-    partition = mirsky_partition(p)
+    layers = mirsky_partition(p)
     chain = maximum_chain_through_levels(p)
-    assert len(partition.layers) == len(chain) == p.height
-    assert sorted(v for layer in partition.layers for v in layer) == list(range(n))
-    for layer in partition.layers:
-        for a, b in combinations(sorted(layer), 2):
+    assert len(layers) == len(chain) == p.height
+    assert sorted(v for layer in layers for v in bits_of(layer)) == list(range(n))
+    for layer in layers:
+        for a, b in combinations(bits_of(layer), 2):
             assert not p.comparable(a, b)
     for i, c in enumerate(chain):
         assert p.levels[c] == i + 1

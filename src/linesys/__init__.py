@@ -56,6 +56,7 @@ from .formats import (
 from .graphs import (
     Graph,
     graph_betweenness,
+    graph_line_count,
     is_extremal_graph,
 )
 from .metrics import MetricSpace, graph_shortest_path_metric, metric_betweenness
@@ -114,6 +115,7 @@ __all__ = [
     "enumerate_graphs",
     "enumerate_posets",
     "graph_betweenness",
+    "graph_line_count",
     "graph_report",
     "graph_shortest_path_metric",
     "hypergraph_relation",

@@ -245,13 +245,12 @@ def _cmd_sweep(args, out) -> int:
 
     sweep_kind(args.kind, args.n)  # reject a bad size before --out is opened
     with ExitStack() as stack:
-        sink = None
+        stream = None
         if args.format == "jsonl":
             stream = out
             if args.out is not None:
                 stream = stack.enter_context(open(args.out, "w"))
-            sink = lambda report: stream.write(report.json_line() + "\n")
-        summary = run_sweep(args.kind, args.n, workers=args.workers, report_sink=sink)
+        summary = run_sweep(args.kind, args.n, workers=args.workers, jsonl=stream)
     target = sys.stderr if args.format == "jsonl" and args.out is None else out
     target.write(
         f"kind {summary.kind} n {summary.n}\n"

@@ -49,12 +49,17 @@ class Graph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
         """Graph with edge set given by a bitmask over pair_list(n)."""
-        adj = [0] * n
+        adj = [0] * check_size(n)
         for p, (a, b) in enumerate(pair_list(n)):
             if mask >> p & 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-        return cls(adj)
+        # The rows are symmetric and loop-free by construction, so the
+        # O(n^2) validation of the constructor is skipped.
+        g = cls.__new__(cls)
+        g.size = n
+        g.adj = tuple(adj)
+        return g
 
     def edge_mask(self) -> int:
         """Canonical edge-bitmask encoding over pair_list(n)."""
@@ -101,6 +106,31 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
     return BetweennessRelation._from_matrices(n, frozen, frozen)
 
 
+def graph_line_count(g: Graph) -> tuple[int, bool]:
+    """Number of distinct lines of g and whether one of them is universal.
+
+    The line of a non-edge is the bare pair, which no other pair
+    generates, and the line of an edge ab is {a, b} plus the common
+    neighbors of a and b.  So the count is C(n, 2) - m plus the number
+    of distinct edge lines, read straight from the adjacency rows.
+    """
+    n = g.size
+    if n < 2:
+        raise SizeError("a line system needs at least two points")
+    adj = g.adj
+    m = 0
+    edge_lines = set()
+    for a, b in pair_list(n):
+        row = adj[a]
+        if row >> b & 1:
+            m += 1
+            edge_lines.add(row & adj[b] | 1 << a | 1 << b)
+    full = (1 << n) - 1
+    # On two points the bare pair of a non-edge is the whole ground set.
+    universal = full in edge_lines or (n == 2 and m == 0)
+    return n * (n - 1) // 2 - m + len(edge_lines), universal
+
+
 def is_extremal_graph(g: Graph) -> bool:
     """True when g is a clique on all but one vertex plus a vertex with
     at most one neighbor, or the empty graph on 3 vertices: exactly the
@@ -114,8 +144,12 @@ def is_extremal_graph(g: Graph) -> bool:
     if n < 2:
         raise SizeError("the extremal shape is defined for graphs on >= 2 vertices")
     adj = g.adj
-    if n == 3 and not any(adj):
+    # The shape has C(n-1, 2) or C(n-1, 2) + 1 edges, or none when n = 3.
+    m = sum(map(int.bit_count, adj)) // 2
+    if n == 3 and m == 0:
         return True
+    if not 0 <= m - (n - 1) * (n - 2) // 2 <= 1:
+        return False
     full = (1 << n) - 1
     for v in range(n):
         if adj[v].bit_count() > 1:

@@ -107,6 +107,8 @@ class Poset:
         return bool(self.succ[a] >> b & 1)
 
     def comparable(self, a: int, b: int) -> bool:
+        check_point(self.size, a)
+        check_point(self.size, b)
         return bool((self.succ[a] | self.pred[a]) >> b & 1)
 
     def relation_pairs(self) -> Iterator[tuple[int, int]]:

@@ -1,15 +1,17 @@
 """Exhaustive verification sweeps with deterministic, parallel-safe output.
 
 Each sweep enumerates every instance of its kind on n labeled points,
-counts distinct lines through the generic relation evaluator (never
-through the constructive process, which is what the sweeps
-cross-validate), and folds the results into a summary.  Violations are
-data, not exceptions: a sweep always completes and reports every
-failing instance.
+counts distinct lines (never through the constructive process, which
+is what the sweeps cross-validate), and folds the results into a
+summary.  Graphs are counted straight from their adjacency rows by
+``graph_line_count``; posets and metrics go through the generic
+relation evaluator.  Violations are data, not exceptions: a sweep
+always completes and reports every failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
-so output is byte-identical across runs and worker counts.
+so output is byte-identical across runs and worker counts.  Each chunk
+renders its own jsonl rows, and the parent writes the chunks in order.
 
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
 its size range, chunk list, instance generator and whether its equality
@@ -23,7 +25,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, fields
 from math import comb
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate, certificate_issues
@@ -39,13 +41,15 @@ from .enumeration import (
     state_code,
 )
 from .errors import CapError, DomainError, LinesysError
-from .graphs import Graph, graph_betweenness, is_extremal_graph
+from .graphs import Graph, graph_line_count, is_extremal_graph
+# Not called here: the per-layer tracer of perfbench/ wraps this name.
+from .graphs import graph_betweenness  # noqa: F401
 from .metrics import DisconnectedError, graph_shortest_path_metric, metric_betweenness
 from .posets import is_extremal_poset, poset_betweenness
 
 PAIR_SUM_SWEEP_CAP = 12
 
-_CHUNK_MASKS = 1 << 14
+_CHUNK_MASKS = 1 << 12
 _POSET_PREFIX_DEPTH = 3
 
 
@@ -119,14 +123,17 @@ class SweepSummary:
 
 
 def _report(
-    kind: str, relation, bound: int, instance_id: int | str, shape: bool
+    kind: str,
+    n: int,
+    instance_id: int | str,
+    counted: tuple[int, bool],
+    bound: int,
+    shape: bool,
 ) -> VerificationReport:
-    """The record every kind shares: distinct lines of ``relation``
-    counted and compared with ``bound``, equality measured against n."""
-    n = relation.size
-    masks = line_mask_set(relation)
-    count = len(masks)
-    universal = (1 << n) - 1 in masks
+    """The record every kind shares: ``counted`` is the number of
+    distinct lines and whether one is universal, compared with
+    ``bound``; equality is measured against n."""
+    count, universal = counted
     return VerificationReport(
         structure_kind=kind,
         n=n,
@@ -140,13 +147,25 @@ def _report(
     )
 
 
+def _relation_count(relation) -> tuple[int, bool]:
+    """Distinct lines of ``relation`` through the generic evaluator, and
+    whether one is universal."""
+    masks = line_mask_set(relation)
+    return len(masks), (1 << relation.size) - 1 in masks
+
+
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one graph: at least n distinct lines
-    unless some line is universal, equality only on the extremal shape."""
+    unless some line is universal, equality only on the extremal shape.
+
+    Lines are counted by ``graph_line_count`` straight from the
+    adjacency rows; no relation is built."""
     if instance_id is None:
         instance_id = g.edge_mask()
-    shape = is_extremal_graph(g)
-    return _report("graph", graph_betweenness(g), g.size, instance_id, shape)
+    n = g.size
+    return _report(
+        "graph", n, instance_id, graph_line_count(g), n, is_extremal_graph(g)
+    )
 
 
 def poset_report(p, instance_id: int | str | None = None):
@@ -162,9 +181,9 @@ def poset_report(p, instance_id: int | str | None = None):
     if instance_id is None:
         instance_id = poset_code(p)
     bound = dbe_bound(p.size, p.height)
-    report = _report(
-        "poset", poset_betweenness(p), bound, instance_id, is_extremal_poset(p)
-    )
+    counted = _relation_count(poset_betweenness(p))
+    shape = is_extremal_poset(p)
+    report = _report("poset", p.size, instance_id, counted, bound, shape)
     cert_issue = None
     if not report.has_universal:
         try:
@@ -182,7 +201,8 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
     default id spells out the distance matrix, rows separated by ";"."""
     if instance_id is None:
         instance_id = ";".join(",".join(str(d) for d in row) for row in m.dist)
-    return _report("metric", metric_betweenness(m), m.size, instance_id, False)
+    counted = _relation_count(metric_betweenness(m))
+    return _report("metric", m.size, instance_id, counted, m.size, False)
 
 
 def shape_mismatch(report: VerificationReport) -> bool:
@@ -275,9 +295,9 @@ def sweep_kind(kind: str, n: int) -> _SweepKind:
 
 
 def _run_chunk(args):
-    kind, n, chunk, collect = args
+    kind, n, chunk, render = args
     fold = _Fold()
-    reports = [] if collect else None
+    rows = []
     for report, cert_issue in SWEEP_KINDS[kind].instances(n, chunk):
         fold.enumerated += 1
         if report is None:
@@ -285,36 +305,35 @@ def _run_chunk(args):
         _fold_report(fold, report)
         if cert_issue is not None:
             fold.certificate_failures.append((report.instance_id, cert_issue))
-        if collect:
-            reports.append(report)
-    return fold, reports
+        if render:
+            rows.append(report.json_line() + "\n")
+    # The chunk's jsonl rows travel back as one string: rendering runs
+    # in the workers, and the parent only writes.
+    return fold, "".join(rows)
 
 
 def run_sweep(
-    kind: str,
-    n: int,
-    workers: int = 1,
-    report_sink: Callable[[VerificationReport], None] | None = None,
+    kind: str, n: int, workers: int = 1, jsonl: TextIO | None = None
 ) -> SweepSummary:
     """Run one exhaustive sweep and fold the results into a summary.
 
-    ``kind`` is a key of ``SWEEP_KINDS``.  With ``report_sink`` every
-    per-instance report is passed to it in canonical enumeration order
-    (the JSON-lines writer of the command-line client plugs in here).
-    Worker processes split the canonical chunk list; the fold and the
-    report stream are identical for every worker count.
+    ``kind`` is a key of ``SWEEP_KINDS``.  With ``jsonl``, a text stream,
+    every per-instance report is written to it as one JSON line, in
+    canonical enumeration order.  Worker processes split the canonical
+    chunk list and render their chunks' lines; the parent writes the
+    chunks in order, so the fold and the stream are identical for every
+    worker count.
     """
     entry = sweep_kind(kind, n)
-    collect = report_sink is not None
-    args = [(kind, n, chunk, collect) for chunk in entry.chunks(n)]
+    render = jsonl is not None
+    args = [(kind, n, chunk, render) for chunk in entry.chunks(n)]
     total = _Fold()
 
     def consume(result) -> None:
-        fold, reports = result
+        fold, text = result
         total.merge(fold)
-        if collect:
-            for report in reports:
-                report_sink(report)
+        if text:
+            jsonl.write(text)
 
     # No flag value may start more processes than there are chunks or CPUs.
     workers = min(workers, len(args), os.cpu_count() or 1)

@@ -5,6 +5,7 @@ One test per acceptance criterion; each prints a single PASS/FAIL line
 set equality, and the stated wall-clock budgets are asserted.
 """
 
+import io
 import time
 from itertools import combinations
 
@@ -211,11 +212,9 @@ def test_criterion_10_worker_determinism():
     for kind, n in (("graph", 4), ("poset", 4), ("metric", 4)):
         outputs = []
         for workers in (1, 3):
-            lines = []
-            summary = run_sweep(
-                kind, n, workers=workers, report_sink=lambda r: lines.append(r.json_line())
-            )
-            outputs.append(("\n".join(lines), summary))
+            stream = io.StringIO()
+            summary = run_sweep(kind, n, workers=workers, jsonl=stream)
+            outputs.append((stream.getvalue(), summary))
         ok = ok and outputs[0][0] == outputs[1][0]
         ok = ok and outputs[0][1] == outputs[1][1]
         ok = ok and len(outputs[0][0]) > 0

@@ -12,7 +12,9 @@ from linesys import (
     UnknownPointError,
     all_lines,
     graph_betweenness,
+    graph_line_count,
     is_extremal_graph,
+    line_mask_set,
     line_of,
     pair_list,
 )
@@ -110,6 +112,62 @@ def test_every_graph_on_two_or_three_vertices_but_the_triangle_is_extremal():
             assert is_extremal_graph(Graph.from_mask(n, mask)) == (mask != 0b111)
 
 
+def extremal_by_search(g):
+    """The shape test without the edge-count exit: some vertex with at
+    most one neighbor whose removal leaves a clique, or the empty graph
+    on 3 vertices."""
+    n, adj = g.size, g.adj
+    if n == 3 and not any(adj):
+        return True
+    full = (1 << n) - 1
+    return any(
+        adj[v].bit_count() <= 1
+        and all(u == v or (adj[u] | (1 << u) | (1 << v)) == full for u in range(n))
+        for v in range(n)
+    )
+
+
+def every_graph(max_n):
+    for n in range(2, max_n + 1):
+        for mask in range(1 << len(pair_list(n))):
+            yield Graph.from_mask(n, mask)
+
+
+def test_edge_count_exit_keeps_the_extremal_shape_exhaustively_up_to_n6():
+    for g in every_graph(6):
+        assert is_extremal_graph(g) == extremal_by_search(g), (g.size, g.adj)
+
+
+def test_trusted_mask_constructor_matches_the_validating_ones_up_to_n5():
+    for n in range(1, 6):
+        for mask in range(1 << len(pair_list(n))):
+            g = Graph.from_mask(n, mask)
+            edges = [pair for p, pair in enumerate(pair_list(n)) if mask >> p & 1]
+            assert g.size == n
+            assert g.adj == Graph(g.adj).adj == Graph.from_edges(n, edges).adj
+    with pytest.raises(SizeError):
+        Graph.from_mask(0, 0)
+
+
+def generic_line_count(g):
+    lines = line_mask_set(graph_betweenness(g))
+    return len(lines), (1 << g.size) - 1 in lines
+
+
+def test_direct_line_count_matches_the_generic_evaluator_up_to_n6():
+    for g in every_graph(6):
+        assert graph_line_count(g) == generic_line_count(g), (g.size, g.adj)
+
+
+def test_edgeless_graph_on_two_vertices_has_a_universal_bare_pair():
+    # Its one line is the non-edge {0, 1}: the whole ground set.
+    g = Graph.from_edges(2, [])
+    assert graph_line_count(g) == generic_line_count(g) == (1, True)
+    assert graph_line_count(Graph.from_edges(2, [(0, 1)])) == (1, True)
+    with pytest.raises(SizeError):
+        graph_line_count(Graph([0]))
+
+
 def test_two_neighbor_attachment_is_not_extremal():
     g = Graph.from_edges(5, list(pair_list(4)) + [(0, 4), (1, 4)])
     assert not is_extremal_graph(g)
@@ -139,3 +197,24 @@ def test_line_sets_match_brute_force(case):
     assert set(all_lines(graph_betweenness(g))) == brute_force_line_sets(
         n, list(g.edges())
     )
+
+
+# Large graphs of every density: two random masks give density 1/4
+# (and), 1/2 (one mask) or 3/4 (or); hypothesis also tries the empty
+# and the complete graph.
+large_graph_strategy = st.integers(min_value=2, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(min_value=0, max_value=(1 << len(pair_list(n))) - 1),
+        st.integers(min_value=0, max_value=(1 << len(pair_list(n))) - 1),
+        st.sampled_from(("and", "one", "or")),
+    )
+)
+
+
+@given(large_graph_strategy)
+def test_direct_line_count_matches_the_generic_evaluator(case):
+    n, first, second, combine = case
+    mask = {"and": first & second, "one": first, "or": first | second}[combine]
+    g = Graph.from_mask(n, mask)
+    assert graph_line_count(g) == generic_line_count(g)

@@ -92,6 +92,15 @@ def test_cycles_and_bad_points_are_rejected():
         Poset.from_covers(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("a, b", [(-1, 1), (1, -1), (0, 7), (7, 0), (3, 3)])
+def test_point_queries_reject_points_outside_the_ground_set(a, b):
+    p = Poset.from_covers(3, [(1, 2)])
+    with pytest.raises(UnknownPointError):
+        p.comparable(a, b)
+    with pytest.raises(UnknownPointError):
+        p.is_less(a, b)
+
+
 def test_full_relation_input_matches_cover_input():
     covers = [(0, 1), (1, 2), (3, 2)]
     p_cover = Poset.from_covers(4, covers)

@@ -1,4 +1,9 @@
+import hashlib
+import io
+import json
+
 import pytest
+from test_golden import SWEEP_STREAMS
 
 import linesys.sweeps as sweeps
 from linesys import (
@@ -18,9 +23,14 @@ from linesys import (
 
 
 def jsonl_of(kind, n, workers):
-    lines = []
-    summary = run_sweep(kind, n, workers=workers, report_sink=lambda r: lines.append(r.json_line()))
-    return "\n".join(lines) + "\n", summary
+    stream = io.StringIO()
+    summary = run_sweep(kind, n, workers=workers, jsonl=stream)
+    return stream.getvalue(), summary
+
+
+def ids_of(kind, n):
+    rows = jsonl_of(kind, n, workers=1)[0].splitlines()
+    return [json.loads(row)["instance_id"] for row in rows]
 
 
 # --- per-instance reports ---------------------------------------------------
@@ -136,11 +146,8 @@ def test_sweep_domain_checks():
 
 
 def test_sweep_reports_stream_in_canonical_order():
-    ids = []
-    run_sweep("graph", 4, report_sink=lambda r: ids.append(r.instance_id))
-    assert ids == list(range(64))
-    poset_ids = []
-    run_sweep("poset", 3, report_sink=lambda r: poset_ids.append(r.instance_id))
+    assert ids_of("graph", 4) == list(range(64))
+    poset_ids = ids_of("poset", 3)
     assert poset_ids == sorted(poset_ids)
 
 
@@ -150,6 +157,15 @@ def test_jsonl_output_byte_identical_across_worker_counts():
         multi, s3 = jsonl_of(kind, n, workers=3)
         assert solo == multi, kind
         assert s1 == s3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["graph", "metric"])
+def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, workers):
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 64)
+    assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == 16
+    data = jsonl_of(kind, 5, workers)[0].encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS[kind, 5]
 
 
 def test_violations_are_reported_as_data_not_exceptions(monkeypatch):

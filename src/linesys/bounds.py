@@ -4,6 +4,10 @@ from math import comb
 
 from .errors import DomainError
 
+# n is capped so that every bound, being below n**2, prints within
+# Python's 4300-digit limit on int-to-str conversion.
+_N_CAP = 10**2000
+
 
 def min_pair_sum(n: int, parts: int) -> int:
     """Minimum total of within-group pairs over splits of n items into
@@ -13,6 +17,8 @@ def min_pair_sum(n: int, parts: int) -> int:
     value this closed form evaluates; convexity makes any unbalanced
     split at least as large.
     """
+    if n > _N_CAP:
+        raise DomainError("need n <= 10**2000, got a larger n")
     if not 1 <= parts <= n:
         raise DomainError(f"need 1 <= parts <= n, got parts={parts}, n={n}")
     q, r = divmod(n, parts)
@@ -27,6 +33,8 @@ def dbe_bound(n: int, height: int) -> int:
     pair count plus one extra line per level found along a maximum
     chain.  Always at least n, with equality exactly when 2 * height >= n.
     """
+    if n > _N_CAP:
+        raise DomainError("need n <= 10**2000, got a larger n")
     if not 2 <= height <= n:
         raise DomainError(f"need 2 <= height <= n, got height={height}, n={n}")
     return min_pair_sum(n, height) + height

@@ -19,7 +19,8 @@ above ("2b"), or lower the top symmetrically ("2c").
 
 The certificate stores every window position, probe point, and line
 (as its generating pair and member mask), so an independent pass can
-replay the bookkeeping and recompute each line from scratch.
+replay the bookkeeping and recompute each line from scratch, through
+the comparability graph rather than the order the process used.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from enum import Enum
 from itertools import combinations
 
 from .bounds import dbe_bound
-from .core import bits_of, line_mask_set, line_of
+from .core import bits_of, line_of
 from .errors import HeightError, InternalError, UniversalLineError
+from .graphs import graph_betweenness, graph_line_count
 from .posets import (
     Poset,
+    comparability_graph,
     maximum_chain_through_levels,
     mirsky_partition,
     poset_betweenness,
@@ -119,16 +122,20 @@ def build_certificate(p: Poset) -> LineCertificate:
         for a, b in combinations(bits_of(layer), 2)
     ]
 
+    def lines_to(point: int, lo: int, hi: int) -> tuple[GeneratedLine, ...]:
+        return tuple(_line(rel, chain[i - 1], point) for i in range(lo, hi + 1))
+
+    # The full-chain line, which joins chain positions 1 and height, ends
+    # every run of the process.
+    closing = lines_to(chain[0], height, height)
     full = (1 << n) - 1
     steps: list[ProcessStep] = []
     bottom, top = 1, height
-    iteration = 0
     while True:
-        iteration += 1
+        iteration = len(steps) + 1
         if bottom == top:
-            closing = _line(rel, chain[0], chain[height - 1])
             steps.append(
-                ProcessStep(iteration, StepKind.CLOSE, bottom, top, None, (closing,))
+                ProcessStep(iteration, StepKind.CLOSE, bottom, top, None, closing)
             )
             break
         low, high = chain[bottom - 1], chain[top - 1]
@@ -139,47 +146,32 @@ def build_certificate(p: Poset) -> LineCertificate:
                 f"points; the process requires a poset with no universal line"
             )
         probe = next(s for s in range(n) if not window_mask >> s & 1)
-        with_low = p.comparable(probe, low)
-        with_high = p.comparable(probe, high)
+        with_low, with_high = p.comparable(probe, low), p.comparable(probe, high)
+        if with_low and with_high:
+            raise InternalError(
+                "point outside the window line is comparable with both endpoints"
+            )
         if not with_low and not with_high:
-            fan = tuple(
-                _line(rel, chain[i - 1], probe) for i in range(bottom, top + 1)
-            ) + (_line(rel, chain[0], chain[height - 1]),)
+            fan = lines_to(probe, bottom, top) + closing
             steps.append(
                 ProcessStep(iteration, StepKind.SPLIT, bottom, top, probe, fan)
             )
             break
+        new_bottom, new_top = bottom, top
         if not with_low:
             new_bottom = 1 + max(
                 i for i in range(bottom, top) if not p.comparable(chain[i - 1], probe)
             )
-            added = tuple(
-                _line(rel, chain[i - 1], probe)
-                for i in range(bottom, new_bottom + 1)
-            )
-            steps.append(
-                ProcessStep(
-                    iteration, StepKind.RAISE_BOTTOM, bottom, top, probe, added
-                )
-            )
-            bottom = new_bottom
-        elif not with_high:
+            kind, added = StepKind.RAISE_BOTTOM, lines_to(probe, bottom, new_bottom)
+        else:
             new_top = -1 + min(
                 i
                 for i in range(bottom + 1, top + 1)
                 if not p.comparable(chain[i - 1], probe)
             )
-            added = tuple(
-                _line(rel, chain[i - 1], probe) for i in range(new_top, top + 1)
-            )
-            steps.append(
-                ProcessStep(iteration, StepKind.LOWER_TOP, bottom, top, probe, added)
-            )
-            top = new_top
-        else:
-            raise InternalError(
-                "point outside the window line is comparable with both endpoints"
-            )
+            kind, added = StepKind.LOWER_TOP, lines_to(probe, new_top, top)
+        steps.append(ProcessStep(iteration, kind, bottom, top, probe, added))
+        bottom, top = new_bottom, new_top
 
     cert = LineCertificate(n, height, chain, tuple(layer_lines), tuple(steps))
     if cert.total_distinct < cert.bound:
@@ -199,24 +191,23 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     process line recomputes from its generator; window bookkeeping is
     monotone, moves strictly on every non-final step, and matches the
     recorded step kinds and probes; the incomparable-pair accounting
-    identity holds; and the distinct total meets the bound.
+    identity holds; and the distinct total meets the bound.  Lines and
+    the universal-line check come from the comparability graph of ``p``,
+    so the replay shares no evaluator with the build.
     """
     issues: list[str] = []
     n, height = p.size, p.height
-    rel = poset_betweenness(p)
+    g = comparability_graph(p)
+    rel = graph_betweenness(g)
 
     if cert.size != n or cert.height != height:
         issues.append("certificate size or height does not match the poset")
         return issues
 
     chain = cert.chain
-    if len(chain) != height or any(
-        p.levels[c] != i + 1 for i, c in enumerate(chain)
-    ):
+    if len(chain) != height or any(p.levels[c] != i for i, c in enumerate(chain, 1)):
         issues.append("chain does not run through the levels")
-    if any(
-        not p.is_less(chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-    ):
+    if not all(map(p.is_less, chain, chain[1:])):
         issues.append("chain points are not increasing in the order")
 
     expected_pairs = sorted(
@@ -233,7 +224,9 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     if not cert.steps:
         issues.append("certificate records no process steps")
         return issues
-    full = (1 << n) - 1
+    def pairs_to(point: int, lo: int, hi: int) -> list[tuple[int, int]]:
+        return [tuple(sorted((chain[i - 1], point))) for i in range(lo, hi + 1)]
+
     bottom, top = 1, height
     last = len(cert.steps)
     for pos, step in enumerate(cert.steps, start=1):
@@ -248,12 +241,11 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         if stopping != (pos == last):
             issues.append(f"step {pos} stops in the wrong place")
             break
+        recorded = [pair for pair, _ in step.lines]
         if step.kind is StepKind.CLOSE:
             if bottom != top or step.probe is not None:
                 issues.append("closing step on an open window")
-            if [pair for pair, _ in step.lines] != [
-                tuple(sorted((chain[0], chain[height - 1])))
-            ]:
+            if recorded != pairs_to(chain[0], height, height):
                 issues.append("closing step does not add the full-chain line")
             continue
         probe = step.probe
@@ -267,42 +259,31 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         if step.kind is StepKind.SPLIT:
             if with_low or with_high:
                 issues.append(f"step {pos} fans out on a comparable probe")
-            span = [
-                tuple(sorted((chain[i - 1], probe))) for i in range(bottom, top + 1)
-            ] + [tuple(sorted((chain[0], chain[height - 1])))]
-            if [pair for pair, _ in step.lines] != span:
+            fan = pairs_to(probe, bottom, top) + pairs_to(chain[0], height, height)
+            if recorded != fan:
                 issues.append(f"step {pos} fan does not cover the window")
-        elif step.kind is StepKind.RAISE_BOTTOM:
+            continue
+        # A non-final step: the next one records the window it left.
+        new_bottom, new_top = cert.steps[pos].bottom, cert.steps[pos].top
+        if step.kind is StepKind.RAISE_BOTTOM:
             if with_low or not with_high:
                 issues.append(f"step {pos} raises the bottom on the wrong probe")
-            nxt = cert.steps[pos] if pos < last else None
-            new_bottom = nxt.bottom if nxt else None
-            if new_bottom is None or not bottom < new_bottom <= top:
+            if not bottom < new_bottom <= top:
                 issues.append(f"step {pos} does not strictly raise the bottom")
                 break
-            span = [
-                tuple(sorted((chain[i - 1], probe)))
-                for i in range(bottom, new_bottom + 1)
-            ]
-            if [pair for pair, _ in step.lines] != span:
+            if recorded != pairs_to(probe, bottom, new_bottom):
                 issues.append(f"step {pos} lines do not match the raised range")
             bottom = new_bottom
         elif step.kind is StepKind.LOWER_TOP:
             if with_high or not with_low:
                 issues.append(f"step {pos} lowers the top on the wrong probe")
-            nxt = cert.steps[pos] if pos < last else None
-            new_top = nxt.top if nxt else None
-            if new_top is None or not bottom <= new_top < top:
+            if not bottom <= new_top < top:
                 issues.append(f"step {pos} does not strictly lower the top")
                 break
-            span = [
-                tuple(sorted((chain[i - 1], probe)))
-                for i in range(new_top, top + 1)
-            ]
-            if [pair for pair, _ in step.lines] != span:
+            if recorded != pairs_to(probe, new_top, top):
                 issues.append(f"step {pos} lines do not match the lowered range")
             top = new_top
-    if full in line_mask_set(rel):
+    if graph_line_count(g)[1]:
         issues.append("poset has a universal line; certificate is out of scope")
 
     windows = [(s.bottom, s.top) for s in cert.steps]

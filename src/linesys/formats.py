@@ -6,7 +6,8 @@ poset       first line "n m", then m lines "a b" meaning a < b is a
             cover; the closure is taken, so a full order relation is
             accepted too.
 metric      first line "n", then n rows of n space-separated exact
-            rationals ("p/q", integers, or finite decimals).
+            rationals ("p/q", integers, or finite decimals), each of at
+            most 1000 characters and exponent at most 1000 in size.
 hypergraph  first line "n m", then m lines "a b c" per 3-edge.
 
 All points are 0-indexed.  Parse errors cite the 1-based line and
@@ -25,6 +26,11 @@ from .metrics import MetricSpace
 from .posets import Poset
 
 _TOKEN = re.compile(r"\S+")
+# A metric entry has at most this many characters and at most this
+# large a decimal exponent, so that Fraction builds it cheaply and its
+# numerator and denominator print within Python's 4300-digit limit.
+_MAX_ENTRY = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 class _Tokens:
@@ -112,6 +118,15 @@ def parse_metric(text: str) -> MetricSpace:
         row = []
         for _ in range(n):
             token, line, column = tokens.take("distance entry")
+            if len(token) > _MAX_ENTRY:
+                raise ParseError(
+                    f"distance entry longer than {_MAX_ENTRY} characters", line, column
+                )
+            exponent = _EXPONENT.search(token)
+            if exponent and abs(int(exponent[1])) > _MAX_ENTRY:
+                raise ParseError(
+                    f"distance {token!r}: exponent beyond +-{_MAX_ENTRY}", line, column
+                )
             try:
                 value = Fraction(token)
             except (ValueError, ZeroDivisionError):

@@ -4,9 +4,10 @@ Each sweep enumerates every instance of its kind on n labeled points,
 counts distinct lines (never through the constructive process, which
 is what the sweeps cross-validate), and folds the results into a
 summary.  Graphs are counted straight from their adjacency rows by
-``graph_line_count``; posets and metrics go through the generic
-relation evaluator.  Violations are data, not exceptions: a sweep
-always completes and reports every failing instance.
+``graph_line_count``, and posets by the same counter on their
+comparability graph, which induces the same lines; metrics go through
+the generic relation evaluator.  Violations are data, not exceptions:
+a sweep always completes and reports every failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
@@ -42,10 +43,11 @@ from .enumeration import (
 )
 from .errors import CapError, DomainError, LinesysError
 from .graphs import Graph, graph_line_count, is_extremal_graph
-# Not called here: the per-layer tracer of perfbench/ wraps this name.
-from .graphs import graph_betweenness  # noqa: F401
 from .metrics import DisconnectedError, graph_shortest_path_metric, metric_betweenness
-from .posets import is_extremal_poset, poset_betweenness
+from .posets import comparability_graph
+# Not called here: the per-layer tracer of perfbench/ wraps these names.
+from .graphs import graph_betweenness  # noqa: F401
+from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
 
 PAIR_SUM_SWEEP_CAP = 12
 
@@ -60,12 +62,9 @@ class VerificationReport:
     ``bound`` is n for graphs and metrics and the height-dependent bound
     for posets.  ``is_equality_case`` marks instances with no universal
     line and exactly n distinct lines; ``extremal_shape_match`` marks
-    instances matching the extremal shape of their kind
-    (``is_extremal_graph``: a clique on all but one vertex plus a vertex
-    with at most one neighbor, or the empty graph when n = 3; a poset
-    matches when its comparability graph does, that is, a chain on all
-    but one point plus a point comparable with at most one other;
-    always False for metrics, which have no characterization here).
+    instances of the extremal shape (``is_extremal_graph``, on the
+    comparability graph for posets; always False for metrics, which have
+    no characterization here).
     """
 
     structure_kind: str
@@ -147,13 +146,6 @@ def _report(
     )
 
 
-def _relation_count(relation) -> tuple[int, bool]:
-    """Distinct lines of ``relation`` through the generic evaluator, and
-    whether one is universal."""
-    masks = line_mask_set(relation)
-    return len(masks), (1 << relation.size) - 1 in masks
-
-
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one graph: at least n distinct lines
     unless some line is universal, equality only on the extremal shape.
@@ -172,18 +164,21 @@ def poset_report(p, instance_id: int | str | None = None):
     """Verification record and certificate defect for one poset.
 
     Returns (None, None) for height-1 posets: the height-dependent bound
-    is not defined there.  The certificate is built and replayed only
-    when no line is universal; its first defect (or construction error)
-    is returned alongside the report.
+    is not defined there.  Lines are counted and the shape is tested on
+    the comparability graph, which induces the same lines; no relation
+    is built.  The certificate is built and replayed only when no line
+    is universal; its first defect (or construction error) is returned
+    alongside the report.
     """
     if p.height < 2:
         return None, None
     if instance_id is None:
         instance_id = poset_code(p)
     bound = dbe_bound(p.size, p.height)
-    counted = _relation_count(poset_betweenness(p))
-    shape = is_extremal_poset(p)
-    report = _report("poset", p.size, instance_id, counted, bound, shape)
+    g = comparability_graph(p)
+    report = _report(
+        "poset", p.size, instance_id, graph_line_count(g), bound, is_extremal_graph(g)
+    )
     cert_issue = None
     if not report.has_universal:
         try:
@@ -201,7 +196,8 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
     default id spells out the distance matrix, rows separated by ";"."""
     if instance_id is None:
         instance_id = ";".join(",".join(str(d) for d in row) for row in m.dist)
-    counted = _relation_count(metric_betweenness(m))
+    masks = line_mask_set(metric_betweenness(m))
+    counted = len(masks), (1 << m.size) - 1 in masks
     return _report("metric", m.size, instance_id, counted, m.size, False)
 
 

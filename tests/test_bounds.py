@@ -18,6 +18,19 @@ def compositions(n, parts):
             yield (first,) + rest
 
 
+def test_bounds_reject_an_n_whose_value_would_not_print():
+    cap = 10**2000
+    assert len(str(dbe_bound(cap, 2))) == 4000
+    assert len(str(min_pair_sum(cap, 1))) == 4000
+    # An n past Python's 4300-digit str limit must not reach a message.
+    for n in (cap + 1, 10**5000):
+        for parts in (1, 2):
+            with pytest.raises(DomainError, match=r"need n <= 10\*\*2000"):
+                min_pair_sum(n, parts)
+            with pytest.raises(DomainError, match=r"need n <= 10\*\*2000"):
+                dbe_bound(n, parts)
+
+
 def test_min_pair_sum_examples():
     assert min_pair_sum(5, 2) == 4          # sizes (3, 2)
     assert min_pair_sum(6, 3) == 3          # sizes (2, 2, 2)

@@ -97,6 +97,34 @@ def test_bound_usage_errors():
     assert code == EXIT_INPUT
 
 
+def test_bound_beyond_its_cap_is_a_one_line_error(capsys):
+    # A result of more than 4300 digits used to end in a ValueError
+    # traceback when printed.
+    nines = "9" * 3000
+    assert run_cli(["bound", "--poset-n", nines, "--height", "2"]) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == "error: need n <= 10**2000, got a larger n\n"
+    code, out = run_cli(["bound", "--poset-n", str(10**2000), "--height", "2"])
+    assert (code, len(out)) == (EXIT_OK, 4001)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1e5000", "distance '1e5000': exponent beyond +-1000"),
+        ("9" * 5000, "distance entry longer than 1000 characters"),
+        ("1e999999999", "distance '1e999999999': exponent beyond +-1000"),
+    ],
+    ids=["exponent", "long-integer", "huge-exponent"],
+)
+def test_oversized_metric_entry_is_a_one_line_error(entry, message, monkeypatch, capsys):
+    # verify prints the distances in its default instance id, which
+    # ended in a ValueError traceback past 4300 digits.
+    text = f"2\n0 {entry}\n{entry} 0\n"
+    code, out = run_cli(["verify", "--kind", "metric"], text, monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == f"error: line 2, column 3: {message}\n"
+
+
 def test_construct_trace(poset_file):
     code, out = run_cli(["construct", poset_file])
     assert code == EXIT_OK

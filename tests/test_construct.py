@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,6 +101,28 @@ def test_certificate_issues_flags_tampering():
     # replay against a different poset of the same shape data
     other = Poset.from_covers(4, [(0, 1), (1, 2), (0, 3)])
     assert certificate_issues(cert, other) != []
+
+
+def test_certificate_issues_recomputes_every_recorded_line():
+    p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    cert = build_certificate(p)
+    assert certificate_issues(cert, p) == []
+
+    def flip_first(lines):
+        # One point of the first recorded line toggled, its pair kept.
+        (pair, mask), *rest = lines
+        return pair, ((pair, mask ^ 1), *rest)
+
+    pair, layer_lines = flip_first(cert.layer_lines)
+    assert certificate_issues(replace(cert, layer_lines=layer_lines), p) == [
+        f"line of pair {pair} recomputes to different members"
+    ]
+    step, *later = cert.steps
+    pair, step_lines = flip_first(step.lines)
+    steps = (replace(step, lines=step_lines), *later)
+    assert certificate_issues(replace(cert, steps=steps), p) == [
+        f"line of pair {pair} recomputes to different members"
+    ]
 
 
 @given(poset_strategy)

@@ -67,6 +67,41 @@ def test_parse_metric_rejects_junk():
     assert err.value.line == 2 and err.value.column == 3
 
 
+def symmetric_pair(entry):
+    return f"2\n0 {entry}\n{entry} 0\n"
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ("1e1000", Fraction(10**1000)),
+        ("1E-1000", Fraction(1, 10**1000)),
+        ("1_0e+1_0", Fraction(10**11)),
+        ("9" * 1000, Fraction(int("9" * 1000))),
+    ],
+    ids=["exponent", "negative-exponent", "underscores", "long-integer"],
+)
+def test_parse_metric_accepts_entries_up_to_its_size_bounds(entry, value):
+    assert parse_metric(symmetric_pair(entry)).dist[0][1] == value
+
+
+@pytest.mark.parametrize(
+    "entry, match",
+    [
+        ("1e1001", r"exponent beyond \+-1000"),
+        ("2.5e-1_001", r"exponent beyond \+-1000"),
+        ("1e999999999", r"exponent beyond \+-1000"),
+        ("9" * 1001, "longer than 1000 characters"),
+        ("1/" + "3" * 999, "longer than 1000 characters"),
+    ],
+    ids=["exponent", "negative-exponent", "huge-exponent", "long-integer", "long-ratio"],
+)
+def test_parse_metric_rejects_oversized_entries(entry, match):
+    with pytest.raises(ParseError, match=match) as err:
+        parse_metric(symmetric_pair(entry))
+    assert err.value.line == 2 and err.value.column == 3
+
+
 def test_parse_hypergraph():
     rel = parse_hypergraph("4 2\n0 1 2\n0 1 3\n")
     assert rel.has(0, 2, 1) and rel.has(0, 3, 1)

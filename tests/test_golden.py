@@ -27,6 +27,10 @@ SWEEP_STREAMS = {
         40_725,
         "17ccf62a945ac19ca057d579864b9fdbeaa306be515d24f2ad5e91f1dfb1d3dd",
     ),
+    ("poset", 5): (
+        801_598,
+        "4ed180d93c5fa5e16c0949009486301c756f6add038c5e41342011fcebf3b039",
+    ),
     ("metric", 5): (
         137_108,
         "3e487b8bc3a09e9c11a4c2646eb3455ce80760a3cc51465674d82280dd1b84d3",

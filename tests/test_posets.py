@@ -14,6 +14,7 @@ from linesys import (
     comparability_graph,
     enumerate_posets,
     graph_betweenness,
+    graph_line_count,
     is_extremal_poset,
     line_mask_set,
     line_of,
@@ -21,6 +22,7 @@ from linesys import (
     mirsky_partition,
     pair_list,
     poset_betweenness,
+    poset_report,
 )
 
 
@@ -129,15 +131,19 @@ def test_branching_example_line_excludes_the_side_point():
 
 
 def test_poset_betweenness_matches_explicit_triples():
-    p = Poset.from_covers(5, [(0, 1), (1, 2), (3, 2), (3, 4)])
-    rel = poset_betweenness(p)
-    expected = set()
-    for a, x, b in permutations(range(5), 3):
-        if (p.is_less(a, x) and p.is_less(x, b)) or (
-            p.is_less(b, x) and p.is_less(x, a)
-        ):
-            expected.add((a, x, b))
-    assert set(rel.triples()) == expected
+    # The definitional relation builds certificates and is the reference
+    # of acceptance criterion 7, so it is checked on every poset with
+    # n <= 4 and on one branching 5-point example.
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n)]
+    posets.append(Poset.from_covers(5, [(0, 1), (1, 2), (3, 2), (3, 4)]))
+    for p in posets:
+        expected = set()
+        for a, x, b in permutations(range(p.size), 3):
+            if (p.is_less(a, x) and p.is_less(x, b)) or (
+                p.is_less(b, x) and p.is_less(x, a)
+            ):
+                expected.add((a, x, b))
+        assert set(poset_betweenness(p).triples()) == expected
 
 
 def test_mirsky_partition_examples():
@@ -261,6 +267,26 @@ def test_poset_lines_equal_comparability_graph_lines(case):
     poset_lines = set(all_lines(poset_betweenness(p)))
     graph_lines = set(all_lines(graph_betweenness(comparability_graph(p))))
     assert poset_lines == graph_lines
+    # The direct counter on the comparability graph, which counts every
+    # poset in the sweeps, against the generic evaluator on the order.
+    s = line_mask_set(poset_betweenness(p))
+    full = (1 << n) - 1
+    assert graph_line_count(comparability_graph(p)) == (len(s), full in s)
+
+
+def test_poset_report_count_matches_the_generic_evaluator_up_to_n5():
+    reported = 0
+    for n in range(2, 6):
+        full = (1 << n) - 1
+        for p in enumerate_posets(n):
+            report, _ = poset_report(p)
+            if report is None:
+                assert p.height == 1
+                continue
+            s = line_mask_set(poset_betweenness(p))
+            assert (report.line_count, report.has_universal) == (len(s), full in s)
+            reported += 1
+    assert reported == 2 + 18 + 218 + 4230
 
 
 @given(poset_strategy)

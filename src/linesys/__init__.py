@@ -57,6 +57,7 @@ from .graphs import (
     Graph,
     graph_betweenness,
     graph_line_count,
+    graph_lines,
     is_extremal_graph,
 )
 from .metrics import MetricSpace, graph_shortest_path_metric, metric_betweenness
@@ -116,6 +117,7 @@ __all__ = [
     "enumerate_posets",
     "graph_betweenness",
     "graph_line_count",
+    "graph_lines",
     "graph_report",
     "graph_shortest_path_metric",
     "hypergraph_relation",

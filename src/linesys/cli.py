@@ -6,8 +6,8 @@ internal invariant violations, 3 when a verification finds a theorem
 violation.
 
 ``INPUT_KINDS`` is the one place where an input kind is described: how
-its text becomes the relation that ``lines`` prints and the report that
-``verify`` checks.  Sweepable kinds are described in
+its text becomes the line system that ``lines`` prints and the report
+that ``verify`` checks.  Sweepable kinds are described in
 ``sweeps.SWEEP_KINDS``.
 """
 
@@ -32,9 +32,9 @@ from .formats import (
     render_line_system,
     render_points,
 )
-from .graphs import graph_betweenness
+from .graphs import graph_lines
 from .metrics import metric_betweenness
-from .posets import poset_betweenness
+from .posets import comparability_graph
 from .sweeps import (
     SWEEP_KINDS,
     graph_report,
@@ -45,6 +45,8 @@ from .sweeps import (
     shape_mismatch,
     sweep_kind,
 )
+# Not called here: the per-layer tracer of perfbench/ wraps this name.
+from .graphs import graph_betweenness  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -99,35 +101,41 @@ def _verify_poset(p):
 
 class _InputKind(NamedTuple):
     parse: Callable[[str], object]  # text -> structure
-    relation: Callable[[object], object]  # structure -> betweenness relation
+    lines: Callable[[object], list]  # structure -> [(line mask, pairs)]
     verify: Callable[[object], tuple] | None  # structure -> (report, defect)
 
 
 # The one place an input kind is described; verify is None when no
-# line-count theorem covers the kind.  Entries look the parsers,
-# relations and reports up when called, so patching or tracing those
-# module names reaches every subcommand.
+# line-count theorem covers the kind.  Entries look the parsers, line
+# builders and reports up when called, so patching or tracing those
+# module names reaches every subcommand.  Graphs and posets (through
+# their comparability graph, which induces the same lines) are read
+# from adjacency rows; the other kinds go through their relation.
 INPUT_KINDS = {
     "graph": _InputKind(
-        lambda text: parse_graph(text), lambda g: graph_betweenness(g), _verify_graph
+        lambda text: parse_graph(text), lambda g: graph_lines(g), _verify_graph
     ),
     "poset": _InputKind(
-        lambda text: parse_poset(text), lambda p: poset_betweenness(p), _verify_poset
+        lambda text: parse_poset(text),
+        lambda p: graph_lines(comparability_graph(p)),
+        _verify_poset,
     ),
     "metric": _InputKind(
         lambda text: parse_metric(text),
-        lambda m: metric_betweenness(m),
+        lambda m: all_lines(metric_betweenness(m)),
         lambda m: (metric_report(m), None),
     ),
-    "hypergraph": _InputKind(lambda text: parse_hypergraph(text), lambda h: h, None),
+    "hypergraph": _InputKind(
+        lambda text: parse_hypergraph(text), lambda h: all_lines(h), None
+    ),
 }
 
 
 def _cmd_lines(args, out) -> int:
     kind = INPUT_KINDS[args.kind]
-    lines = all_lines(kind.relation(kind.parse(_read_input(args.input))))
+    lines = kind.lines(kind.parse(_read_input(args.input)))
     if args.format == "jsonl":
-        for mask, pairs in lines.items():
+        for mask, pairs in lines:
             generators = [list(g) for g in pairs]
             _write_json(out, {"members": list(bits_of(mask)), "generators": generators})
         _write_json(out, {"count": len(lines)})

@@ -15,7 +15,10 @@ convention used by every bound and sweep in the package.
 
 Every structure kind handled by this package (graph, poset, metric
 space, 3-uniform hypergraph) compiles into a BetweennessRelation, so a
-single line evaluator serves all of them.
+single line evaluator serves all of them.  Metric spaces and
+hypergraphs are printed through it; graphs and posets (through their
+comparability graph) have lines read straight from adjacency rows
+(``graphs.graph_lines``), for which this evaluator is the test oracle.
 """
 
 from __future__ import annotations
@@ -150,21 +153,20 @@ def line_of(rel: BetweennessRelation, a: int, b: int) -> int:
     return rel.line_mask(a, b)
 
 
-def all_lines(rel: BetweennessRelation) -> dict[int, list[tuple[int, int]]]:
+def all_lines(rel: BetweennessRelation) -> list[tuple[int, list[tuple[int, int]]]]:
     """Every distinct line, as a mask, with the pairs that generate it.
 
-    Keys come in output order, by ascending sorted member list; each
-    pair list is in lexicographic order.  Every unordered pair
-    generates exactly one line, so the lists together hold all C(n, 2)
-    pairs.
+    A list of ``(mask, pairs)`` in output order, by ascending sorted
+    member list; each pair list is in lexicographic order.  Every
+    unordered pair generates exactly one line, so the lists together
+    hold all C(n, 2) pairs.
     """
     n = rel.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
     # Pairs are grouped by sorting, not in a dict: an int hashes to its
     # value mod 2**61 - 1, so masks of points 61 apart collide, and on
-    # large ground sets every dict keyed by masks is slow to build; the
-    # returned dict is the only one.
+    # large ground sets every dict keyed by masks is slow to build.
     lm = rel.line_mask
     generated = sorted([(lm(a, b), (a, b)) for a, b in pair_list(n)])
     groups = [
@@ -172,7 +174,7 @@ def all_lines(rel: BetweennessRelation) -> dict[int, list[tuple[int, int]]]:
         for mask, run in groupby(generated, key=itemgetter(0))
     ]
     groups.sort(key=lambda group: tuple(bits_of(group[0])))
-    return dict(groups)
+    return groups
 
 
 def line_mask_set(rel: BetweennessRelation) -> set[int]:

@@ -159,9 +159,11 @@ def render_points(mask: int) -> str:
     return " ".join(map(str, bits_of(mask)))
 
 
-def render_line_system(lines: dict[int, list]) -> str:
-    """One row of points per line of ``all_lines`` plus a final count
-    row; parsing the rows back as sets recovers the member sets exactly."""
-    rows = [render_points(mask) for mask in lines]
+def render_line_system(lines: list[tuple[int, list]]) -> str:
+    """One row of points per ``(mask, pairs)`` entry of a line system
+    (``all_lines`` or ``graph_lines``), in list order, plus a final
+    count row; parsing the rows back as sets recovers the member sets
+    exactly."""
+    rows = [render_points(mask) for mask, _ in lines]
     rows.append(f"count {len(lines)}")
     return "\n".join(rows)

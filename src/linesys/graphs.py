@@ -2,14 +2,20 @@
 
 A point x lies between a and b exactly when abx is a triangle, so lines
 of non-adjacent pairs are bare pairs and the line of an edge is the edge
-plus the common neighborhood of its endpoints.
+plus the common neighborhood of its endpoints.  ``graph_lines`` and
+``graph_line_count`` read the lines straight from the adjacency rows;
+``graph_betweenness`` builds the relation for the generic evaluator of
+``core``, which the tests use as their oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .core import BetweennessRelation, check_point, check_size, pair_list
+from .core import BetweennessRelation, bits_of, check_point, check_size, pair_list
 from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
 
 
@@ -35,6 +41,15 @@ class Graph:
         self.adj = adj
 
     @classmethod
+    def _from_rows(cls, adjacency: Iterable[int]) -> "Graph":
+        # For rows that are symmetric, loop-free and inside the ground
+        # set by construction: skips the O(n^2) validation of __init__.
+        g = cls.__new__(cls)
+        g.adj = tuple(adjacency)
+        g.size = check_size(len(g.adj))
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for a, b in edges:
@@ -44,7 +59,7 @@ class Graph:
                 raise IdenticalPointsError(f"self-loop at vertex {a}")
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        return cls(adj)
+        return cls._from_rows(adj)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
@@ -54,12 +69,7 @@ class Graph:
             if mask >> p & 1:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-        # The rows are symmetric and loop-free by construction, so the
-        # O(n^2) validation of the constructor is skipped.
-        g = cls.__new__(cls)
-        g.size = n
-        g.adj = tuple(adj)
-        return g
+        return cls._from_rows(adj)
 
     def edge_mask(self) -> int:
         """Canonical edge-bitmask encoding over pair_list(n)."""
@@ -104,6 +114,53 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
                 mat[b][a] = common
     frozen = tuple(map(tuple, mat))
     return BetweennessRelation._from_matrices(n, frozen, frozen)
+
+
+def graph_lines(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Every distinct line of g, as a mask, with the pairs that generate it.
+
+    The same list as ``all_lines(graph_betweenness(g))``, read straight
+    from the adjacency rows: lines in ascending order of their sorted
+    member lists, each pair list in lexicographic order.  The line of a
+    non-edge ab is the bare pair, generated by ab alone; the m edge
+    lines are the only ones grouped and sorted, so no n x n table and
+    no collection keyed by masks is built.
+    """
+    n = g.size
+    if n < 2:
+        raise SizeError("a line system needs at least two points")
+    adj = g.adj
+    full = (1 << n) - 1
+    # above[a]: the points after a.
+    above = [full ^ ((2 << a) - 1) for a in range(n)]
+    generated = sorted(
+        (row & adj[b] | 1 << a | 1 << b, (a, b))
+        for a, row in enumerate(adj)
+        for b in bits_of(row & above[a])
+    )
+    edge_lines = sorted(
+        (tuple(bits_of(mask)), mask, [pair for _, pair in run])
+        for mask, run in groupby(generated, key=itemgetter(0))
+    )
+    # Edge lines by their lowest point, as (second point, line).
+    starting: list[list] = [[] for _ in range(n)]
+    for members, mask, pairs in edge_lines:
+        starting[members[0]].append((members[1], (mask, pairs)))
+    lines = []
+    for a, row in enumerate(adj):
+        low = 1 << a
+        partners = list(bits_of(above[a] & ~row))
+        done = 0
+        for c, line in starting[a]:
+            # Bare pairs (a, b) with b <= c come before the line
+            # (a, c, ...): on b == c the pair is a prefix of its member
+            # list (two common neighbors need not be adjacent).
+            stop = bisect_right(partners, c, done)
+            lines += [(low | 1 << b, [(a, b)]) for b in partners[done:stop]]
+            lines.append(line)
+            done = stop
+        lines += [(low | 1 << b, [(a, b)]) for b in partners[done:]]
+    return lines
 
 
 def graph_line_count(g: Graph) -> tuple[int, bool]:

@@ -180,9 +180,11 @@ def comparability_graph(p: Poset) -> Graph:
 
     Its triangles are exactly the 3-chains of the poset, so the poset
     and the graph induce the same line system, and the poset's extremal
-    shape is the graph's (``is_extremal_poset``).
+    shape is the graph's (``is_extremal_poset``).  The rows are
+    symmetric and loop-free by construction, so they are not validated
+    again.
     """
-    return Graph([p.succ[v] | p.pred[v] for v in range(p.size)])
+    return Graph._from_rows([p.succ[v] | p.pred[v] for v in range(p.size)])
 
 
 def is_extremal_poset(p: Poset) -> bool:

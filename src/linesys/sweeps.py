@@ -41,7 +41,7 @@ from .enumeration import (
     poset_state_prefixes,
     state_code,
 )
-from .errors import CapError, DomainError, LinesysError
+from .errors import CapError, DomainError, LinesysError, MetricError
 from .graphs import Graph, graph_line_count, is_extremal_graph
 from .metrics import DisconnectedError, graph_shortest_path_metric, metric_betweenness
 from .posets import comparability_graph
@@ -193,9 +193,16 @@ def poset_report(p, instance_id: int | str | None = None):
 def metric_report(m, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one metric space: at least n distinct
     lines or a universal line (evidence sweep; no extremal shape).  The
-    default id spells out the distance matrix, rows separated by ";"."""
+    default id spells out the distance matrix, rows separated by ";";
+    a distance too long to print (beyond Python's int-to-str digit
+    limit) raises MetricError, so such a metric needs an explicit id."""
     if instance_id is None:
-        instance_id = ";".join(",".join(str(d) for d in row) for row in m.dist)
+        try:
+            instance_id = ";".join(",".join(str(d) for d in row) for row in m.dist)
+        except ValueError:  # the int-to-str digit limit
+            raise MetricError(
+                "a distance is too long to spell out as the instance id"
+            ) from None
     masks = line_mask_set(metric_betweenness(m))
     counted = len(masks), (1 << m.size) - 1 in masks
     return _report("metric", m.size, instance_id, counted, m.size, False)

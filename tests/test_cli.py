@@ -4,6 +4,7 @@ import json
 import pytest
 
 from linesys.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from test_golden import workloads
 
 K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
 BRANCHING_POSET = "4 3\n0 1\n1 2\n3 2\n"
@@ -53,6 +54,15 @@ def test_lines_jsonl(graph_file):
     assert rows[-1] == {"count": 4}
     assert rows[0]["members"] == [0, 1, 2]
     assert len(rows[0]["generators"]) == 3
+
+
+@pytest.mark.parametrize("n, m, seed", [(60, 180, 1), (90, 2000, 2), (40, 700, 3)])
+def test_lines_graph_matches_the_benchmark_oracle(n, m, seed, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text(workloads.random_graph_text(n, m, seed))
+    code, out = run_cli(["lines", "--kind", "graph", str(path)])
+    assert code == EXIT_OK
+    assert out == workloads.oracle_lines_text(path.read_text())
 
 
 def test_lines_parse_error_exits_one(tmp_path):

@@ -53,7 +53,7 @@ def test_weak_order_certificate_meets_bound_and_is_a_subset_of_all_lines():
     cert = build_certificate(p)
     assert dbe_bound(4, 2) == 4
     assert cert.total_distinct >= 4
-    everything = set(all_lines(poset_betweenness(p)))
+    everything = {mask for mask, _ in all_lines(poset_betweenness(p))}
     assert cert.distinct_member_sets() <= everything
     assert len(everything) >= cert.total_distinct
     assert certificate_issues(cert, p) == []
@@ -159,5 +159,5 @@ def test_certified_lines_all_appear_in_the_full_line_system(case):
     if p.height < 2 or (1 << n) - 1 in line_mask_set(poset_betweenness(p)):
         return
     cert = build_certificate(p)
-    everything = set(all_lines(poset_betweenness(p)))
+    everything = {mask for mask, _ in all_lines(poset_betweenness(p))}
     assert cert.distinct_member_sets() <= everything

@@ -81,13 +81,13 @@ def test_line_of_validates_points():
 def test_all_lines_empty_relation_gives_all_pairs():
     lines = all_lines(empty_relation(4))
     assert len(lines) == 6
-    assert all(mask.bit_count() == 2 for mask in lines)
+    assert all(mask.bit_count() == 2 for mask, _ in lines)
 
 
 def test_all_lines_triangle_plus_isolated_gives_four():
     lines = all_lines(triangle_plus_isolated())
     assert len(lines) == 4
-    assert set(lines) == {0b0111, 0b1001, 0b1010, 0b1100}
+    assert {mask for mask, _ in lines} == {0b0111, 0b1001, 0b1010, 0b1100}
 
 
 def test_all_lines_five_cycle_gives_ten_pairs():
@@ -97,9 +97,9 @@ def test_all_lines_five_cycle_gives_ten_pairs():
 
 def test_all_lines_entries_are_sorted_and_partition_the_pairs():
     lines = all_lines(triangle_plus_isolated())
-    ordered = [tuple(bits_of(mask)) for mask in lines]
+    ordered = [tuple(bits_of(mask)) for mask, _ in lines]
     assert ordered == sorted(ordered)
-    generators = [g for pairs in lines.values() for g in pairs]
+    generators = [g for _, pairs in lines for g in pairs]
     assert sorted(generators) == sorted(pair_list(4))
 
 
@@ -240,11 +240,11 @@ def test_rebuilding_entries_from_generators_reproduces_members(case):
     n, triples = case
     rel = BetweennessRelation(n, triples)
     lines = all_lines(rel)
-    for mask, pairs in lines.items():
+    for mask, pairs in lines:
         for a, b in pairs:
             assert line_of(rel, a, b) == mask
         assert pairs == sorted(pairs)
-    generators = sorted(g for pairs in lines.values() for g in pairs)
+    generators = sorted(g for _, pairs in lines for g in pairs)
     assert generators == list(pair_list(n))
 
 
@@ -265,4 +265,4 @@ def test_line_mask_set_matches_all_lines(case):
     masks = line_mask_set(rel)
     lines = all_lines(rel)
     assert len(masks) == len(lines)
-    assert set(lines) == masks
+    assert {mask for mask, _ in lines} == masks

@@ -115,7 +115,7 @@ def test_render_round_trip():
     rows = text.splitlines()
     assert rows[-1] == "count 4"
     parsed = {sum(1 << int(tok) for tok in row.split()) for row in rows[:-1]}
-    assert parsed == set(lines)
+    assert parsed == {mask for mask, _ in lines}
 
 
 def test_render_is_sorted():

@@ -6,11 +6,41 @@ examples.  Any refactor must leave every one of these bytes alone.
 """
 
 import hashlib
+import importlib.util
 import io
+import random
+from pathlib import Path
 
 import pytest
 
 from linesys.cli import main
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """The benchmark's input generator and output oracle, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
+
+
+def random_poset_text(n, seed):
+    """Covers between randomly ordered points, each with probability 1/4."""
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    covers = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.25
+    ]
+    return f"{n} {len(covers)}\n" + "".join(f"{a} {b}\n" for a, b in covers)
+
 
 GRAPH = "4 3\n0 1\n0 2\n1 2\n"
 POSET = "4 3\n0 1\n1 2\n3 2\n"
@@ -34,6 +64,26 @@ SWEEP_STREAMS = {
     ("metric", 5): (
         137_108,
         "3e487b8bc3a09e9c11a4c2646eb3455ce80760a3cc51465674d82280dd1b84d3",
+    ),
+}
+
+# Line systems at benchmark scale, keyed by (kind, format): the input
+# text and the length and SHA-256 of stdout.
+LARGE_LINES = {
+    ("graph", "text"): (
+        workloads.random_graph_text(300, 900, 7),
+        325_653,
+        "c84d21f03a547f2798f53d62cafbfeeb7e78dd955744281d2f310774054761ba",
+    ),
+    ("graph", "jsonl"): (
+        workloads.random_graph_text(300, 900, 7),
+        2_264_353,
+        "a26ce892da077a4f9861650cac401be9274e26b4e257135ac7a8666718977d75",
+    ),
+    ("poset", "jsonl"): (
+        random_poset_text(12, 7),
+        2_692,
+        "8d894419e52d2c29f5e63fd4bd1ca15574d16f756c3582ce603b246a06c1886f",
     ),
 }
 
@@ -156,6 +206,16 @@ def test_lines_bytes(kind, monkeypatch):
     assert run(
         ["lines", "--kind", kind, "--format", "jsonl"], INPUTS[kind], monkeypatch
     ) == (0, LINES_JSONL[kind])
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(LARGE_LINES))
+def test_large_lines_bytes(kind, fmt, monkeypatch):
+    text, size, digest = LARGE_LINES[kind, fmt]
+    code, out = run(["lines", "--kind", kind, "--format", fmt], text, monkeypatch)
+    assert code == 0
+    data = out.encode()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", sorted(VERIFY_TEXT))

@@ -13,6 +13,7 @@ from linesys import (
     all_lines,
     graph_betweenness,
     graph_line_count,
+    graph_lines,
     is_extremal_graph,
     line_mask_set,
     line_of,
@@ -76,8 +77,21 @@ def test_k4_minus_edge_line_sets_match_brute_force():
     edges = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     g = Graph.from_edges(4, edges)
     lines = all_lines(graph_betweenness(g))
-    assert set(lines) == brute_force_line_sets(4, edges)
+    assert {mask for mask, _ in lines} == brute_force_line_sets(4, edges)
     assert len(lines) == 4
+
+
+def test_bare_pair_comes_before_the_longer_line_it_begins():
+    # The edge 23 has the non-adjacent common neighbors 0 and 1, so the
+    # bare pair (0, 1) is a prefix of the line (0, 1, 2, 3).
+    g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert graph_lines(g) == [
+        (0b0011, [(0, 1)]),
+        (0b1111, [(2, 3)]),
+        (0b1101, [(0, 2), (0, 3)]),
+        (0b1110, [(1, 2), (1, 3)]),
+    ]
+    assert graph_lines(g) == all_lines(graph_betweenness(g))
 
 
 def test_graph_betweenness_matches_explicit_triangle_triples():
@@ -149,6 +163,16 @@ def test_trusted_mask_constructor_matches_the_validating_ones_up_to_n5():
         Graph.from_mask(0, 0)
 
 
+def test_graph_lines_match_the_generic_evaluator_up_to_n6():
+    checked = 0
+    for g in every_graph(6):
+        assert graph_lines(g) == all_lines(graph_betweenness(g)), (g.size, g.adj)
+        checked += 1
+    assert checked == 33_866
+    with pytest.raises(SizeError):
+        graph_lines(Graph([0]))
+
+
 def generic_line_count(g):
     lines = line_mask_set(graph_betweenness(g))
     return len(lines), (1 << g.size) - 1 in lines
@@ -194,15 +218,14 @@ def test_non_edges_give_pair_lines(case):
 def test_line_sets_match_brute_force(case):
     n, mask = case
     g = Graph.from_mask(n, mask)
-    assert set(all_lines(graph_betweenness(g))) == brute_force_line_sets(
-        n, list(g.edges())
-    )
+    lines = all_lines(graph_betweenness(g))
+    assert {m for m, _ in lines} == brute_force_line_sets(n, list(g.edges()))
 
 
 # Large graphs of every density: two random masks give density 1/4
 # (and), 1/2 (one mask) or 3/4 (or); hypothesis also tries the empty
 # and the complete graph.
-large_graph_strategy = st.integers(min_value=2, max_value=40).flatmap(
+large_graph_strategy = st.integers(min_value=2, max_value=60).flatmap(
     lambda n: st.tuples(
         st.just(n),
         st.integers(min_value=0, max_value=(1 << len(pair_list(n))) - 1),
@@ -218,3 +241,11 @@ def test_direct_line_count_matches_the_generic_evaluator(case):
     mask = {"and": first & second, "one": first, "or": first | second}[combine]
     g = Graph.from_mask(n, mask)
     assert graph_line_count(g) == generic_line_count(g)
+
+
+@given(large_graph_strategy)
+def test_graph_lines_match_the_generic_evaluator(case):
+    n, first, second, combine = case
+    mask = {"and": first & second, "one": first, "or": first | second}[combine]
+    g = Graph.from_mask(n, mask)
+    assert graph_lines(g) == all_lines(graph_betweenness(g))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from linesys import (
     CycleError,
+    Graph,
     Poset,
     SizeError,
     UnknownPointError,
@@ -15,6 +16,7 @@ from linesys import (
     enumerate_posets,
     graph_betweenness,
     graph_line_count,
+    graph_lines,
     is_extremal_poset,
     line_mask_set,
     line_of,
@@ -176,9 +178,30 @@ def test_comparability_graph_of_branching_example_and_line_agreement():
     p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
     g = comparability_graph(p)
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
-    assert set(all_lines(poset_betweenness(p))) == set(
-        all_lines(graph_betweenness(g))
-    )
+    assert {m for m, _ in all_lines(poset_betweenness(p))} == {
+        m for m, _ in all_lines(graph_betweenness(g))
+    }
+
+
+def test_comparability_graph_rows_pass_validation_up_to_n5():
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            g = comparability_graph(p)
+            assert g.size == n
+            assert g.adj == Graph(g.adj).adj
+            assert g.adj == tuple(
+                sum(1 << u for u in range(n) if p.comparable(v, u)) for v in range(n)
+            )
+
+
+def test_poset_lines_equal_the_order_evaluator_up_to_n5():
+    checked = 0
+    for n in range(2, 6):
+        for p in enumerate_posets(n):
+            lines = graph_lines(comparability_graph(p))
+            assert lines == all_lines(poset_betweenness(p)), (n, p.succ)
+            checked += 1
+    assert checked == 4_472
 
 
 def test_extremal_poset_shapes():
@@ -264,8 +287,10 @@ def test_poset_lines_equal_comparability_graph_lines(case):
     p = Poset.from_covers(n, covers)
     if n < 2:
         return
-    poset_lines = set(all_lines(poset_betweenness(p)))
-    graph_lines = set(all_lines(graph_betweenness(comparability_graph(p))))
+    poset_lines = {m for m, _ in all_lines(poset_betweenness(p))}
+    graph_lines = {
+        m for m, _ in all_lines(graph_betweenness(comparability_graph(p)))
+    }
     assert poset_lines == graph_lines
     # The direct counter on the comparability graph, which counts every
     # poset in the sweeps, against the generic evaluator on the order.

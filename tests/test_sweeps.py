@@ -10,6 +10,7 @@ from linesys import (
     CapError,
     DomainError,
     Graph,
+    MetricError,
     MetricSpace,
     Poset,
     dbe_bound,
@@ -65,6 +66,15 @@ def test_metric_report_has_no_shape():
     m = MetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     r = metric_report(m, "inline")
     assert r.has_universal and not r.extremal_shape_match
+
+
+def test_metric_report_rejects_a_default_id_too_long_to_print():
+    # 10**5000 has more digits than Python prints from an int; the
+    # count itself does not need them.
+    m = MetricSpace([[0, 10**5000], [10**5000, 0]])
+    with pytest.raises(MetricError, match="instance id"):
+        metric_report(m)
+    assert metric_report(m, "huge").line_count == 1
 
 
 def test_report_json_key_order():

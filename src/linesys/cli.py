@@ -219,7 +219,9 @@ def _cmd_verify(args, out) -> int:
         )
     violation = not report.meets_bound or shape_mismatch(report)
     if cert_issue is not None:
-        out.write(f"certificate problem: {cert_issue}\n")
+        # jsonl output stays one JSON row; the problem goes to stderr.
+        target = sys.stderr if args.format == "jsonl" else out
+        target.write(f"certificate problem: {cert_issue}\n")
         return EXIT_INTERNAL
     if violation:
         if args.format != "jsonl":
@@ -235,6 +237,10 @@ def _cmd_sweep(args, out) -> int:
         raise _UsageError(
             f"--out needs --format jsonl and a --kind with reports "
             f"({', '.join(SWEEP_KINDS)})"
+        )
+    if args.kind not in SWEEP_KINDS and args.format == "jsonl":
+        raise _UsageError(
+            f"--format jsonl needs a --kind with reports ({', '.join(SWEEP_KINDS)})"
         )
     if args.kind not in SWEEP_KINDS:  # "pairsum", the only other choice
         summary = pair_sum_sweep(args.n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import BetweennessRelation, bits_of, check_point, check_size, pair_list
 from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
@@ -64,12 +64,7 @@ class Graph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
         """Graph with edge set given by a bitmask over pair_list(n)."""
-        adj = [0] * check_size(n)
-        for p, (a, b) in enumerate(pair_list(n)):
-            if mask >> p & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-        return cls._from_rows(adj)
+        return cls._from_rows(_edge_rows(check_size(n), pair_list(n), mask))
 
     def edge_mask(self) -> int:
         """Canonical edge-bitmask encoding over pair_list(n)."""
@@ -92,6 +87,16 @@ class Graph:
         for a, b in pair_list(self.size):
             if self.adj[a] >> b & 1:
                 yield (a, b)
+
+
+def _edge_rows(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
+    """Adjacency rows on n vertices of the edges pairs[p], p a set bit of mask."""
+    rows = [0] * n
+    for p, (a, b) in enumerate(pairs):
+        if mask >> p & 1:
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return tuple(rows)
 
 
 def graph_betweenness(g: Graph) -> BetweennessRelation:

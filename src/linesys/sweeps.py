@@ -11,8 +11,14 @@ a sweep always completes and reports every failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
-so output is byte-identical across runs and worker counts.  Each chunk
-renders its own jsonl rows, and the parent writes the chunks in order.
+so output is byte-identical across runs and worker counts.  One chunk
+kernel serves every kind: the kind's instance generator yields plain
+field tuples, which the kernel folds into counters and id lists and
+renders as jsonl rows from one template per (kind, n).  Graph and
+metric chunks OR each mask's adjacency rows from two small tables
+built per chunk.  A ``VerificationReport`` is built only for
+``verify`` and for the violations a sweep records.  The parent writes
+the chunks' rows in order.
 
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
 its size range, chunk list, instance generator and whether its equality
@@ -26,6 +32,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, fields
 from math import comb
+from operator import or_
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .bounds import dbe_bound, min_pair_sum
@@ -42,7 +49,7 @@ from .enumeration import (
     state_code,
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
-from .graphs import Graph, graph_line_count, is_extremal_graph
+from .graphs import Graph, _edge_rows, graph_line_count, is_extremal_graph
 from .metrics import DisconnectedError, graph_shortest_path_metric, metric_betweenness
 from .posets import comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
@@ -52,12 +59,16 @@ from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
 PAIR_SUM_SWEEP_CAP = 12
 
 _CHUNK_MASKS = 1 << 12
+# Pair bits covered by the per-chunk table of low adjacency rows.
+_LOW_PAIRS = 8
 _POSET_PREFIX_DEPTH = 3
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-instance verification record.
+    """Verification record of one instance, built for ``verify`` and
+    for the violations a sweep records; sweeps render their other rows
+    straight from the instance fields.
 
     ``bound`` is n for graphs and metrics and the height-dependent bound
     for posets.  ``is_equality_case`` marks instances with no universal
@@ -78,9 +89,39 @@ class VerificationReport:
     extremal_shape_match: bool
 
     def json_line(self) -> str:
-        # The instance dict holds exactly the fields, in declaration
-        # order, which is the fixed key order of the jsonl format.
-        return json.dumps(vars(self))
+        """The report's jsonl row, without its newline."""
+        kind, n, *values = vars(self).values()
+        return _render_rows(_row_template(kind, n), [values])[:-1]
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _row_template(kind: str, n: int) -> str:
+    """The jsonl row of every (kind, n) instance, with a %-slot for each
+    per-instance field: the fields of ``VerificationReport`` in
+    declaration order, which is the fixed key order of the format."""
+    head = json.dumps({"structure_kind": kind, "n": n})[:-1]
+    return (
+        head + ', "instance_id": %s, "line_count": %d, "bound": %d, '
+        '"has_universal": %s, "meets_bound": %s, "is_equality_case": %s, '
+        '"extremal_shape_match": %s}\n'
+    )
+
+
+def _render_rows(template: str, rows: list) -> str:
+    """jsonl rows from ``_row_template``, one per tuple of the report's
+    fields after ``n`` (instance id, line count, bound and the four
+    flags): each byte for byte ``json.dumps`` of the report, plus a
+    newline."""
+    return "".join([
+        template % (
+            json.dumps(instance_id) if isinstance(instance_id, str) else instance_id,
+            count, bound, _JSON_BOOL[universal], _JSON_BOOL[meets],
+            _JSON_BOOL[equality], _JSON_BOOL[shape],
+        )
+        for instance_id, count, bound, universal, meets, equality, shape in rows
+    ])
 
 
 @dataclass
@@ -121,29 +162,47 @@ class SweepSummary:
         return not self.issues
 
 
-def _report(
-    kind: str,
-    n: int,
-    instance_id: int | str,
-    counted: tuple[int, bool],
-    bound: int,
-    shape: bool,
-) -> VerificationReport:
-    """The record every kind shares: ``counted`` is the number of
-    distinct lines and whether one is universal, compared with
-    ``bound``; equality is measured against n."""
-    count, universal = counted
+def _judge(n: int, count: int, universal: bool, bound: int) -> tuple[bool, bool]:
+    """(meets the bound, is an equality case): the bound holds when some
+    line is universal or there are ``bound`` lines; equality is
+    measured against n."""
+    return universal or count >= bound, not universal and count == n
+
+
+def _report(kind: str, n: int, instance: tuple) -> VerificationReport:
+    """The record of one instance's fields, as ``SWEEP_KINDS`` yields them."""
+    instance_id, count, universal, bound, shape, _ = instance
     return VerificationReport(
-        structure_kind=kind,
-        n=n,
-        instance_id=instance_id,
-        line_count=count,
-        bound=bound,
-        has_universal=universal,
-        meets_bound=universal or count >= bound,
-        is_equality_case=not universal and count == n,
-        extremal_shape_match=shape,
+        kind, n, instance_id, count, bound, universal,
+        *_judge(n, count, universal, bound), shape,
     )
+
+
+def _graph_fields(g: Graph, instance_id: int | str) -> tuple:
+    count, universal = graph_line_count(g)
+    return instance_id, count, universal, g.size, is_extremal_graph(g), None
+
+
+def _poset_fields(p, instance_id: int | str) -> tuple | None:
+    if p.height < 2:
+        return None
+    bound = dbe_bound(p.size, p.height)
+    g = comparability_graph(p)
+    count, universal = graph_line_count(g)
+    cert_issue = None
+    if not universal:
+        try:
+            issues = certificate_issues(build_certificate(p), p)
+            if issues:
+                cert_issue = issues[0]
+        except LinesysError as exc:
+            cert_issue = f"certificate construction failed: {exc}"
+    return instance_id, count, universal, bound, is_extremal_graph(g), cert_issue
+
+
+def _metric_fields(m, instance_id: int | str) -> tuple:
+    masks = line_mask_set(metric_betweenness(m))
+    return instance_id, len(masks), (1 << m.size) - 1 in masks, m.size, False, None
 
 
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
@@ -154,10 +213,7 @@ def graph_report(g: Graph, instance_id: int | str | None = None) -> Verification
     adjacency rows; no relation is built."""
     if instance_id is None:
         instance_id = g.edge_mask()
-    n = g.size
-    return _report(
-        "graph", n, instance_id, graph_line_count(g), n, is_extremal_graph(g)
-    )
+    return _report("graph", g.size, _graph_fields(g, instance_id))
 
 
 def poset_report(p, instance_id: int | str | None = None):
@@ -170,24 +226,12 @@ def poset_report(p, instance_id: int | str | None = None):
     is universal; its first defect (or construction error) is returned
     alongside the report.
     """
-    if p.height < 2:
-        return None, None
     if instance_id is None:
         instance_id = poset_code(p)
-    bound = dbe_bound(p.size, p.height)
-    g = comparability_graph(p)
-    report = _report(
-        "poset", p.size, instance_id, graph_line_count(g), bound, is_extremal_graph(g)
-    )
-    cert_issue = None
-    if not report.has_universal:
-        try:
-            issues = certificate_issues(build_certificate(p), p)
-            if issues:
-                cert_issue = issues[0]
-        except LinesysError as exc:
-            cert_issue = f"certificate construction failed: {exc}"
-    return report, cert_issue
+    instance = _poset_fields(p, instance_id)
+    if instance is None:
+        return None, None
+    return _report("poset", p.size, instance), instance[5]
 
 
 def metric_report(m, instance_id: int | str | None = None) -> VerificationReport:
@@ -203,9 +247,7 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
             raise MetricError(
                 "a distance is too long to spell out as the instance id"
             ) from None
-    masks = line_mask_set(metric_betweenness(m))
-    counted = len(masks), (1 << m.size) - 1 in masks
-    return _report("metric", m.size, instance_id, counted, m.size, False)
+    return _report("metric", m.size, _metric_fields(m, instance_id))
 
 
 def shape_mismatch(report: VerificationReport) -> bool:
@@ -218,22 +260,6 @@ def shape_mismatch(report: VerificationReport) -> bool:
     )
 
 
-def _fold_report(fold: _Fold, report: VerificationReport) -> None:
-    fold.reported += 1
-    if report.has_universal:
-        fold.universal_count += 1
-    else:
-        fold.checked += 1
-    if not report.meets_bound:
-        fold.violations.append(report)
-    if report.is_equality_case:
-        fold.equality_ids.append(report.instance_id)
-    if report.extremal_shape_match:
-        fold.shape_ids.append(report.instance_id)
-    if shape_mismatch(report):
-        fold.mismatch_ids.append(report.instance_id)
-
-
 def _mask_chunks(n: int) -> list[tuple[int, int]]:
     total = 1 << len(pair_list(n))
     return [(lo, min(lo + _CHUNK_MASKS, total)) for lo in range(0, total, _CHUNK_MASKS)]
@@ -243,41 +269,70 @@ def _poset_chunks(n: int) -> list[tuple[int, ...]]:
     return poset_state_prefixes(n, _POSET_PREFIX_DEPTH)
 
 
+def _chunk_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:
+    """The graph of every edge mask in the chunk, in ascending mask order.
+
+    A mask's adjacency rows OR together two tables built once per chunk:
+    one entry for every value of the low ``_LOW_PAIRS`` pair bits (each
+    from the entry without its lowest bit), and one for each value of
+    the higher bits that occurs in the chunk."""
+    lo, hi = chunk
+    pairs = pair_list(n)
+    low_pairs, high_pairs = pairs[:_LOW_PAIRS], pairs[_LOW_PAIRS:]
+    single = [_edge_rows(n, low_pairs, 1 << p) for p in range(len(low_pairs))]
+    low = [(0,) * n]
+    for value in range(1, 1 << len(low_pairs)):
+        rest = value & (value - 1)
+        low.append(tuple(map(or_, low[rest], single[(value ^ rest).bit_length() - 1])))
+    span = len(low)
+    for high_value in range(lo // span, (hi - 1) // span + 1):
+        high = _edge_rows(n, high_pairs, high_value)
+        base = high_value * span
+        yield from [
+            Graph._from_rows(map(or_, high, rows))
+            for rows in low[max(lo - base, 0) : min(hi - base, span)]
+        ]
+
+
 def _graph_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple]:
-    for mask in range(*chunk):
-        yield graph_report(Graph.from_mask(n, mask), mask), None
+    for mask, g in enumerate(_chunk_graphs(n, chunk), chunk[0]):
+        yield _graph_fields(g, mask)
 
 
-def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple]:
+def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple | None]:
     for state in _iter_states(n, prefix):
-        yield poset_report(poset_from_state(n, state), state_code(state))
+        yield _poset_fields(poset_from_state(n, state), state_code(state))
 
 
-def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple]:
+def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple | None]:
     # Disconnected graphs have no shortest-path metric: they count as
     # enumerated but are not reported.
-    for mask in range(*chunk):
+    for mask, g in enumerate(_chunk_graphs(n, chunk), chunk[0]):
         try:
-            m = graph_shortest_path_metric(Graph.from_mask(n, mask))
+            m = graph_shortest_path_metric(g)
         except DisconnectedError:
-            yield None, None
+            yield None
             continue
-        yield metric_report(m, mask), None
+        yield _metric_fields(m, mask)
 
 
 class _SweepKind(NamedTuple):
     min_n: int
     cap: int
     chunks: Callable[[int], list]  # n -> canonically ordered work units
-    instances: Callable[[int, tuple], Iterator[tuple]]  # (n, unit) -> instances
+    instances: Callable[[int, tuple], Iterator[tuple | None]]  # (n, unit) -> instances
     compare_shape: bool  # equality cases are checked against the extremal shape
 
 
 # The one place a sweepable structure kind is described.  A kind's
-# instance generator yields one (report, certificate defect) pair per
-# enumerated instance, the report None when the bound does not apply.
-# Entries call the module functions they name, so patching or tracing
-# one of them (graph_report, certificate_issues, ...) reaches every sweep.
+# instance generator yields, per enumerated instance, its fields
+# (instance id, number of distinct lines, whether one is universal,
+# bound, extremal shape match, certificate defect or None), or None
+# when the bound does not apply.  Generators look up the module
+# functions they call (graph_line_count, is_extremal_graph,
+# certificate_issues, ...) at call time, so patching or tracing one of
+# them reaches every sweep that calls it.  graph_report, poset_report
+# and metric_report serve ``verify``; no sweep calls them.
 SWEEP_KINDS = {
     "graph": _SweepKind(3, GRAPH_ENUM_CAP, _mask_chunks, _graph_instances, True),
     "poset": _SweepKind(2, POSET_ENUM_CAP, _poset_chunks, _poset_instances, True),
@@ -298,21 +353,47 @@ def sweep_kind(kind: str, n: int) -> _SweepKind:
 
 
 def _run_chunk(args):
+    """Fold and (when ``render``) the jsonl rows of one chunk.
+
+    The one kernel of every kind: it folds the instance fields into
+    plain counters and id lists, renders rows from the (kind, n)
+    template and builds a ``VerificationReport`` only for a violation.
+    """
     kind, n, chunk, render = args
-    fold = _Fold()
+    entry = SWEEP_KINDS[kind]
+    compare_shape = entry.compare_shape
+    template = _row_template(kind, n)
+    enumerated = reported = universal_count = 0
+    violations, equality_ids, shape_ids, mismatch_ids, cert_failures = [], [], [], [], []
     rows = []
-    for report, cert_issue in SWEEP_KINDS[kind].instances(n, chunk):
-        fold.enumerated += 1
-        if report is None:
+    for instance in entry.instances(n, chunk):
+        enumerated += 1
+        if instance is None:
             continue
-        _fold_report(fold, report)
+        reported += 1
+        instance_id, count, universal, bound, shape, cert_issue = instance
+        meets, equality = _judge(n, count, universal, bound)
+        if universal:
+            universal_count += 1
+        elif compare_shape and equality != shape:
+            mismatch_ids.append(instance_id)
+        if not meets:
+            violations.append(_report(kind, n, instance))
+        if equality:
+            equality_ids.append(instance_id)
+        if shape:
+            shape_ids.append(instance_id)
         if cert_issue is not None:
-            fold.certificate_failures.append((report.instance_id, cert_issue))
+            cert_failures.append((instance_id, cert_issue))
         if render:
-            rows.append(report.json_line() + "\n")
+            rows.append((instance_id, count, bound, universal, meets, equality, shape))
+    fold = _Fold(
+        enumerated, reported, reported - universal_count, universal_count,
+        violations, equality_ids, shape_ids, mismatch_ids, cert_failures,
+    )
     # The chunk's jsonl rows travel back as one string: rendering runs
     # in the workers, and the parent only writes.
-    return fold, "".join(rows)
+    return fold, _render_rows(template, rows)
 
 
 def run_sweep(

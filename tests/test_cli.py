@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from linesys.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from linesys import dbe_bound
+from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from test_golden import workloads
 
 K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
@@ -239,21 +244,54 @@ def test_sweep_pairsum():
 def test_sweep_violation_exit_code(monkeypatch):
     import linesys.sweeps as sweeps
 
-    real = sweeps.graph_report
+    real = sweeps.graph_line_count
 
-    def inflated(g, instance_id=None):
-        r = real(g, instance_id)
-        return sweeps.VerificationReport(
-            structure_kind=r.structure_kind, n=r.n, instance_id=r.instance_id,
-            line_count=r.line_count, bound=r.bound + 100,
-            has_universal=r.has_universal, meets_bound=False,
-            is_equality_case=r.is_equality_case,
-            extremal_shape_match=r.extremal_shape_match,
-        )
+    def undercounted(g):
+        count, universal = real(g)
+        return count - 1, universal
 
-    monkeypatch.setattr(sweeps, "graph_report", inflated)
+    monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
     code, _ = run_cli(["sweep", "--kind", "graph", "--n", "3"])
     assert code == EXIT_VIOLATION
+
+
+def test_verify_jsonl_sends_a_certificate_problem_to_stderr(
+    monkeypatch, capsys, poset_file
+):
+    import linesys.sweeps as sweeps
+
+    monkeypatch.setattr(
+        sweeps, "certificate_issues", lambda cert, p: ["planted defect"]
+    )
+    code, out = run_cli(["verify", "--kind", "poset", "--format", "jsonl", poset_file])
+    assert code == EXIT_INTERNAL
+    (row,) = out.splitlines()
+    assert json.loads(row)["structure_kind"] == "poset"
+    assert capsys.readouterr().err == "certificate problem: planted defect\n"
+    code, out = run_cli(["verify", "--kind", "poset", poset_file])
+    assert code == EXIT_INTERNAL
+    assert out.endswith("extremal shape: yes\ncertificate problem: planted defect\n")
+    assert capsys.readouterr().err == ""
+
+
+def test_pairsum_sweep_rejects_jsonl(capsys):
+    argv = ["sweep", "--kind", "pairsum", "--n", "3", "--format", "jsonl"]
+    assert run_cli(argv) == (EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: --format jsonl needs") and err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    result = subprocess.run(
+        [sys.executable, "-m", "linesys", "bound", "--poset-n", "10", "--height", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_OK, f"{dbe_bound(10, 2)}\n", ""
+    )
 
 
 def test_usage_errors_exit_one():

@@ -53,6 +53,10 @@ SWEEP_STREAMS = {
         192_728,
         "fb4b3320dbb97551a92bcb991e1ba347722f74370f52c384968d54147c04fbb7",
     ),
+    ("graph", 6): (
+        6_245_268,
+        "03dfdab6e2d450bd7d55a93f6978f503527776cf9750a372e12da3aa2521a786",
+    ),
     ("poset", 4): (
         40_725,
         "17ccf62a945ac19ca057d579864b9fdbeaa306be515d24f2ad5e91f1dfb1d3dd",

@@ -1,8 +1,11 @@
 import hashlib
 import io
 import json
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_golden import SWEEP_STREAMS
 
 import linesys.sweeps as sweeps
@@ -21,6 +24,7 @@ from linesys import (
     poset_report,
     run_sweep,
 )
+from linesys.sweeps import VerificationReport
 
 
 def jsonl_of(kind, n, workers):
@@ -87,6 +91,56 @@ def test_report_json_key_order():
     ]
     positions = [line.index(f'"{k}"') for k in keys]
     assert positions == sorted(positions)
+
+
+ID_TEXT = st.text(alphabet=st.sampled_from('ab"\\/é€😀\n\x00 %'), max_size=12)
+
+
+@given(
+    kind=st.sampled_from(["graph", "poset", "metric"]),
+    n=st.integers(1, 10**6),
+    instance_id=st.one_of(st.integers(0, 2**28), ID_TEXT),
+    count=st.integers(0, 10**6),
+    bound=st.integers(0, 10**6),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+)
+def test_template_rows_are_json_dumps_of_the_report(
+    kind, n, instance_id, count, bound, flags
+):
+    report = VerificationReport(kind, n, instance_id, count, bound, *flags)
+    line = report.json_line()
+    assert line == json.dumps(vars(report))
+    assert json.loads(line) == vars(report)
+
+
+def reference_fold(reports):
+    """The summary fields a sweep over these reports must give, folded
+    from the reports themselves."""
+    return {
+        "reported": len(reports),
+        "checked": sum(not r.has_universal for r in reports),
+        "universal_count": sum(r.has_universal for r in reports),
+        "violations": tuple(r for r in reports if not r.meets_bound),
+        "equality_ids": tuple(r.instance_id for r in reports if r.is_equality_case),
+        "shape_match_ids": tuple(
+            r.instance_id for r in reports if r.extremal_shape_match
+        ),
+    }
+
+
+@pytest.mark.parametrize("chunk_masks", [1 << 12, 96])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_chunk_kernel_matches_the_graph_reports(monkeypatch, n, chunk_masks):
+    # 96-mask chunks start and end inside the 256-entry low table.
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", chunk_masks)
+    masks = range(1 << comb(n, 2))
+    reports = [graph_report(Graph.from_mask(n, mask), mask) for mask in masks]
+    text, summary = jsonl_of("graph", n, workers=1)
+    assert text == "".join(r.json_line() + "\n" for r in reports)
+    assert summary.enumerated == len(masks)
+    assert summary.ok
+    for name, value in reference_fold(reports).items():
+        assert getattr(summary, name) == value, name
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -179,29 +233,23 @@ def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, workers):
 
 
 def test_violations_are_reported_as_data_not_exceptions(monkeypatch):
-    # Inflate the graph bound so every pair-line-only graph fails; the
-    # sweep must complete and carry the failures in the summary.
-    real = sweeps.graph_report
+    # Undercount every graph by one line, so every graph with no
+    # universal line falls below its bound; the sweep must complete and
+    # carry the failures in the summary.
+    real = sweeps.graph_line_count
 
-    def inflated(g, instance_id=None):
-        r = real(g, instance_id)
-        return sweeps.VerificationReport(
-            structure_kind=r.structure_kind,
-            n=r.n,
-            instance_id=r.instance_id,
-            line_count=r.line_count,
-            bound=r.bound + 100,
-            has_universal=r.has_universal,
-            meets_bound=r.has_universal or r.line_count >= r.bound + 100,
-            is_equality_case=r.is_equality_case,
-            extremal_shape_match=r.extremal_shape_match,
-        )
+    def undercounted(g):
+        count, universal = real(g)
+        return count - 1, universal
 
-    monkeypatch.setattr(sweeps, "graph_report", inflated)
+    monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
     summary = run_sweep("graph", 3, workers=1)
     assert not summary.ok
     assert summary.violations
     assert any("below their line bound" in issue for issue in summary.issues)
+    # The violation records are the reports verify gives the same graphs.
+    reports = (graph_report(Graph.from_mask(3, mask)) for mask in range(8))
+    assert summary.violations == tuple(r for r in reports if not r.meets_bound)
 
 
 def test_certificate_failures_are_reported_as_data(monkeypatch):

@@ -19,8 +19,13 @@ above ("2b"), or lower the top symmetrically ("2c").
 
 The certificate stores every window position, probe point, and line
 (as its generating pair and member mask), so an independent pass can
-replay the bookkeeping and recompute each line from scratch, through
-the comparability graph rather than the order the process used.
+replay the bookkeeping and recompute each line from scratch.  Neither
+side builds a betweenness relation, and they share no line evaluator:
+the process reads each line from the order rows (the pair, everything
+below its lower point or above its upper point, and everything between
+them), while the replay reads it from the adjacency rows of the
+comparability graph (the pair, plus the common neighbors of an
+adjacent pair).
 """
 
 from __future__ import annotations
@@ -30,24 +35,22 @@ from enum import Enum
 from itertools import combinations
 
 from .bounds import dbe_bound
-from .core import bits_of, line_of
+from .core import bits_of
 from .errors import HeightError, InternalError, UniversalLineError
-from .graphs import graph_betweenness, graph_line_count
+from .graphs import graph_line_count
 from .posets import (
     Poset,
     comparability_graph,
     maximum_chain_through_levels,
     mirsky_partition,
-    poset_betweenness,
 )
+# Not called here: the per-layer tracer of perfbench/ wraps these names.
+from .core import line_of  # noqa: F401
+from .posets import poset_betweenness  # noqa: F401
 
 
 # A recorded line: its generating pair (ascending) and its member mask.
 GeneratedLine = tuple[tuple[int, int], int]
-
-
-def _line(rel, a: int, b: int) -> GeneratedLine:
-    return ((a, b) if a < b else (b, a)), line_of(rel, a, b)
 
 
 class StepKind(str, Enum):
@@ -114,16 +117,30 @@ def build_certificate(p: Poset) -> LineCertificate:
             f"the line-finding process needs height >= 2, got {height}"
         )
     n = p.size
-    rel = poset_betweenness(p)
+    succ, pred = p.succ, p.pred
+
+    def line(a: int, b: int) -> GeneratedLine:
+        # The line of a < b in the order: the pair, everything below a or
+        # above b, and everything between them; an incomparable pair's
+        # line is the bare pair.
+        pair = (a, b) if a < b else (b, a)
+        if succ[b] >> a & 1:
+            a, b = b, a
+        elif not succ[a] >> b & 1:
+            return pair, 1 << a | 1 << b
+        return pair, 1 << a | 1 << b | pred[a] | succ[b] | succ[a] & pred[b]
+
     chain = maximum_chain_through_levels(p)
+    # Points of one level are incomparable, so each layer line is its
+    # bare pair.
     layer_lines = [
-        _line(rel, a, b)
+        ((a, b), 1 << a | 1 << b)
         for layer in mirsky_partition(p)
         for a, b in combinations(bits_of(layer), 2)
     ]
 
     def lines_to(point: int, lo: int, hi: int) -> tuple[GeneratedLine, ...]:
-        return tuple(_line(rel, chain[i - 1], point) for i in range(lo, hi + 1))
+        return tuple(line(chain[i - 1], point) for i in range(lo, hi + 1))
 
     # The full-chain line, which joins chain positions 1 and height, ends
     # every run of the process.
@@ -139,14 +156,16 @@ def build_certificate(p: Poset) -> LineCertificate:
             )
             break
         low, high = chain[bottom - 1], chain[top - 1]
-        window_mask = rel.line_mask(low, high)
+        window_mask = line(low, high)[1]
         if window_mask == full:
             raise UniversalLineError(
                 f"the line of chain positions {bottom} and {top} contains all "
                 f"points; the process requires a poset with no universal line"
             )
-        probe = next(s for s in range(n) if not window_mask >> s & 1)
-        with_low, with_high = p.comparable(probe, low), p.comparable(probe, high)
+        # The smallest point outside the line: its lowest clear bit.
+        probe = (window_mask + 1 & ~window_mask).bit_length() - 1
+        comparable = succ[probe] | pred[probe]
+        with_low, with_high = comparable >> low & 1, comparable >> high & 1
         if with_low and with_high:
             raise InternalError(
                 "point outside the window line is comparable with both endpoints"
@@ -160,14 +179,14 @@ def build_certificate(p: Poset) -> LineCertificate:
         new_bottom, new_top = bottom, top
         if not with_low:
             new_bottom = 1 + max(
-                i for i in range(bottom, top) if not p.comparable(chain[i - 1], probe)
+                i for i in range(bottom, top) if not comparable >> chain[i - 1] & 1
             )
             kind, added = StepKind.RAISE_BOTTOM, lines_to(probe, bottom, new_bottom)
         else:
             new_top = -1 + min(
                 i
                 for i in range(bottom + 1, top + 1)
-                if not p.comparable(chain[i - 1], probe)
+                if not comparable >> chain[i - 1] & 1
             )
             kind, added = StepKind.LOWER_TOP, lines_to(probe, new_top, top)
         steps.append(ProcessStep(iteration, kind, bottom, top, probe, added))
@@ -191,39 +210,94 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     process line recomputes from its generator; window bookkeeping is
     monotone, moves strictly on every non-final step, and matches the
     recorded step kinds and probes; the incomparable-pair accounting
-    identity holds; and the distinct total meets the bound.  Lines and
-    the universal-line check come from the comparability graph of ``p``,
-    so the replay shares no evaluator with the build.
+    identity holds; and the distinct total meets the bound.  Every line,
+    the window lines the probes are checked against and the
+    universal-line check are read from the adjacency rows of the
+    comparability graph of ``p``, not from the order rows the build
+    reads, so the replay shares no evaluator with the build.  A point
+    the certificate names outside the poset (a chain point, a line's
+    generator or a probe) is reported as a defect, not raised.
     """
     issues: list[str] = []
     n, height = p.size, p.height
     g = comparability_graph(p)
-    rel = graph_betweenness(g)
+    adj = g.adj
 
     if cert.size != n or cert.height != height:
         issues.append("certificate size or height does not match the poset")
         return issues
 
+    points = range(n)
     chain = cert.chain
-    if len(chain) != height or any(p.levels[c] != i for i, c in enumerate(chain, 1)):
+    chain_in_range = all(c in points for c in chain)
+    if not chain_in_range:
+        issues.append("chain names a point outside the poset")
+    elif len(chain) != height or any(p.levels[c] != i for i, c in enumerate(chain, 1)):
         issues.append("chain does not run through the levels")
-    if not all(map(p.is_less, chain, chain[1:])):
+    succ = p.succ
+    if chain_in_range and not all(succ[a] >> b & 1 for a, b in zip(chain, chain[1:])):
         issues.append("chain points are not increasing in the order")
 
-    expected_pairs = sorted(
+    expected_pairs = sorted([
         pair
         for layer in mirsky_partition(p)
         for pair in combinations(bits_of(layer), 2)
-    )
-    if sorted(pair for pair, _ in cert.layer_lines) != expected_pairs:
+    ])
+    if sorted([pair for pair, _ in cert.layer_lines]) != expected_pairs:
         issues.append("layer lines do not cover exactly the within-level pairs")
-    for pair, mask in cert.layer_lines + cert.process_lines():
-        if line_of(rel, *pair) != mask:
+    lines = cert.layer_lines + cert.process_lines()
+    for pair, mask in lines:
+        a, b = pair
+        if a not in points or b not in points or a == b:
+            issues.append(f"line of pair {pair} does not join two points of the poset")
+        elif mask != _adjacency_line(adj, a, b):
             issues.append(f"line of pair {pair} recomputes to different members")
 
     if not cert.steps:
         issues.append("certificate records no process steps")
         return issues
+    # The windows walk the chain, so they are replayed only on a chain
+    # of the right length inside the poset.
+    if chain_in_range and len(chain) == height:
+        issues += _window_issues(cert, adj)
+    if graph_line_count(g)[1]:
+        issues.append("poset has a universal line; certificate is out of scope")
+
+    windows = [(s.bottom, s.top) for s in cert.steps]
+    iterations = len(windows)
+    moved = sum(
+        windows[k + 1][0] - windows[k][0] + windows[k][1] - windows[k + 1][1] - 1
+        for k in range(iterations - 1)
+    )
+    final_gap = windows[-1][1] - windows[-1][0]
+    if moved != height - iterations - final_gap:
+        issues.append(
+            f"window accounting identity fails: {moved} != "
+            f"{height} - {iterations} - {final_gap}"
+        )
+
+    distinct = len({mask for _, mask in lines})
+    if distinct < cert.bound:
+        issues.append(f"{distinct} distinct lines, below the bound {cert.bound}")
+    return issues
+
+
+def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:
+    """The line of a and b in the graph with adjacency rows ``adj``: the
+    bare pair, plus the common neighbors when a and b are adjacent."""
+    if adj[a] >> b & 1:
+        return 1 << a | 1 << b | adj[a] & adj[b]
+    return 1 << a | 1 << b
+
+
+def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
+    """Defects of the recorded window walk along the certificate's chain,
+    a chain of ``cert.height`` points of the graph with adjacency rows
+    ``adj``: every window, step kind, probe and generating pair."""
+    issues: list[str] = []
+    chain, height = cert.chain, cert.height
+    points = range(len(adj))
+
     def pairs_to(point: int, lo: int, hi: int) -> list[tuple[int, int]]:
         return [tuple(sorted((chain[i - 1], point))) for i in range(lo, hi + 1)]
 
@@ -252,10 +326,13 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         if probe is None:
             issues.append(f"step {pos} lacks a probe point")
             break
+        if probe not in points:
+            issues.append(f"step {pos} probe {probe} is not a point of the poset")
+            break
         low, high = chain[bottom - 1], chain[top - 1]
-        if rel.line_mask(low, high) >> probe & 1:
+        if _adjacency_line(adj, low, high) >> probe & 1:
             issues.append(f"step {pos} probe {probe} lies inside the window line")
-        with_low, with_high = p.comparable(probe, low), p.comparable(probe, high)
+        with_low, with_high = adj[probe] >> low & 1, adj[probe] >> high & 1
         if step.kind is StepKind.SPLIT:
             if with_low or with_high:
                 issues.append(f"step {pos} fans out on a comparable probe")
@@ -283,24 +360,4 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
             if recorded != pairs_to(probe, new_top, top):
                 issues.append(f"step {pos} lines do not match the lowered range")
             top = new_top
-    if graph_line_count(g)[1]:
-        issues.append("poset has a universal line; certificate is out of scope")
-
-    windows = [(s.bottom, s.top) for s in cert.steps]
-    iterations = len(windows)
-    moved = sum(
-        windows[k + 1][0] - windows[k][0] + windows[k][1] - windows[k + 1][1] - 1
-        for k in range(iterations - 1)
-    )
-    final_gap = windows[-1][1] - windows[-1][0]
-    if moved != height - iterations - final_gap:
-        issues.append(
-            f"window accounting identity fails: {moved} != "
-            f"{height} - {iterations} - {final_gap}"
-        )
-
-    if cert.total_distinct < cert.bound:
-        issues.append(
-            f"{cert.total_distinct} distinct lines, below the bound {cert.bound}"
-        )
     return issues

@@ -21,7 +21,7 @@ from .graphs import Graph
 from .posets import Poset
 
 GRAPH_ENUM_CAP = 8
-POSET_ENUM_CAP = 6
+POSET_ENUM_CAP = 7
 # Metrics are enumerated as the shortest-path metrics of every graph
 # mask, each validated in O(n^3), so their cap sits below the graphs'.
 METRIC_ENUM_CAP = 6

@@ -19,7 +19,8 @@ class SizeError(LinesysError):
 
 class MalformedEdgeError(LinesysError):
     """An edge is malformed: a hypergraph edge that is not a 3-subset of
-    the ground set, or a graph adjacency that is not symmetric."""
+    the ground set, a graph adjacency that is not symmetric, or an edge
+    mask with a bit beyond the pairs of the ground set."""
 
 
 class CycleError(LinesysError):

@@ -63,8 +63,17 @@ class Graph:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
-        """Graph with edge set given by a bitmask over pair_list(n)."""
-        return cls._from_rows(_edge_rows(check_size(n), pair_list(n), mask))
+        """Graph with edge set given by a bitmask over pair_list(n).
+
+        Raises MalformedEdgeError unless 0 <= mask < 2**C(n, 2): any
+        other mask sets a bit that names no pair of the ground set.
+        """
+        pairs = pair_list(check_size(n))
+        if not 0 <= mask < 1 << len(pairs):
+            raise MalformedEdgeError(
+                f"edge mask {mask} is outside 0..2**{len(pairs)}-1 for n = {n}"
+            )
+        return cls._from_rows(_edge_rows(n, pairs, mask))
 
     def edge_mask(self) -> int:
         """Canonical edge-bitmask encoding over pair_list(n)."""

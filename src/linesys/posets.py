@@ -162,15 +162,15 @@ def maximum_chain_through_levels(p: Poset) -> tuple[int, ...]:
     An arbitrary maximum chain need not meet every level set at its own
     level, so the chain is built top-down: start from the smallest point
     of the top level, then repeatedly take the smallest predecessor one
-    level down (one always exists by the level recurrence).
+    level down (one always exists by the level recurrence), the lowest
+    bit of the predecessor row masked by that level's layer.
     """
-    top = min(v for v in range(p.size) if p.levels[v] == p.height)
-    chain = [top]
-    for level in range(p.height - 1, 0, -1):
-        current = chain[-1]
-        chain.append(
-            min(u for u in bits_of(p.pred[current]) if p.levels[u] == level)
-        )
+    *lower, top = mirsky_partition(p)
+    pred = p.pred
+    chain = [(top & -top).bit_length() - 1]
+    for layer in reversed(lower):
+        below = pred[chain[-1]] & layer
+        chain.append((below & -below).bit_length() - 1)
     chain.reverse()
     return tuple(chain)
 

@@ -1,7 +1,8 @@
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linesys import (
@@ -10,12 +11,19 @@ from linesys import (
     StepKind,
     UniversalLineError,
     all_lines,
+    bits_of,
     build_certificate,
     certificate_issues,
+    comparability_graph,
     dbe_bound,
+    enumerate_posets,
+    graph_betweenness,
     line_mask_set,
+    line_of,
+    maximum_chain_through_levels,
     poset_betweenness,
 )
+from linesys.construct import _adjacency_line
 
 poset_strategy = st.integers(min_value=2, max_value=7).flatmap(
     lambda n: st.tuples(
@@ -161,3 +169,156 @@ def test_certified_lines_all_appear_in_the_full_line_system(case):
     cert = build_certificate(p)
     everything = {mask for mask, _ in all_lines(poset_betweenness(p))}
     assert cert.distinct_member_sets() <= everything
+
+
+def certified_posets(max_n):
+    """Every poset on 2..max_n points whose certificate is defined:
+    height at least 2 and no universal line."""
+    for n in range(2, max_n + 1):
+        for p in enumerate_posets(n):
+            if p.height >= 2 and (1 << n) - 1 not in line_mask_set(poset_betweenness(p)):
+                yield p
+
+
+def test_built_lines_equal_the_order_relation_up_to_n5():
+    checked = 0
+    for p in certified_posets(5):
+        rel = poset_betweenness(p)
+        cert = build_certificate(p)
+        for (a, b), mask in cert.layer_lines + cert.process_lines():
+            assert a < b and mask == line_of(rel, a, b), (p.succ, a, b)
+            checked += 1
+    assert checked > 0
+
+
+def test_replay_lines_equal_the_graph_relation_up_to_n5():
+    for p in certified_posets(5):
+        g = comparability_graph(p)
+        rel = graph_betweenness(g)
+        for a, b in permutations(range(p.size), 2):
+            assert _adjacency_line(g.adj, a, b) == line_of(rel, a, b), (p.succ, a, b)
+
+
+def min_based_chain(p):
+    """The top-down chain through the levels, each point found by
+    ``min`` over the candidates on its level; an oracle independent of
+    the layer masks."""
+    top = min(v for v in range(p.size) if p.levels[v] == p.height)
+    chain = [top]
+    for level in range(p.height - 1, 0, -1):
+        chain.append(
+            min(u for u in bits_of(p.pred[chain[-1]]) if p.levels[u] == level)
+        )
+    chain.reverse()
+    return tuple(chain)
+
+
+def test_maximum_chain_matches_the_min_based_construction_up_to_n5():
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            assert maximum_chain_through_levels(p) == min_based_chain(p), p.succ
+
+
+def test_replay_reports_a_chain_point_outside_the_poset():
+    p = Poset.from_covers(4, [(0, 1), (1, 2)])
+    cert = build_certificate(p)
+    assert cert.chain == (0, 1, 2)
+    for chain in [(0, 1, 4), (0, 1, 7), (-1, 1, 2)]:
+        issues = certificate_issues(replace(cert, chain=chain), p)
+        assert issues[0] == "chain names a point outside the poset"
+
+
+def test_replay_reports_a_probe_outside_the_poset():
+    p = Poset.from_covers(4, [(0, 1), (1, 2)])
+    cert = build_certificate(p)
+    (step,) = cert.steps
+    assert (step.kind, step.probe) == (StepKind.SPLIT, 3)
+    for probe in [-1, 4]:
+        steps = (replace(step, probe=probe),)
+        assert certificate_issues(replace(cert, steps=steps), p) == [
+            f"step 1 probe {probe} is not a point of the poset"
+        ]
+
+
+def test_replay_reports_a_line_generator_outside_the_poset():
+    p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    cert = build_certificate(p)
+    (pair, mask), *rest = cert.layer_lines
+    for bad in [(0, 4), (-1, 3), (3, 3)]:
+        tampered = replace(cert, layer_lines=((bad, mask), *rest))
+        assert (
+            f"line of pair {bad} does not join two points of the poset"
+            in certificate_issues(tampered, p)
+        )
+
+
+def with_line(cert, index, line):
+    """``cert`` with its recorded line number ``index`` (layer lines
+    first, then the steps' lines in order) replaced by ``line``."""
+    layer = len(cert.layer_lines)
+    if index < layer:
+        lines = list(cert.layer_lines)
+        lines[index] = line
+        return replace(cert, layer_lines=tuple(lines))
+    index -= layer
+    steps = list(cert.steps)
+    for s, step in enumerate(steps):
+        if index < len(step.lines):
+            lines = list(step.lines)
+            lines[index] = line
+            steps[s] = replace(step, lines=tuple(lines))
+            return replace(cert, steps=tuple(steps))
+        index -= len(step.lines)
+    raise IndexError(index)
+
+
+# Posets on at least three points with some order relation: most have a
+# certificate, so few examples are filtered out.
+tamper_strategy = st.integers(min_value=3, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] < p[1]
+            ),
+            min_size=1,
+            max_size=n,
+        ),
+    )
+)
+
+
+def certified(case):
+    n, covers = case
+    p = Poset.from_covers(n, covers)
+    assume(p.height >= 2 and (1 << n) - 1 not in line_mask_set(poset_betweenness(p)))
+    return p, build_certificate(p)
+
+
+@given(tamper_strategy, st.data())
+@settings(max_examples=150, deadline=None)
+def test_replay_catches_a_flipped_line_mask(case, data):
+    p, cert = certified(case)
+    lines = cert.layer_lines + cert.process_lines()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    point = data.draw(st.integers(0, p.size - 1), label="point")
+    pair, mask = lines[index]
+    issues = certificate_issues(with_line(cert, index, (pair, mask ^ 1 << point)), p)
+    assert f"line of pair {pair} recomputes to different members" in issues
+
+
+@given(tamper_strategy, st.data())
+@settings(max_examples=150, deadline=None)
+def test_replay_catches_a_probe_moved_inside_the_window_line(case, data):
+    p, cert = certified(case)
+    probing = [pos for pos, step in enumerate(cert.steps) if step.probe is not None]
+    assume(probing)
+    pos = data.draw(st.sampled_from(probing), label="step")
+    step = cert.steps[pos]
+    low, high = cert.chain[step.bottom - 1], cert.chain[step.top - 1]
+    window = line_of(poset_betweenness(p), low, high)
+    probe = data.draw(st.sampled_from(list(bits_of(window))), label="probe")
+    steps = list(cert.steps)
+    steps[pos] = replace(step, probe=probe)
+    issues = certificate_issues(replace(cert, steps=tuple(steps)), p)
+    assert f"step {pos + 1} probe {probe} lies inside the window line" in issues

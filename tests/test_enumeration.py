@@ -80,7 +80,7 @@ def test_poset_code_round_trip():
 
 def test_poset_cap():
     with pytest.raises(CapError):
-        next(enumerate_posets(7))
+        next(enumerate_posets(8))
 
 
 def test_posets_yielded_are_valid():

@@ -163,6 +163,14 @@ def test_trusted_mask_constructor_matches_the_validating_ones_up_to_n5():
         Graph.from_mask(0, 0)
 
 
+def test_mask_constructor_rejects_masks_beyond_the_pairs():
+    # n = 3 has three pairs, so the masks are 0..7.
+    assert Graph.from_mask(3, 7).adj == complete_graph(3).adj
+    for n, mask in [(3, 8), (3, -1), (1, 1), (4, 1 << 6), (4, -(1 << 6))]:
+        with pytest.raises(MalformedEdgeError):
+            Graph.from_mask(n, mask)
+
+
 def test_graph_lines_match_the_generic_evaluator_up_to_n6():
     checked = 0
     for g in every_graph(6):

@@ -24,6 +24,7 @@ from linesys import (
     poset_report,
     run_sweep,
 )
+from linesys.core import BetweennessRelation
 from linesys.sweeps import VerificationReport
 
 
@@ -184,6 +185,21 @@ def test_poset_sweep_n4_zero_violations():
     assert not summary.certificate_failures
 
 
+def test_poset_sweep_builds_no_betweenness_relation(monkeypatch):
+    # Counting, the shape test and certificate build and replay all read
+    # order or adjacency rows; a relation on the hot path fails here.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a poset sweep built a BetweennessRelation")
+
+    monkeypatch.setattr(BetweennessRelation, "__init__", forbidden)
+    monkeypatch.setattr(BetweennessRelation, "_from_matrices", classmethod(forbidden))
+    data, summary = jsonl_of("poset", 5, workers=1)
+    assert summary.ok and summary.checked == 3450
+    assert not summary.certificate_failures
+    size, digest = SWEEP_STREAMS["poset", 5]
+    assert (len(data), hashlib.sha256(data.encode()).hexdigest()) == (size, digest)
+
+
 def test_poset_sweep_n2_is_vacuous():
     summary = run_sweep("poset", 2)
     # chains have a universal line; the antichain has height 1
@@ -204,7 +220,7 @@ def test_sweep_domain_checks():
     with pytest.raises(DomainError):
         run_sweep("graph", 2)
     with pytest.raises(CapError):
-        run_sweep("poset", 7)
+        run_sweep("poset", 8)
     with pytest.raises(DomainError):
         run_sweep("unknown", 4)
 

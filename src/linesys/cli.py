@@ -85,8 +85,9 @@ def _write_json(out, row: dict) -> None:
 
 
 def _verify_graph(g):
-    if g.size < 3:
-        raise _UsageError("graph verification needs n >= 3")
+    min_n = SWEEP_KINDS["graph"].min_n
+    if g.size < min_n:
+        raise _UsageError(f"graph verification needs n >= {min_n}")
     return graph_report(g), None
 
 
@@ -168,9 +169,9 @@ def _cmd_construct(args, out) -> int:
     if args.format == "jsonl":
         layer_lines = [list(bits_of(mask)) for _, mask in cert.layer_lines]
         _write_json(out, {"chain": list(cert.chain), "layer_lines": layer_lines})
-        for step in cert.steps:
+        for iteration, step in enumerate(cert.steps, 1):
             row = {
-                "iteration": step.iteration,
+                "iteration": iteration,
                 "step": step.kind.value,
                 "bottom": step.bottom,
                 "top": step.top,
@@ -183,9 +184,9 @@ def _cmd_construct(args, out) -> int:
         out.write("chain: " + " ".join(map(str, cert.chain)) + "\n")
         for _, mask in cert.layer_lines:
             out.write("layer line: " + render_points(mask) + "\n")
-        for step in cert.steps:
+        for iteration, step in enumerate(cert.steps, 1):
             head = (
-                f"iteration {step.iteration} step {step.kind.value} "
+                f"iteration {iteration} step {step.kind.value} "
                 f"window {step.bottom}..{step.top}"
             )
             if step.probe is not None:

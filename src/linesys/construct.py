@@ -66,12 +66,12 @@ class StepKind(str, Enum):
 class ProcessStep:
     """One iteration: the window it saw, what it chose, what it added.
 
-    ``bottom`` and ``top`` are 1-based positions on the chain.  ``probe``
-    is the smallest-index point outside the window line, or None when
-    the window was already closed.
+    A step's iteration number is its 1-based position in
+    ``LineCertificate.steps``.  ``bottom`` and ``top`` are 1-based
+    positions on the chain.  ``probe`` is the smallest-index point
+    outside the window line, or None when the window was already closed.
     """
 
-    iteration: int
     kind: StepKind
     bottom: int
     top: int
@@ -149,11 +149,8 @@ def build_certificate(p: Poset) -> LineCertificate:
     steps: list[ProcessStep] = []
     bottom, top = 1, height
     while True:
-        iteration = len(steps) + 1
         if bottom == top:
-            steps.append(
-                ProcessStep(iteration, StepKind.CLOSE, bottom, top, None, closing)
-            )
+            steps.append(ProcessStep(StepKind.CLOSE, bottom, top, None, closing))
             break
         low, high = chain[bottom - 1], chain[top - 1]
         window_mask = line(low, high)[1]
@@ -172,9 +169,7 @@ def build_certificate(p: Poset) -> LineCertificate:
             )
         if not with_low and not with_high:
             fan = lines_to(probe, bottom, top) + closing
-            steps.append(
-                ProcessStep(iteration, StepKind.SPLIT, bottom, top, probe, fan)
-            )
+            steps.append(ProcessStep(StepKind.SPLIT, bottom, top, probe, fan))
             break
         new_bottom, new_top = bottom, top
         if not with_low:
@@ -189,7 +184,7 @@ def build_certificate(p: Poset) -> LineCertificate:
                 if not comparable >> chain[i - 1] & 1
             )
             kind, added = StepKind.LOWER_TOP, lines_to(probe, new_top, top)
-        steps.append(ProcessStep(iteration, kind, bottom, top, probe, added))
+        steps.append(ProcessStep(kind, bottom, top, probe, added))
         bottom, top = new_bottom, new_top
 
     cert = LineCertificate(n, height, chain, tuple(layer_lines), tuple(steps))
@@ -216,7 +211,9 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     comparability graph of ``p``, not from the order rows the build
     reads, so the replay shares no evaluator with the build.  A point
     the certificate names outside the poset (a chain point, a line's
-    generator or a probe) is reported as a defect, not raised.
+    generator or a probe) is reported as a defect, not raised.  Defects
+    name a step by its 1-based position in ``cert.steps``, the iteration
+    number the ``construct`` command prints.
     """
     issues: list[str] = []
     n, height = p.size, p.height
@@ -304,8 +301,6 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
     bottom, top = 1, height
     last = len(cert.steps)
     for pos, step in enumerate(cert.steps, start=1):
-        if step.iteration != pos:
-            issues.append(f"step {pos} records iteration {step.iteration}")
         if (step.bottom, step.top) != (bottom, top):
             issues.append(
                 f"step {pos} records window {step.bottom}..{step.top}, "

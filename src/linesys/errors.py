@@ -28,7 +28,8 @@ class CycleError(LinesysError):
 
 
 class DomainError(LinesysError):
-    """A bound was evaluated outside its domain of validity."""
+    """A bound or an operation was requested outside its domain of
+    validity."""
 
 
 class HeightError(LinesysError):

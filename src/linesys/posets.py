@@ -11,27 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import BetweennessRelation, bits_of, check_point, check_size
-from .errors import CycleError, InternalError, UnknownPointError
+from .errors import CycleError, UnknownPointError
 from .graphs import Graph, is_extremal_graph
-
-
-def _transitive_closure(rows: list[int]) -> list[int]:
-    # Repeated squaring: each pass extends reachability from <= k steps
-    # to <= 2k steps, so O(log n) passes suffice.
-    n = len(rows)
-    while True:
-        changed = False
-        nxt = []
-        for i in range(n):
-            reach = rows[i]
-            acc = reach
-            for j in bits_of(reach):
-                acc |= rows[j]
-            nxt.append(acc)
-            changed = changed or acc != reach
-        if not changed:
-            return nxt
-        rows = nxt
 
 
 class Poset:
@@ -41,29 +22,38 @@ class Poset:
     closed) order; ``pred[v]`` every point strictly below.  ``levels[v]``
     is the size of the longest chain ending at v, so the level sets
     partition the poset into ``height`` antichains.
+
+    The constructor is the one validation path: it takes the transitive
+    closure of the rows it is given, so any acyclic relation is
+    accepted, and raises UnknownPointError on a row naming a point >= n
+    and CycleError when the closure puts some point above itself.
     """
 
     __slots__ = ("size", "succ", "pred", "levels", "height")
 
     def __init__(self, succ_rows: Iterable[int]):
-        succ = tuple(succ_rows)
-        n = check_size(len(succ))
-        full = (1 << n) - 1
-        for v, row in enumerate(succ):
-            if row & ~full:
+        rows = list(succ_rows)
+        n = check_size(len(rows))
+        for v, row in enumerate(rows):
+            if row >> n:
                 raise UnknownPointError(f"order row {v} mentions points >= {n}")
-            if row >> v & 1:
-                raise CycleError(f"point {v} precedes itself")
+        # Repeated squaring: each pass extends reachability from <= k
+        # steps to <= 2k steps, so O(log n) passes suffice, and rows
+        # that are already closed (every enumerated poset) take one.
+        while True:
+            closed = []
+            for row in rows:
+                reach = row
+                for u in bits_of(row):
+                    reach |= rows[u]
+                closed.append(reach)
+            if closed == rows:
+                break
+            rows = closed
         for v in range(n):
-            for u in bits_of(succ[v]):
-                if succ[u] >> v & 1:
-                    raise CycleError(f"points {v} and {u} precede each other")
-                if succ[u] & ~succ[v]:
-                    # Construction sites (from_covers, enumeration) always
-                    # hand over closed rows, so this is a bug, not input.
-                    raise InternalError(
-                        f"order rows are not transitively closed at {v} < {u}"
-                    )
+            if rows[v] >> v & 1:
+                raise CycleError(f"cover relations create a cycle through point {v}")
+        succ = tuple(rows)
         pred = [0] * n
         for v in range(n):
             for u in bits_of(succ[v]):
@@ -87,19 +77,16 @@ class Poset:
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "Poset":
         """Poset from cover (or any generating) relations a < b.
 
-        The transitive closure is taken, so supplying the full order
-        relation instead of covers is accepted.
+        Rejects a point outside 0..n-1 and builds one row per point; the
+        constructor takes the transitive closure and rejects cycles, so
+        supplying the full order relation instead of covers is accepted.
         """
         rows = [0] * n
         for a, b in covers:
             check_point(n, a)
             check_point(n, b)
             rows[a] |= 1 << b
-        closed = _transitive_closure(rows)
-        for v in range(n):
-            if closed[v] >> v & 1:
-                raise CycleError(f"cover relations create a cycle through point {v}")
-        return cls(closed)
+        return cls(rows)
 
     def is_less(self, a: int, b: int) -> bool:
         check_point(self.size, a)

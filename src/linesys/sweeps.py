@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import comb
 from operator import or_
 from typing import Callable, Iterator, NamedTuple, TextIO
@@ -89,9 +89,16 @@ class VerificationReport:
     extremal_shape_match: bool
 
     def json_line(self) -> str:
-        """The report's jsonl row, without its newline."""
+        """The report's jsonl row, without its newline.  An int id too
+        long to print (beyond Python's int-to-str digit limit, as the
+        default id of a large graph or poset can be) raises DomainError."""
         kind, n, *values = vars(self).values()
-        return _render_rows(_row_template(kind, n), [values])[:-1]
+        try:
+            return _render_rows(_row_template(kind, n), [values])[:-1]
+        except ValueError:  # the int-to-str digit limit
+            raise DomainError(
+                f"the instance id of this {kind} is too long to print as jsonl"
+            ) from None
 
 
 _JSON_BOOL = ("false", "true")
@@ -124,38 +131,51 @@ def _render_rows(template: str, rows: list) -> str:
     ])
 
 
-@dataclass
-class _Fold:
-    """Mergeable per-chunk aggregate."""
-
-    enumerated: int = 0
-    reported: int = 0
-    checked: int = 0
-    universal_count: int = 0
-    violations: list = field(default_factory=list)
-    equality_ids: list = field(default_factory=list)
-    shape_ids: list = field(default_factory=list)
-    mismatch_ids: list = field(default_factory=list)
-    certificate_failures: list = field(default_factory=list)
-
-    def merge(self, other: "_Fold") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
 @dataclass(frozen=True)
 class SweepSummary:
+    """What a sweep, or one chunk of it, found: counters and id lists in
+    canonical enumeration order.
+
+    ``checked`` (reported instances with no universal line), ``issues``
+    and ``ok`` are read off those fields.  ``mismatch_ids`` lists the
+    instances whose equality case and extremal shape disagree, for kinds
+    with an extremal shape.
+    """
+
     kind: str
     n: int
-    enumerated: int
-    reported: int
-    checked: int
-    universal_count: int
-    violations: tuple[VerificationReport, ...]
-    equality_ids: tuple[int, ...]
-    shape_match_ids: tuple[int, ...]
-    certificate_failures: tuple[tuple[int, str], ...]
-    issues: tuple[str, ...]
+    enumerated: int = 0
+    reported: int = 0
+    universal_count: int = 0
+    violations: tuple[VerificationReport, ...] = ()
+    equality_ids: tuple[int | str, ...] = ()
+    shape_match_ids: tuple[int | str, ...] = ()
+    mismatch_ids: tuple[int | str, ...] = ()
+    certificate_failures: tuple[tuple[int | str, str], ...] = ()
+
+    def merge(self, other: "SweepSummary") -> "SweepSummary":
+        """This summary followed by ``other``: counters add up and id
+        lists concatenate."""
+        return SweepSummary(self.kind, self.n, *(
+            getattr(self, f.name) + getattr(other, f.name) for f in fields(self)[2:]
+        ))
+
+    @property
+    def checked(self) -> int:
+        return self.reported - self.universal_count
+
+    @property
+    def issues(self) -> tuple[str, ...]:
+        """One line per kind of failure found, empty when there is none."""
+        failures = (
+            (self.violations, "instances fall below their line bound"),
+            (self.certificate_failures, "certificates failed to verify"),
+            (
+                self.mismatch_ids,
+                "instances where equality cases and the extremal shape disagree",
+            ),
+        )
+        return tuple(f"{len(ids)} {what}" for ids, what in failures if ids)
 
     @property
     def ok(self) -> bool:
@@ -352,8 +372,8 @@ def sweep_kind(kind: str, n: int) -> _SweepKind:
     return entry
 
 
-def _run_chunk(args):
-    """Fold and (when ``render``) the jsonl rows of one chunk.
+def _run_chunk(args) -> tuple[SweepSummary, str]:
+    """The summary and (when ``render``) the jsonl rows of one chunk.
 
     The one kernel of every kind: it folds the instance fields into
     plain counters and id lists, renders rows from the (kind, n)
@@ -387,35 +407,36 @@ def _run_chunk(args):
             cert_failures.append((instance_id, cert_issue))
         if render:
             rows.append((instance_id, count, bound, universal, meets, equality, shape))
-    fold = _Fold(
-        enumerated, reported, reported - universal_count, universal_count,
-        violations, equality_ids, shape_ids, mismatch_ids, cert_failures,
+    summary = SweepSummary(
+        kind, n, enumerated, reported, universal_count, tuple(violations),
+        tuple(equality_ids), tuple(shape_ids), tuple(mismatch_ids), tuple(cert_failures),
     )
     # The chunk's jsonl rows travel back as one string: rendering runs
     # in the workers, and the parent only writes.
-    return fold, _render_rows(template, rows)
+    return summary, _render_rows(template, rows)
 
 
 def run_sweep(
     kind: str, n: int, workers: int = 1, jsonl: TextIO | None = None
 ) -> SweepSummary:
-    """Run one exhaustive sweep and fold the results into a summary.
+    """Run one exhaustive sweep: the chunk summaries merged in chunk order.
 
     ``kind`` is a key of ``SWEEP_KINDS``.  With ``jsonl``, a text stream,
     every per-instance report is written to it as one JSON line, in
     canonical enumeration order.  Worker processes split the canonical
-    chunk list and render their chunks' lines; the parent writes the
-    chunks in order, so the fold and the stream are identical for every
-    worker count.
+    chunk list and render their chunks' lines; the parent merges the
+    summaries and writes the chunks in order, so the summary and the
+    stream are identical for every worker count.
     """
     entry = sweep_kind(kind, n)
     render = jsonl is not None
     args = [(kind, n, chunk, render) for chunk in entry.chunks(n)]
-    total = _Fold()
+    total = SweepSummary(kind, n)
 
     def consume(result) -> None:
-        fold, text = result
-        total.merge(fold)
+        nonlocal total
+        summary, text = result
+        total = total.merge(summary)
         if text:
             jsonl.write(text)
 
@@ -429,34 +450,7 @@ def run_sweep(
         with ctx.Pool(workers) as pool:
             for result in pool.imap(_run_chunk, args):
                 consume(result)
-
-    issues = []
-    if total.violations:
-        issues.append(
-            f"{len(total.violations)} instances fall below their line bound"
-        )
-    if total.certificate_failures:
-        issues.append(
-            f"{len(total.certificate_failures)} certificates failed to verify"
-        )
-    if total.mismatch_ids:
-        issues.append(
-            f"{len(total.mismatch_ids)} instances where equality cases and the "
-            f"extremal shape disagree"
-        )
-    return SweepSummary(
-        kind=kind,
-        n=n,
-        enumerated=total.enumerated,
-        reported=total.reported,
-        checked=total.checked,
-        universal_count=total.universal_count,
-        violations=tuple(total.violations),
-        equality_ids=tuple(total.equality_ids),
-        shape_match_ids=tuple(total.shape_ids),
-        certificate_failures=tuple(total.certificate_failures),
-        issues=tuple(issues),
-    )
+    return total
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,7 @@ def test_criterion_9_metric_evidence_sweep():
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
     # a violation would surface loudly: exit status 3 from the sweep command
-    code = cli_main(["sweep", "--kind", "metric", "--n", "4"], out=open("/dev/null", "w"))
+    code = cli_main(["sweep", "--kind", "metric", "--n", "4"], out=io.StringIO())
     ok = ok and code == 0
     report(
         9,

@@ -10,6 +10,7 @@ import pytest
 from linesys import dbe_bound
 from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from test_golden import workloads
+from test_sweeps import flip_the_shape
 
 K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
 BRANCHING_POSET = "4 3\n0 1\n1 2\n3 2\n"
@@ -253,6 +254,55 @@ def test_sweep_violation_exit_code(monkeypatch):
     monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
     code, _ = run_cli(["sweep", "--kind", "graph", "--n", "3"])
     assert code == EXIT_VIOLATION
+
+
+def undercount_the_lines(monkeypatch):
+    import linesys.sweeps as sweeps
+
+    real = sweeps.graph_line_count
+
+    def undercounted(g):
+        count, universal = real(g)
+        return count - 1, universal
+
+    monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
+
+
+def test_sweep_shape_disagreement_exit_code(monkeypatch):
+    flip_the_shape(monkeypatch)
+    code, out = run_cli(["sweep", "--kind", "graph", "--n", "4"])
+    assert code == EXIT_VIOLATION
+    assert "equality cases and the extremal shape disagree" in out
+    assert out.endswith("result: VIOLATION\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("plant", [flip_the_shape, undercount_the_lines])
+def test_verify_graph_violation_exit_code(monkeypatch, graph_file, plant, fmt):
+    plant(monkeypatch)
+    code, out = run_cli(["verify", "--kind", "graph", "--format", fmt, graph_file])
+    assert code == EXIT_VIOLATION
+    if fmt == "text":
+        assert out.endswith("result: THEOREM VIOLATION\n")
+    else:
+        assert json.loads(out)["structure_kind"] == "graph"
+
+
+@pytest.mark.parametrize(
+    "kind, text", [("graph", "200 1\n198 199\n"), ("poset", "140 1\n0 1\n")]
+)
+def test_verify_jsonl_of_an_id_too_long_to_print_is_a_one_line_error(
+    kind, text, monkeypatch, capsys
+):
+    # The default ids here (an edge mask with bit 19,899 set, a base-3
+    # code of 9,730 digits) exceed Python's int-to-str digit limit.
+    argv = ["verify", "--kind", kind, "--format", "jsonl"]
+    code, out = run_cli(argv, text, monkeypatch=monkeypatch)
+    assert code == EXIT_INPUT and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out = run_cli(argv[:-2], text, monkeypatch=monkeypatch)
+    assert code == EXIT_OK and out.endswith("result: ok\n")
 
 
 def test_verify_jsonl_sends_a_certificate_problem_to_stderr(

@@ -25,7 +25,7 @@ from linesys import (
     run_sweep,
 )
 from linesys.core import BetweennessRelation
-from linesys.sweeps import VerificationReport
+from linesys.sweeps import VerificationReport, shape_mismatch
 
 
 def jsonl_of(kind, n, workers):
@@ -266,6 +266,39 @@ def test_violations_are_reported_as_data_not_exceptions(monkeypatch):
     # The violation records are the reports verify gives the same graphs.
     reports = (graph_report(Graph.from_mask(3, mask)) for mask in range(8))
     assert summary.violations == tuple(r for r in reports if not r.meets_bound)
+
+
+def flip_the_shape(monkeypatch):
+    real = sweeps.is_extremal_graph
+    monkeypatch.setattr(sweeps, "is_extremal_graph", lambda g: not real(g))
+
+
+def test_shape_disagreements_are_reported_as_data(monkeypatch):
+    flip_the_shape(monkeypatch)
+    summary = run_sweep("graph", 4, workers=1)
+    assert not summary.ok and not summary.violations
+    assert summary.issues == (
+        f"{len(summary.mismatch_ids)} instances where equality cases and the "
+        f"extremal shape disagree",
+    )
+    reports = [graph_report(Graph.from_mask(4, mask), mask) for mask in range(64)]
+    assert summary.mismatch_ids == tuple(
+        r.instance_id for r in reports if shape_mismatch(r)
+    )
+    assert len(summary.mismatch_ids) == summary.checked
+
+
+@pytest.mark.parametrize("kind, flip", [("graph", True), ("metric", False)])
+def test_chunking_does_not_change_the_summary(monkeypatch, kind, flip):
+    if flip:
+        flip_the_shape(monkeypatch)
+    whole = run_sweep(kind, 5, workers=1)
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 64)
+    assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == 16
+    chunked = run_sweep(kind, 5, workers=1)
+    assert chunked == whole
+    assert (chunked.checked, chunked.issues) == (whole.checked, whole.issues)
+    assert bool(whole.mismatch_ids) == flip
 
 
 def test_certificate_failures_are_reported_as_data(monkeypatch):

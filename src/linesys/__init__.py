@@ -60,7 +60,12 @@ from .graphs import (
     graph_lines,
     is_extremal_graph,
 )
-from .metrics import MetricSpace, graph_shortest_path_metric, metric_betweenness
+from .metrics import (
+    MetricSpace,
+    graph_metric_line_count,
+    graph_shortest_path_metric,
+    metric_betweenness,
+)
 from .posets import (
     Poset,
     comparability_graph,
@@ -118,6 +123,7 @@ __all__ = [
     "graph_betweenness",
     "graph_line_count",
     "graph_lines",
+    "graph_metric_line_count",
     "graph_report",
     "graph_shortest_path_metric",
     "hypergraph_relation",

@@ -15,10 +15,13 @@ convention used by every bound and sweep in the package.
 
 Every structure kind handled by this package (graph, poset, metric
 space, 3-uniform hypergraph) compiles into a BetweennessRelation, so a
-single line evaluator serves all of them.  Metric spaces and
-hypergraphs are printed through it; graphs and posets (through their
-comparability graph) have lines read straight from adjacency rows
-(``graphs.graph_lines``), for which this evaluator is the test oracle.
+single line evaluator serves all of them.  Only ``lines`` and
+``verify`` on metric and hypergraph input go through it.  Graphs and
+posets (through their comparability graph) have lines read straight
+from adjacency rows (``graphs.graph_lines``), and sweeps count the
+shortest-path metrics of graphs from distance layers
+(``metrics.graph_metric_line_count``); for those this evaluator is the
+test oracle.
 """
 
 from __future__ import annotations

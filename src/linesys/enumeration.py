@@ -16,15 +16,16 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .core import pair_list
-from .errors import CapError
+from .errors import CapError, CycleError, DomainError
 from .graphs import Graph
 from .posets import Poset
 
 GRAPH_ENUM_CAP = 8
 POSET_ENUM_CAP = 7
 # Metrics are enumerated as the shortest-path metrics of every graph
-# mask, each validated in O(n^3), so their cap sits below the graphs'.
-METRIC_ENUM_CAP = 6
+# mask, each counted from n breadth-first searches, so their cap sits
+# below the graphs'.
+METRIC_ENUM_CAP = 7
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
@@ -128,11 +129,26 @@ def poset_code(p: Poset) -> int:
 
 
 def poset_from_code(n: int, code: int) -> Poset:
+    """The poset on n points whose ``poset_code`` is ``code``.
+
+    Raises DomainError for a code outside 0..3**C(n, 2)-1 and for one
+    that no poset has: a state vector that breaks transitivity or
+    closes a cycle.
+    """
     total = len(pair_list(n))
+    if not 0 <= code < 3**total:
+        raise DomainError(f"poset code {code} is outside 0..3**{total}-1 for n = {n}")
     digits = [0] * total
+    rest = code
     for q in range(total - 1, -1, -1):
-        code, digits[q] = divmod(code, 3)
-    return poset_from_state(n, tuple(digits))
+        rest, digits[q] = divmod(rest, 3)
+    try:
+        p = poset_from_state(n, tuple(digits))
+        if poset_code(p) == code:
+            return p
+    except CycleError:
+        pass
+    raise DomainError(f"{code} is not the code of a poset on {n} points")
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:

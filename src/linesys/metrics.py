@@ -3,14 +3,20 @@
 A point x lies between a and b when d(a,x) + d(x,b) = d(a,b).  Equality
 is exact: distances are ints or Fractions, never floats, because a
 tolerance-based comparison would silently change line counts.
+
+The shortest-path metric of a connected graph is read off its
+breadth-first distance layers: ``graph_shortest_path_metric`` builds
+the metric space, and ``graph_metric_line_count`` counts its lines
+with no metric space or relation built.
 """
 
 from __future__ import annotations
 
 import numbers
+from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .core import BetweennessRelation, check_size
+from .core import BetweennessRelation, bits_of, check_size
 from .errors import DisconnectedError, MetricError, SizeError
 from .graphs import Graph
 
@@ -65,6 +71,15 @@ class MetricSpace:
         self.size = n
         self.dist = rows
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple, ...]) -> "MetricSpace":
+        # For rows that satisfy the axioms by construction: skips the
+        # O(n^3) validation of __init__.
+        m = cls.__new__(cls)
+        m.dist = rows
+        m.size = check_size(len(rows))
+        return m
+
 
 def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
     """Betweenness relation with (a, x, b) when d(a,x) + d(x,b) = d(a,b)."""
@@ -80,35 +95,83 @@ def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
     return BetweennessRelation(n, triples)
 
 
-def graph_shortest_path_metric(g: Graph) -> MetricSpace:
-    """Hop-count shortest-path metric of a connected graph."""
-    n = g.size
+def _distance_layers(g: Graph) -> list[list[int]]:
+    """Breadth-first distance layers of every point of a connected graph:
+    ``layers[a][k]`` is the mask of the points at distance k from a, for
+    k from 0 to the eccentricity of a.  Raises DisconnectedError when
+    some point is out of reach."""
     adj = g.adj
-    full = (1 << n) - 1
-    rows = []
-    for source in range(n):
-        dist_row = [0] * n
-        seen = 1 << source
-        frontier = seen
-        hops = 0
-        while frontier:
-            hops += 1
+    full = (1 << g.size) - 1
+    layers = []
+    for source in range(g.size):
+        seen = frontier = 1 << source
+        row = [frontier]
+        while seen != full:
             reached = 0
-            scan = frontier
-            while scan:
-                low = scan & -scan
+            while frontier:
+                low = frontier & -frontier
                 reached |= adj[low.bit_length() - 1]
-                scan ^= low
+                frontier ^= low
             frontier = reached & ~seen
+            if not frontier:
+                raise DisconnectedError(
+                    "shortest-path metric needs a connected graph"
+                )
             seen |= frontier
-            probe = frontier
-            while probe:
-                low = probe & -probe
-                dist_row[low.bit_length() - 1] = hops
-                probe ^= low
-        if seen != full:
-            raise DisconnectedError(
-                "shortest-path metric needs a connected graph"
-            )
-        rows.append(dist_row)
-    return MetricSpace(rows)
+            row.append(frontier)
+        layers.append(row)
+    return layers
+
+
+def graph_shortest_path_metric(g: Graph) -> MetricSpace:
+    """Hop-count shortest-path metric of a connected graph.
+
+    Hop counts are metric by construction, so, as for
+    ``Graph._from_rows``, the axioms are not checked again."""
+    n = g.size
+    rows = []
+    for layers in _distance_layers(g):
+        dist_row = [0] * n
+        for hops, layer in enumerate(layers):
+            for x in bits_of(layer):
+                dist_row[x] = hops
+        rows.append(tuple(dist_row))
+    return MetricSpace._from_rows(tuple(rows))
+
+
+def graph_metric_line_count(g: Graph) -> tuple[int, bool]:
+    """Number of distinct lines of the shortest-path metric of a
+    connected graph, and whether one of them is universal.
+
+    Read straight from the distance layers ``L`` of ``_distance_layers``,
+    with no metric space or relation built: a point x with
+    d(a, x) = k lies on the line of a pair at distance d exactly when
+    d(b, x) is d - k, k - d or k + d, so that line is the union over k
+    of ``L[a][k] & (L[b][|k - d|] | L[b][k + d])``.  For an edge
+    (d = 1) these are the points not equidistant from a and b.
+    Raises DisconnectedError on a disconnected graph.
+    """
+    n = g.size
+    if n < 2:
+        raise SizeError("a line system needs at least two points")
+    layers = _distance_layers(g)
+    full = (1 << n) - 1
+    # reflected[b][e + j] is L[b][|j|] for |j| <= e, the eccentricity
+    # of b, followed by n empty layers, so that a slice starting at
+    # e - d lists L[b][|k - d|] and one starting at e + d lists
+    # L[b][k + d], for k = 0, 1, ...
+    empty = [0] * n
+    reflected = [row[:0:-1] + row + empty for row in layers]
+    # The layers of a are disjoint, so summing masks cut from them
+    # takes their union.
+    lines = set()
+    for a, row in enumerate(layers):
+        above = full ^ ((2 << a) - 1)
+        for b in bits_of(row[1] & above):
+            lines.add(full ^ sum(map(and_, row, layers[b])))
+        for d in range(2, len(row)):
+            for b in bits_of(row[d] & above):
+                ext = reflected[b]
+                e = len(layers[b]) - 1
+                lines.add(sum(map(and_, row, map(or_, ext[e - d :], ext[e + d :]))))
+    return len(lines), full in lines

@@ -5,9 +5,11 @@ counts distinct lines (never through the constructive process, which
 is what the sweeps cross-validate), and folds the results into a
 summary.  Graphs are counted straight from their adjacency rows by
 ``graph_line_count``, and posets by the same counter on their
-comparability graph, which induces the same lines; metrics go through
-the generic relation evaluator.  Violations are data, not exceptions:
-a sweep always completes and reports every failing instance.
+comparability graph, which induces the same lines.  The shortest-path
+metric of a graph is counted by ``graph_metric_line_count`` straight
+from its breadth-first distance layers, with no metric space or
+relation built.  Violations are data, not exceptions: a sweep always
+completes and reports every failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
@@ -50,10 +52,11 @@ from .enumeration import (
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
 from .graphs import Graph, _edge_rows, graph_line_count, is_extremal_graph
-from .metrics import DisconnectedError, graph_shortest_path_metric, metric_betweenness
+from .metrics import DisconnectedError, graph_metric_line_count, metric_betweenness
 from .posets import comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
 from .graphs import graph_betweenness  # noqa: F401
+from .metrics import graph_shortest_path_metric  # noqa: F401
 from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
 
 PAIR_SUM_SWEEP_CAP = 12
@@ -329,11 +332,11 @@ def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple | None]:
     # enumerated but are not reported.
     for mask, g in enumerate(_chunk_graphs(n, chunk), chunk[0]):
         try:
-            m = graph_shortest_path_metric(g)
+            count, universal = graph_metric_line_count(g)
         except DisconnectedError:
             yield None
             continue
-        yield _metric_fields(m, mask)
+        yield mask, count, universal, n, False, None
 
 
 class _SweepKind(NamedTuple):
@@ -349,10 +352,12 @@ class _SweepKind(NamedTuple):
 # (instance id, number of distinct lines, whether one is universal,
 # bound, extremal shape match, certificate defect or None), or None
 # when the bound does not apply.  Generators look up the module
-# functions they call (graph_line_count, is_extremal_graph,
-# certificate_issues, ...) at call time, so patching or tracing one of
-# them reaches every sweep that calls it.  graph_report, poset_report
-# and metric_report serve ``verify``; no sweep calls them.
+# functions they call (graph_line_count, graph_metric_line_count,
+# is_extremal_graph, certificate_issues, ...) at call time, so patching
+# or tracing one of them reaches every sweep that calls it.  No kind
+# goes through the generic relation evaluator: graph_report,
+# poset_report and metric_report serve ``verify``, and only
+# metric_report, which takes any metric space, builds a relation.
 SWEEP_KINDS = {
     "graph": _SweepKind(3, GRAPH_ENUM_CAP, _mask_chunks, _graph_instances, True),
     "poset": _SweepKind(2, POSET_ENUM_CAP, _poset_chunks, _poset_instances, True),

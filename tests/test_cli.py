@@ -3,9 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linesys import dbe_bound
 from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
@@ -410,3 +414,71 @@ def test_out_without_jsonl_reports_is_rejected(tmp_path, capsys, argv):
     assert not target.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: --out needs --format jsonl") and err.count("\n") == 1
+
+
+# --- fuzzed metric input ----------------------------------------------------
+
+ODD_ENTRIES = [
+    "1.5", "0.25", "1e2", "2E-1", "-1", "0", "nan", "inf", "-inf", "1/0", "0/0",
+    "x", "1,2", "0x1", "1_0", "+3", ".5", "5.", "--1", "1//2", "1e5000",
+    "9" * 1200, "١", "1e", "e1", "1/2/3",
+]
+
+
+@st.composite
+def metric_texts(draw):
+    """Metric input text: a valid metric, a symmetric matrix that may
+    break the triangle inequality, or a matrix of arbitrary tokens, then
+    perhaps mutated into an asymmetric, malformed or misdeclared one."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    shape = draw(st.sampled_from(["metric", "symmetric", "tokens"]))
+    if shape == "tokens":
+        entry = st.one_of(
+            st.integers(-3, 20).map(str),
+            st.builds("{}/{}".format, st.integers(-5, 20), st.integers(-2, 9)),
+            st.sampled_from(ODD_ENTRIES),
+        )
+        rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    else:
+        upper = {
+            (i, j): draw(st.fractions(min_value=1, max_value=6, max_denominator=4))
+            for i in range(n) for j in range(i + 1, n)
+        }
+        dist = [[upper.get((min(i, j), max(i, j)), 0) for j in range(n)] for i in range(n)]
+        if shape == "metric":  # shortest paths over the weights
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+        rows = [[str(d) for d in row] for row in dist]
+    mutation = draw(st.sampled_from(["none", "asymmetric", "drop", "extra", "header"]))
+    header = str(n)
+    if mutation == "asymmetric" and n > 1:
+        rows[0][1] = str(draw(st.integers(1, 9)))
+    elif mutation == "drop":
+        rows[-1].pop()
+    elif mutation == "extra":
+        rows[-1].append(draw(st.sampled_from(["0", "1", "x"])))
+    elif mutation == "header":
+        header = draw(st.sampled_from([str(n + 1), str(n - 1), "0", "-2", "a", "10001", ""]))
+    return header + "\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+@given(
+    metric_texts(),
+    st.sampled_from(["verify", "lines"]),
+    st.sampled_from(["text", "jsonl"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_metric_input_ends_in_an_exit_code_never_a_traceback(text, command, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    argv = [command, "--kind", "metric", "--format", fmt]
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_VIOLATION)
+    err = err.getvalue()
+    if code == EXIT_INPUT:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert err == "" and out.getvalue()

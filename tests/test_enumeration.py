@@ -4,6 +4,7 @@ import pytest
 
 from linesys import (
     CapError,
+    DomainError,
     enumerate_graphs,
     enumerate_posets,
     pair_list,
@@ -76,6 +77,29 @@ def test_poset_code_round_trip():
     for p in enumerate_posets(3):
         q = poset_from_code(3, poset_code(p))
         assert q.succ == p.succ
+
+
+def test_poset_from_code_rejects_codes_no_poset_has():
+    # 0 < 1 and 1 < 2 with 0, 2 incomparable breaks transitivity; its
+    # closure is the chain, whose code is 13.
+    with pytest.raises(DomainError, match="not the code of a poset"):
+        poset_from_code(3, 10)
+    # 0 < 1, 2 < 0 and 1 < 2 close a cycle.
+    with pytest.raises(DomainError, match="not the code of a poset"):
+        poset_from_code(3, 16)
+    # Beyond 3**C(2, 2) - 1 = 2, and below 0.
+    for code in (5, 3, -1):
+        with pytest.raises(DomainError, match="outside"):
+            poset_from_code(2, code)
+    # Exactly the codes of the enumerated posets decode.
+    for n in (3, 4):
+        accepted = []
+        for code in range(3 ** len(pair_list(n))):
+            try:
+                accepted.append(poset_code(poset_from_code(n, code)))
+            except DomainError:
+                pass
+        assert accepted == [poset_code(p) for p in enumerate_posets(n)]
 
 
 def test_poset_cap():

@@ -69,6 +69,10 @@ SWEEP_STREAMS = {
         137_108,
         "3e487b8bc3a09e9c11a4c2646eb3455ce80760a3cc51465674d82280dd1b84d3",
     ),
+    ("metric", 6): (
+        5_084_961,
+        "f5dd80078c16984593855683acea6cbdf8d54ea8d4600ada0276bf6316972d51",
+    ),
 }
 
 # Line systems at benchmark scale, keyed by (kind, format): the input

@@ -12,6 +12,7 @@ from linesys import (
     MetricSpace,
     SizeError,
     all_lines,
+    graph_metric_line_count,
     graph_shortest_path_metric,
     line_mask_set,
     line_of,
@@ -128,3 +129,87 @@ def test_menger_symmetry_and_brute_force_agreement(case):
         assert rel.has(b, x, a)
         assert m.dist[a][x] + m.dist[x][b] == m.dist[a][b]
     assert {mask for mask, _ in all_lines(rel)} == menger_line_sets(m.dist)
+
+
+# --- graph_metric_line_count against the generic evaluator ------------------
+
+def oracle_line_count(g):
+    """(number of lines, universal line present) through a validated
+    metric space and the generic relation evaluator."""
+    masks = line_mask_set(metric_betweenness(MetricSpace(graph_shortest_path_metric(g).dist)))
+    return len(masks), (1 << g.size) - 1 in masks
+
+
+def floyd_warshall(g):
+    n = g.size
+    far = n
+    dist = [[0 if i == j else 1 if g.adj[i] >> j & 1 else far for j in range(n)]
+            for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return dist
+
+
+def test_graph_metric_line_count_matches_the_oracle_on_every_connected_graph():
+    connected = 0
+    for n in range(2, 7):
+        for mask in range(1 << len(pair_list(n))):
+            g = Graph.from_mask(n, mask)
+            try:
+                expected = oracle_line_count(g)
+            except DisconnectedError:
+                with pytest.raises(DisconnectedError):
+                    graph_metric_line_count(g)
+                continue
+            connected += 1
+            assert graph_metric_line_count(g) == expected, (n, mask)
+    # OEIS A001187: connected labeled graphs on 2..6 vertices.
+    assert connected == 1 + 4 + 38 + 728 + 26704
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random connected graph on up to 12 vertices: a random spanning
+    path (so the diameter can be n - 1), optionally closed to a cycle,
+    plus a few random chords."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    order = draw(st.permutations(range(n)))
+    edges = set(zip(order, order[1:]))
+    if n > 2 and draw(st.booleans()):
+        edges.add((order[-1], order[0]))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2 * n))
+    edges |= {(a, b) for a, b in chords if a != b}
+    edges = {(min(a, b), max(a, b)) for a, b in edges}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(connected_graphs())
+@settings(max_examples=150, deadline=None)
+def test_graph_metric_line_count_matches_the_oracle_on_random_connected_graphs(g):
+    assert graph_shortest_path_metric(g).dist == tuple(map(tuple, floyd_warshall(g)))
+    assert graph_metric_line_count(g) == oracle_line_count(g)
+
+
+@given(connected_graphs(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_graph_metric_line_count_rejects_disconnected_graphs(g, isolated):
+    # Add isolated vertices to a connected graph.
+    n = g.size + isolated
+    h = Graph.from_edges(n, g.edges())
+    with pytest.raises(DisconnectedError):
+        graph_metric_line_count(h)
+    with pytest.raises(DisconnectedError):
+        graph_shortest_path_metric(h)
+
+
+def test_graph_metric_line_count_on_long_paths_and_cycles():
+    for n in range(2, 13):
+        path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        # A path is one line through every point.
+        assert graph_metric_line_count(path) == oracle_line_count(path) == (1, True)
+        if n >= 3:
+            cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+            assert graph_metric_line_count(cycle) == oracle_line_count(cycle)

@@ -200,6 +200,22 @@ def test_poset_sweep_builds_no_betweenness_relation(monkeypatch):
     assert (len(data), hashlib.sha256(data.encode()).hexdigest()) == (size, digest)
 
 
+def test_metric_sweep_builds_no_metric_space_or_relation(monkeypatch):
+    # The metric sweep counts from distance layers; a validated metric
+    # space or a relation on the hot path fails here.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a metric sweep built a metric space or a relation")
+
+    monkeypatch.setattr(BetweennessRelation, "__init__", forbidden)
+    monkeypatch.setattr(BetweennessRelation, "_from_matrices", classmethod(forbidden))
+    monkeypatch.setattr(MetricSpace, "__init__", forbidden)
+    monkeypatch.setattr(MetricSpace, "_from_rows", classmethod(forbidden))
+    data, summary = jsonl_of("metric", 5, workers=1)
+    assert summary.ok and summary.reported == 728
+    size, digest = SWEEP_STREAMS["metric", 5]
+    assert (len(data), hashlib.sha256(data.encode()).hexdigest()) == (size, digest)
+
+
 def test_poset_sweep_n2_is_vacuous():
     summary = run_sweep("poset", 2)
     # chains have a universal line; the antichain has height 1
@@ -214,6 +230,22 @@ def test_metric_sweep_n4():
     assert summary.ok
 
 
+def test_metric_sweep_reports_what_its_counter_returns(monkeypatch):
+    # The sweep looks its counter up by module name at call time, so a
+    # planted undercount reaches every connected graph as a violation.
+    real = sweeps.graph_metric_line_count
+
+    def undercounted(g):
+        real(g)  # a disconnected graph still raises
+        return 1, False
+
+    monkeypatch.setattr(sweeps, "graph_metric_line_count", undercounted)
+    summary = run_sweep("metric", 4, workers=1)
+    assert (summary.enumerated, summary.reported, summary.checked) == (64, 38, 38)
+    assert not summary.ok and len(summary.violations) == 38
+    assert {(r.line_count, r.has_universal) for r in summary.violations} == {(1, False)}
+
+
 def test_sweep_domain_checks():
     with pytest.raises(CapError):
         run_sweep("graph", 9)
@@ -221,6 +253,8 @@ def test_sweep_domain_checks():
         run_sweep("graph", 2)
     with pytest.raises(CapError):
         run_sweep("poset", 8)
+    with pytest.raises(CapError):
+        run_sweep("metric", 8)
     with pytest.raises(DomainError):
         run_sweep("unknown", 4)
 

@@ -1,10 +1,11 @@
 """Lines induced by betweenness relations.
 
-Graphs, posets, finite metric spaces, and 3-uniform hypergraphs all
-compile into one betweenness abstraction; this package computes their
-line systems, evaluates the height-dependent lower bound for posets,
-builds recheckable certificates for it, and verifies the bounds
-exhaustively on all small instances.
+Graphs, posets, finite metric spaces, and 3-uniform hypergraphs each
+read their lines from their own rows into one line builder; this
+package computes their line systems, evaluates the height-dependent
+lower bound for posets, builds recheckable certificates for it, and
+verifies the bounds exhaustively on all small instances.  The generic
+``BetweennessRelation`` evaluator is the tests' reference.
 """
 
 from .bounds import dbe_bound, min_pair_sum
@@ -19,7 +20,7 @@ from .core import (
     BetweennessRelation,
     all_lines,
     bits_of,
-    hypergraph_relation,
+    hypergraph_lines,
     line_mask_set,
     line_of,
     pair_list,
@@ -65,6 +66,7 @@ from .metrics import (
     graph_metric_line_count,
     graph_shortest_path_metric,
     metric_betweenness,
+    metric_lines,
 )
 from .posets import (
     Poset,
@@ -126,13 +128,14 @@ __all__ = [
     "graph_metric_line_count",
     "graph_report",
     "graph_shortest_path_metric",
-    "hypergraph_relation",
+    "hypergraph_lines",
     "is_extremal_graph",
     "is_extremal_poset",
     "line_mask_set",
     "line_of",
     "maximum_chain_through_levels",
     "metric_betweenness",
+    "metric_lines",
     "metric_report",
     "mirsky_partition",
     "min_pair_sum",

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate
-from .core import all_lines, bits_of
+from .core import bits_of, hypergraph_lines
 from .errors import InternalError, LinesysError
 from .formats import (
     parse_graph,
@@ -33,7 +33,7 @@ from .formats import (
     render_points,
 )
 from .graphs import graph_lines
-from .metrics import metric_betweenness
+from .metrics import metric_lines
 from .posets import comparability_graph
 from .sweeps import (
     SWEEP_KINDS,
@@ -45,7 +45,8 @@ from .sweeps import (
     shape_mismatch,
     sweep_kind,
 )
-# Not called here: the per-layer tracer of perfbench/ wraps this name.
+# Not called here: the per-layer tracer of perfbench/ wraps these names.
+from .core import all_lines  # noqa: F401
 from .graphs import graph_betweenness  # noqa: F401
 
 EXIT_OK = 0
@@ -109,25 +110,23 @@ class _InputKind(NamedTuple):
 # The one place an input kind is described; verify is None when no
 # line-count theorem covers the kind.  Entries look the parsers, line
 # builders and reports up when called, so patching or tracing those
-# module names reaches every subcommand.  Graphs and posets (through
-# their comparability graph, which induces the same lines) are read
-# from adjacency rows; the other kinds go through their relation.
+# module names reaches every subcommand.  Every line builder reads the
+# kind's own rows (a poset's through its comparability graph, which
+# induces the same lines) into ``core.line_system``.
 INPUT_KINDS = {
     "graph": _InputKind(
         lambda text: parse_graph(text), lambda g: graph_lines(g), _verify_graph
     ),
     "poset": _InputKind(
-        lambda text: parse_poset(text),
-        lambda p: graph_lines(comparability_graph(p)),
+        lambda text: parse_poset(text), lambda p: graph_lines(comparability_graph(p)),
         _verify_poset,
     ),
     "metric": _InputKind(
-        lambda text: parse_metric(text),
-        lambda m: all_lines(metric_betweenness(m)),
+        lambda text: parse_metric(text), lambda m: metric_lines(m),
         lambda m: (metric_report(m), None),
     ),
     "hypergraph": _InputKind(
-        lambda text: parse_hypergraph(text), lambda h: all_lines(h), None
+        lambda text: parse_hypergraph(text), lambda h: hypergraph_lines(*h), None
     ),
 }
 

@@ -13,23 +13,23 @@ list.  Lines are compared as masks: two generating pairs that produce
 the same member set produce the same line.  This is the counting
 convention used by every bound and sweep in the package.
 
-Every structure kind handled by this package (graph, poset, metric
-space, 3-uniform hypergraph) compiles into a BetweennessRelation, so a
-single line evaluator serves all of them.  Only ``lines`` and
-``verify`` on metric and hypergraph input go through it.  Graphs and
-posets (through their comparability graph) have lines read straight
-from adjacency rows (``graphs.graph_lines``), and sweeps count the
-shortest-path metrics of graphs from distance layers
-(``metrics.graph_metric_line_count``); for those this evaluator is the
-test oracle.
+Every structure kind reads its lines from its own rows into one
+grouping step, ``line_system``: graphs and posets (through their
+comparability graph) from adjacency rows (``graphs.graph_lines``),
+metric spaces from distance rows (``metrics.metric_lines``) and
+3-uniform hypergraphs from an index of third points per pair
+(``hypergraph_lines``).  ``BetweennessRelation`` and its evaluators
+``all_lines``, ``line_mask_set`` and ``line_of`` are the test oracle
+every fast path is checked against; no production path builds one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     IdenticalPointsError,
@@ -131,9 +131,6 @@ class BetweennessRelation:
                 for b in bits_of(row[a]):
                     yield (a, x, b)
 
-    def is_empty(self) -> bool:
-        return all(not any(row) for row in self._outer)
-
     def line_mask(self, a: int, b: int) -> int:
         """Members of the line through a and b, as a bitmask.
 
@@ -189,14 +186,52 @@ def line_mask_set(rel: BetweennessRelation) -> set[int]:
     return {lm(a, b) for a, b in pair_list(n)}
 
 
-def hypergraph_relation(n: int, edges: Iterable[Iterable[int]]) -> BetweennessRelation:
-    """Betweenness relation of a 3-uniform hypergraph on points 0..n-1.
+def line_system(linked: Sequence[int], pair_lines: Iterable[tuple[int, tuple]]) -> list:
+    """Every distinct line, as a mask, with the pairs that generate it,
+    in the order of ``all_lines``; the one builder of every kind.
 
-    Every vertex of a 3-edge lies between the other two, so each edge
-    expands into all three middle choices and the generic line evaluator
-    reproduces the hypergraph line {a, b} | {x : {a, b, x} is an edge}.
+    ``linked[a]`` is the mask of the points whose line with a may hold a
+    third point, and ``pair_lines`` yields ``(mask, (a, b))`` for each
+    linked pair a < b.  Every other pair's line is its bare pair, which
+    no other pair generates, so only the linked lines are grouped and
+    sorted, and no n x n table or collection keyed by masks is built.
     """
-    triples: list[tuple[int, int, int]] = []
+    n = len(linked)
+    if n < 2:
+        raise SizeError("a line system needs at least two points")
+    # Grouped by sorting, as in all_lines.
+    grouped = sorted(
+        (tuple(bits_of(mask)), mask, [pair for _, pair in run])
+        for mask, run in groupby(sorted(pair_lines), key=itemgetter(0))
+    )
+    # Linked lines by their lowest point, as (second point, line).
+    starting: list[list] = [[] for _ in range(n)]
+    for members, mask, pairs in grouped:
+        starting[members[0]].append((members[1], (mask, pairs)))
+    lines = []
+    for a, row in enumerate(linked):
+        low = 1 << a
+        # The points a+1..n-1 whose pair with a is bare.
+        partners = list(bits_of(~row & (1 << n) - (2 << a)))
+        done = 0
+        for c, line in starting[a]:
+            # Bare pairs (a, b) with b <= c come before the line (a, c, ...):
+            # on b == c the pair is a prefix of its member list.
+            stop = bisect_right(partners, c, done)
+            lines += [(low | 1 << b, [(a, b)]) for b in partners[done:stop]]
+            lines.append(line)
+            done = stop
+        lines += [(low | 1 << b, [(a, b)]) for b in partners[done:]]
+    return lines
+
+
+def hypergraph_lines(n: int, edges: Iterable[Iterable[int]]) -> list:
+    """The lines of a 3-uniform hypergraph on 0..n-1, as ``line_system``
+    lists them: a pair plus the third points of the edges through it.
+    Raises MalformedEdgeError on an edge that is not 3 distinct points
+    of the ground set."""
+    third: dict[tuple[int, int], int] = {}
+    linked = [0] * n
     for edge in edges:
         vertices = tuple(edge)
         if len(vertices) != 3 or len(set(vertices)) != 3:
@@ -209,5 +244,8 @@ def hypergraph_relation(n: int, edges: Iterable[Iterable[int]]) -> BetweennessRe
                     f"edge {sorted(vertices)} mentions vertex {v}, outside 0..{n - 1}"
                 )
         p, q, r = sorted(vertices)
-        triples += [(q, p, r), (p, q, r), (p, r, q)]
-    return BetweennessRelation(n, triples)
+        for a, b, x in ((p, q, r), (p, r, q), (q, r, p)):
+            third[a, b] = third.get((a, b), 0) | 1 << a | 1 << b | 1 << x
+            linked[a] |= 1 << b
+            linked[b] |= 1 << a
+    return line_system(linked, ((mask, pair) for pair, mask in third.items()))

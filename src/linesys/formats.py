@@ -11,7 +11,8 @@ metric      first line "n", then n rows of n space-separated exact
 hypergraph  first line "n m", then m lines "a b c" per 3-edge.
 
 All points are 0-indexed.  Parse errors cite the 1-based line and
-column of the offending token.
+column of the offending token.  A hypergraph parses into its point
+count and edge list, the arguments of ``core.hypergraph_lines``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import BetweennessRelation, bits_of, hypergraph_relation
+from .core import bits_of
 from .errors import ParseError
 from .graphs import Graph
 from .metrics import MetricSpace
@@ -80,20 +81,19 @@ def _header(tokens: _Tokens) -> tuple[int, int]:
 def parse_graph(text: str) -> Graph:
     tokens = _Tokens(text)
     n, m = _header(tokens)
-    seen: set[frozenset[int]] = set()
-    edges = []
+    rows = [0] * n
     for _ in range(m):
         a, line, column = tokens.take_int("edge endpoint", 0, n - 1)
-        b, bline, bcolumn = tokens.take_int("edge endpoint", 0, n - 1)
+        b, _, _ = tokens.take_int("edge endpoint", 0, n - 1)
         if a == b:
             raise ParseError(f"self-loop at vertex {a}", line, column)
-        key = frozenset((a, b))
-        if key in seen:
+        if rows[a] >> b & 1:
             raise ParseError(f"duplicate edge {a} {b}", line, column)
-        seen.add(key)
-        edges.append((a, b))
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     tokens.finish()
-    return Graph.from_edges(n, edges)
+    # Symmetric, loop-free and inside 0..n-1 by the checks above.
+    return Graph._from_rows(rows)
 
 
 def parse_poset(text: str) -> Poset:
@@ -139,7 +139,7 @@ def parse_metric(text: str) -> MetricSpace:
     return MetricSpace(rows)
 
 
-def parse_hypergraph(text: str) -> BetweennessRelation:
+def parse_hypergraph(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     tokens = _Tokens(text)
     n, m = _header(tokens)
     edges = []
@@ -151,7 +151,7 @@ def parse_hypergraph(text: str) -> BetweennessRelation:
             raise ParseError(f"edge {a} {b} {c} repeats a vertex", line, column)
         edges.append((a, b, c))
     tokens.finish()
-    return hypergraph_relation(n, edges)
+    return n, edges
 
 
 def render_points(mask: int) -> str:
@@ -161,7 +161,7 @@ def render_points(mask: int) -> str:
 
 def render_line_system(lines: list[tuple[int, list]]) -> str:
     """One row of points per ``(mask, pairs)`` entry of a line system
-    (``all_lines`` or ``graph_lines``), in list order, plus a final
+    (as ``line_system`` lists them), in list order, plus a final
     count row; parsing the rows back as sets recovers the member sets
     exactly."""
     rows = [render_points(mask) for mask, _ in lines]

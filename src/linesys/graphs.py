@@ -5,17 +5,16 @@ of non-adjacent pairs are bare pairs and the line of an edge is the edge
 plus the common neighborhood of its endpoints.  ``graph_lines`` and
 ``graph_line_count`` read the lines straight from the adjacency rows;
 ``graph_betweenness`` builds the relation for the generic evaluator of
-``core``, which the tests use as their oracle.
+``core``, the tests' oracle, which no production path calls.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .core import BetweennessRelation, bits_of, check_point, check_size, pair_list
+from .core import (
+    BetweennessRelation, bits_of, check_point, check_size, line_system, pair_list,
+)
 from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
 
 
@@ -76,26 +75,16 @@ class Graph:
         return cls._from_rows(_edge_rows(n, pairs, mask))
 
     def edge_mask(self) -> int:
-        """Canonical edge-bitmask encoding over pair_list(n)."""
+        """Canonical edge-bitmask encoding over pair_list(n).
+
+        The pairs (a, b) with b > a start at index a*(2n-a-1)/2 of
+        pair_list(n), in the order of b, so each row's bits above a
+        shift into place at once."""
+        n = self.size
         mask = 0
-        for p, (a, b) in enumerate(pair_list(self.size)):
-            if self.adj[a] >> b & 1:
-                mask |= 1 << p
+        for a, row in enumerate(self.adj):
+            mask |= row >> a + 1 << a * (2 * n - a - 1) // 2
         return mask
-
-    def is_edge(self, a: int, b: int) -> bool:
-        check_point(self.size, a)
-        check_point(self.size, b)
-        return bool(self.adj[a] >> b & 1)
-
-    def degree(self, v: int) -> int:
-        check_point(self.size, v)
-        return self.adj[v].bit_count()
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for a, b in pair_list(self.size):
-            if self.adj[a] >> b & 1:
-                yield (a, b)
 
 
 def _edge_rows(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
@@ -131,50 +120,16 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
 
 
 def graph_lines(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Every distinct line of g, as a mask, with the pairs that generate it.
-
-    The same list as ``all_lines(graph_betweenness(g))``, read straight
-    from the adjacency rows: lines in ascending order of their sorted
-    member lists, each pair list in lexicographic order.  The line of a
-    non-edge ab is the bare pair, generated by ab alone; the m edge
-    lines are the only ones grouped and sorted, so no n x n table and
-    no collection keyed by masks is built.
-    """
-    n = g.size
-    if n < 2:
-        raise SizeError("a line system needs at least two points")
+    """Every distinct line of g, as ``line_system`` lists them, read
+    straight from the adjacency rows: the line of a non-edge is the
+    bare pair, and the line of an edge ab is {a, b} plus the common
+    neighbors of a and b."""
     adj = g.adj
-    full = (1 << n) - 1
-    # above[a]: the points after a.
-    above = [full ^ ((2 << a) - 1) for a in range(n)]
-    generated = sorted(
+    return line_system(adj, (
         (row & adj[b] | 1 << a | 1 << b, (a, b))
         for a, row in enumerate(adj)
-        for b in bits_of(row & above[a])
-    )
-    edge_lines = sorted(
-        (tuple(bits_of(mask)), mask, [pair for _, pair in run])
-        for mask, run in groupby(generated, key=itemgetter(0))
-    )
-    # Edge lines by their lowest point, as (second point, line).
-    starting: list[list] = [[] for _ in range(n)]
-    for members, mask, pairs in edge_lines:
-        starting[members[0]].append((members[1], (mask, pairs)))
-    lines = []
-    for a, row in enumerate(adj):
-        low = 1 << a
-        partners = list(bits_of(above[a] & ~row))
-        done = 0
-        for c, line in starting[a]:
-            # Bare pairs (a, b) with b <= c come before the line
-            # (a, c, ...): on b == c the pair is a prefix of its member
-            # list (two common neighbors need not be adjacent).
-            stop = bisect_right(partners, c, done)
-            lines += [(low | 1 << b, [(a, b)]) for b in partners[done:stop]]
-            lines.append(line)
-            done = stop
-        lines += [(low | 1 << b, [(a, b)]) for b in partners[done:]]
-    return lines
+        for b in bits_of(row >> a + 1 << a + 1)
+    ))
 
 
 def graph_line_count(g: Graph) -> tuple[int, bool]:
@@ -191,11 +146,16 @@ def graph_line_count(g: Graph) -> tuple[int, bool]:
     adj = g.adj
     m = 0
     edge_lines = set()
-    for a, b in pair_list(n):
-        row = adj[a]
-        if row >> b & 1:
-            m += 1
-            edge_lines.add(row & adj[b] | 1 << a | 1 << b)
+    for a, row in enumerate(adj):
+        # Each edge once, from its larger end: the neighbors below a.
+        below = row & ((1 << a) - 1)
+        if below:
+            ends = 1 << a
+            while below:
+                low = below & -below
+                edge_lines.add(row & adj[low.bit_length() - 1] | ends | low)
+                below ^= low
+                m += 1
     full = (1 << n) - 1
     # On two points the bare pair of a non-edge is the whole ground set.
     universal = full in edge_lines or (n == 2 and m == 0)

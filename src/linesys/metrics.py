@@ -4,10 +4,11 @@ A point x lies between a and b when d(a,x) + d(x,b) = d(a,b).  Equality
 is exact: distances are ints or Fractions, never floats, because a
 tolerance-based comparison would silently change line counts.
 
-The shortest-path metric of a connected graph is read off its
+``metric_lines`` reads the lines of a metric space from its distance
+rows.  The shortest-path metric of a connected graph is read off its
 breadth-first distance layers: ``graph_shortest_path_metric`` builds
 the metric space, and ``graph_metric_line_count`` counts its lines
-with no metric space or relation built.
+with no metric space built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numbers
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .core import BetweennessRelation, bits_of, check_size
+from .core import BetweennessRelation, bits_of, check_size, line_system
 from .errors import DisconnectedError, MetricError, SizeError
 from .graphs import Graph
 
@@ -93,6 +94,22 @@ def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
                 if x != a and x != b and dist[a][x] + dist[x][b] == d_ab:
                     triples.append((a, x, b))
     return BetweennessRelation(n, triples)
+
+
+def metric_lines(m: MetricSpace) -> list:
+    """Every distinct line of m, as ``line_system`` lists them, read
+    straight from the distance rows: x is on the line of a and b when
+    d(a,b) is d(a,x) + d(x,b) (x between them, or x = a or b) or
+    |d(a,x) - d(b,x)| (a or b between).  Every pair is linked.
+    """
+    dist = m.dist
+    full = (1 << m.size) - 1
+    return line_system([full ^ 1 << a for a in range(m.size)], (
+        (sum(1 << x for x, (ax, bx) in enumerate(zip(row_a, dist[b]))
+             if d_ab in (ax + bx, bx - ax, ax - bx)), (a, b))
+        for a, row_a in enumerate(dist)
+        for b, d_ab in enumerate(row_a) if b > a
+    ))
 
 
 def _distance_layers(g: Graph) -> list[list[int]]:

@@ -8,7 +8,7 @@ pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import BetweennessRelation, bits_of, check_point, check_size
 from .errors import CycleError, UnknownPointError
@@ -87,22 +87,6 @@ class Poset:
             check_point(n, b)
             rows[a] |= 1 << b
         return cls(rows)
-
-    def is_less(self, a: int, b: int) -> bool:
-        check_point(self.size, a)
-        check_point(self.size, b)
-        return bool(self.succ[a] >> b & 1)
-
-    def comparable(self, a: int, b: int) -> bool:
-        check_point(self.size, a)
-        check_point(self.size, b)
-        return bool((self.succ[a] | self.pred[a]) >> b & 1)
-
-    def relation_pairs(self) -> Iterator[tuple[int, int]]:
-        """All ordered pairs (a, b) with a < b in the order."""
-        for a in range(self.size):
-            for b in bits_of(self.succ[a]):
-                yield (a, b)
 
 
 def poset_betweenness(p: Poset) -> BetweennessRelation:

@@ -39,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate, certificate_issues
-from .core import line_mask_set, pair_list
+from .core import pair_list
 from .enumeration import (
     GRAPH_ENUM_CAP,
     METRIC_ENUM_CAP,
@@ -52,11 +52,12 @@ from .enumeration import (
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
 from .graphs import Graph, _edge_rows, graph_line_count, is_extremal_graph
-from .metrics import DisconnectedError, graph_metric_line_count, metric_betweenness
+from .metrics import DisconnectedError, graph_metric_line_count, metric_lines
 from .posets import comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
+from .core import line_mask_set  # noqa: F401
 from .graphs import graph_betweenness  # noqa: F401
-from .metrics import graph_shortest_path_metric  # noqa: F401
+from .metrics import graph_shortest_path_metric, metric_betweenness  # noqa: F401
 from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
 
 PAIR_SUM_SWEEP_CAP = 12
@@ -224,7 +225,7 @@ def _poset_fields(p, instance_id: int | str) -> tuple | None:
 
 
 def _metric_fields(m, instance_id: int | str) -> tuple:
-    masks = line_mask_set(metric_betweenness(m))
+    masks = {mask for mask, _ in metric_lines(m)}
     return instance_id, len(masks), (1 << m.size) - 1 in masks, m.size, False, None
 
 
@@ -354,10 +355,7 @@ class _SweepKind(NamedTuple):
 # when the bound does not apply.  Generators look up the module
 # functions they call (graph_line_count, graph_metric_line_count,
 # is_extremal_graph, certificate_issues, ...) at call time, so patching
-# or tracing one of them reaches every sweep that calls it.  No kind
-# goes through the generic relation evaluator: graph_report,
-# poset_report and metric_report serve ``verify``, and only
-# metric_report, which takes any metric space, builds a relation.
+# or tracing one of them reaches every sweep that calls it.
 SWEEP_KINDS = {
     "graph": _SweepKind(3, GRAPH_ENUM_CAP, _mask_chunks, _graph_instances, True),
     "poset": _SweepKind(2, POSET_ENUM_CAP, _poset_chunks, _poset_instances, True),

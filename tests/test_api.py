@@ -1,11 +1,13 @@
 """The public API: every name in ``linesys.__all__`` is exported once and
 resolves on the package, so a deleted name cannot linger as a stale
-export.  The library sketch in the README runs as written."""
+export; no module keeps an import that only a vanished tracer site
+needed.  The library sketch in the README runs as written."""
 
 import re
 from pathlib import Path
 
 import linesys
+from test_benchmark_sites import tracer
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +23,21 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from linesys import *", namespace)
     assert set(linesys.__all__) <= namespace.keys()
+
+
+def test_every_tracer_only_import_is_a_traced_site():
+    # A name imported under "# noqa: F401" is there only for the
+    # benchmark's tracer, so it must be a site of that module.
+    sites = {(site, attr) for _, site, attr, _ in tracer.SITES}
+    imported = [
+        (f"linesys.{path.stem}", name.strip())
+        for path in sorted(Path(linesys.__file__).parent.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if line.endswith("# noqa: F401")
+        for name in line.split(" import ")[1].split("#")[0].split(",")
+    ]
+    assert imported
+    assert [entry for entry in imported if entry not in sites] == []
 
 
 def test_readme_library_sketch_runs():

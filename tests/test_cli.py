@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesys import dbe_bound
+from linesys import dbe_bound, graphs
 from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from test_golden import workloads
 from test_sweeps import flip_the_shape
@@ -199,6 +199,29 @@ def test_verify_poset_and_metric(tmp_path, poset_file):
     metric.write_text("3\n0 1 2\n1 0 1\n2 1 0\n")
     code, out = run_cli(["verify", "--kind", "metric", str(metric)])
     assert code == EXIT_OK and "universal yes" in out
+
+
+@pytest.mark.parametrize("fmt, first", [
+    ("text", "kind graph n 3000\nlines 4498500 bound 3000 universal no\n"),
+    ("jsonl", '{"structure_kind": "graph", "n": 3000, "instance_id": 1, '
+              '"line_count": 4498500, "bound": 3000, "has_universal": false, '),
+], ids=["text", "jsonl"])
+def test_verify_graph_builds_no_pair_list(fmt, first, monkeypatch):
+    # Counting the lines and encoding the edge mask walk the adjacency
+    # rows; a list of all C(n, 2) pairs would cost gigabytes at n = 3000.
+    real = graphs.pair_list
+
+    def small_only(n):
+        assert n <= 8, f"pair_list({n}) built"
+        return real(n)
+
+    monkeypatch.setattr(graphs, "pair_list", small_only)
+    code, out = run_cli(
+        ["verify", "--kind", "graph", "--format", fmt], "3000 1\n0 1\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == EXIT_OK
+    assert out.startswith(first)
 
 
 def test_verify_hypergraph_rejected(tmp_path):
@@ -473,6 +496,76 @@ def metric_texts(draw):
 def test_fuzzed_metric_input_ends_in_an_exit_code_never_a_traceback(text, command, fmt):
     out, err = io.StringIO(), io.StringIO()
     argv = [command, "--kind", "metric", "--format", fmt]
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stderr(err):
+        code = main(argv, out=out)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_VIOLATION)
+    err = err.getvalue()
+    if code == EXIT_INPUT:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert err == "" and out.getvalue()
+
+
+# --- fuzzed graph, poset and hypergraph input --------------------------------
+
+ODD_POINTS = ["-1", "x", "1.5", "0x1", "+1", "1_0", "١", "1e1", "99999999999999999999"]
+
+
+@st.composite
+def structure_texts(draw, arity):
+    """Text of n <= 30 points and up to 40 rows of ``arity`` points.
+    Most inputs are valid: distinct rows of distinct points, oriented
+    along a random order so that a poset is acyclic.  The rest repeat a
+    row or a point, hold an odd token, or have a wrong header or a
+    missing or extra token."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    rank = draw(st.permutations(range(n)))
+    valid = draw(st.integers(0, 3)) > 0
+    rows = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        row = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity,
+                            unique=valid and n >= arity))
+        if valid or draw(st.booleans()):
+            row.sort(key=rank.__getitem__)
+        rows.setdefault(frozenset(row), [str(v) for v in row])
+    rows = list(rows.values())
+    mutation = "none" if valid else draw(
+        st.sampled_from(["none", "repeat", "token", "header", "drop", "extra"])
+    )
+    header = f"{n} {len(rows)}"
+    if mutation == "repeat" and rows:
+        rows.append(list(draw(st.sampled_from(rows))))
+        header = f"{n} {len(rows)}"
+    elif mutation == "token" and rows:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, arity - 1))] = draw(st.sampled_from([*ODD_POINTS, str(n)]))
+    elif mutation == "header":
+        header = draw(st.sampled_from([
+            f"{n} {len(rows) + 1}", f"{n} {max(len(rows) - 1, 0)}", f"{n}",
+            f"0 {len(rows)}", f"{n} -1", f"a {len(rows)}", "",
+        ]))
+    elif mutation == "drop" and rows:
+        rows[-1].pop()
+    elif mutation == "extra":
+        rows.append(["0"])
+    return header + "\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+@given(
+    st.sampled_from([("graph", 2), ("poset", 2), ("hypergraph", 3)]).flatmap(
+        lambda kind: st.tuples(st.just(kind[0]), structure_texts(kind[1]))
+    ),
+    st.sampled_from(["lines", "verify", "construct"]),
+    st.sampled_from(["text", "jsonl"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_structure_input_ends_in_an_exit_code_never_a_traceback(case, command, fmt):
+    kind, text = case
+    out, err = io.StringIO(), io.StringIO()
+    argv = [command, "--format", fmt]
+    if command != "construct":  # construct reads a poset, whatever the text
+        argv += ["--kind", kind]
     with mock.patch("sys.stdin", io.StringIO(text)), redirect_stderr(err):
         code = main(argv, out=out)
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_VIOLATION)

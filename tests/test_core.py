@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from linesys import (
     UnknownPointError,
     all_lines,
     bits_of,
-    hypergraph_relation,
+    hypergraph_lines,
     line_mask_set,
     line_of,
     pair_list,
@@ -155,32 +157,63 @@ def test_relation_triples_iteration_lists_both_orientations():
 # --- hypergraphs -----------------------------------------------------------
 
 def test_hypergraph_single_edge():
-    rel = hypergraph_relation(3, [{0, 1, 2}])
-    assert line_of(rel, 0, 1) == 0b111
+    assert hypergraph_lines(3, [{0, 1, 2}]) == [(0b111, [(0, 1), (0, 2), (1, 2)])]
 
 
 def test_hypergraph_no_edges_all_pair_lines():
-    assert len(all_lines(hypergraph_relation(4, []))) == 6
+    assert len(hypergraph_lines(4, [])) == 6
 
 
 def test_hypergraph_two_edges_sharing_a_pair_make_a_universal_line():
-    rel = hypergraph_relation(4, [{0, 1, 2}, {0, 1, 3}])
-    assert line_of(rel, 0, 1) == 0b1111
-    assert (1 << 4) - 1 in line_mask_set(rel)
+    lines = dict(hypergraph_lines(4, [{0, 1, 2}, {0, 1, 3}]))
+    assert lines[0b1111] == [(0, 1)]
 
 
 def test_hypergraph_edge_is_fully_symmetric():
-    rel = hypergraph_relation(3, [{0, 1, 2}])
-    assert rel.has(0, 1, 2) and rel.has(1, 0, 2) and rel.has(0, 2, 1)
+    # Every vertex of an edge lies between the other two, so each pair
+    # of the edge generates the whole edge, in whatever order it is given.
+    for edge in permutations((0, 1, 2)):
+        assert hypergraph_lines(4, [edge]) == [
+            (0b0111, [(0, 1), (0, 2), (1, 2)]),
+            (0b1001, [(0, 3)]),
+            (0b1010, [(1, 3)]),
+            (0b1100, [(2, 3)]),
+        ]
 
 
 def test_hypergraph_rejects_malformed_edges():
     with pytest.raises(MalformedEdgeError):
-        hypergraph_relation(4, [(0, 1)])
+        hypergraph_lines(4, [(0, 1)])
     with pytest.raises(MalformedEdgeError):
-        hypergraph_relation(4, [(0, 1, 1)])
+        hypergraph_lines(4, [(0, 1, 1)])
     with pytest.raises(MalformedEdgeError):
-        hypergraph_relation(4, [(0, 1, 4)])
+        hypergraph_lines(4, [(0, 1, 4)])
+    with pytest.raises(SizeError):
+        hypergraph_lines(1, [])
+
+
+def edge_triples(edges):
+    """Each 3-edge's three betweenness triples, one per middle vertex."""
+    return [t for p, q, r in edges for t in ((q, p, r), (p, q, r), (p, r, q))]
+
+
+@st.composite
+def hypergraphs(draw):
+    """Up to 3n random 3-edges on n <= 12 points, some of them repeated."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    edge = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    edges = draw(st.lists(edge, max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return n, edges + repeats
+
+
+@given(hypergraphs())
+@settings(max_examples=200, deadline=None)
+def test_hypergraph_lines_match_the_generic_evaluator(case):
+    n, edges = case
+    assert hypergraph_lines(n, edges) == all_lines(
+        BetweennessRelation(n, edge_triples(edges))
+    )
 
 
 # --- properties ------------------------------------------------------------

@@ -9,10 +9,13 @@ import hashlib
 import importlib.util
 import io
 import random
+from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from linesys import BetweennessRelation
 from linesys.cli import main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -40,6 +43,31 @@ def random_poset_text(n, seed):
         if rng.random() < 0.25
     ]
     return f"{n} {len(covers)}\n" + "".join(f"{a} {b}\n" for a, b in covers)
+
+
+def random_metric_text(n, seed):
+    """Shortest paths over random rational weights on every pair: a
+    metric with fractional distances, so no graph's hop-count metric."""
+    rng = random.Random(seed)
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        dist[a][b] = dist[b][a] = Fraction(rng.randint(2, 12), rng.randint(1, 3))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in dist)
+
+
+def random_hypergraph_text(n, m, seed):
+    """m random 3-edges on n points."""
+    rng = random.Random(seed)
+    edges = [rng.sample(range(n), 3) for _ in range(m)]
+    return f"{n} {m}\n" + "".join("%d %d %d\n" % tuple(edge) for edge in edges)
+
+
+SEEDED_METRIC = random_metric_text(10, 7)
+SEEDED_HYPERGRAPH = random_hypergraph_text(20, 40, 7)
 
 
 GRAPH = "4 3\n0 1\n0 2\n1 2\n"
@@ -75,7 +103,7 @@ SWEEP_STREAMS = {
     ),
 }
 
-# Line systems at benchmark scale, keyed by (kind, format): the input
+# Line systems of seeded inputs, keyed by (kind, format): the input
 # text and the length and SHA-256 of stdout.
 LARGE_LINES = {
     ("graph", "text"): (
@@ -93,7 +121,38 @@ LARGE_LINES = {
         2_692,
         "8d894419e52d2c29f5e63fd4bd1ca15574d16f756c3582ce603b246a06c1886f",
     ),
+    ("metric", "text"): (
+        SEEDED_METRIC,
+        287,
+        "63c02e215f06bf4774bd5c39e13c8023d4ca5c4a5411349dcfef8cae43c0d86c",
+    ),
+    ("metric", "jsonl"): (
+        SEEDED_METRIC,
+        1_721,
+        "af9cae3efd3aa0b23daed4d4d6f90fb454682419548b3c8388f37c9156de4e4b",
+    ),
+    ("hypergraph", "text"): (
+        SEEDED_HYPERGRAPH,
+        1_070,
+        "ac750f97a7620e564de0aa6e6dc815beafd47f8555d8ac1fb04f7c8bcc627e3d",
+    ),
+    ("hypergraph", "jsonl"): (
+        SEEDED_HYPERGRAPH,
+        8_159,
+        "c74ae26d2b0e1882c2fd7b28fc62744243f9f9a7a5df860b5f07a236957edd75",
+    ),
 }
+
+SEEDED_METRIC_VERIFY_JSONL = (
+    '{"structure_kind": "metric", "n": 10, "instance_id": '
+    '"0,11/3,2,2,3,7/3,2/3,3,3/2,8/3;11/3,0,11/3,5/3,2/3,3,4,8/3,8/3,7/3;'
+    '2,11/3,0,2,3,7/3,4/3,1,2,2;2,5/3,2,0,1,7/3,5/2,1,1,2/3;'
+    '3,2/3,3,1,0,5/2,7/2,2,2,5/3;7/3,3,7/3,7/3,5/2,0,3,4/3,10/3,7/3;'
+    '2/3,4,4/3,5/2,7/2,3,0,7/3,13/6,19/6;3,8/3,1,1,2,4/3,7/3,0,2,1;'
+    '3/2,8/3,2,1,2,10/3,13/6,2,0,5/3;8/3,7/3,2,2/3,5/3,7/3,19/6,1,5/3,0", '
+    '"line_count": 31, "bound": 10, "has_universal": false, "meets_bound": true, '
+    '"is_equality_case": false, "extremal_shape_match": false}\n'
+)
 
 FOUR_LINES = "0 1 2\n0 3\n1 3\n2 3\ncount 4\n"
 FOUR_LINES_JSONL = (
@@ -234,6 +293,38 @@ def test_verify_bytes(kind, monkeypatch):
     assert run(
         ["verify", "--kind", kind, "--format", "jsonl"], INPUTS[kind], monkeypatch
     ) == (0, VERIFY_JSONL[kind])
+
+
+def test_seeded_metric_verify_bytes(monkeypatch):
+    assert "/" in SEEDED_METRIC  # fractional, so not a graph metric
+    assert run(
+        ["verify", "--kind", "metric", "--format", "jsonl"], SEEDED_METRIC, monkeypatch
+    ) == (0, SEEDED_METRIC_VERIFY_JSONL)
+
+
+@pytest.fixture
+def no_relation(monkeypatch):
+    """Building a BetweennessRelation, by either constructor, fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path built a BetweennessRelation")
+
+    monkeypatch.setattr(BetweennessRelation, "__init__", refuse)
+    monkeypatch.setattr(BetweennessRelation, "_from_matrices", classmethod(refuse))
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_lines_and_verify_build_no_relation(kind, no_relation, monkeypatch):
+    # The generic evaluator is the tests' oracle only: every input kind
+    # gives its pinned bytes with both relation constructors disabled.
+    test_lines_bytes(kind, monkeypatch)
+    for fmt in ("text", "jsonl"):
+        if (kind, fmt) in LARGE_LINES:
+            test_large_lines_bytes(kind, fmt, monkeypatch)
+    if kind in VERIFY_TEXT:
+        test_verify_bytes(kind, monkeypatch)
+    if kind == "metric":
+        test_seeded_metric_verify_bytes(monkeypatch)
+        test_metric_equality_case_is_not_held_to_a_shape(monkeypatch)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from linesys import (
     line_mask_set,
     line_of,
     metric_betweenness,
+    metric_lines,
     pair_list,
 )
 
@@ -54,7 +55,7 @@ def test_collinear_integers_produce_a_universal_line():
 def test_uniform_metric_has_pair_lines_only():
     rows = [[int(i != j) for j in range(4)] for i in range(4)]
     rel = metric_betweenness(MetricSpace(rows))
-    assert rel.is_empty()
+    assert not any(rel.triples())
     assert len(all_lines(rel)) == 6
     assert (1 << 4) - 1 not in line_mask_set(rel)
 
@@ -131,6 +132,45 @@ def test_menger_symmetry_and_brute_force_agreement(case):
     assert {mask for mask, _ in all_lines(rel)} == menger_line_sets(m.dist)
 
 
+# --- metric_lines against the generic evaluator -----------------------------
+
+@st.composite
+def rational_metrics(draw):
+    """Shortest paths over random rational weights on every pair of
+    n <= 9 points; small integer weights make many collinear triples."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    weight = st.one_of(
+        st.integers(1, 3).map(Fraction),
+        st.fractions(min_value=1, max_value=6, max_denominator=3),
+    )
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        dist[a][b] = dist[b][a] = draw(weight)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return MetricSpace(dist)
+
+
+@given(rational_metrics())
+@settings(max_examples=200, deadline=None)
+def test_metric_lines_match_the_generic_evaluator(m):
+    lines = metric_lines(m)
+    assert lines == all_lines(metric_betweenness(m))
+    assert {mask for mask, _ in lines} == menger_line_sets(m.dist)
+
+
+def test_metric_lines_of_graph_metrics_match_the_generic_evaluator():
+    for n in range(2, 6):
+        for mask in range(1 << len(pair_list(n))):
+            try:
+                m = graph_shortest_path_metric(Graph.from_mask(n, mask))
+            except DisconnectedError:
+                continue
+            assert metric_lines(m) == all_lines(metric_betweenness(m)), (n, mask)
+
+
 # --- graph_metric_line_count against the generic evaluator ------------------
 
 def oracle_line_count(g):
@@ -198,7 +238,7 @@ def test_graph_metric_line_count_matches_the_oracle_on_random_connected_graphs(g
 def test_graph_metric_line_count_rejects_disconnected_graphs(g, isolated):
     # Add isolated vertices to a connected graph.
     n = g.size + isolated
-    h = Graph.from_edges(n, g.edges())
+    h = Graph(g.adj + (0,) * isolated)
     with pytest.raises(DisconnectedError):
         graph_metric_line_count(h)
     with pytest.raises(DisconnectedError):

@@ -18,7 +18,7 @@ import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate
@@ -103,7 +103,7 @@ def _verify_poset(p):
 
 class _InputKind(NamedTuple):
     parse: Callable[[str], object]  # text -> structure
-    lines: Callable[[object], list]  # structure -> [(line mask, pairs)]
+    lines: Callable[[object], Iterator]  # structure -> runs of line_system
     verify: Callable[[object], tuple] | None  # structure -> (report, defect)
 
 
@@ -133,14 +133,10 @@ INPUT_KINDS = {
 
 def _cmd_lines(args, out) -> int:
     kind = INPUT_KINDS[args.kind]
-    lines = kind.lines(kind.parse(_read_input(args.input)))
-    if args.format == "jsonl":
-        for mask, pairs in lines:
-            generators = [list(g) for g in pairs]
-            _write_json(out, {"members": list(bits_of(mask)), "generators": generators})
-        _write_json(out, {"count": len(lines)})
-    else:
-        out.write(render_line_system(lines) + "\n")
+    # The builder raises every input error when called, so nothing is
+    # written before it has succeeded; the rows are then streamed.
+    runs = kind.lines(kind.parse(_read_input(args.input)))
+    render_line_system(runs, out, args.format)
     return EXIT_OK
 
 

@@ -186,48 +186,66 @@ def line_mask_set(rel: BetweennessRelation) -> set[int]:
     return {lm(a, b) for a, b in pair_list(n)}
 
 
-def line_system(linked: Sequence[int], pair_lines: Iterable[tuple[int, tuple]]) -> list:
-    """Every distinct line, as a mask, with the pairs that generate it,
-    in the order of ``all_lines``; the one builder of every kind.
+def line_system(
+    linked: Sequence[int], pair_lines: Iterable[tuple[int, tuple]]
+) -> Iterator[tuple[int, list[int], tuple | None]]:
+    """Every distinct line with the pairs that generate it, as runs in
+    the output order of ``all_lines``; the one builder of every kind.
 
     ``linked[a]`` is the mask of the points whose line with a may hold a
     third point, and ``pair_lines`` yields ``(mask, (a, b))`` for each
     linked pair a < b.  Every other pair's line is its bare pair, which
     no other pair generates, so only the linked lines are grouped and
-    sorted, and no n x n table or collection keyed by masks is built.
+    sorted, and no n x n table, collection keyed by masks or list of
+    every line is built.
+
+    Each run is ``(a, bare, line)``: ``bare`` is the ascending list of
+    the points b whose bare pair (a, b) comes next, and ``line`` is the
+    linked line after them, as ``(members, pairs)`` with ``members``
+    the ascending tuple of its points, or None at the end of a's row.
+    The linked lines are grouped here, so every error is raised by the
+    call, before the first run.
     """
     n = len(linked)
     if n < 2:
         raise SizeError("a line system needs at least two points")
     # Grouped by sorting, as in all_lines.
     grouped = sorted(
-        (tuple(bits_of(mask)), mask, [pair for _, pair in run])
+        (tuple(bits_of(mask)), [pair for _, pair in run])
         for mask, run in groupby(sorted(pair_lines), key=itemgetter(0))
     )
-    # Linked lines by their lowest point, as (second point, line).
+    # Linked lines by their lowest point.
     starting: list[list] = [[] for _ in range(n)]
-    for members, mask, pairs in grouped:
-        starting[members[0]].append((members[1], (mask, pairs)))
-    lines = []
+    for line in grouped:
+        starting[line[0][0]].append(line)
+    return _runs(linked, starting)
+
+
+def _runs(linked: Sequence[int], starting: list[list]) -> Iterator[tuple]:
+    n = len(linked)
     for a, row in enumerate(linked):
-        low = 1 << a
-        # The points a+1..n-1 whose pair with a is bare.
-        partners = list(bits_of(~row & (1 << n) - (2 << a)))
+        # The points a+1..n-1 whose pair with a is bare: the gaps
+        # between the linked points above a.
+        partners: list[int] = []
+        gap = a + 1
+        for c in bits_of(row >> gap << gap):
+            partners += range(gap, c)
+            gap = c + 1
+        partners += range(gap, n)
         done = 0
-        for c, line in starting[a]:
+        for line in starting[a]:
             # Bare pairs (a, b) with b <= c come before the line (a, c, ...):
             # on b == c the pair is a prefix of its member list.
+            c = line[0][1]
             stop = bisect_right(partners, c, done)
-            lines += [(low | 1 << b, [(a, b)]) for b in partners[done:stop]]
-            lines.append(line)
+            yield a, partners[done:stop], line
             done = stop
-        lines += [(low | 1 << b, [(a, b)]) for b in partners[done:]]
-    return lines
+        yield a, partners[done:], None
 
 
-def hypergraph_lines(n: int, edges: Iterable[Iterable[int]]) -> list:
-    """The lines of a 3-uniform hypergraph on 0..n-1, as ``line_system``
-    lists them: a pair plus the third points of the edges through it.
+def hypergraph_lines(n: int, edges: Iterable[Iterable[int]]) -> Iterator[tuple]:
+    """The lines of a 3-uniform hypergraph on 0..n-1, as runs of
+    ``line_system``: a pair plus the third points of the edges through it.
     Raises MalformedEdgeError on an edge that is not 3 distinct points
     of the ground set."""
     third: dict[tuple[int, int], int] = {}

@@ -125,7 +125,19 @@ def state_code(state: Iterable[int]) -> int:
 
 
 def poset_code(p: Poset) -> int:
-    return state_code(poset_state(p))
+    """``state_code(poset_state(p))``, built by halves: on C(n, 2) digits
+    the digit-by-digit loop is quadratic, and large inputs reach it."""
+    return _code_by_halves(poset_state(p))
+
+
+def _code_by_halves(state: tuple[int, ...]) -> int:
+    if len(state) <= 64:
+        return state_code(state)
+    half = len(state) // 2
+    return (
+        _code_by_halves(state[:half]) * 3 ** (len(state) - half)
+        + _code_by_halves(state[half:])
+    )
 
 
 def poset_from_code(n: int, code: int) -> Poset:

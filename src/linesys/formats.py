@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable, TextIO
 
 from .core import bits_of
 from .errors import ParseError
@@ -159,11 +160,44 @@ def render_points(mask: int) -> str:
     return " ".join(map(str, bits_of(mask)))
 
 
-def render_line_system(lines: list[tuple[int, list]]) -> str:
-    """One row of points per ``(mask, pairs)`` entry of a line system
-    (as ``line_system`` lists them), in list order, plus a final
-    count row; parsing the rows back as sets recovers the member sets
-    exactly."""
-    rows = [render_points(mask) for mask, _ in lines]
-    rows.append(f"count {len(lines)}")
-    return "\n".join(rows)
+# A jsonl line row, byte for byte ``json.dumps`` of its members and
+# generating pairs: slots for the member list and the pair list.
+_JSONL_LINE = '{"members": [%s], "generators": [%s]}'
+
+
+def render_line_system(runs: Iterable[tuple], out: TextIO, fmt: str = "text") -> None:
+    """Write one row per line of a line system, given as the runs of
+    ``core.line_system`` and in their order, then a final count row.
+
+    A text row lists the points of its line; parsing the rows back as
+    sets recovers the member sets exactly.  A jsonl row holds the
+    members and the generating pairs.  A bare pair's row is printed
+    from the pair, and each run is written as one block, so no list of
+    every line or row is held.
+    """
+    jsonl = fmt == "jsonl"
+    count = 0
+    for a, bare, line in runs:
+        rows = []
+        if bare:
+            # One row per point b, "a b" or its jsonl form, joined at once.
+            if jsonl:
+                template = _JSONL_LINE % (f"{a}, %d", f"[{a}, %d]")
+                rows.append("\n".join(map(template.__mod__, zip(bare, bare))))
+            else:
+                head = f"{a} "
+                rows.append(head + ("\n" + head).join(map(str, bare)))
+        if line is not None:
+            members, pairs = line
+            if jsonl:
+                rows.append(_JSONL_LINE % (
+                    ", ".join(map(str, members)),
+                    ", ".join(["[%d, %d]" % pair for pair in pairs]),
+                ))
+            else:
+                rows.append(" ".join(map(str, members)))
+        count += len(bare) + (line is not None)
+        if rows:
+            rows.append("")
+            out.write("\n".join(rows))
+    out.write(f'{{"count": {count}}}\n' if jsonl else f"count {count}\n")

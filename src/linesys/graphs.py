@@ -10,7 +10,7 @@ plus the common neighborhood of its endpoints.  ``graph_lines`` and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BetweennessRelation, bits_of, check_point, check_size, line_system, pair_list,
@@ -119,8 +119,8 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
     return BetweennessRelation._from_matrices(n, frozen, frozen)
 
 
-def graph_lines(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Every distinct line of g, as ``line_system`` lists them, read
+def graph_lines(g: Graph) -> Iterator[tuple]:
+    """Every distinct line of g, as runs of ``line_system``, read
     straight from the adjacency rows: the line of a non-edge is the
     bare pair, and the line of an edge ab is {a, b} plus the common
     neighbors of a and b."""

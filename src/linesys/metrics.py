@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import BetweennessRelation, bits_of, check_size, line_system
 from .errors import DisconnectedError, MetricError, SizeError
@@ -96,8 +96,8 @@ def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
     return BetweennessRelation(n, triples)
 
 
-def metric_lines(m: MetricSpace) -> list:
-    """Every distinct line of m, as ``line_system`` lists them, read
+def metric_lines(m: MetricSpace) -> Iterator[tuple]:
+    """Every distinct line of m, as runs of ``line_system``, read
     straight from the distance rows: x is on the line of a and b when
     d(a,b) is d(a,x) + d(x,b) (x between them, or x = a or b) or
     |d(a,x) - d(b,x)| (a or b between).  Every pair is linked.

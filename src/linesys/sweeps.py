@@ -225,8 +225,16 @@ def _poset_fields(p, instance_id: int | str) -> tuple | None:
 
 
 def _metric_fields(m, instance_id: int | str) -> tuple:
-    masks = {mask for mask, _ in metric_lines(m)}
-    return instance_id, len(masks), (1 << m.size) - 1 in masks, m.size, False, None
+    n = m.size
+    count = 0
+    universal = False
+    for _, bare, line in metric_lines(m):
+        count += len(bare) + (line is not None)
+        # The full ground set: a linked line of n points, or on two
+        # points a bare pair.
+        if line is not None and len(line[0]) == n or bare and n == 2:
+            universal = True
+    return instance_id, count, universal, n, False, None
 
 
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:

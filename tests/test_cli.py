@@ -57,6 +57,45 @@ def test_lines_reads_stdin(monkeypatch):
     assert out.endswith("count 4\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("graph", "1 0\n", "a line system needs at least two points"),
+        ("hypergraph", "4 2\n0 1 2\n0 1 1\n",
+         "line 3, column 1: edge 0 1 1 repeats a vertex"),
+        ("hypergraph", "4 2\n0 1 2\n0 1 5\n",
+         "line 3, column 5: edge vertex 5 out of range 0..3"),
+        ("metric", "3\n0 1 5\n1 0 1\n5 1 0\n",
+         "triangle inequality fails: dist[0][2] > dist[0][1] + dist[1][2]"),
+        ("metric", "1\n0\n", "a line system needs at least two points"),
+    ],
+)
+def test_lines_errors_come_before_the_first_byte(
+    kind, text, message, fmt, monkeypatch, capsys
+):
+    # lines streams its rows, so every input error must be raised before
+    # the first one: a failed run prints one error line and no stdout.
+    argv = ["lines", "--kind", kind, "--format", fmt]
+    assert run_cli(argv, text, monkeypatch=monkeypatch) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_lines_builder_rejects_a_bad_hypergraph_edge_before_the_first_byte(
+    fmt, monkeypatch, capsys
+):
+    # An edge the parser would have caught, handed straight to the
+    # builder after a good one: the builder raises before any row.
+    monkeypatch.setattr(
+        "linesys.cli.parse_hypergraph", lambda text: (4, [(0, 1, 2), (0, 1, 4)])
+    )
+    argv = ["lines", "--kind", "hypergraph", "--format", fmt]
+    assert run_cli(argv, "", monkeypatch=monkeypatch) == (EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert err == "error: edge [0, 1, 4] mentions vertex 4, outside 0..3\n"
+
+
 def test_lines_jsonl(graph_file):
     code, out = run_cli(["lines", "--kind", "graph", "--format", "jsonl", graph_file])
     assert code == EXIT_OK

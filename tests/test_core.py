@@ -21,6 +21,8 @@ from linesys.graphs import Graph, graph_betweenness
 from linesys.metrics import MetricSpace
 from linesys.posets import Poset, poset_betweenness
 
+from line_entries import line_entries
+
 
 def empty_relation(n):
     return BetweennessRelation(n, [])
@@ -157,15 +159,17 @@ def test_relation_triples_iteration_lists_both_orientations():
 # --- hypergraphs -----------------------------------------------------------
 
 def test_hypergraph_single_edge():
-    assert hypergraph_lines(3, [{0, 1, 2}]) == [(0b111, [(0, 1), (0, 2), (1, 2)])]
+    assert line_entries(hypergraph_lines(3, [{0, 1, 2}])) == [
+        (0b111, [(0, 1), (0, 2), (1, 2)])
+    ]
 
 
 def test_hypergraph_no_edges_all_pair_lines():
-    assert len(hypergraph_lines(4, [])) == 6
+    assert len(line_entries(hypergraph_lines(4, []))) == 6
 
 
 def test_hypergraph_two_edges_sharing_a_pair_make_a_universal_line():
-    lines = dict(hypergraph_lines(4, [{0, 1, 2}, {0, 1, 3}]))
+    lines = dict(line_entries(hypergraph_lines(4, [{0, 1, 2}, {0, 1, 3}])))
     assert lines[0b1111] == [(0, 1)]
 
 
@@ -173,7 +177,7 @@ def test_hypergraph_edge_is_fully_symmetric():
     # Every vertex of an edge lies between the other two, so each pair
     # of the edge generates the whole edge, in whatever order it is given.
     for edge in permutations((0, 1, 2)):
-        assert hypergraph_lines(4, [edge]) == [
+        assert line_entries(hypergraph_lines(4, [edge])) == [
             (0b0111, [(0, 1), (0, 2), (1, 2)]),
             (0b1001, [(0, 3)]),
             (0b1010, [(1, 3)]),
@@ -211,7 +215,7 @@ def hypergraphs(draw):
 @settings(max_examples=200, deadline=None)
 def test_hypergraph_lines_match_the_generic_evaluator(case):
     n, edges = case
-    assert hypergraph_lines(n, edges) == all_lines(
+    assert line_entries(hypergraph_lines(n, edges)) == all_lines(
         BetweennessRelation(n, edge_triples(edges))
     )
 

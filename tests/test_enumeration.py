@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -7,11 +8,14 @@ from linesys import (
     DomainError,
     enumerate_graphs,
     enumerate_posets,
+    Poset,
     pair_list,
     poset_code,
     poset_from_code,
 )
-from linesys.enumeration import poset_state, poset_state_prefixes, _iter_states
+from linesys.enumeration import (
+    poset_state, poset_state_prefixes, state_code, _iter_states,
+)
 
 
 def brute_force_poset_count(n):
@@ -77,6 +81,27 @@ def test_poset_code_round_trip():
     for p in enumerate_posets(3):
         q = poset_from_code(3, poset_code(p))
         assert q.succ == p.succ
+
+
+def test_poset_code_equals_the_digit_by_digit_code():
+    # poset_code builds the base-3 id by halves; state_code reads one
+    # digit at a time.  Every poset with n <= 5, then random posets whose
+    # C(n, 2) digits take several levels of halving.
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            assert poset_code(p) == state_code(poset_state(p))
+    rng = random.Random(5)
+    for n in (12, 13, 40, 97):
+        for density in (0.0, 0.1, 0.5):
+            order = rng.sample(range(n), n)
+            rows = [0] * n
+            for i, j in combinations(range(n), 2):
+                if rng.random() < density:
+                    rows[order[i]] |= 1 << order[j]
+            p = Poset(rows)
+            assert poset_code(p) == state_code(poset_state(p))
+            if n <= 40:
+                assert poset_from_code(n, poset_code(p)).succ == p.succ
 
 
 def test_poset_from_code_rejects_codes_no_poset_has():

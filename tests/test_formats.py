@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,17 @@ from linesys import (
     CycleError,
     ParseError,
     all_lines,
+    bits_of,
+    enumerate_graphs,
     graph_betweenness,
+    graph_lines,
     parse_graph,
     parse_hypergraph,
     parse_metric,
     parse_poset,
     render_line_system,
 )
+from linesys.formats import render_points
 
 GRAPH_K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
 
@@ -108,15 +114,39 @@ def test_parse_hypergraph():
         parse_hypergraph("4 1\n0 1 1\n")
 
 
+def render(runs, fmt="text"):
+    out = io.StringIO()
+    render_line_system(runs, out, fmt)
+    return out.getvalue()
+
+
 def test_render_round_trip():
-    lines = all_lines(graph_betweenness(parse_graph(GRAPH_K3_PLUS_ISOLATED)))
-    text = render_line_system(lines)
-    rows = text.splitlines()
+    g = parse_graph(GRAPH_K3_PLUS_ISOLATED)
+    rows = render(graph_lines(g)).splitlines()
     assert rows[-1] == "count 4"
     parsed = {sum(1 << int(tok) for tok in row.split()) for row in rows[:-1]}
-    assert parsed == {mask for mask, _ in lines}
+    assert parsed == {mask for mask, _ in all_lines(graph_betweenness(g))}
 
 
 def test_render_is_sorted():
-    lines = all_lines(graph_betweenness(parse_graph(GRAPH_K3_PLUS_ISOLATED)))
-    assert render_line_system(lines) == "0 1 2\n0 3\n1 3\n2 3\ncount 4"
+    g = parse_graph(GRAPH_K3_PLUS_ISOLATED)
+    assert render(graph_lines(g)) == "0 1 2\n0 3\n1 3\n2 3\ncount 4\n"
+
+
+def test_render_prints_each_oracle_entry_in_both_formats():
+    # Rows printed from the runs equal rows printed from the oracle's
+    # entries: the points of each mask, and json.dumps of members and
+    # generators, on every graph with 2 to 5 vertices.
+    for n in range(2, 6):
+        for g in enumerate_graphs(n):
+            entries = all_lines(graph_betweenness(g))
+            assert render(graph_lines(g)) == "".join(
+                [render_points(mask) + "\n" for mask, _ in entries]
+            ) + f"count {len(entries)}\n"
+            assert render(graph_lines(g), "jsonl") == "".join(
+                json.dumps({
+                    "members": list(bits_of(mask)),
+                    "generators": [list(pair) for pair in pairs],
+                }) + "\n"
+                for mask, pairs in entries
+            ) + json.dumps({"count": len(entries)}) + "\n"

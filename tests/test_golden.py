@@ -143,6 +143,49 @@ LARGE_LINES = {
     ),
 }
 
+# ``lines --kind graph`` on the benchmark's seed-1 sparse graphs, keyed
+# by (n, m, format): the length and SHA-256 of stdout.  Nearly every
+# line is a bare pair.
+SPARSE_GRAPH_LINES = {
+    (300, 900, "text"): (
+        325_704,
+        "0b7c03f7a2d16c6e4ad79d21404fff8d0d0768e4e7b80e3bd4fe7b16126a8c27",
+    ),
+    (300, 900, "jsonl"): (
+        2_264_659,
+        "b036dd70d3f63b388367bcb3a4ecf7f86fc497467cbacc500beee31415034544",
+    ),
+    (1000, 3000, "text"): (
+        3_885_613,
+        "0cb1bbb7776a3cc55ced5baf749d73a9d80cc41b830d0fa215b0f97b072720f5",
+    ),
+}
+
+# Two points: the one line is the whole ground set, whether it is a
+# bare pair (no edge, no cover, no 3-edge) or a linked one.
+TWO_POINTS = {
+    "graph": ("2 1\n0 1\n", "2 0\n"),
+    "poset": ("2 1\n0 1\n", "2 0\n"),
+    "metric": ("2\n0 1\n1 0\n", "2\n0 5/2\n5/2 0\n"),
+    "hypergraph": ("2 0\n",),
+}
+TWO_POINT_LINES = (
+    "0 1\ncount 1\n",
+    '{"members": [0, 1], "generators": [[0, 1]]}\n{"count": 1}\n',
+)
+TWO_POINT_VERIFY_JSONL = {
+    ("poset", "2 1\n0 1\n"): (
+        '{"structure_kind": "poset", "n": 2, "instance_id": 1, "line_count": 1, '
+        '"bound": 2, "has_universal": true, "meets_bound": true, '
+        '"is_equality_case": false, "extremal_shape_match": true}\n'
+    ),
+    ("metric", "2\n0 1\n1 0\n"): (
+        '{"structure_kind": "metric", "n": 2, "instance_id": "0,1;1,0", '
+        '"line_count": 1, "bound": 2, "has_universal": true, "meets_bound": true, '
+        '"is_equality_case": false, "extremal_shape_match": false}\n'
+    ),
+}
+
 SEEDED_METRIC_VERIFY_JSONL = (
     '{"structure_kind": "metric", "n": 10, "instance_id": '
     '"0,11/3,2,2,3,7/3,2/3,3,3/2,8/3;11/3,0,11/3,5/3,2/3,3,4,8/3,8/3,7/3;'
@@ -283,6 +326,37 @@ def test_large_lines_bytes(kind, fmt, monkeypatch):
     data = out.encode()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, m, fmt", sorted(SPARSE_GRAPH_LINES))
+def test_sparse_graph_lines_bytes(n, m, fmt, monkeypatch):
+    text = workloads.random_graph_text(n, m, 1)
+    code, out = run(["lines", "--kind", "graph", "--format", fmt], text, monkeypatch)
+    assert code == 0
+    data = out.encode()
+    size, digest = SPARSE_GRAPH_LINES[n, m, fmt]
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+    if fmt == "text":
+        assert out == workloads.oracle_lines_text(text)
+
+
+@pytest.mark.parametrize(
+    "kind, text", [(kind, text) for kind in TWO_POINTS for text in TWO_POINTS[kind]]
+)
+def test_two_point_lines_bytes(kind, text, monkeypatch):
+    for fmt, expected in zip(("text", "jsonl"), TWO_POINT_LINES):
+        argv = ["lines", "--kind", kind, "--format", fmt]
+        assert run(argv, text, monkeypatch) == (0, expected)
+
+
+@pytest.mark.parametrize("kind, text", sorted(TWO_POINT_VERIFY_JSONL))
+def test_two_point_verify_finds_the_universal_line(kind, text, monkeypatch):
+    expected = TWO_POINT_VERIFY_JSONL[kind, text]
+    argv = ["verify", "--kind", kind, "--format", "jsonl"]
+    assert run(argv, text, monkeypatch) == (0, expected)
+    code, out = run(["verify", "--kind", kind], text, monkeypatch)
+    assert code == 0 and "universal yes\n" in out
 
 
 @pytest.mark.parametrize("kind", sorted(VERIFY_TEXT))

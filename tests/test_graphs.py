@@ -20,6 +20,8 @@ from linesys import (
     pair_list,
 )
 
+from line_entries import line_entries
+
 
 def brute_force_line_sets(n, edges):
     """Line member masks straight from the triangle definition; kept
@@ -84,13 +86,22 @@ def test_bare_pair_comes_before_the_longer_line_it_begins():
     # The edge 23 has the non-adjacent common neighbors 0 and 1, so the
     # bare pair (0, 1) is a prefix of the line (0, 1, 2, 3).
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert graph_lines(g) == [
+    assert list(graph_lines(g)) == [
+        (0, [1], ((0, 1, 2, 3), [(2, 3)])),
+        (0, [], ((0, 2, 3), [(0, 2), (0, 3)])),
+        (0, [], None),
+        (1, [], ((1, 2, 3), [(1, 2), (1, 3)])),
+        (1, [], None),
+        (2, [], None),
+        (3, [], None),
+    ]
+    assert line_entries(graph_lines(g)) == [
         (0b0011, [(0, 1)]),
         (0b1111, [(2, 3)]),
         (0b1101, [(0, 2), (0, 3)]),
         (0b1110, [(1, 2), (1, 3)]),
     ]
-    assert graph_lines(g) == all_lines(graph_betweenness(g))
+    assert line_entries(graph_lines(g)) == all_lines(graph_betweenness(g))
 
 
 def test_graph_betweenness_matches_explicit_triangle_triples():
@@ -173,7 +184,9 @@ def test_mask_constructor_rejects_masks_beyond_the_pairs():
 def test_graph_lines_match_the_generic_evaluator_up_to_n6():
     checked = 0
     for g in every_graph(6):
-        assert graph_lines(g) == all_lines(graph_betweenness(g)), (g.size, g.adj)
+        assert line_entries(graph_lines(g)) == all_lines(graph_betweenness(g)), (
+            g.size, g.adj,
+        )
         checked += 1
     assert checked == 33_866
     with pytest.raises(SizeError):
@@ -256,4 +269,4 @@ def test_graph_lines_match_the_generic_evaluator(case):
     n, first, second, combine = case
     mask = {"and": first & second, "one": first, "or": first | second}[combine]
     g = Graph.from_mask(n, mask)
-    assert graph_lines(g) == all_lines(graph_betweenness(g))
+    assert line_entries(graph_lines(g)) == all_lines(graph_betweenness(g))

@@ -18,8 +18,11 @@ from linesys import (
     line_of,
     metric_betweenness,
     metric_lines,
+    metric_report,
     pair_list,
 )
+
+from line_entries import line_entries
 
 
 def menger_line_sets(dist):
@@ -156,9 +159,14 @@ def rational_metrics(draw):
 @given(rational_metrics())
 @settings(max_examples=200, deadline=None)
 def test_metric_lines_match_the_generic_evaluator(m):
-    lines = metric_lines(m)
+    lines = line_entries(metric_lines(m))
     assert lines == all_lines(metric_betweenness(m))
-    assert {mask for mask, _ in lines} == menger_line_sets(m.dist)
+    masks = {mask for mask, _ in lines}
+    assert masks == menger_line_sets(m.dist)
+    # verify --kind metric counts the same runs.
+    report = metric_report(m, 0)
+    assert report.line_count == len(lines)
+    assert report.has_universal == ((1 << m.size) - 1 in masks)
 
 
 def test_metric_lines_of_graph_metrics_match_the_generic_evaluator():
@@ -168,7 +176,9 @@ def test_metric_lines_of_graph_metrics_match_the_generic_evaluator():
                 m = graph_shortest_path_metric(Graph.from_mask(n, mask))
             except DisconnectedError:
                 continue
-            assert metric_lines(m) == all_lines(metric_betweenness(m)), (n, mask)
+            assert line_entries(metric_lines(m)) == all_lines(
+                metric_betweenness(m)
+            ), (n, mask)
 
 
 # --- graph_metric_line_count against the generic evaluator ------------------

@@ -27,6 +27,8 @@ from linesys import (
     poset_report,
 )
 
+from line_entries import line_entries
+
 
 def less(p, a, b):
     """a < b in p, read from its order rows."""
@@ -209,7 +211,7 @@ def test_poset_lines_equal_the_order_evaluator_up_to_n5():
     checked = 0
     for n in range(2, 6):
         for p in enumerate_posets(n):
-            lines = graph_lines(comparability_graph(p))
+            lines = line_entries(graph_lines(comparability_graph(p)))
             assert lines == all_lines(poset_betweenness(p)), (n, p.succ)
             checked += 1
     assert checked == 4_472

@@ -2,21 +2,23 @@
 ground sets, with canonical integer encodings.
 
 Graphs are encoded by an edge bitmask over pair_list(n) and enumerated
-in ascending mask order.  Posets are encoded by a pair-state vector
-(0 incomparable, 1 lo < hi, 2 hi < lo) enumerated by backtracking in
-lexicographic pair order; a state is pruned as soon as the newest pair
-completes a triple that violates transitivity.  The big-endian base-3
-code of the state vector therefore ascends in enumeration order.
+in ascending mask order.  A poset is encoded by the state of each pair
+a < b in lexicographic pair order (0 incomparable, 1 a < b, 2 b < a),
+read as a big-endian base-3 number.  Posets are enumerated by
+backtracking over that pair order on successor and predecessor rows:
+``_fits`` admits a state only if it keeps every triple of placed pairs
+transitive, so the codes ascend in enumeration order and each poset
+comes with its order rows.  The decoder of a code places its digits
+with the same rule.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .core import pair_list
-from .errors import CapError, CycleError, DomainError
+from .core import check_size, pair_list
+from .errors import CapError, DomainError
 from .graphs import Graph
 from .posets import Poset
 
@@ -38,81 +40,73 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         yield Graph.from_mask(n, mask)
 
 
-@lru_cache(maxsize=None)
-def _valid_triple_states() -> frozenset[tuple[int, int, int]]:
-    # States of the pairs (a,b), (a,c), (b,c) of a triple a < b < c that
-    # satisfy every transitivity implication.
-    good = set()
-    for s_ab, s_ac, s_bc in product(range(3), repeat=3):
-        rules = (
-            (s_ab == 1 and s_bc == 1, s_ac == 1),  # a<b, b<c => a<c
-            (s_bc == 2 and s_ab == 2, s_ac == 2),  # c<b, b<a => c<a
-            (s_ac == 1 and s_bc == 2, s_ab == 1),  # a<c, c<b => a<b
-            (s_bc == 1 and s_ac == 2, s_ab == 2),  # b<c, c<a => b<a
-            (s_ab == 2 and s_ac == 1, s_bc == 1),  # b<a, a<c => b<c
-            (s_ac == 2 and s_ab == 1, s_bc == 2),  # c<a, a<b => c<b
-        )
-        if all(conclusion for premise, conclusion in rules if premise):
-            good.add((s_ab, s_ac, s_bc))
-    return frozenset(good)
+def _fits(succ: list[int], pred: list[int], b: int, c: int, s: int) -> bool:
+    """Whether pair (b, c), b < c, may take state s, given the rows of
+    every placed pair: all pairs (a, b) and (a, c) with a < b are placed,
+    so each triple a < b < c is decided once (b, c) is."""
+    low = (1 << b) - 1
+    if s == 0:  # no a lies between b and c
+        return not (succ[b] & pred[c] | succ[c] & pred[b]) & low
+    if s == 1:  # b < c: every a below b is below c, every a above c is above b
+        return not (pred[b] & ~pred[c] | succ[c] & ~succ[b]) & low
+    # c < b: the mirror case
+    return not (pred[c] & ~pred[b] | succ[b] & ~succ[c]) & low
 
 
-@lru_cache(maxsize=None)
-def _pair_dependencies(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # For pair (b, c) at index q: the indices of (a, b) and (a, c) for
-    # every a < b.  Those pairs precede q in lexicographic order, so the
-    # triple a, b, c is fully known once pair q is assigned.
-    pairs = pair_list(n)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    return tuple(
-        tuple((index[(a, b)], index[(a, c)]) for a in range(b))
-        for (b, c) in pairs
-    )
+def _place(succ: list[int], pred: list[int], b: int, c: int, s: int) -> None:
+    # Toggles the bits of state s, so a second call takes it back.
+    if s == 1:
+        succ[b] ^= 1 << c
+        pred[c] ^= 1 << b
+    elif s == 2:
+        succ[c] ^= 1 << b
+        pred[b] ^= 1 << c
 
 
-def _iter_states(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Complete pair-state vectors extending ``prefix``, in lex order.
+def _iter_states(
+    n: int, prefix: tuple[int, ...] = ()
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """``(code, succ rows)`` of every poset whose leading pair states
+    are ``prefix``, in ascending code order.
 
-    Yields nothing when the prefix itself violates transitivity.
+    Yields nothing when the prefix itself breaks transitivity.
     """
     pairs = pair_list(n)
-    total = len(pairs)
-    deps = _pair_dependencies(n)
-    valid = _valid_triple_states()
-    state = [0] * total
+    succ, pred = [0] * n, [0] * n
 
-    for q, s in enumerate(prefix):
-        state[q] = s
-        if any((state[i], state[j], s) not in valid for i, j in deps[q]):
+    def extend(q: int, code: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        if q == len(pairs):
+            yield code, tuple(succ)
             return
+        b, c = pairs[q]
+        for s in (prefix[q],) if q < len(prefix) else range(3):
+            if _fits(succ, pred, b, c, s):
+                _place(succ, pred, b, c, s)
+                yield from extend(q + 1, code * 3 + s)
+                _place(succ, pred, b, c, s)
 
-    def extend(q: int) -> Iterator[tuple[int, ...]]:
-        if q == total:
-            yield tuple(state)
-            return
-        deps_q = deps[q]
-        for s in range(3):
-            state[q] = s
-            if all((state[i], state[j], s) in valid for i, j in deps_q):
-                yield from extend(q + 1)
-
-    yield from extend(len(prefix))
+    yield from extend(0, 0)
 
 
-def poset_from_state(n: int, state: tuple[int, ...]) -> Poset:
-    rows = [0] * n
-    for (a, b), s in zip(pair_list(n), state):
-        if s == 1:
-            rows[a] |= 1 << b
-        elif s == 2:
-            rows[b] |= 1 << a
-    return Poset(rows)
+def poset_from_state(n: int, state: Iterable[int]) -> Poset:
+    """The poset on n points with the given pair states, in lexicographic
+    pair order; DomainError at the first state no poset has there."""
+    succ, pred = [0] * n, [0] * n
+    for (b, c), s in zip(combinations(range(n), 2), state):
+        if not _fits(succ, pred, b, c, s):
+            raise DomainError(
+                f"pair ({b}, {c}) cannot take state {s}: "
+                f"not the code of a poset on {n} points"
+            )
+        _place(succ, pred, b, c, s)
+    return Poset(succ)
 
 
 def poset_state(p: Poset) -> tuple[int, ...]:
+    succ = p.succ
     return tuple(
-        1 if p.succ[a] >> b & 1 else 2 if p.succ[b] >> a & 1 else 0
-        for a, b in pair_list(p.size)
+        1 if succ[a] >> b & 1 else 2 if succ[b] >> a & 1 else 0
+        for a, b in combinations(range(p.size), 2)
     )
 
 
@@ -143,24 +137,18 @@ def _code_by_halves(state: tuple[int, ...]) -> int:
 def poset_from_code(n: int, code: int) -> Poset:
     """The poset on n points whose ``poset_code`` is ``code``.
 
-    Raises DomainError for a code outside 0..3**C(n, 2)-1 and for one
-    that no poset has: a state vector that breaks transitivity or
-    closes a cycle.
+    Raises SizeError for n < 1, and DomainError for a code outside
+    0..3**C(n, 2)-1 and for one that no poset has: a digit that breaks
+    transitivity.
     """
-    total = len(pair_list(n))
+    total = check_size(n) * (n - 1) // 2
     if not 0 <= code < 3**total:
         raise DomainError(f"poset code {code} is outside 0..3**{total}-1 for n = {n}")
     digits = [0] * total
     rest = code
     for q in range(total - 1, -1, -1):
         rest, digits[q] = divmod(rest, 3)
-    try:
-        p = poset_from_state(n, tuple(digits))
-        if poset_code(p) == code:
-            return p
-    except CycleError:
-        pass
-    raise DomainError(f"{code} is not the code of a poset on {n} points")
+    return poset_from_state(n, digits)
 
 
 def enumerate_posets(n: int) -> Iterator[Poset]:
@@ -170,8 +158,8 @@ def enumerate_posets(n: int) -> Iterator[Poset]:
         raise CapError(
             f"poset enumeration supports 1 <= n <= {POSET_ENUM_CAP}, got {n}"
         )
-    for state in _iter_states(n):
-        yield poset_from_state(n, state)
+    for _, rows in _iter_states(n):
+        yield Poset(rows)
 
 
 def poset_state_prefixes(n: int, depth: int) -> list[tuple[int, ...]]:

@@ -46,16 +46,15 @@ from .enumeration import (
     POSET_ENUM_CAP,
     _iter_states,
     poset_code,
-    poset_from_state,
     poset_state_prefixes,
-    state_code,
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
 from .graphs import Graph, _edge_rows, graph_line_count, is_extremal_graph
 from .metrics import DisconnectedError, graph_metric_line_count, metric_lines
-from .posets import comparability_graph
+from .posets import Poset, comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
 from .core import line_mask_set  # noqa: F401
+from .enumeration import poset_from_state  # noqa: F401
 from .graphs import graph_betweenness  # noqa: F401
 from .metrics import graph_shortest_path_metric, metric_betweenness  # noqa: F401
 from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
@@ -332,8 +331,8 @@ def _graph_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple]:
 
 
 def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple | None]:
-    for state in _iter_states(n, prefix):
-        yield _poset_fields(poset_from_state(n, state), state_code(state))
+    for code, rows in _iter_states(n, prefix):
+        yield _poset_fields(Poset(rows), code)
 
 
 def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple | None]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesys import dbe_bound, graphs
+from linesys import dbe_bound, enumeration, graphs
 from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from test_golden import workloads
 from test_sweeps import flip_the_shape
@@ -261,6 +261,31 @@ def test_verify_graph_builds_no_pair_list(fmt, first, monkeypatch):
     )
     assert code == EXIT_OK
     assert out.startswith(first)
+
+
+def test_verify_poset_on_1200_points(monkeypatch, capsys):
+    # About 718k certificate lines of up to 1200 bits are counted by
+    # sorting; their poset id walks the order rows, with no list of all
+    # C(n, 2) pairs, and is too long to print as jsonl.
+    real = enumeration.pair_list
+
+    def small_only(n):
+        assert n <= 8, f"pair_list({n}) built"
+        return real(n)
+
+    monkeypatch.setattr(enumeration, "pair_list", small_only)
+    code, out = run_cli(
+        ["verify", "--kind", "poset"], "1200 1\n0 1\n", monkeypatch=monkeypatch
+    )
+    assert code == EXIT_OK
+    assert out == (
+        "kind poset n 1200\nlines 719400 bound 359402 universal no\n"
+        "equality case: no\nextremal shape: no\nresult: ok\n"
+    )
+    argv = ["verify", "--kind", "poset", "--format", "jsonl"]
+    assert run_cli(argv, "1200 1\n0 1\n", monkeypatch=monkeypatch) == (EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert err == "error: the instance id of this poset is too long to print as jsonl\n"
 
 
 def test_verify_hypergraph_rejected(tmp_path):

@@ -62,7 +62,7 @@ def test_weak_order_certificate_meets_bound_and_is_a_subset_of_all_lines():
     assert dbe_bound(4, 2) == 4
     assert cert.total_distinct >= 4
     everything = {mask for mask, _ in all_lines(poset_betweenness(p))}
-    assert cert.distinct_member_sets() <= everything
+    assert {mask for _, mask in cert.layer_lines + cert.process_lines()} <= everything
     assert len(everything) >= cert.total_distinct
     assert certificate_issues(cert, p) == []
 
@@ -168,7 +168,7 @@ def test_certified_lines_all_appear_in_the_full_line_system(case):
         return
     cert = build_certificate(p)
     everything = {mask for mask, _ in all_lines(poset_betweenness(p))}
-    assert cert.distinct_member_sets() <= everything
+    assert {mask for _, mask in cert.layer_lines + cert.process_lines()} <= everything
 
 
 def certified_posets(max_n):

@@ -18,12 +18,13 @@ from linesys.enumeration import (
 )
 
 
-def brute_force_poset_count(n):
-    """Filter every pair-state assignment with a from-scratch
-    transitivity check; independent of the backtracking enumerator."""
+def brute_force_poset_codes(n):
+    """The code of every pair-state assignment that passes a
+    from-scratch transitivity check, in ascending order; independent of
+    the backtracking enumerator."""
     pairs = pair_list(n)
-    count = 0
-    for states in product(range(3), repeat=len(pairs)):
+    codes = []
+    for code, states in enumerate(product(range(3), repeat=len(pairs))):
         less = set()
         for (a, b), s in zip(pairs, states):
             if s == 1:
@@ -36,8 +37,8 @@ def brute_force_poset_count(n):
             for (y2, z) in less
             if y == y2 and x != z
         ) and not any((x, y) in less and (y, x) in less for x, y in less):
-            count += 1
-    return count
+            codes.append(code)
+    return codes
 
 
 def test_graph_counts():
@@ -61,9 +62,21 @@ def test_graph_cap():
 
 
 def test_poset_counts_match_independent_filter():
-    for n, expected in ((2, 3), (3, 19), (4, 219)):
-        assert brute_force_poset_count(n) == expected
+    for n, expected in ((1, 1), (2, 3), (3, 19), (4, 219)):
+        codes = brute_force_poset_codes(n)
+        assert len(codes) == expected
+        assert [code for code, _ in _iter_states(n)] == codes
         assert sum(1 for _ in enumerate_posets(n)) == expected
+
+
+def test_enumerated_rows_are_closed_orders_with_their_code():
+    # Every yielded row tuple is already the closed order, and its code
+    # is the one poset_code reads back from the rows.
+    for n in range(1, 6):
+        for code, rows in _iter_states(n):
+            p = Poset(rows)
+            assert p.succ == rows
+            assert poset_code(p) == code
 
 
 def test_poset_count_n5():
@@ -145,7 +158,7 @@ def test_posets_yielded_are_valid():
 
 
 def test_prefix_partition_covers_the_enumeration_in_order():
-    whole = [poset_state(p) for p in enumerate_posets(4)]
+    whole = [(poset_code(p), p.succ) for p in enumerate_posets(4)]
     pieces = []
     for prefix in poset_state_prefixes(4, 3):
         pieces.extend(_iter_states(4, prefix))

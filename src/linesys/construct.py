@@ -25,7 +25,9 @@ the process reads each line from the order rows (the pair, everything
 below its lower point or above its upper point, and everything between
 them), while the replay reads it from the adjacency rows of the
 comparability graph (the pair, plus the common neighbors of an
-adjacent pair).
+adjacent pair).  The replay's universal-line check reads the same rows
+in O(n) rather than counting every line: an edge's line holds every
+point exactly when both its ends are adjacent to all other points.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from operator import ne
 from .bounds import dbe_bound
 from .core import bits_of
 from .errors import HeightError, InternalError, UniversalLineError
-from .graphs import graph_line_count
 from .posets import (
     Poset,
     comparability_graph,
@@ -131,15 +132,16 @@ def build_certificate(p: Poset) -> LineCertificate:
 
     chain = maximum_chain_through_levels(p)
     # Points of one level are incomparable, so each layer line is its
-    # bare pair.
+    # bare pair; a level of one point has none.
     layer_lines = [
         ((a, b), 1 << a | 1 << b)
         for layer in mirsky_partition(p)
+        if layer & layer - 1
         for a, b in combinations(bits_of(layer), 2)
     ]
 
     def lines_to(point: int, lo: int, hi: int) -> tuple[GeneratedLine, ...]:
-        return tuple(line(chain[i - 1], point) for i in range(lo, hi + 1))
+        return tuple([line(c, point) for c in chain[lo - 1 : hi]])
 
     # The full-chain line, which joins chain positions 1 and height, ends
     # every run of the process.
@@ -187,10 +189,10 @@ def build_certificate(p: Poset) -> LineCertificate:
         bottom, top = new_bottom, new_top
 
     cert = LineCertificate(n, height, chain, tuple(layer_lines), tuple(steps))
-    if cert.total_distinct < cert.bound:
+    distinct, bound = cert.total_distinct, cert.bound
+    if distinct < bound:
         raise InternalError(
-            f"process found {cert.total_distinct} distinct lines, "
-            f"below the guaranteed {cert.bound}"
+            f"process found {distinct} distinct lines, below the guaranteed {bound}"
         )
     return cert
 
@@ -206,22 +208,21 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     recorded step kinds and probes; the incomparable-pair accounting
     identity holds; and the distinct total meets the bound.  Every line,
     the window lines the probes are checked against and the
-    universal-line check are read from the adjacency rows of the
-    comparability graph of ``p``, not from the order rows the build
-    reads, so the replay shares no evaluator with the build.  A point
-    the certificate names outside the poset (a chain point, a line's
-    generator or a probe) is reported as a defect, not raised.  Defects
-    name a step by its 1-based position in ``cert.steps``, the iteration
-    number the ``construct`` command prints.
+    universal-line check (two vertices adjacent to all others) are read
+    from the adjacency rows of the comparability graph of ``p``, not
+    from the order rows the build reads, so the replay shares no
+    evaluator with the build.  A point the certificate names outside the
+    poset (a chain point, a line's generator or a probe) is reported as
+    a defect, not raised.  Defects name a step by its 1-based position
+    in ``cert.steps``, the iteration number the ``construct`` command
+    prints.
     """
     issues: list[str] = []
     n, height = p.size, p.height
-    g = comparability_graph(p)
-    adj = g.adj
-
     if cert.size != n or cert.height != height:
         issues.append("certificate size or height does not match the poset")
         return issues
+    adj = comparability_graph(p).adj
 
     points = range(n)
     chain = cert.chain
@@ -234,12 +235,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     if chain_in_range and not all(succ[a] >> b & 1 for a, b in zip(chain, chain[1:])):
         issues.append("chain points are not increasing in the order")
 
-    expected_pairs = sorted([
-        pair
-        for layer in mirsky_partition(p)
-        for pair in combinations(bits_of(layer), 2)
-    ])
-    if sorted([pair for pair, _ in cert.layer_lines]) != expected_pairs:
+    if not _covers_the_level_pairs(cert.layer_lines, mirsky_partition(p)):
         issues.append("layer lines do not cover exactly the within-level pairs")
     lines = cert.layer_lines + cert.process_lines()
     for pair, mask in lines:
@@ -256,7 +252,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     # of the right length inside the poset.
     if chain_in_range and len(chain) == height:
         issues += _window_issues(cert, adj)
-    if graph_line_count(g)[1]:
+    if _has_universal_line(adj):
         issues.append("poset has a universal line; certificate is out of scope")
 
     windows = [(s.bottom, s.top) for s in cert.steps]
@@ -272,10 +268,26 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
             f"{height} - {iterations} - {final_gap}"
         )
 
-    distinct = _distinct_count([mask for _, mask in lines])
-    if distinct < cert.bound:
-        issues.append(f"{distinct} distinct lines, below the bound {cert.bound}")
+    distinct, bound = _distinct_count([mask for _, mask in lines]), cert.bound
+    if distinct < bound:
+        issues.append(f"{distinct} distinct lines, below the bound {bound}")
     return issues
+
+
+def _covers_the_level_pairs(
+    layer_lines: tuple[GeneratedLine, ...], layers: tuple[int, ...]
+) -> bool:
+    """Whether the pairs of ``layer_lines`` are exactly the pairs inside
+    the levels ``layers``, in any order.  The order the build records
+    them in is compared first, so only a reordered list is sorted."""
+    expected = [
+        pair
+        for layer in layers
+        if layer & layer - 1
+        for pair in combinations(bits_of(layer), 2)
+    ]
+    recorded = [pair for pair, _ in layer_lines]
+    return recorded == expected or sorted(recorded) == sorted(expected)
 
 
 def _distinct_count(masks: list[int]) -> int:
@@ -294,6 +306,22 @@ def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:
     return 1 << a | 1 << b
 
 
+def _has_universal_line(adj: tuple[int, ...]) -> bool:
+    """Whether the graph with adjacency rows ``adj`` has a line holding
+    every vertex, in O(n): the line of an edge ab is universal exactly
+    when every other vertex is adjacent to both a and b, that is when
+    two vertices are adjacent to all others, and the bare pair of a
+    non-edge only when there are two vertices."""
+    full = (1 << len(adj)) - 1
+    seen = False
+    for v, row in enumerate(adj):
+        if row | 1 << v == full:
+            if seen:
+                return True
+            seen = True
+    return len(adj) == 2 and not adj[0]
+
+
 def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
     """Defects of the recorded window walk along the certificate's chain,
     a chain of ``cert.height`` points of the graph with adjacency rows
@@ -303,7 +331,7 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
     points = range(len(adj))
 
     def pairs_to(point: int, lo: int, hi: int) -> list[tuple[int, int]]:
-        return [tuple(sorted((chain[i - 1], point))) for i in range(lo, hi + 1)]
+        return [(c, point) if c < point else (point, c) for c in chain[lo - 1 : hi]]
 
     bottom, top = 1, height
     last = len(cert.steps)

@@ -1,4 +1,5 @@
-"""Finite strict partial orders with cached longest-chain levels.
+"""Finite strict partial orders with cached longest-chain levels, their
+layers and their comparability graph.
 
 A point x lies between a and b exactly when a < x < b or b < x < a, so
 the line of a comparable pair is the pair plus everything comparable to
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import BetweennessRelation, bits_of, check_point, check_size
+from .core import BetweennessRelation, check_point, check_size
 from .errors import CycleError, UnknownPointError
 from .graphs import Graph, is_extremal_graph
 
@@ -21,15 +22,19 @@ class Poset:
     ``succ[v]`` holds every point strictly above v in the (transitively
     closed) order; ``pred[v]`` every point strictly below.  ``levels[v]``
     is the size of the longest chain ending at v, so the level sets
-    partition the poset into ``height`` antichains.
+    partition the poset into ``height`` antichains; ``layers`` holds
+    them as point masks, lowest level first.
 
     The constructor is the one validation path: it takes the transitive
     closure of the rows it is given, so any acyclic relation is
     accepted, and raises UnknownPointError on a row naming a point >= n
-    and CycleError when the closure puts some point above itself.
+    and CycleError when the closure puts some point above itself.  The
+    closure pass that finds the rows closed also transposes them into
+    ``pred``, and the levels come from peeling minimal points, one
+    layer at a time.
     """
 
-    __slots__ = ("size", "succ", "pred", "levels", "height")
+    __slots__ = ("size", "succ", "pred", "levels", "layers", "height", "_graph")
 
     def __init__(self, succ_rows: Iterable[int]):
         rows = list(succ_rows)
@@ -40,38 +45,53 @@ class Poset:
         # Repeated squaring: each pass extends reachability from <= k
         # steps to <= 2k steps, so O(log n) passes suffice, and rows
         # that are already closed (every enumerated poset) take one.
+        # Each pass also transposes the rows it reads, which is ``pred``
+        # once they are closed.
         while True:
             closed = []
+            pred = [0] * n
+            bit = 1
             for row in rows:
-                reach = row
-                for u in bits_of(row):
+                reach = rest = row
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
                     reach |= rows[u]
+                    pred[u] |= bit
+                    rest ^= low
                 closed.append(reach)
+                bit <<= 1
             if closed == rows:
                 break
             rows = closed
         for v in range(n):
             if rows[v] >> v & 1:
                 raise CycleError(f"cover relations create a cycle through point {v}")
-        succ = tuple(rows)
-        pred = [0] * n
-        for v in range(n):
-            for u in bits_of(succ[v]):
-                pred[u] |= 1 << v
-        # Longest chain ending at each point; points in predecessor-count
-        # order form a topological order of the closed relation.
+        # Peel minimal points: layer k holds the points whose
+        # predecessors all lie in layers 1..k-1, which are exactly the
+        # points whose longest chain ending there has k points.
         levels = [0] * n
-        for v in sorted(range(n), key=lambda x: pred[x].bit_count()):
-            best = 0
-            for u in bits_of(pred[v]):
-                if levels[u] > best:
-                    best = levels[u]
-            levels[v] = best + 1
+        layers = []
+        rest = (1 << n) - 1
+        while rest:
+            layer = 0
+            scan = rest
+            while scan:
+                low = scan & -scan
+                v = low.bit_length() - 1
+                if not pred[v] & rest:
+                    layer |= low
+                    levels[v] = len(layers) + 1
+                scan ^= low
+            layers.append(layer)
+            rest ^= layer
         self.size = n
-        self.succ = succ
+        self.succ = tuple(rows)
         self.pred = tuple(pred)
         self.levels = tuple(levels)
-        self.height = max(levels)
+        self.layers = tuple(layers)
+        self.height = len(layers)
+        self._graph = None
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "Poset":
@@ -115,16 +135,13 @@ def poset_betweenness(p: Poset) -> BetweennessRelation:
 
 def mirsky_partition(p: Poset) -> tuple[int, ...]:
     """Partition into height-many antichains by longest-chain level,
-    one point mask per layer.
+    one point mask per layer: ``p.layers``, found when ``p`` was built.
 
     Layer i (1-based) collects the points whose longest chain ending
     there has exactly i points; by Mirsky's theorem no partition into
     antichains can use fewer layers.
     """
-    layers = [0] * p.height
-    for v, level in enumerate(p.levels):
-        layers[level - 1] |= 1 << v
-    return tuple(layers)
+    return p.layers
 
 
 def maximum_chain_through_levels(p: Poset) -> tuple[int, ...]:
@@ -153,9 +170,14 @@ def comparability_graph(p: Poset) -> Graph:
     and the graph induce the same line system, and the poset's extremal
     shape is the graph's (``is_extremal_poset``).  The rows are
     symmetric and loop-free by construction, so they are not validated
-    again.
+    again.  The graph is built on the first call and kept on ``p``, so
+    the sweep's count and the certificate replay share it.
     """
-    return Graph._from_rows([p.succ[v] | p.pred[v] for v in range(p.size)])
+    g = p._graph
+    if g is None:
+        succ, pred = p.succ, p.pred
+        g = p._graph = Graph._from_rows([succ[v] | pred[v] for v in range(p.size)])
+    return g
 
 
 def is_extremal_poset(p: Poset) -> bool:

@@ -297,7 +297,12 @@ def _mask_chunks(n: int) -> list[tuple[int, int]]:
 
 
 def _poset_chunks(n: int) -> list[tuple[int, ...]]:
-    return poset_state_prefixes(n, _POSET_PREFIX_DEPTH)
+    """Pair-state prefixes: 27 of depth 3 up to n = 6.  Beyond, each
+    prefix fixes how point 0 relates to every other point (depth n - 1),
+    so no chunk holds more posets than there are on n - 1 points and no
+    chunk's rows make one outsized string."""
+    depth = _POSET_PREFIX_DEPTH if n <= 6 else n - 1
+    return poset_state_prefixes(n, depth)
 
 
 def _chunk_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:

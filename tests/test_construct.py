@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linesys import (
+    Graph,
     HeightError,
     Poset,
     StepKind,
@@ -18,12 +19,14 @@ from linesys import (
     dbe_bound,
     enumerate_posets,
     graph_betweenness,
+    graph_line_count,
     line_mask_set,
     line_of,
     maximum_chain_through_levels,
+    pair_list,
     poset_betweenness,
 )
-from linesys.construct import _adjacency_line
+from linesys.construct import _adjacency_line, _has_universal_line
 
 poset_strategy = st.integers(min_value=2, max_value=7).flatmap(
     lambda n: st.tuples(
@@ -322,3 +325,122 @@ def test_replay_catches_a_probe_moved_inside_the_window_line(case, data):
     steps[pos] = replace(step, probe=probe)
     issues = certificate_issues(replace(cert, steps=tuple(steps)), p)
     assert f"step {pos + 1} probe {probe} lies inside the window line" in issues
+
+
+def test_replay_reports_a_universal_line_of_the_poset():
+    # The branching example's certificate replayed on 0 < 1 < 2 with
+    # 3 < 1: same size, height and levels, but the line of 1 < 2 holds
+    # every point.
+    p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    q = Poset.from_covers(4, [(0, 1), (1, 2), (3, 1)])
+    assert q.levels == p.levels
+    assert certificate_issues(build_certificate(p), q) == [
+        "line of pair (1, 3) recomputes to different members",
+        "line of pair (2, 3) recomputes to different members",
+        "poset has a universal line; certificate is out of scope",
+    ]
+
+
+# {0, 1, 2} below {3, 4, 5} elementwise: two levels of three points,
+# six layer lines, and exactly dbe_bound(6, 2) = 8 distinct lines.
+bipartite_order = [(a, b) for a in range(3) for b in range(3, 6)]
+LAYER_ISSUE = "layer lines do not cover exactly the within-level pairs"
+
+
+def test_replay_reports_a_dropped_layer_line():
+    p = Poset.from_covers(6, bipartite_order)
+    cert = build_certificate(p)
+    assert [pair for pair, _ in cert.layer_lines][-1] == (4, 5)
+    assert cert.total_distinct == cert.bound == 8
+    dropped = replace(cert, layer_lines=cert.layer_lines[:-1])
+    assert certificate_issues(dropped, p) == [
+        LAYER_ISSUE, "7 distinct lines, below the bound 8"
+    ]
+
+
+def test_replay_reports_a_duplicated_layer_line():
+    p = Poset.from_covers(6, bipartite_order)
+    cert = build_certificate(p)
+    for line in cert.layer_lines:
+        doubled = replace(cert, layer_lines=(*cert.layer_lines, line))
+        assert certificate_issues(doubled, p) == [LAYER_ISSUE]
+
+
+def test_replay_reports_a_foreign_layer_line():
+    # (0, 3) joins two levels; its recorded line is its true one, so
+    # only the layer cover fails.
+    p = Poset.from_covers(6, bipartite_order)
+    cert = build_certificate(p)
+    foreign = ((0, 3), 1 << 0 | 1 << 3)
+    for index in range(len(cert.layer_lines)):
+        lines = list(cert.layer_lines)
+        lines[index] = foreign
+        issues = certificate_issues(replace(cert, layer_lines=tuple(lines)), p)
+        assert issues[0] == LAYER_ISSUE
+        assert issues[1:] in ([], ["7 distinct lines, below the bound 8"])
+
+
+def test_replay_accepts_the_layer_lines_in_any_order():
+    p = Poset.from_covers(6, bipartite_order)
+    cert = build_certificate(p)
+    for lines in permutations(cert.layer_lines):
+        assert certificate_issues(replace(cert, layer_lines=lines), p) == []
+
+
+def test_replay_reports_too_few_distinct_lines():
+    # Weak order {0, 1} below {2, 3}: exactly dbe_bound(4, 2) = 4 lines,
+    # and the layer line of (2, 3) is found by no step.
+    p = Poset.from_covers(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    cert = build_certificate(p)
+    assert cert.layer_lines == (((0, 1), 0b0011), ((2, 3), 0b1100))
+    assert cert.total_distinct == cert.bound == 4
+    steps = list(cert.steps)
+    close = steps[-1]
+    # The closing line replaced by a copy of a layer line: the pairs
+    # differ, so the window replay objects too, and one line is lost.
+    steps[-1] = replace(close, lines=(((0, 1), 0b0011),))
+    assert certificate_issues(replace(cert, steps=tuple(steps)), p) == [
+        "closing step does not add the full-chain line",
+        "3 distinct lines, below the bound 4",
+    ]
+
+
+def test_replay_reports_a_broken_window_accounting_identity():
+    # The first window must span the whole chain; recording 1..2 instead
+    # of 1..3 leaves every later step consistent but breaks the identity.
+    p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    cert = build_certificate(p)
+    first, *later = cert.steps
+    assert (first.bottom, first.top) == (1, 3)
+    steps = (replace(first, top=2), *later)
+    assert certificate_issues(replace(cert, steps=steps), p) == [
+        "step 1 records window 1..2, expected 1..3",
+        "window accounting identity fails: 0 != 3 - 2 - 0",
+    ]
+
+
+def test_universal_check_equals_the_line_count_on_every_graph_up_to_n6():
+    for n in range(2, 7):
+        for mask in range(1 << len(pair_list(n))):
+            g = Graph.from_mask(n, mask)
+            assert _has_universal_line(g.adj) == graph_line_count(g)[1], (n, mask)
+
+
+@given(
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] < p[1]
+                ),
+                max_size=2 * n,
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_universal_check_equals_the_line_count_on_comparability_graphs(case):
+    n, covers = case
+    g = comparability_graph(Poset.from_covers(n, covers))
+    assert _has_universal_line(g.adj) == graph_line_count(g)[1]

@@ -163,3 +163,19 @@ def test_prefix_partition_covers_the_enumeration_in_order():
     for prefix in poset_state_prefixes(4, 3):
         pieces.extend(_iter_states(4, prefix))
     assert pieces == whole
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_prefixes_of_one_point_against_all_others_partition_in_order(n):
+    # The chunk layout of the largest poset sweeps, checked where the
+    # whole enumeration is cheap.
+    pieces = []
+    largest = 0
+    for prefix in poset_state_prefixes(n, n - 1):
+        piece = list(_iter_states(n, prefix))
+        largest = max(largest, len(piece))
+        pieces.extend(piece)
+    assert pieces == list(_iter_states(n))
+    # Point 0 unrelated, below all or above all: each as many posets as
+    # on the other n - 1 points, and no prefix has more.
+    assert largest == sum(1 for _ in _iter_states(n - 1))

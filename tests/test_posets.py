@@ -339,3 +339,81 @@ def test_incomparable_pairs_give_bare_pair_lines(case):
             else {a, b}
         )
         assert line_of(rel, a, b) == sum(1 << x for x in expected)
+
+
+def bucketed_layers(p):
+    """The layers bucketed from the levels, one point mask per level."""
+    layers = [0] * p.height
+    for v, level in enumerate(p.levels):
+        layers[level - 1] |= 1 << v
+    return tuple(layers)
+
+
+def levels_by_recurrence(p):
+    """Longest-chain levels, points taken in predecessor-count order (a
+    topological order of the closed relation); an oracle independent of
+    peeling minimal points."""
+    levels = [0] * p.size
+    for v in sorted(range(p.size), key=lambda x: p.pred[x].bit_count()):
+        levels[v] = 1 + max((levels[u] for u in bits_of(p.pred[v])), default=0)
+    return tuple(levels)
+
+
+def transpose(rows):
+    return tuple(
+        sum(1 << v for v in range(len(rows)) if rows[v] >> u & 1)
+        for u in range(len(rows))
+    )
+
+
+@pytest.mark.parametrize("descending", [True, False])
+def test_a_long_chain_of_covers_is_closed_over_several_passes(descending):
+    # Twelve points in one chain, each cover given once: a single
+    # closure pass only doubles the reach, so this takes several.
+    n = 12
+    covers = [(v + 1, v) if descending else (v, v + 1) for v in range(n - 1)]
+    covers.reverse()
+    p = Poset.from_covers(n, covers)
+    assert relation_pairs(p) == reachable_pairs(n, covers)
+    assert p.pred == transpose(p.succ)
+    assert p.height == n
+    order = range(n - 1, -1, -1) if descending else range(n)
+    assert [p.levels[v] for v in order] == list(range(1, n + 1))
+    assert p.layers == tuple(1 << v for v in order)
+
+
+@given(poset_strategy)
+@settings(max_examples=80)
+def test_pred_is_the_transpose_of_succ(case):
+    n, covers = case
+    p = Poset.from_covers(n, covers)
+    assert p.pred == transpose(p.succ)
+    assert relation_pairs(p) == reachable_pairs(n, covers)
+
+
+def test_levels_and_layers_equal_the_recurrence_and_its_buckets_up_to_n6():
+    for n in range(1, 7):
+        for p in enumerate_posets(n):
+            assert p.levels == levels_by_recurrence(p), p.succ
+            assert p.layers == bucketed_layers(p) == mirsky_partition(p), p.succ
+            assert p.height == max(p.levels)
+
+
+def test_a_cycle_found_only_after_several_passes_is_rejected():
+    # 0 < 1 < 2 < 3 < 4 leads into the cycle 4 < 5 < ... < 11 < 4: no
+    # point sees itself until the reach has doubled a few times, and the
+    # first point on the cycle is named.
+    covers = [(v, v + 1) for v in range(11)] + [(11, 4)]
+    with pytest.raises(CycleError, match="cycle through point 4$"):
+        Poset.from_covers(12, covers)
+    rows = [0] * 12
+    for a, b in covers:
+        rows[a] |= 1 << b
+    with pytest.raises(CycleError, match="cycle through point 4$"):
+        Poset(rows)
+
+
+def test_the_comparability_graph_is_built_once_per_poset():
+    p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    assert comparability_graph(p) is comparability_graph(p)
+    assert comparability_graph(p).adj == (0b0110, 0b0101, 0b1011, 0b0100)

@@ -25,6 +25,7 @@ from linesys import (
     run_sweep,
 )
 from linesys.core import BetweennessRelation
+from linesys.enumeration import poset_state_prefixes
 from linesys.sweeps import VerificationReport, shape_mismatch
 
 
@@ -280,6 +281,22 @@ def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, workers):
     assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == 16
     data = jsonl_of(kind, 5, workers)[0].encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS[kind, 5]
+
+
+def test_poset_chunks_fix_point_zero_from_n7():
+    chunks = sweeps.SWEEP_KINDS["poset"].chunks
+    assert chunks(6) == poset_state_prefixes(6, 3)
+    assert chunks(7) == poset_state_prefixes(7, 6)
+    assert len(chunks(7)) == 729
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_deep_poset_prefixes_are_written_in_canonical_order(monkeypatch, workers):
+    # The n = 7 layout (point 0 against every other point) at n = 5.
+    monkeypatch.setattr(sweeps, "_POSET_PREFIX_DEPTH", 4)
+    assert len(sweeps.SWEEP_KINDS["poset"].chunks(5)) == 81
+    data = jsonl_of("poset", 5, workers)[0].encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS["poset", 5]
 
 
 def test_violations_are_reported_as_data_not_exceptions(monkeypatch):

@@ -25,9 +25,10 @@ the process reads each line from the order rows (the pair, everything
 below its lower point or above its upper point, and everything between
 them), while the replay reads it from the adjacency rows of the
 comparability graph (the pair, plus the common neighbors of an
-adjacent pair).  The replay's universal-line check reads the same rows
-in O(n) rather than counting every line: an edge's line holds every
-point exactly when both its ends are adjacent to all other points.
+adjacent pair).  The replay's universal-line check,
+``graphs.has_universal_line``, reads the same rows in O(n) rather than
+counting every line: an edge's line holds every point exactly when both
+its ends are adjacent to all other points.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from operator import ne
 from .bounds import dbe_bound
 from .core import bits_of
 from .errors import HeightError, InternalError, UniversalLineError
+from .graphs import has_universal_line
 from .posets import (
     Poset,
     comparability_graph,
@@ -252,7 +254,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     # of the right length inside the poset.
     if chain_in_range and len(chain) == height:
         issues += _window_issues(cert, adj)
-    if _has_universal_line(adj):
+    if has_universal_line(adj):
         issues.append("poset has a universal line; certificate is out of scope")
 
     windows = [(s.bottom, s.top) for s in cert.steps]
@@ -304,22 +306,6 @@ def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:
     if adj[a] >> b & 1:
         return 1 << a | 1 << b | adj[a] & adj[b]
     return 1 << a | 1 << b
-
-
-def _has_universal_line(adj: tuple[int, ...]) -> bool:
-    """Whether the graph with adjacency rows ``adj`` has a line holding
-    every vertex, in O(n): the line of an edge ab is universal exactly
-    when every other vertex is adjacent to both a and b, that is when
-    two vertices are adjacent to all others, and the bare pair of a
-    non-edge only when there are two vertices."""
-    full = (1 << len(adj)) - 1
-    seen = False
-    for v, row in enumerate(adj):
-        if row | 1 << v == full:
-            if seen:
-                return True
-            seen = True
-    return len(adj) == 2 and not adj[0]
 
 
 def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:

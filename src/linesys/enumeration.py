@@ -5,12 +5,11 @@ Graphs are encoded by an edge bitmask over pair_list(n) and enumerated
 in ascending mask order.  A poset is encoded by the state of each pair
 a < b in lexicographic pair order (0 incomparable, 1 a < b, 2 b < a),
 read as a big-endian base-3 number.  Posets are enumerated by
-backtracking over that pair order on successor and predecessor rows,
-with an explicit stack of placed states rather than one generator per
-pair: ``_fits`` admits a state only if it keeps every triple of placed
-pairs transitive, so the codes ascend in enumeration order and each
-poset comes with its order rows.  The decoder of a code places its
-digits with the same rule.
+backtracking over that pair order on successor and predecessor rows:
+``_fits`` admits a state only if it keeps every triple of placed pairs
+transitive, so the codes ascend in enumeration order and each poset
+comes with its order rows.  The decoder of a code places its digits
+with the same rule.
 """
 
 from __future__ import annotations
@@ -70,48 +69,23 @@ def _iter_states(
     """``(code, succ rows)`` of every poset whose leading pair states
     are ``prefix``, in ascending code order.
 
-    Backtracks over the pairs with an explicit stack: ``placed[q]`` is
-    the state pair q holds and ``codes[q]`` the code of the pairs before
-    it, so a leaf costs no chain of nested generators.  Yields nothing
-    when the prefix itself breaks transitivity.
+    Yields nothing when the prefix itself breaks transitivity.
     """
     pairs = pair_list(n)
-    total = len(pairs)
     succ, pred = [0] * n, [0] * n
-    if not total:
-        yield 0, tuple(succ)
-        return
-    # The states pair q may take: [first[q], stop[q]).
-    first = [prefix[q] if q < len(prefix) else 0 for q in range(total)]
-    stop = [s + 1 if q < len(prefix) else 3 for q, s in enumerate(first)]
-    placed = [0] * total
-    codes = [0] * total
-    last = total - 1
-    q, s, code = 0, first[0], 0
-    while True:
-        if s < stop[q]:
-            b, c = pairs[q]
+
+    def extend(q: int, code: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        if q == len(pairs):
+            yield code, tuple(succ)
+            return
+        b, c = pairs[q]
+        for s in (prefix[q],) if q < len(prefix) else range(3):
             if _fits(succ, pred, b, c, s):
                 _place(succ, pred, b, c, s)
-                if q == last:
-                    yield code * 3 + s, tuple(succ)
-                    _place(succ, pred, b, c, s)
-                else:
-                    placed[q], codes[q] = s, code
-                    code = code * 3 + s
-                    q += 1
-                    s = first[q]
-                    continue
-            s += 1
-            continue
-        # Every state of pair q is tried: take back the pair before it.
-        if not q:
-            return
-        q -= 1
-        s, code = placed[q], codes[q]
-        b, c = pairs[q]
-        _place(succ, pred, b, c, s)
-        s += 1
+                yield from extend(q + 1, code * 3 + s)
+                _place(succ, pred, b, c, s)
+
+    yield from extend(0, 0)
 
 
 def poset_from_state(n: int, state: Iterable[int]) -> Poset:

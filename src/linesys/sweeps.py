@@ -64,7 +64,6 @@ PAIR_SUM_SWEEP_CAP = 12
 _CHUNK_MASKS = 1 << 12
 # Pair bits covered by the per-chunk table of low adjacency rows.
 _LOW_PAIRS = 8
-_POSET_PREFIX_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -297,12 +296,10 @@ def _mask_chunks(n: int) -> list[tuple[int, int]]:
 
 
 def _poset_chunks(n: int) -> list[tuple[int, ...]]:
-    """Pair-state prefixes: 27 of depth 3 up to n = 6.  Beyond, each
-    prefix fixes how point 0 relates to every other point (depth n - 1),
-    so no chunk holds more posets than there are on n - 1 points and no
-    chunk's rows make one outsized string."""
-    depth = _POSET_PREFIX_DEPTH if n <= 6 else n - 1
-    return poset_state_prefixes(n, depth)
+    """Pair-state prefixes of depth n - 1: each fixes how point 0 relates
+    to every other point, so no chunk holds more posets than there are
+    on n - 1 points and no chunk's rows make one outsized string."""
+    return poset_state_prefixes(n, n - 1)
 
 
 def _chunk_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:

@@ -20,6 +20,8 @@ from linesys import (
     pair_list,
 )
 
+from linesys.graphs import has_universal_line
+
 from line_entries import line_entries
 
 
@@ -201,6 +203,13 @@ def generic_line_count(g):
 def test_direct_line_count_matches_the_generic_evaluator_up_to_n6():
     for g in every_graph(6):
         assert graph_line_count(g) == generic_line_count(g), (g.size, g.adj)
+
+
+def test_universal_check_matches_the_generic_evaluator_up_to_n6():
+    # The O(n) rule and the flag graph_line_count reads from its edge
+    # lines are two definitions; both must give the relation's answer.
+    for g in every_graph(6):
+        assert has_universal_line(g.adj) == generic_line_count(g)[1], (g.size, g.adj)
 
 
 def test_edgeless_graph_on_two_vertices_has_a_universal_bare_pair():

@@ -283,20 +283,13 @@ def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, workers):
     assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS[kind, 5]
 
 
-def test_poset_chunks_fix_point_zero_from_n7():
+def test_poset_chunks_fix_point_zero_against_every_other_point():
+    # The jsonl streams of test_golden pin the bytes this layout writes
+    # at n = 4 and 5 with one and two workers.
     chunks = sweeps.SWEEP_KINDS["poset"].chunks
-    assert chunks(6) == poset_state_prefixes(6, 3)
-    assert chunks(7) == poset_state_prefixes(7, 6)
-    assert len(chunks(7)) == 729
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_deep_poset_prefixes_are_written_in_canonical_order(monkeypatch, workers):
-    # The n = 7 layout (point 0 against every other point) at n = 5.
-    monkeypatch.setattr(sweeps, "_POSET_PREFIX_DEPTH", 4)
-    assert len(sweeps.SWEEP_KINDS["poset"].chunks(5)) == 81
-    data = jsonl_of("poset", 5, workers)[0].encode()
-    assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS["poset", 5]
+    for n in range(2, 8):
+        assert chunks(n) == poset_state_prefixes(n, n - 1)
+    assert (len(chunks(5)), len(chunks(7))) == (81, 729)
 
 
 def test_violations_are_reported_as_data_not_exceptions(monkeypatch):

@@ -85,15 +85,15 @@ def _write_json(out, row: dict) -> None:
     out.write(json.dumps(row) + "\n")
 
 
-def _verify_graph(g):
+def _verify_graph(g, jsonl):
     min_n = SWEEP_KINDS["graph"].min_n
     if g.size < min_n:
         raise _UsageError(f"graph verification needs n >= {min_n}")
     return graph_report(g), None
 
 
-def _verify_poset(p):
-    report, cert_issue = poset_report(p)
+def _verify_poset(p, jsonl):
+    report, cert_issue = poset_report(p, None if jsonl else "")
     if report is None:
         raise _UsageError(
             "poset verification needs height >= 2 (an antichain has no bound)"
@@ -104,7 +104,10 @@ def _verify_poset(p):
 class _InputKind(NamedTuple):
     parse: Callable[[str], object]  # text -> structure
     lines: Callable[[object], Iterator]  # structure -> runs of line_system
-    verify: Callable[[object], tuple] | None  # structure -> (report, defect)
+    # (structure, jsonl output?) -> (report, defect).  Only the jsonl
+    # row prints the instance id, so text output of a poset skips its
+    # id, a base-3 number of C(n, 2) digits.
+    verify: Callable[[object, bool], tuple] | None
 
 
 # The one place an input kind is described; verify is None when no
@@ -123,7 +126,7 @@ INPUT_KINDS = {
     ),
     "metric": _InputKind(
         lambda text: parse_metric(text), lambda m: metric_lines(m),
-        lambda m: (metric_report(m), None),
+        lambda m, jsonl: (metric_report(m), None),
     ),
     "hypergraph": _InputKind(
         lambda text: parse_hypergraph(text), lambda h: hypergraph_lines(*h), None
@@ -161,9 +164,14 @@ def _cmd_bound(args, out) -> int:
 def _cmd_construct(args, out) -> int:
     poset = parse_poset(_read_input(args.input))
     cert = build_certificate(poset)
+    distinct, bound = cert.total_distinct, cert.bound
     if args.format == "jsonl":
-        layer_lines = [list(bits_of(mask)) for _, mask in cert.layer_lines]
-        _write_json(out, {"chain": list(cert.chain), "layer_lines": layer_lines})
+        # The first row, as json.dumps writes it, streamed pair by pair.
+        pairs = map("[%d, %d]".__mod__, cert.layer_pairs())
+        chain = json.dumps(cert.chain)
+        out.write(f'{{"chain": {chain}, "layer_lines": [{next(pairs, "")}')
+        out.writelines(map(", ".__add__, pairs))
+        out.write("]}\n")
         for iteration, step in enumerate(cert.steps, 1):
             row = {
                 "iteration": iteration,
@@ -171,14 +179,13 @@ def _cmd_construct(args, out) -> int:
                 "bottom": step.bottom,
                 "top": step.top,
                 "probe": step.probe,
-                "lines": [list(bits_of(mask)) for _, mask in step.lines],
+                "lines": [list(bits_of(mask)) for mask in step.lines],
             }
             _write_json(out, row)
-        _write_json(out, {"distinct": cert.total_distinct, "bound": cert.bound})
+        _write_json(out, {"distinct": distinct, "bound": bound})
     else:
         out.write("chain: " + " ".join(map(str, cert.chain)) + "\n")
-        for _, mask in cert.layer_lines:
-            out.write("layer line: " + render_points(mask) + "\n")
+        out.writelines(map("layer line: %d %d\n".__mod__, cert.layer_pairs()))
         for iteration, step in enumerate(cert.steps, 1):
             head = (
                 f"iteration {iteration} step {step.kind.value} "
@@ -187,9 +194,9 @@ def _cmd_construct(args, out) -> int:
             if step.probe is not None:
                 head += f" outside {step.probe}"
             out.write(head + "\n")
-            for _, mask in step.lines:
+            for mask in step.lines:
                 out.write("  line: " + render_points(mask) + "\n")
-        out.write(f"distinct {cert.total_distinct} >= bound {cert.bound}\n")
+        out.write(f"distinct {distinct} >= bound {bound}\n")
     return EXIT_OK
 
 
@@ -200,7 +207,8 @@ def _cmd_verify(args, out) -> int:
             "no line-count theorem covers general 3-uniform hypergraphs; "
             "verify supports graph, poset, and metric"
         )
-    report, cert_issue = kind.verify(kind.parse(_read_input(args.input)))
+    structure = kind.parse(_read_input(args.input))
+    report, cert_issue = kind.verify(structure, args.format == "jsonl")
     if args.format == "jsonl":
         out.write(report.json_line() + "\n")
     else:

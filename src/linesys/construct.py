@@ -4,8 +4,8 @@ For a poset of height H >= 2 with no universal line the process
 collects, by construction, at least dbe_bound(n, H) distinct lines:
 
 * one pair line for every pair inside a level of the antichain
-  partition (``layer_lines``; all distinct since distinct pairs of
-  incomparable points give distinct 2-point lines), and
+  partition (all distinct, since distinct pairs of incomparable points
+  give distinct 2-point lines), and
 * at least H further lines found by walking a maximum chain
   c_1 < ... < c_H with a shrinking index window [bottom, top].
 
@@ -17,26 +17,31 @@ the window reacts: fan out and stop when it is incomparable with both
 ("2a"), raise the bottom past the incomparable stretch when it sits
 above ("2b"), or lower the top symmetrically ("2c").
 
-The certificate stores every window position, probe point, and line
-(as its generating pair and member mask), so an independent pass can
-replay the bookkeeping and recompute each line from scratch.  Neither
-side builds a betweenness relation, and they share no line evaluator:
-the process reads each line from the order rows (the pair, everything
-below its lower point or above its upper point, and everything between
-them), while the replay reads it from the adjacency rows of the
-comparability graph (the pair, plus the common neighbors of an
-adjacent pair).  The replay's universal-line check,
-``graphs.has_universal_line``, reads the same rows in O(n) rather than
-counting every line: an edge's line holds every point exactly when both
-its ends are adjacent to all other points.
+The certificate records only what cannot be derived: the levels as
+point masks (``layers``), the chain, and every iteration's window,
+probe point and the member masks of the lines it added.  A line's
+generating pair follows from the chain, the window, the probe and the
+step kind.  The distinct total is the C(|L|, 2) pairs of each level L
+plus the distinct step lines that are not such a pair.  An independent
+pass replays the bookkeeping, derives each step's generators and
+recomputes each recorded line once.  Neither side builds a betweenness
+relation, and they share no line evaluator: the process reads each line
+from the order rows (the pair, everything below its lower point or above
+its upper point, and everything between them), the replay from the
+adjacency rows of the comparability graph (the pair, plus the common
+neighbors of an adjacent pair), which its O(n) universal-line check,
+``graphs.has_universal_line``, reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from operator import ne
+from functools import reduce
+from itertools import combinations, repeat
+from math import comb
+from operator import and_, ne, or_
+from typing import Iterator
 
 from .bounds import dbe_bound
 from .core import bits_of
@@ -53,10 +58,6 @@ from .core import line_of  # noqa: F401
 from .posets import poset_betweenness  # noqa: F401
 
 
-# A recorded line: its generating pair (ascending) and its member mask.
-GeneratedLine = tuple[tuple[int, int], int]
-
-
 class StepKind(str, Enum):
     """What an iteration did; values are the trace labels."""
 
@@ -66,7 +67,7 @@ class StepKind(str, Enum):
     LOWER_TOP = "2c"     # probe comparable below only: lower the top
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessStep:
     """One iteration: the window it saw, what it chose, what it added.
 
@@ -74,32 +75,37 @@ class ProcessStep:
     ``LineCertificate.steps``.  ``bottom`` and ``top`` are 1-based
     positions on the chain.  ``probe`` is the smallest-index point
     outside the window line, or None when the window was already closed.
+    ``lines`` are the member masks of the probe's lines with the chain
+    points of the range the step covers, in chain order, then for a fan
+    the full-chain line, which a closing step adds alone.
     """
 
     kind: StepKind
     bottom: int
     top: int
     probe: int | None
-    lines: tuple[GeneratedLine, ...]
+    lines: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineCertificate:
-    """Recorded output of the line-finding process."""
+    """Recorded output of the line-finding process.  ``layers`` are the
+    level masks ``mirsky_partition`` returns, lowest level first."""
 
     size: int
     height: int
     chain: tuple[int, ...]
-    layer_lines: tuple[GeneratedLine, ...]
+    layers: tuple[int, ...]
     steps: tuple[ProcessStep, ...]
 
-    def process_lines(self) -> tuple[GeneratedLine, ...]:
-        return tuple(line for step in self.steps for line in step.lines)
+    def layer_pairs(self) -> Iterator[tuple[int, int]]:
+        """The pairs inside each level in order, each line a bare pair."""
+        for layer in self.layers:
+            yield from combinations(bits_of(layer), 2)
 
     @property
     def total_distinct(self) -> int:
-        lines = self.layer_lines + self.process_lines()
-        return _distinct_count([mask for _, mask in lines])
+        return _distinct_lines(self.layers, self.steps)
 
     @property
     def bound(self) -> int:
@@ -121,33 +127,24 @@ def build_certificate(p: Poset) -> LineCertificate:
     n = p.size
     succ, pred = p.succ, p.pred
 
-    def line(a: int, b: int) -> GeneratedLine:
+    def line(a: int, b: int) -> int:
         # The line of a < b in the order: the pair, everything below a or
         # above b, and everything between them; an incomparable pair's
         # line is the bare pair.
-        pair = (a, b) if a < b else (b, a)
         if succ[b] >> a & 1:
             a, b = b, a
         elif not succ[a] >> b & 1:
-            return pair, 1 << a | 1 << b
-        return pair, 1 << a | 1 << b | pred[a] | succ[b] | succ[a] & pred[b]
+            return 1 << a | 1 << b
+        return 1 << a | 1 << b | pred[a] | succ[b] | succ[a] & pred[b]
 
     chain = maximum_chain_through_levels(p)
-    # Points of one level are incomparable, so each layer line is its
-    # bare pair; a level of one point has none.
-    layer_lines = [
-        ((a, b), 1 << a | 1 << b)
-        for layer in mirsky_partition(p)
-        if layer & layer - 1
-        for a, b in combinations(bits_of(layer), 2)
-    ]
 
-    def lines_to(point: int, lo: int, hi: int) -> tuple[GeneratedLine, ...]:
+    def lines_to(point: int, lo: int, hi: int) -> tuple[int, ...]:
         return tuple([line(c, point) for c in chain[lo - 1 : hi]])
 
     # The full-chain line, which joins chain positions 1 and height, ends
     # every run of the process.
-    closing = lines_to(chain[0], height, height)
+    closing = (line(chain[0], chain[-1]),)
     full = (1 << n) - 1
     steps: list[ProcessStep] = []
     bottom, top = 1, height
@@ -156,7 +153,7 @@ def build_certificate(p: Poset) -> LineCertificate:
             steps.append(ProcessStep(StepKind.CLOSE, bottom, top, None, closing))
             break
         low, high = chain[bottom - 1], chain[top - 1]
-        window_mask = line(low, high)[1]
+        window_mask = line(low, high)
         if window_mask == full:
             raise UniversalLineError(
                 f"the line of chain positions {bottom} and {top} contains all "
@@ -182,70 +179,70 @@ def build_certificate(p: Poset) -> LineCertificate:
             kind, added = StepKind.RAISE_BOTTOM, lines_to(probe, bottom, new_bottom)
         else:
             new_top = -1 + min(
-                i
-                for i in range(bottom + 1, top + 1)
+                i for i in range(bottom + 1, top + 1)
                 if not comparable >> chain[i - 1] & 1
             )
             kind, added = StepKind.LOWER_TOP, lines_to(probe, new_top, top)
         steps.append(ProcessStep(kind, bottom, top, probe, added))
         bottom, top = new_bottom, new_top
 
-    cert = LineCertificate(n, height, chain, tuple(layer_lines), tuple(steps))
-    distinct, bound = cert.total_distinct, cert.bound
+    layers = mirsky_partition(p)
+    distinct, bound = _distinct_lines(layers, steps), dbe_bound(n, height)
     if distinct < bound:
         raise InternalError(
             f"process found {distinct} distinct lines, below the guaranteed {bound}"
         )
-    return cert
+    return LineCertificate(n, height, chain, layers, tuple(steps))
 
 
 def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     """Replay a certificate against its poset and list every defect.
 
     Checks, independently of how the certificate was built: the chain
-    runs through the levels; the layer lines are exactly the
-    within-level pairs, each recomputing to its recorded members; every
-    process line recomputes from its generator; window bookkeeping is
+    runs through the levels; the layers are the levels of ``p``,
+    partition its points and are antichains; window bookkeeping is
     monotone, moves strictly on every non-final step, and matches the
-    recorded step kinds and probes; the incomparable-pair accounting
-    identity holds; and the distinct total meets the bound.  Every line,
-    the window lines the probes are checked against and the
-    universal-line check (two vertices adjacent to all others) are read
-    from the adjacency rows of the comparability graph of ``p``, not
-    from the order rows the build reads, so the replay shares no
-    evaluator with the build.  A point the certificate names outside the
-    poset (a chain point, a line's generator or a probe) is reported as
-    a defect, not raised.  Defects name a step by its 1-based position
-    in ``cert.steps``, the iteration number the ``construct`` command
-    prints.
+    recorded step kinds and probes; each step records one line per
+    generator its window, probe and kind give, each recomputing to its
+    members; the incomparable-pair accounting identity holds; and the
+    distinct total, counted from the certificate's own layers and lines,
+    meets the bound.  Lines, window lines, antichains and the universal
+    line are read from the adjacency rows of the comparability graph of
+    ``p``, not from the order rows the build reads.  A point the
+    certificate names outside the poset (in the chain, a layer or a
+    probe) is reported as a defect, not raised.  Defects name a step by
+    its 1-based position in ``cert.steps``, the iteration number the
+    ``construct`` command prints.
     """
-    issues: list[str] = []
     n, height = p.size, p.height
     if cert.size != n or cert.height != height:
-        issues.append("certificate size or height does not match the poset")
-        return issues
+        return ["certificate size or height does not match the poset"]
     adj = comparability_graph(p).adj
+    issues: list[str] = []
 
-    points = range(n)
     chain = cert.chain
-    chain_in_range = all(c in points for c in chain)
+    chain_in_range = all(map(range(n).__contains__, chain))
     if not chain_in_range:
         issues.append("chain names a point outside the poset")
-    elif len(chain) != height or any(p.levels[c] != i for i, c in enumerate(chain, 1)):
+    elif list(map(p.levels.__getitem__, chain)) != list(range(1, height + 1)):
         issues.append("chain does not run through the levels")
-    succ = p.succ
-    if chain_in_range and not all(succ[a] >> b & 1 for a, b in zip(chain, chain[1:])):
+    # Each chain point has its predecessor on the chain in its pred row.
+    below = map((1).__lshift__, chain)
+    if chain_in_range and not all(map(and_, map(p.pred.__getitem__, chain[1:]), below)):
         issues.append("chain points are not increasing in the order")
 
-    if not _covers_the_level_pairs(cert.layer_lines, mirsky_partition(p)):
-        issues.append("layer lines do not cover exactly the within-level pairs")
-    lines = cert.layer_lines + cert.process_lines()
-    for pair, mask in lines:
-        a, b = pair
-        if a not in points or b not in points or a == b:
-            issues.append(f"line of pair {pair} does not join two points of the poset")
-        elif mask != _adjacency_line(adj, a, b):
-            issues.append(f"line of pair {pair} recomputes to different members")
+    layers = cert.layers
+    if layers != mirsky_partition(p):
+        issues.append("layers are not the levels of the poset")
+    if reduce(or_, layers, 0) != (1 << n) - 1 or sum(map(int.bit_count, layers)) != n:
+        issues.append("layers do not partition the points")
+    else:
+        for i, layer in enumerate(layers, 1):
+            if layer & layer - 1:  # a one-point layer is an antichain
+                for v in bits_of(layer):
+                    if adj[v] & layer:
+                        issues.append(f"layer {i} is not an antichain")
+                        break
 
     if not cert.steps:
         issues.append("certificate records no process steps")
@@ -257,47 +254,36 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     if has_universal_line(adj):
         issues.append("poset has a universal line; certificate is out of scope")
 
-    windows = [(s.bottom, s.top) for s in cert.steps]
-    iterations = len(windows)
-    moved = sum(
-        windows[k + 1][0] - windows[k][0] + windows[k][1] - windows[k + 1][1] - 1
-        for k in range(iterations - 1)
-    )
-    final_gap = windows[-1][1] - windows[-1][0]
+    # The moves between consecutive windows, each the rise of the bottom
+    # plus the fall of the top less one, telescope.
+    first, final, iterations = cert.steps[0], cert.steps[-1], len(cert.steps)
+    moved = final.bottom - first.bottom + first.top - final.top - (iterations - 1)
+    final_gap = final.top - final.bottom
     if moved != height - iterations - final_gap:
         issues.append(
             f"window accounting identity fails: {moved} != "
             f"{height} - {iterations} - {final_gap}"
         )
 
-    distinct, bound = _distinct_count([mask for _, mask in lines]), cert.bound
+    distinct, bound = _distinct_lines(layers, cert.steps), dbe_bound(n, height)
     if distinct < bound:
         issues.append(f"{distinct} distinct lines, below the bound {bound}")
     return issues
 
 
-def _covers_the_level_pairs(
-    layer_lines: tuple[GeneratedLine, ...], layers: tuple[int, ...]
-) -> bool:
-    """Whether the pairs of ``layer_lines`` are exactly the pairs inside
-    the levels ``layers``, in any order.  The order the build records
-    them in is compared first, so only a reordered list is sorted."""
-    expected = [
-        pair
-        for layer in layers
-        if layer & layer - 1
-        for pair in combinations(bits_of(layer), 2)
+def _distinct_lines(layers: tuple[int, ...], steps: tuple[ProcessStep, ...]) -> int:
+    """The C(|L|, 2) bare pairs in each layer L plus the distinct step
+    lines that are no such pair, counted by sorting: an int hashes to its
+    value mod 2**61 - 1, so a set of large line masks collides."""
+    masks = [
+        mask
+        for step in steps
+        for mask in step.lines
+        if mask.bit_count() != 2 or mask not in map(mask.__and__, layers)
     ]
-    recorded = [pair for pair, _ in layer_lines]
-    return recorded == expected or sorted(recorded) == sorted(expected)
-
-
-def _distinct_count(masks: list[int]) -> int:
-    """The number of distinct masks, counted by sorting rather than in a
-    set: an int hashes to its value mod 2**61 - 1, so the line masks of
-    a large poset collide and a set of them is slow to build."""
     masks.sort()
-    return len(masks) and 1 + sum(map(ne, masks, masks[1:]))
+    pairs = sum(map(comb, map(int.bit_count, layers), repeat(2)))
+    return pairs + (len(masks) and 1 + sum(map(ne, masks, masks[1:])))
 
 
 def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:
@@ -311,69 +297,78 @@ def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:
 def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
     """Defects of the recorded window walk along the certificate's chain,
     a chain of ``cert.height`` points of the graph with adjacency rows
-    ``adj``: every window, step kind, probe and generating pair."""
+    ``adj``: every window, step kind and probe, and each step's lines,
+    recomputed from the generators the walk derives."""
     issues: list[str] = []
-    chain, height = cert.chain, cert.height
+    chain, height, steps = cert.chain, cert.height, cert.steps
     points = range(len(adj))
+    closing = (_adjacency_line(adj, chain[0], chain[-1]),)
 
-    def pairs_to(point: int, lo: int, hi: int) -> list[tuple[int, int]]:
-        return [(c, point) if c < point else (point, c) for c in chain[lo - 1 : hi]]
+    def lines_to(point: int, lo: int, hi: int) -> tuple[int, ...]:
+        return tuple([_adjacency_line(adj, c, point) for c in chain[lo - 1 : hi]])
 
-    bottom, top = 1, height
-    last = len(cert.steps)
-    for pos, step in enumerate(cert.steps, start=1):
-        if (step.bottom, step.top) != (bottom, top):
+    bottom, top, last = 1, height, len(steps)
+    for pos, step in enumerate(steps, start=1):
+        if step.bottom != bottom or step.top != top:
             issues.append(
                 f"step {pos} records window {step.bottom}..{step.top}, "
                 f"expected {bottom}..{top}"
             )
-        stopping = step.kind in (StepKind.CLOSE, StepKind.SPLIT)
-        if stopping != (pos == last):
+        kind, probe = step.kind, step.probe
+        if (kind in (StepKind.CLOSE, StepKind.SPLIT)) != (pos == last):
             issues.append(f"step {pos} stops in the wrong place")
             break
-        recorded = [pair for pair, _ in step.lines]
-        if step.kind is StepKind.CLOSE:
-            if bottom != top or step.probe is not None:
+        if kind is StepKind.CLOSE:
+            if bottom != top or probe is not None:
                 issues.append("closing step on an open window")
-            if recorded != pairs_to(chain[0], height, height):
-                issues.append("closing step does not add the full-chain line")
-            continue
-        probe = step.probe
-        if probe is None:
+            expected = closing
+            miscount = "closing step does not add the full-chain line"
+        elif probe is None:
             issues.append(f"step {pos} lacks a probe point")
             break
-        if probe not in points:
+        elif probe not in points:
             issues.append(f"step {pos} probe {probe} is not a point of the poset")
             break
-        low, high = chain[bottom - 1], chain[top - 1]
-        if _adjacency_line(adj, low, high) >> probe & 1:
-            issues.append(f"step {pos} probe {probe} lies inside the window line")
-        with_low, with_high = adj[probe] >> low & 1, adj[probe] >> high & 1
-        if step.kind is StepKind.SPLIT:
-            if with_low or with_high:
-                issues.append(f"step {pos} fans out on a comparable probe")
-            fan = pairs_to(probe, bottom, top) + pairs_to(chain[0], height, height)
-            if recorded != fan:
-                issues.append(f"step {pos} fan does not cover the window")
-            continue
-        # A non-final step: the next one records the window it left.
-        new_bottom, new_top = cert.steps[pos].bottom, cert.steps[pos].top
-        if step.kind is StepKind.RAISE_BOTTOM:
-            if with_low or not with_high:
-                issues.append(f"step {pos} raises the bottom on the wrong probe")
-            if not bottom < new_bottom <= top:
-                issues.append(f"step {pos} does not strictly raise the bottom")
+        else:
+            low, high = chain[bottom - 1], chain[top - 1]
+            if _adjacency_line(adj, low, high) >> probe & 1:
+                issues.append(f"step {pos} probe {probe} lies inside the window line")
+            with_low, with_high = adj[probe] >> low & 1, adj[probe] >> high & 1
+            if kind is StepKind.SPLIT:
+                if with_low or with_high:
+                    issues.append(f"step {pos} fans out on a comparable probe")
+                expected = lines_to(probe, bottom, top) + closing
+                miscount = f"step {pos} fan does not cover the window"
+            elif kind is StepKind.RAISE_BOTTOM:
+                if with_low or not with_high:
+                    issues.append(f"step {pos} raises the bottom on the wrong probe")
+                # Not the last step: the next one records the window left.
+                new_bottom = steps[pos].bottom
+                if not bottom < new_bottom <= top:
+                    issues.append(f"step {pos} does not strictly raise the bottom")
+                    break
+                expected = lines_to(probe, bottom, new_bottom)
+                miscount = f"step {pos} lines do not match the raised range"
+                bottom = new_bottom
+            elif kind is StepKind.LOWER_TOP:
+                if with_high or not with_low:
+                    issues.append(f"step {pos} lowers the top on the wrong probe")
+                new_top = steps[pos].top
+                if not bottom <= new_top < top:
+                    issues.append(f"step {pos} does not strictly lower the top")
+                    break
+                expected = lines_to(probe, new_top, top)
+                miscount = f"step {pos} lines do not match the lowered range"
+                top = new_top
+            else:
+                issues.append(f"step {pos} records an unknown step kind")
                 break
-            if recorded != pairs_to(probe, bottom, new_bottom):
-                issues.append(f"step {pos} lines do not match the raised range")
-            bottom = new_bottom
-        elif step.kind is StepKind.LOWER_TOP:
-            if with_high or not with_low:
-                issues.append(f"step {pos} lowers the top on the wrong probe")
-            if not bottom <= new_top < top:
-                issues.append(f"step {pos} does not strictly lower the top")
-                break
-            if recorded != pairs_to(probe, new_top, top):
-                issues.append(f"step {pos} lines do not match the lowered range")
-            top = new_top
+        if len(step.lines) != len(expected):
+            issues.append(miscount)
+        elif step.lines != expected:
+            issues += [
+                f"step {pos} line {i} recomputes to different members"
+                for i, (mask, line) in enumerate(zip(step.lines, expected), 1)
+                if mask != line
+            ]
     return issues

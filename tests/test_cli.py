@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesys import dbe_bound, enumeration, graphs
+from linesys import dbe_bound, enumeration, graphs, sweeps
 from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from test_golden import workloads
 from test_sweeps import flip_the_shape
@@ -286,6 +286,26 @@ def test_verify_poset_on_1200_points(monkeypatch, capsys):
     assert run_cli(argv, "1200 1\n0 1\n", monkeypatch=monkeypatch) == (EXIT_INPUT, "")
     err = capsys.readouterr().err
     assert err == "error: the instance id of this poset is too long to print as jsonl\n"
+
+
+def test_verify_poset_text_builds_no_poset_id(monkeypatch, poset_file):
+    # Text output prints no instance id, so it never encodes one; the
+    # jsonl row still does.
+    def refuse(p):
+        raise AssertionError("text verify built a poset id")
+
+    expected = run_cli(["verify", "--kind", "poset", poset_file])
+    assert expected[0] == EXIT_OK
+    monkeypatch.setattr(sweeps, "poset_code", refuse)
+    assert run_cli(["verify", "--kind", "poset", poset_file]) == expected
+    assert run_cli(
+        ["verify", "--kind", "poset"], "1200 1\n0 1\n", monkeypatch=monkeypatch
+    ) == (EXIT_OK, (
+        "kind poset n 1200\nlines 719400 bound 359402 universal no\n"
+        "equality case: no\nextremal shape: no\nresult: ok\n"
+    ))
+    with pytest.raises(AssertionError, match="text verify built a poset id"):
+        run_cli(["verify", "--kind", "poset", "--format", "jsonl", poset_file])
 
 
 def test_verify_hypergraph_rejected(tmp_path):

@@ -424,6 +424,84 @@ def test_construct_bytes(monkeypatch):
     )
 
 
+# construct on more posets: K3,3 as an order (two 3-point levels, six
+# layer lines), an isolated point beside a 2-chain (a split step), and
+# a 60-point chain of two plus an antichain, pinned by length and
+# SHA-256.
+K33_ORDER = "6 9\n" + "".join(f"{a} {b}\n" for a in range(3) for b in range(3, 6))
+SPLIT_POSET = "3 1\n0 1\n"
+CONSTRUCT_GOLDEN = {
+    (K33_ORDER, "text"): (
+        "chain: 0 3\n"
+        "layer line: 0 1\n"
+        "layer line: 0 2\n"
+        "layer line: 1 2\n"
+        "layer line: 3 4\n"
+        "layer line: 3 5\n"
+        "layer line: 4 5\n"
+        "iteration 1 step 2b window 1..2 outside 1\n"
+        "  line: 0 1\n"
+        "  line: 1 3\n"
+        "iteration 2 step 1 window 2..2\n"
+        "  line: 0 3\n"
+        "distinct 8 >= bound 8\n"
+    ),
+    (K33_ORDER, "jsonl"): (
+        '{"chain": [0, 3], "layer_lines": '
+        '[[0, 1], [0, 2], [1, 2], [3, 4], [3, 5], [4, 5]]}\n'
+        '{"iteration": 1, "step": "2b", "bottom": 1, "top": 2, "probe": 1, '
+        '"lines": [[0, 1], [1, 3]]}\n'
+        '{"iteration": 2, "step": "1", "bottom": 2, "top": 2, "probe": null, '
+        '"lines": [[0, 3]]}\n'
+        '{"distinct": 8, "bound": 8}\n'
+    ),
+    (SPLIT_POSET, "text"): (
+        "chain: 0 1\n"
+        "layer line: 0 2\n"
+        "iteration 1 step 2a window 1..2 outside 2\n"
+        "  line: 0 2\n"
+        "  line: 1 2\n"
+        "  line: 0 1\n"
+        "distinct 3 >= bound 3\n"
+    ),
+    (SPLIT_POSET, "jsonl"): (
+        '{"chain": [0, 1], "layer_lines": [[0, 2]]}\n'
+        '{"iteration": 1, "step": "2a", "bottom": 1, "top": 2, "probe": 2, '
+        '"lines": [[0, 2], [1, 2], [0, 1]]}\n'
+        '{"distinct": 3, "bound": 3}\n'
+    ),
+}
+CONSTRUCT_LARGE = {
+    "text": (
+        30_392,
+        "0928ecc02935735932ae3a1e085362ed602324320b2322df41c2896955823184",
+    ),
+    "jsonl": (
+        16_757,
+        "d0e2cb5338358574dd1f5c927db4c97cb37d774330ce2ccd3ef2f91ece47d9a2",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, fmt", list(CONSTRUCT_GOLDEN),
+    ids=["k33-text", "k33-jsonl", "split-text", "split-jsonl"],
+)
+def test_construct_golden_bytes(text, fmt, monkeypatch, capsys):
+    assert run(["construct", "--format", fmt], text, monkeypatch) == (
+        0, CONSTRUCT_GOLDEN[text, fmt]
+    )
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fmt", sorted(CONSTRUCT_LARGE))
+def test_construct_large_bytes(fmt, monkeypatch, capsys):
+    code, out = run(["construct", "--format", fmt], "60 1\n0 1\n", monkeypatch)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, len(out), digest) == (0, *CONSTRUCT_LARGE[fmt])
+    assert capsys.readouterr().err == ""
+
+
 def test_metric_equality_case_is_not_held_to_a_shape(monkeypatch):
     # Metrics have no extremal characterization: an equality case off
     # every shape is still a pass.

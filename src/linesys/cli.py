@@ -261,7 +261,9 @@ def _cmd_sweep(args, out) -> int:
         out.write(f"result: {'ok' if summary.ok else 'VIOLATION'}\n")
         return EXIT_OK if summary.ok else EXIT_VIOLATION
 
-    sweep_kind(args.kind, args.n)  # reject a bad size before --out is opened
+    # Reject a bad size, or a jsonl stream past the kind's jsonl cap,
+    # before --out is opened.
+    sweep_kind(args.kind, args.n, args.format == "jsonl")
     with ExitStack() as stack:
         stream = None
         if args.format == "jsonl":

@@ -10,6 +10,7 @@ plus the common neighborhood of its endpoints.  ``graph_lines`` and
 
 from __future__ import annotations
 
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -181,6 +182,106 @@ def has_universal_line(adj: Sequence[int]) -> bool:
                 return True
             seen = True
     return len(adj) == 2 and not adj[0]
+
+
+def _edge_planes(count: int, lo: int, hi: int) -> list[int]:
+    """For each of the first ``count`` pairs, the int whose bit i is set
+    when the edge mask lo + i holds that pair.
+
+    Bit p of a mask repeats with period 2^(p+1), so a pair with
+    2^p < hi - lo takes the repeated pattern of the aligned block that
+    encloses the range, shifted to lo; any higher bit switches at most
+    once inside the range."""
+    width = hi - lo
+    full = (1 << width) - 1
+    planes = []
+    for p in range(count):
+        half = 1 << p
+        if half < width:
+            period = 2 * half
+            start = lo - lo % period
+            repeats = -(-(hi - start) // period)
+            pattern = ((1 << half) - 1 << half) * (
+                ((1 << period * repeats) - 1) // ((1 << period) - 1)
+            )
+            planes.append(pattern >> lo - start & full)
+        else:
+            head = (1 << min((lo // half + 1) * half, hi) - lo) - 1
+            planes.append(head if lo >> p & 1 else full ^ head)
+    return planes
+
+
+def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
+    """Line counts, universal lines and extremal shapes of the graphs on
+    n >= 3 vertices with edge masks lo..hi-1, all at once: in every
+    returned int, bit i stands for the graph of mask lo + i.
+
+    Returns (duplicate planes, universal, shape).  The line of a
+    non-edge is its bare pair, which no other pair generates, so a
+    graph has C(n, 2) lines less the number of its edges whose line
+    equals the line of a lower-indexed edge; the duplicate planes hold
+    that number in binary, least significant plane first.  The line of
+    an edge ab holds x when x is adjacent to a and b (a and b count as
+    adjacent to themselves), so two edges have the same line when every
+    point's membership agrees, and an edge's line is universal when
+    every point is a member.  The shape is ``is_extremal_graph``'s: for
+    some v, every pair avoiding v is an edge and at most one pair at v
+    is, or n = 3 and there is no edge.
+    """
+    pairs = pair_list(n)
+    full = (1 << hi - lo) - 1
+    edge = _edge_planes(len(pairs), lo, hi)
+    adj = [[full] * n for _ in range(n)]
+    for p, (a, b) in enumerate(pairs):
+        adj[a][b] = adj[b][a] = edge[p]
+    members = [list(map(and_, adj[a], adj[b])) for a, b in pairs]
+    universal = 0
+    duplicates: list[int] = []
+    for p, member in enumerate(members):
+        both = edge[p]
+        if not both:
+            continue
+        line = both
+        for x in member:
+            line &= x
+        universal |= line
+        # Edge q repeats edge p's line where both are edges and no
+        # point is a member of one line only: outside ^ members[q] has
+        # a bit set where the two memberships agree.
+        outside = [full ^ x for x in member]
+        repeat = 0
+        for q in range(p):
+            same = both & edge[q]
+            if not same:
+                continue
+            for x, y in zip(outside, members[q]):
+                same &= x ^ y
+                if not same:
+                    break
+            repeat |= same
+        # Add this edge's repeat bit into the planes, carry by carry.
+        for j, plane in enumerate(duplicates):
+            if not repeat:
+                break
+            duplicates[j] = plane ^ repeat
+            repeat &= plane
+        if repeat:
+            duplicates.append(repeat)
+    shape = 0
+    for v, row in enumerate(adj):
+        rest = full
+        for p, (a, b) in enumerate(pairs):
+            if a != v != b:
+                rest &= edge[p]
+        seen = twice = 0
+        for x, at_v in enumerate(row):
+            if x != v:
+                twice |= seen & at_v
+                seen |= at_v
+        shape |= rest & ~twice
+    if n == 3:
+        shape |= full ^ (edge[0] | edge[1] | edge[2])
+    return tuple(duplicates), universal, shape
 
 
 def is_extremal_graph(g: Graph) -> bool:

@@ -3,28 +3,32 @@
 Each sweep enumerates every instance of its kind on n labeled points,
 counts distinct lines (never through the constructive process, which
 is what the sweeps cross-validate), and folds the results into a
-summary.  Graphs are counted straight from their adjacency rows by
-``graph_line_count``, and posets by the same counter on their
-comparability graph, which induces the same lines.  The shortest-path
-metric of a graph is counted by ``graph_metric_line_count`` straight
-from its breadth-first distance layers, with no metric space or
-relation built.  Violations are data, not exceptions: a sweep always
-completes and reports every failing instance.
+summary.  Graph sweeps count a whole chunk of edge masks at once with
+``graph_mask_planes``, one bit per mask in plain ints; ``verify``
+counts one graph from its adjacency rows with ``graph_line_count``,
+and posets go through the same counter on their comparability graph,
+which induces the same lines.  The shortest-path metric of a graph is
+counted by ``graph_metric_line_count`` straight from its breadth-first
+distance layers, with no metric space or relation built.  Violations
+are data, not exceptions: a sweep always completes and reports every
+failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
-so output is byte-identical across runs and worker counts.  One chunk
-kernel serves every kind: the kind's instance generator yields plain
-field tuples, which the kernel folds into counters and id lists and
-renders as jsonl rows from one template per (kind, n).  Graph and
-metric chunks OR each mask's adjacency rows from two small tables
-built per chunk.  A ``VerificationReport`` is built only for
+so output is byte-identical across runs and worker counts.  A graph
+chunk reads its counters off popcounts of the kernel's planes, its id
+lists off their set bits, and renders each jsonl row as the template
+head, the mask and a suffix chosen by a one-byte code per mask.  Poset
+and metric chunks fold their kind's per-instance field tuples into
+counters and id lists and render rows from the same template per
+(kind, n); metric chunks OR each mask's adjacency rows from two small
+tables built per chunk.  A ``VerificationReport`` is built only for
 ``verify`` and for the violations a sweep records.  The parent writes
 the chunks' rows in order.
 
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
-its size range, chunk list, instance generator and whether its equality
-cases are compared with an extremal shape.
+its size and jsonl ranges, chunk list, chunk runner and whether its
+equality cases are compared with an extremal shape.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache, partial
 from math import comb
 from operator import or_
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .bounds import dbe_bound, min_pair_sum
 from .construct import build_certificate, certificate_issues
-from .core import pair_list
+from .core import bits_of, pair_list
 from .enumeration import (
     GRAPH_ENUM_CAP,
     METRIC_ENUM_CAP,
@@ -49,7 +54,9 @@ from .enumeration import (
     poset_state_prefixes,
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
-from .graphs import Graph, _edge_rows, graph_line_count, is_extremal_graph
+from .graphs import (
+    Graph, _edge_rows, graph_line_count, graph_mask_planes, is_extremal_graph,
+)
 from .metrics import DisconnectedError, graph_metric_line_count, metric_lines
 from .posets import Poset, comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
@@ -200,11 +207,6 @@ def _report(kind: str, n: int, instance: tuple) -> VerificationReport:
     )
 
 
-def _graph_fields(g: Graph, instance_id: int | str) -> tuple:
-    count, universal = graph_line_count(g)
-    return instance_id, count, universal, g.size, is_extremal_graph(g), None
-
-
 def _poset_fields(p, instance_id: int | str) -> tuple | None:
     if p.height < 2:
         return None
@@ -243,7 +245,10 @@ def graph_report(g: Graph, instance_id: int | str | None = None) -> Verification
     adjacency rows; no relation is built."""
     if instance_id is None:
         instance_id = g.edge_mask()
-    return _report("graph", g.size, _graph_fields(g, instance_id))
+    count, universal = graph_line_count(g)
+    return _report(
+        "graph", g.size, (instance_id, count, universal, g.size, is_extremal_graph(g), None)
+    )
 
 
 def poset_report(p, instance_id: int | str | None = None):
@@ -303,7 +308,8 @@ def _poset_chunks(n: int) -> list[tuple[int, ...]]:
 
 
 def _chunk_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:
-    """The graph of every edge mask in the chunk, in ascending mask order.
+    """The graph of every edge mask in a metric chunk, in ascending mask
+    order.
 
     A mask's adjacency rows OR together two tables built once per chunk:
     one entry for every value of the low ``_LOW_PAIRS`` pair bits (each
@@ -327,11 +333,6 @@ def _chunk_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:
         ]
 
 
-def _graph_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple]:
-    for mask, g in enumerate(_chunk_graphs(n, chunk), chunk[0]):
-        yield _graph_fields(g, mask)
-
-
 def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple | None]:
     for code, rows in _iter_states(n, prefix):
         yield _poset_fields(Poset(rows), code)
@@ -349,56 +350,26 @@ def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple | None]:
         yield mask, count, universal, n, False, None
 
 
-class _SweepKind(NamedTuple):
-    min_n: int
-    cap: int
-    chunks: Callable[[int], list]  # n -> canonically ordered work units
-    instances: Callable[[int, tuple], Iterator[tuple | None]]  # (n, unit) -> instances
-    compare_shape: bool  # equality cases are checked against the extremal shape
+def _fold_instances(
+    instances: Callable[[int, tuple], Iterator[tuple | None]],
+    kind: str, n: int, chunk: tuple, render: bool,
+) -> tuple[SweepSummary, str]:
+    """The summary and (when ``render``) the jsonl rows of one chunk of
+    a kind whose instance generator yields, per enumerated instance, its
+    fields (instance id, number of distinct lines, whether one is
+    universal, bound, extremal shape match, certificate defect or None),
+    or None when the bound does not apply.
 
-
-# The one place a sweepable structure kind is described.  A kind's
-# instance generator yields, per enumerated instance, its fields
-# (instance id, number of distinct lines, whether one is universal,
-# bound, extremal shape match, certificate defect or None), or None
-# when the bound does not apply.  Generators look up the module
-# functions they call (graph_line_count, graph_metric_line_count,
-# is_extremal_graph, certificate_issues, ...) at call time, so patching
-# or tracing one of them reaches every sweep that calls it.
-SWEEP_KINDS = {
-    "graph": _SweepKind(3, GRAPH_ENUM_CAP, _mask_chunks, _graph_instances, True),
-    "poset": _SweepKind(2, POSET_ENUM_CAP, _poset_chunks, _poset_instances, True),
-    "metric": _SweepKind(2, METRIC_ENUM_CAP, _mask_chunks, _metric_instances, False),
-}
-
-
-def sweep_kind(kind: str, n: int) -> _SweepKind:
-    """The ``SWEEP_KINDS`` entry of ``kind``, once n is in its range."""
-    entry = SWEEP_KINDS.get(kind)
-    if entry is None:
-        raise DomainError(f"unknown sweep kind {kind!r}")
-    if n > entry.cap:
-        raise CapError(f"{kind} sweeps support n <= {entry.cap}, got {n}")
-    if n < entry.min_n:
-        raise DomainError(f"{kind} sweeps need n >= {entry.min_n}, got {n}")
-    return entry
-
-
-def _run_chunk(args) -> tuple[SweepSummary, str]:
-    """The summary and (when ``render``) the jsonl rows of one chunk.
-
-    The one kernel of every kind: it folds the instance fields into
-    plain counters and id lists, renders rows from the (kind, n)
-    template and builds a ``VerificationReport`` only for a violation.
+    It folds the fields into plain counters and id lists, renders rows
+    from the (kind, n) template and builds a ``VerificationReport`` only
+    for a violation.
     """
-    kind, n, chunk, render = args
-    entry = SWEEP_KINDS[kind]
-    compare_shape = entry.compare_shape
+    compare_shape = SWEEP_KINDS[kind].compare_shape
     template = _row_template(kind, n)
     enumerated = reported = universal_count = 0
     violations, equality_ids, shape_ids, mismatch_ids, cert_failures = [], [], [], [], []
     rows = []
-    for instance in entry.instances(n, chunk):
+    for instance in instances(n, chunk):
         enumerated += 1
         if instance is None:
             continue
@@ -423,9 +394,152 @@ def _run_chunk(args) -> tuple[SweepSummary, str]:
         kind, n, enumerated, reported, universal_count, tuple(violations),
         tuple(equality_ids), tuple(shape_ids), tuple(mismatch_ids), tuple(cert_failures),
     )
-    # The chunk's jsonl rows travel back as one string: rendering runs
-    # in the workers, and the parent only writes.
     return summary, _render_rows(template, rows)
+
+
+def _compare_planes(planes: tuple[int, ...], value: int, full: int) -> tuple[int, int]:
+    """(equal, above): the bits whose number, read in binary down the
+    planes (least significant plane first), equals or exceeds ``value``."""
+    equal, above = full, 0
+    for j in reversed(range(max(len(planes), value.bit_length()))):
+        plane = planes[j] if j < len(planes) else 0
+        if value >> j & 1:
+            equal &= plane
+        else:
+            above |= equal & plane
+            equal ^= equal & plane
+    return equal, above
+
+
+@lru_cache(maxsize=None)
+def _byte_spread() -> tuple[bytes, ...]:
+    """For every byte value, the 8 bytes that hold its bits, lowest first."""
+    return tuple(bytes(value >> k & 1 for k in range(8)) for value in range(256))
+
+
+def _mask_codes(planes: list[int], width: int) -> bytes:
+    """One byte per bit position below ``width``: bit j of byte i is bit
+    i of planes[j], for at most 8 planes."""
+    size = -(-width // 8)
+    spread = _byte_spread()
+    codes = 0
+    for j, plane in enumerate(planes):
+        bits = b"".join(map(spread.__getitem__, plane.to_bytes(size, "little")))
+        codes |= int.from_bytes(bits, "little") << j
+    return codes.to_bytes(8 * size, "little")[:width]
+
+
+def _graph_chunk(
+    kind: str, n: int, chunk: tuple[int, int], render: bool
+) -> tuple[SweepSummary, str]:
+    """The summary and (when ``render``) the jsonl rows of one chunk of
+    edge masks [lo, hi), read off the bit planes of
+    ``graph_mask_planes``, where bit i stands for the mask lo + i: the
+    counters are popcounts, the id lists the set bits plus lo, and a
+    ``VerificationReport`` is built only for a violation bit.
+
+    A graph has n lines exactly when C(n, 2) - n of its edges repeat an
+    earlier edge's line, and fewer when more do.  Each jsonl row is the
+    head of the (kind, n) template, the mask and one of the few
+    suffixes, rendered once per chunk, that its duplicate count,
+    universal flag and shape select.
+    """
+    lo, hi = chunk
+    width = hi - lo
+    full = (1 << width) - 1
+    duplicates, universal, shape = graph_mask_planes(n, lo, hi)
+    pairs = comb(n, 2)
+    equal, above = _compare_planes(duplicates, pairs - n, full)
+    no_universal = full ^ universal
+    equality = equal & no_universal
+
+    def ids(plane: int) -> tuple[int, ...]:
+        return tuple(lo + i for i in bits_of(plane))
+
+    violations = tuple(
+        _report(kind, n, (
+            lo + i, pairs - sum((plane >> i & 1) << j for j, plane in enumerate(duplicates)),
+            False, n, bool(shape >> i & 1), None,
+        ))
+        for i in bits_of(above & no_universal)
+    )
+    summary = SweepSummary(
+        kind, n, width, width, universal.bit_count(), violations,
+        ids(equality), ids(shape), ids((equality ^ shape) & no_universal),
+    )
+    if not render:
+        return summary, ""
+    # The code of a mask: its duplicate count, then the universal and
+    # shape bits.  The jsonl cap keeps n <= 7, so at most 20 duplicates:
+    # 5 planes, and a code fits in a byte.
+    k = len(duplicates)
+    head, _, tail = _row_template(kind, n).partition("%s")
+    suffixes = []
+    for code in range(1 << k + 2):
+        count = pairs - (code & (1 << k) - 1)
+        has_universal = bool(code >> k & 1)
+        suffixes.append(tail % (
+            count, n, *(_JSON_BOOL[flag] for flag in (
+                has_universal, *_judge(n, count, has_universal, n), code >> k + 1 & 1,
+            )),
+        ))
+    codes = _mask_codes([*duplicates, universal, shape], width)
+    return summary, "".join([
+        f"{head}{mask}{suffixes[code]}" for mask, code in zip(range(lo, hi), codes)
+    ])
+
+
+class _SweepKind(NamedTuple):
+    min_n: int
+    cap: int
+    jsonl_cap: int  # the largest n whose jsonl stream a sweep writes
+    chunks: Callable[[int], list]  # n -> canonically ordered work units
+    # (kind, n, unit, render) -> the unit's summary and jsonl rows
+    run_chunk: Callable[[str, int, tuple, bool], tuple[SweepSummary, str]]
+    compare_shape: bool  # equality cases are checked against the extremal shape
+
+
+# The one place a sweepable structure kind is described.  Graph chunks
+# are counted all at once by ``graph_mask_planes``; posets and metrics
+# fold their instance generators one instance at a time.  Chunk runners
+# look up the module functions they call (graph_mask_planes,
+# graph_metric_line_count, certificate_issues, ...) at call time, so
+# patching or tracing one of them reaches every sweep that calls it.
+# A graph jsonl stream at n = 8 would be about 52 GB.
+SWEEP_KINDS = {
+    "graph": _SweepKind(3, GRAPH_ENUM_CAP, 7, _mask_chunks, _graph_chunk, True),
+    "poset": _SweepKind(
+        2, POSET_ENUM_CAP, POSET_ENUM_CAP, _poset_chunks,
+        partial(_fold_instances, _poset_instances), True,
+    ),
+    "metric": _SweepKind(
+        2, METRIC_ENUM_CAP, METRIC_ENUM_CAP, _mask_chunks,
+        partial(_fold_instances, _metric_instances), False,
+    ),
+}
+
+
+def sweep_kind(kind: str, n: int, jsonl: bool = False) -> _SweepKind:
+    """The ``SWEEP_KINDS`` entry of ``kind``, once n is in its range
+    (and, for a sweep that writes jsonl, in the kind's jsonl range)."""
+    entry = SWEEP_KINDS.get(kind)
+    if entry is None:
+        raise DomainError(f"unknown sweep kind {kind!r}")
+    if n > entry.cap:
+        raise CapError(f"{kind} sweeps support n <= {entry.cap}, got {n}")
+    if n < entry.min_n:
+        raise DomainError(f"{kind} sweeps need n >= {entry.min_n}, got {n}")
+    if jsonl and n > entry.jsonl_cap:
+        raise CapError(f"{kind} sweeps write jsonl for n <= {entry.jsonl_cap}, got {n}")
+    return entry
+
+
+def _run_chunk(args) -> tuple[SweepSummary, str]:
+    """The summary and (when ``render``) the jsonl rows of one chunk.
+    The rows travel back as one string: rendering runs in the workers,
+    and the parent only writes."""
+    kind, n, chunk, render = args
+    return SWEEP_KINDS[kind].run_chunk(kind, n, chunk, render)
 
 
 def run_sweep(
@@ -440,8 +554,8 @@ def run_sweep(
     summaries and writes the chunks in order, so the summary and the
     stream are identical for every worker count.
     """
-    entry = sweep_kind(kind, n)
     render = jsonl is not None
+    entry = sweep_kind(kind, n, render)
     args = [(kind, n, chunk, render) for chunk in entry.chunks(n)]
     total = SweepSummary(kind, n)
 

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from linesys import dbe_bound, enumeration, graphs, sweeps
 from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
 from test_golden import workloads
-from test_sweeps import flip_the_shape
+from test_sweeps import (
+    flip_the_shape,
+    flip_the_verified_shape,
+    undercount_the_lines,
+    undercount_the_verified_lines,
+)
 
 K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
 BRANCHING_POSET = "4 3\n0 1\n1 2\n3 2\n"
@@ -354,29 +359,9 @@ def test_sweep_pairsum():
 
 
 def test_sweep_violation_exit_code(monkeypatch):
-    import linesys.sweeps as sweeps
-
-    real = sweeps.graph_line_count
-
-    def undercounted(g):
-        count, universal = real(g)
-        return count - 1, universal
-
-    monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
+    undercount_the_lines(monkeypatch)
     code, _ = run_cli(["sweep", "--kind", "graph", "--n", "3"])
     assert code == EXIT_VIOLATION
-
-
-def undercount_the_lines(monkeypatch):
-    import linesys.sweeps as sweeps
-
-    real = sweeps.graph_line_count
-
-    def undercounted(g):
-        count, universal = real(g)
-        return count - 1, universal
-
-    monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
 
 
 def test_sweep_shape_disagreement_exit_code(monkeypatch):
@@ -388,7 +373,11 @@ def test_sweep_shape_disagreement_exit_code(monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["text", "jsonl"])
-@pytest.mark.parametrize("plant", [flip_the_shape, undercount_the_lines])
+@pytest.mark.parametrize(
+    "plant",
+    [flip_the_verified_shape, undercount_the_verified_lines],
+    ids=["flip_the_shape", "undercount_the_lines"],
+)
 def test_verify_graph_violation_exit_code(monkeypatch, graph_file, plant, fmt):
     plant(monkeypatch)
     code, out = run_cli(["verify", "--kind", "graph", "--format", fmt, graph_file])
@@ -493,9 +482,13 @@ def test_undecodable_input_is_a_one_line_error(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, n", [("poset", 9), ("graph", 2)], ids=["above-cap", "below-min"]
+    "kind, n",
+    [("poset", 9), ("graph", 2), ("graph", 8)],
+    ids=["above-cap", "below-min", "above-jsonl-cap"],
 )
-def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, kind, n):
+def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, monkeypatch, kind, n):
+    # No chunk may run: past the checks, graph n = 8 would write about 52 GB.
+    monkeypatch.setattr(sweeps, "_run_chunk", None)
     argv = ["sweep", "--kind", kind, "--n", str(n), "--format", "jsonl", "--out"]
     earlier = tmp_path / "earlier.jsonl"
     earlier.write_bytes(b'{"kept": true}\n')
@@ -505,6 +498,16 @@ def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, kind, n):
     assert run_cli([*argv, str(absent)]) == (EXIT_INPUT, "")
     assert not absent.exists()
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_graph_jsonl_stops_below_the_text_sweep(monkeypatch, capsys):
+    # A graph stream at n = 8 would be about 52 GB; it is refused before
+    # any chunk runs, while the text summary at n = 8 stays allowed.
+    monkeypatch.setattr(sweeps, "graph_mask_planes", None)
+    argv = ["sweep", "--kind", "graph", "--n", "8", "--format", "jsonl"]
+    assert run_cli(argv) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == "error: graph sweeps write jsonl for n <= 7, got 8\n"
+    assert sweeps.sweep_kind("graph", 8) == sweeps.SWEEP_KINDS["graph"]
 
 
 @pytest.mark.parametrize(

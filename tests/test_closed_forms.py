@@ -2,8 +2,8 @@
 
 Every summary count of a labeled sweep except the metric universal
 count has an independent formula.  They are checked against
-``run_sweep`` where a sweep is quick, and at n = 7 (posets also n = 8)
-against the totals recorded from full sweeps.
+``run_sweep`` where a sweep is quick (graphs up to n = 7), and at
+n = 7 and 8 against the totals recorded from full sweeps.
 """
 
 from math import comb, factorial
@@ -72,7 +72,7 @@ def connected_graphs(n):
     return count[n]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_graph_sweep_totals(n):
     summary = run_sweep("graph", n)
     assert (summary.enumerated, summary.reported) == (2 ** comb(n, 2),) * 2
@@ -102,12 +102,16 @@ def test_metric_sweep_reports_every_connected_graph(n):
 
 
 def test_formulas_give_the_recorded_totals_of_the_largest_sweeps():
-    # Graph n = 7: universal 17725, equality cases 49.  Poset n = 7:
-    # reported 6129858, universal 462546, equality cases 15120.  Metric
-    # n = 7: reported 1866256.  Poset n = 8 has no labeled sweep; its
-    # universal total is the one the formula gave when first derived.
+    # Graph n = 7: universal 17725, equality cases 49.  Graph n = 8:
+    # checked 267620753, universal 814703, equality cases 64.  Poset
+    # n = 7: reported 6129858, universal 462546, equality cases 15120.
+    # Metric n = 7: reported 1866256.  Poset n = 8 has no labeled sweep;
+    # its universal total is the one the formula gave when first derived.
     assert graphs_with_a_universal_line(7) == 17725
     assert graph_equality_cases(7) == 49
+    assert 2 ** comb(8, 2) - graphs_with_a_universal_line(8) == 267620753
+    assert graphs_with_a_universal_line(8) == 814703
+    assert graph_equality_cases(8) == 64
     assert LABELED_POSETS[7] - 1 == 6129858
     assert posets_with_a_universal_line(7) == 462546
     assert poset_equality_cases(7) == 15120

@@ -85,6 +85,10 @@ SWEEP_STREAMS = {
         6_245_268,
         "03dfdab6e2d450bd7d55a93f6978f503527776cf9750a372e12da3aa2521a786",
     ),
+    ("graph", 7): (
+        403_619_582,
+        "703954153ea7e811b04b4d37ad8658d63ba0c9eaec69c15de12610eb64c6afba",
+    ),
     ("poset", 4): (
         40_725,
         "17ccf62a945ac19ca057d579864b9fdbeaa306be515d24f2ad5e91f1dfb1d3dd",
@@ -102,6 +106,17 @@ SWEEP_STREAMS = {
         "f5dd80078c16984593855683acea6cbdf8d54ea8d4600ada0276bf6316972d51",
     ),
 }
+
+GRAPH_7_SUMMARY = (
+    "kind graph n 7\n"
+    "enumerated 2097152 reported 2097152 checked 2079427\n"
+    "universal 17725\n"
+    "violations 0\n"
+    "equality cases 49\n"
+    "shape matches 49\n"
+    "certificate failures 0\n"
+    "result: ok\n"
+)
 
 # Line systems of seeded inputs, keyed by (kind, format): the input
 # text and the length and SHA-256 of stdout.
@@ -295,17 +310,37 @@ def run(argv, stdin_text, monkeypatch):
     return code, out.getvalue()
 
 
+class DigestStream(io.TextIOBase):
+    """A text stream that keeps only the length and SHA-256 of the
+    UTF-8 bytes written to it, so the 400 MB graph n = 7 stream is never
+    held in memory."""
+
+    def __init__(self):
+        self.size = 0
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.sha256.update(data)
+        return len(text)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_graph_7_summary_bytes(workers):
+    out = io.StringIO()
+    assert main(["sweep", "--kind", "graph", "--n", "7", "--workers", str(workers)], out=out) == 0
+    assert out.getvalue() == GRAPH_7_SUMMARY
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind, n", sorted(SWEEP_STREAMS))
 def test_sweep_jsonl_stream_bytes(kind, n, workers):
-    out = io.StringIO()
+    out = DigestStream()
     argv = ["sweep", "--kind", kind, "--n", str(n), "--format", "jsonl",
             "--workers", str(workers)]
     assert main(argv, out=out) == 0
-    data = out.getvalue().encode()
-    size, digest = SWEEP_STREAMS[kind, n]
-    assert len(data) == size
-    assert hashlib.sha256(data).hexdigest() == digest
+    assert (out.size, out.sha256.hexdigest()) == SWEEP_STREAMS[kind, n]
 
 
 @pytest.mark.parametrize("kind", sorted(INPUTS))

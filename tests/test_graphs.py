@@ -1,7 +1,8 @@
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linesys import (
@@ -20,7 +21,7 @@ from linesys import (
     pair_list,
 )
 
-from linesys.graphs import has_universal_line
+from linesys.graphs import graph_mask_planes, has_universal_line
 
 from line_entries import line_entries
 
@@ -279,3 +280,29 @@ def test_graph_lines_match_the_generic_evaluator(case):
     mask = {"and": first & second, "one": first, "or": first | second}[combine]
     g = Graph.from_mask(n, mask)
     assert line_entries(graph_lines(g)) == all_lines(graph_betweenness(g))
+
+
+@st.composite
+def mask_ranges(draw):
+    """n = 7 or 8 and any range lo < hi of its edge masks, up to a little
+    over 1024 masks long."""
+    n = draw(st.sampled_from((7, 8)))
+    total = 1 << comb(n, 2)
+    lo = draw(st.integers(0, total - 1))
+    return n, lo, draw(st.integers(lo + 1, min(total, lo + 1100)))
+
+
+@settings(deadline=None)
+@given(mask_ranges())
+@example((7, 0, 1100))
+@example((8, (1 << 28) - 700, 1 << 28))
+def test_mask_planes_match_the_per_graph_counters(case):
+    n, lo, hi = case
+    duplicates, universal, shape = graph_mask_planes(n, lo, hi)
+    assert not (universal | shape) >> hi - lo
+    assert not any(plane >> hi - lo for plane in duplicates)
+    for i, mask in enumerate(range(lo, hi)):
+        g = Graph.from_mask(n, mask)
+        repeats = sum((plane >> i & 1) << j for j, plane in enumerate(duplicates))
+        assert (comb(n, 2) - repeats, bool(universal >> i & 1)) == graph_line_count(g)
+        assert bool(shape >> i & 1) == is_extremal_graph(g), mask

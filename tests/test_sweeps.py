@@ -292,10 +292,37 @@ def test_poset_chunks_fix_point_zero_against_every_other_point():
     assert (len(chunks(5)), len(chunks(7))) == (81, 729)
 
 
-def test_violations_are_reported_as_data_not_exceptions(monkeypatch):
-    # Undercount every graph by one line, so every graph with no
-    # universal line falls below its bound; the sweep must complete and
-    # carry the failures in the summary.
+# Planted faults.  A graph sweep counts through ``graph_mask_planes``
+# and ``verify`` through ``graph_line_count`` and ``is_extremal_graph``,
+# so each fault has one plant per seam.
+
+def undercount_the_lines(monkeypatch):
+    """Every swept graph repeats one more edge line, so has one line fewer."""
+    real = sweeps.graph_mask_planes
+
+    def undercounted(n, lo, hi):
+        duplicates, universal, shape = real(n, lo, hi)
+        planes, carry = [], (1 << hi - lo) - 1
+        for plane in duplicates:
+            planes.append(plane ^ carry)
+            carry &= plane
+        return (*planes, carry), universal, shape
+
+    monkeypatch.setattr(sweeps, "graph_mask_planes", undercounted)
+
+
+def flip_the_shape(monkeypatch):
+    """Every swept graph has the extremal shape exactly when it has not."""
+    real = sweeps.graph_mask_planes
+
+    def flipped(n, lo, hi):
+        duplicates, universal, shape = real(n, lo, hi)
+        return duplicates, universal, shape ^ (1 << hi - lo) - 1
+
+    monkeypatch.setattr(sweeps, "graph_mask_planes", flipped)
+
+
+def undercount_the_verified_lines(monkeypatch):
     real = sweeps.graph_line_count
 
     def undercounted(g):
@@ -303,18 +330,44 @@ def test_violations_are_reported_as_data_not_exceptions(monkeypatch):
         return count - 1, universal
 
     monkeypatch.setattr(sweeps, "graph_line_count", undercounted)
+
+
+def flip_the_verified_shape(monkeypatch):
+    real = sweeps.is_extremal_graph
+    monkeypatch.setattr(sweeps, "is_extremal_graph", lambda g: not real(g))
+
+
+def test_violations_are_reported_as_data_not_exceptions(monkeypatch):
+    # Undercount every graph by one line, so every graph with no
+    # universal line falls below its bound; the sweep must complete and
+    # carry the failures in the summary.
+    undercount_the_lines(monkeypatch)
     summary = run_sweep("graph", 3, workers=1)
     assert not summary.ok
     assert summary.violations
     assert any("below their line bound" in issue for issue in summary.issues)
-    # The violation records are the reports verify gives the same graphs.
-    reports = (graph_report(Graph.from_mask(3, mask)) for mask in range(8))
+    # The violation records are the reports verify gives the same graphs
+    # under the same fault.
+    undercount_the_verified_lines(monkeypatch)
+    reports = [graph_report(Graph.from_mask(3, mask), mask) for mask in range(8)]
     assert summary.violations == tuple(r for r in reports if not r.meets_bound)
+    for name, value in reference_fold(reports).items():
+        assert getattr(summary, name) == value, name
 
 
-def flip_the_shape(monkeypatch):
-    real = sweeps.is_extremal_graph
-    monkeypatch.setattr(sweeps, "is_extremal_graph", lambda g: not real(g))
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=70), st.integers(0, 70))
+def test_compare_planes_reads_each_bit_position_as_a_number(values, value):
+    planes = tuple(
+        sum((v >> j & 1) << i for i, v in enumerate(values))
+        for j in range(max(values).bit_length())
+    )
+    equal, above = sweeps._compare_planes(planes, value, (1 << len(values)) - 1)
+    assert [equal >> i & 1 for i in range(len(values) + 1)] == [
+        *(v == value for v in values), False
+    ]
+    assert [above >> i & 1 for i in range(len(values) + 1)] == [
+        *(v > value for v in values), False
+    ]
 
 
 def test_shape_disagreements_are_reported_as_data(monkeypatch):
@@ -325,6 +378,7 @@ def test_shape_disagreements_are_reported_as_data(monkeypatch):
         f"{len(summary.mismatch_ids)} instances where equality cases and the "
         f"extremal shape disagree",
     )
+    flip_the_verified_shape(monkeypatch)
     reports = [graph_report(Graph.from_mask(4, mask), mask) for mask in range(64)]
     assert summary.mismatch_ids == tuple(
         r.instance_id for r in reports if shape_mismatch(r)

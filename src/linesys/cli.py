@@ -237,6 +237,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    if args.workers < 1:
+        raise _UsageError(f"--workers needs at least 1, got {args.workers}")
     if args.out is not None and (args.format != "jsonl" or args.kind not in SWEEP_KINDS):
         raise _UsageError(
             f"--out needs --format jsonl and a --kind with reports "

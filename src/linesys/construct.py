@@ -187,7 +187,7 @@ def build_certificate(p: Poset) -> LineCertificate:
         bottom, top = new_bottom, new_top
 
     layers = mirsky_partition(p)
-    distinct, bound = _distinct_lines(layers, steps), dbe_bound(n, height)
+    distinct, bound = _distinct_lines(layers, steps), p.bound
     if distinct < bound:
         raise InternalError(
             f"process found {distinct} distinct lines, below the guaranteed {bound}"
@@ -206,7 +206,8 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     generator its window, probe and kind give, each recomputing to its
     members; the incomparable-pair accounting identity holds; and the
     distinct total, counted from the certificate's own layers and lines,
-    meets the bound.  Lines, window lines, antichains and the universal
+    meets the bound of ``p`` (``Poset.bound``), not one the certificate
+    carries.  Lines, window lines, antichains and the universal
     line are read from the adjacency rows of the comparability graph of
     ``p``, not from the order rows the build reads.  A point the
     certificate names outside the poset (in the chain, a layer or a
@@ -265,7 +266,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
             f"{height} - {iterations} - {final_gap}"
         )
 
-    distinct, bound = _distinct_lines(layers, cert.steps), dbe_bound(n, height)
+    distinct, bound = _distinct_lines(layers, cert.steps), p.bound
     if distinct < bound:
         issues.append(f"{distinct} distinct lines, below the bound {bound}")
     return issues

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .bounds import dbe_bound
 from .core import BetweennessRelation, check_point, check_size
 from .errors import CycleError, UnknownPointError
 from .graphs import Graph, is_extremal_graph
@@ -34,7 +35,7 @@ class Poset:
     layer at a time.
     """
 
-    __slots__ = ("size", "succ", "pred", "levels", "layers", "height", "_graph")
+    __slots__ = ("size", "succ", "pred", "levels", "layers", "height", "_graph", "_bound")
 
     def __init__(self, succ_rows: Iterable[int]):
         rows = list(succ_rows)
@@ -92,6 +93,16 @@ class Poset:
         self.layers = tuple(layers)
         self.height = len(layers)
         self._graph = None
+        self._bound = None
+
+    @property
+    def bound(self) -> int:
+        """``dbe_bound(size, height)``, kept after the first read, so a
+        sweep's report, the certificate build and its replay share one
+        evaluation.  Raises DomainError when the height is below 2."""
+        if self._bound is None:
+            self._bound = dbe_bound(self.size, self.height)
+        return self._bound
 
     @classmethod
     def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "Poset":

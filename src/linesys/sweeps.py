@@ -17,14 +17,15 @@ Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
 so output is byte-identical across runs and worker counts.  A graph
 chunk reads its counters off popcounts of the kernel's planes, its id
-lists off their set bits, and renders each jsonl row as the template
-head, the mask and a suffix chosen by a one-byte code per mask.  Poset
-and metric chunks fold their kind's per-instance field tuples into
-counters and id lists and render rows from the same template per
-(kind, n); metric chunks OR each mask's adjacency rows from two small
-tables built per chunk.  A ``VerificationReport`` is built only for
-``verify`` and for the violations a sweep records.  The parent writes
-the chunks' rows in order.
+lists off their set bits.  Poset and metric chunks fold their kind's
+per-instance field tuples into counters and id lists; metric chunks
+read each mask's adjacency rows off the same edge planes the graph
+kernel uses.  Every jsonl row is the head of its (kind, n), the
+instance id and a tail rendered once per distinct tuple of the fields
+after the id; a graph chunk picks each mask's tail by a one-byte code.
+A ``VerificationReport`` is built only for ``verify`` and for the
+violations a sweep records.  The parent writes the chunks' rows in
+order.
 
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
 its size and jsonl ranges, chunk list, chunk runner and whether its
@@ -39,10 +40,9 @@ import os
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from math import comb
-from operator import or_
 from typing import Callable, Iterator, NamedTuple, TextIO
 
-from .bounds import dbe_bound, min_pair_sum
+from .bounds import min_pair_sum
 from .construct import build_certificate, certificate_issues
 from .core import bits_of, pair_list
 from .enumeration import (
@@ -55,7 +55,7 @@ from .enumeration import (
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
 from .graphs import (
-    Graph, _edge_rows, graph_line_count, graph_mask_planes, is_extremal_graph,
+    Graph, _edge_planes, graph_line_count, graph_mask_planes, is_extremal_graph,
 )
 from .metrics import DisconnectedError, graph_metric_line_count, metric_lines
 from .posets import Poset, comparability_graph
@@ -69,8 +69,6 @@ from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
 PAIR_SUM_SWEEP_CAP = 12
 
 _CHUNK_MASKS = 1 << 12
-# Pair bits covered by the per-chunk table of low adjacency rows.
-_LOW_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -101,43 +99,41 @@ class VerificationReport:
         """The report's jsonl row, without its newline.  An int id too
         long to print (beyond Python's int-to-str digit limit, as the
         default id of a large graph or poset can be) raises DomainError."""
-        kind, n, *values = vars(self).values()
+        kind, n, instance_id, *values = vars(self).values()
         try:
-            return _render_rows(_row_template(kind, n), [values])[:-1]
+            id_text = json.dumps(instance_id)
         except ValueError:  # the int-to-str digit limit
             raise DomainError(
                 f"the instance id of this {kind} is too long to print as jsonl"
             ) from None
+        return _row_head(kind, n) + id_text + _row_tail(*values)[:-1]
 
 
 _JSON_BOOL = ("false", "true")
 
 
-def _row_template(kind: str, n: int) -> str:
-    """The jsonl row of every (kind, n) instance, with a %-slot for each
-    per-instance field: the fields of ``VerificationReport`` in
-    declaration order, which is the fixed key order of the format."""
-    head = json.dumps({"structure_kind": kind, "n": n})[:-1]
+def _row_head(kind: str, n: int) -> str:
+    """The text of every (kind, n) jsonl row before its instance id."""
+    return json.dumps({"structure_kind": kind, "n": n})[:-1] + ', "instance_id": '
+
+
+@lru_cache(maxsize=1024)
+def _row_tail(
+    count: int, bound: int, universal: bool, meets: bool, equality: bool, shape: bool
+) -> str:
+    """The text of a jsonl row after its instance id, newline included:
+    the fields of ``VerificationReport`` after ``instance_id``, in
+    declaration order, which is the fixed key order of the format.  With
+    the head and the id, each row is ``json.dumps`` of its report.  Rows
+    share a few tails, so each is rendered once (the cache is bounded
+    for a long-lived process that prints many reports)."""
     return (
-        head + ', "instance_id": %s, "line_count": %d, "bound": %d, '
-        '"has_universal": %s, "meets_bound": %s, "is_equality_case": %s, '
-        '"extremal_shape_match": %s}\n'
+        f', "line_count": {count:d}, "bound": {bound:d}, '
+        f'"has_universal": {_JSON_BOOL[universal]}, '
+        f'"meets_bound": {_JSON_BOOL[meets]}, '
+        f'"is_equality_case": {_JSON_BOOL[equality]}, '
+        f'"extremal_shape_match": {_JSON_BOOL[shape]}}}\n'
     )
-
-
-def _render_rows(template: str, rows: list) -> str:
-    """jsonl rows from ``_row_template``, one per tuple of the report's
-    fields after ``n`` (instance id, line count, bound and the four
-    flags): each byte for byte ``json.dumps`` of the report, plus a
-    newline."""
-    return "".join([
-        template % (
-            json.dumps(instance_id) if isinstance(instance_id, str) else instance_id,
-            count, bound, _JSON_BOOL[universal], _JSON_BOOL[meets],
-            _JSON_BOOL[equality], _JSON_BOOL[shape],
-        )
-        for instance_id, count, bound, universal, meets, equality, shape in rows
-    ])
 
 
 @dataclass(frozen=True)
@@ -210,7 +206,6 @@ def _report(kind: str, n: int, instance: tuple) -> VerificationReport:
 def _poset_fields(p, instance_id: int | str) -> tuple | None:
     if p.height < 2:
         return None
-    bound = dbe_bound(p.size, p.height)
     g = comparability_graph(p)
     count, universal = graph_line_count(g)
     cert_issue = None
@@ -221,7 +216,7 @@ def _poset_fields(p, instance_id: int | str) -> tuple | None:
                 cert_issue = issues[0]
         except LinesysError as exc:
             cert_issue = f"certificate construction failed: {exc}"
-    return instance_id, count, universal, bound, is_extremal_graph(g), cert_issue
+    return instance_id, count, universal, p.bound, is_extremal_graph(g), cert_issue
 
 
 def _metric_fields(m, instance_id: int | str) -> tuple:
@@ -307,30 +302,17 @@ def _poset_chunks(n: int) -> list[tuple[int, ...]]:
     return poset_state_prefixes(n, n - 1)
 
 
-def _chunk_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:
-    """The graph of every edge mask in a metric chunk, in ascending mask
-    order.
-
-    A mask's adjacency rows OR together two tables built once per chunk:
-    one entry for every value of the low ``_LOW_PAIRS`` pair bits (each
-    from the entry without its lowest bit), and one for each value of
-    the higher bits that occurs in the chunk."""
+def _mask_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:
+    """The graph of every edge mask in a chunk [lo, hi), in ascending
+    mask order, decoded from the graph kernel's edge planes: row a of
+    mask lo + i is byte i of the planes of a's pairs, each put at the
+    bit of a's partner (``_mask_codes``, so n is at most 8)."""
     lo, hi = chunk
-    pairs = pair_list(n)
-    low_pairs, high_pairs = pairs[:_LOW_PAIRS], pairs[_LOW_PAIRS:]
-    single = [_edge_rows(n, low_pairs, 1 << p) for p in range(len(low_pairs))]
-    low = [(0,) * n]
-    for value in range(1, 1 << len(low_pairs)):
-        rest = value & (value - 1)
-        low.append(tuple(map(or_, low[rest], single[(value ^ rest).bit_length() - 1])))
-    span = len(low)
-    for high_value in range(lo // span, (hi - 1) // span + 1):
-        high = _edge_rows(n, high_pairs, high_value)
-        base = high_value * span
-        yield from [
-            Graph._from_rows(map(or_, high, rows))
-            for rows in low[max(lo - base, 0) : min(hi - base, span)]
-        ]
+    planes = [[0] * n for _ in range(n)]
+    for edge, (a, b) in zip(_edge_planes(comb(n, 2), lo, hi), pair_list(n)):
+        planes[a][b] = planes[b][a] = edge
+    rows = [_mask_codes(row_planes, hi - lo) for row_planes in planes]
+    return map(Graph._from_rows, zip(*rows))
 
 
 def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple | None]:
@@ -341,7 +323,7 @@ def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple | None]:
 def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple | None]:
     # Disconnected graphs have no shortest-path metric: they count as
     # enumerated but are not reported.
-    for mask, g in enumerate(_chunk_graphs(n, chunk), chunk[0]):
+    for mask, g in enumerate(_mask_graphs(n, chunk), chunk[0]):
         try:
             count, universal = graph_metric_line_count(g)
         except DisconnectedError:
@@ -356,16 +338,16 @@ def _fold_instances(
 ) -> tuple[SweepSummary, str]:
     """The summary and (when ``render``) the jsonl rows of one chunk of
     a kind whose instance generator yields, per enumerated instance, its
-    fields (instance id, number of distinct lines, whether one is
+    fields (int instance id, number of distinct lines, whether one is
     universal, bound, extremal shape match, certificate defect or None),
     or None when the bound does not apply.
 
-    It folds the fields into plain counters and id lists, renders rows
-    from the (kind, n) template and builds a ``VerificationReport`` only
-    for a violation.
+    It folds the fields into plain counters and id lists, renders each
+    row as the (kind, n) head, the id and its ``_row_tail``, and builds a
+    ``VerificationReport`` only for a violation.
     """
     compare_shape = SWEEP_KINDS[kind].compare_shape
-    template = _row_template(kind, n)
+    head = _row_head(kind, n)
     enumerated = reported = universal_count = 0
     violations, equality_ids, shape_ids, mismatch_ids, cert_failures = [], [], [], [], []
     rows = []
@@ -389,12 +371,15 @@ def _fold_instances(
         if cert_issue is not None:
             cert_failures.append((instance_id, cert_issue))
         if render:
-            rows.append((instance_id, count, bound, universal, meets, equality, shape))
+            rows.append(
+                f"{head}{instance_id}"
+                f"{_row_tail(count, bound, universal, meets, equality, shape)}"
+            )
     summary = SweepSummary(
         kind, n, enumerated, reported, universal_count, tuple(violations),
         tuple(equality_ids), tuple(shape_ids), tuple(mismatch_ids), tuple(cert_failures),
     )
-    return summary, _render_rows(template, rows)
+    return summary, "".join(rows)
 
 
 def _compare_planes(planes: tuple[int, ...], value: int, full: int) -> tuple[int, int]:
@@ -440,9 +425,8 @@ def _graph_chunk(
 
     A graph has n lines exactly when C(n, 2) - n of its edges repeat an
     earlier edge's line, and fewer when more do.  Each jsonl row is the
-    head of the (kind, n) template, the mask and one of the few
-    suffixes, rendered once per chunk, that its duplicate count,
-    universal flag and shape select.
+    (kind, n) head, the mask and the ``_row_tail`` that its duplicate
+    count, universal flag and shape select.
     """
     lo, hi = chunk
     width = hi - lo
@@ -473,19 +457,16 @@ def _graph_chunk(
     # shape bits.  The jsonl cap keeps n <= 7, so at most 20 duplicates:
     # 5 planes, and a code fits in a byte.
     k = len(duplicates)
-    head, _, tail = _row_template(kind, n).partition("%s")
-    suffixes = []
-    for code in range(1 << k + 2):
-        count = pairs - (code & (1 << k) - 1)
-        has_universal = bool(code >> k & 1)
-        suffixes.append(tail % (
-            count, n, *(_JSON_BOOL[flag] for flag in (
-                has_universal, *_judge(n, count, has_universal, n), code >> k + 1 & 1,
-            )),
-        ))
+    tails = [
+        _row_tail(count, n, is_universal, *_judge(n, count, is_universal, n), is_shape)
+        for is_shape in (False, True)
+        for is_universal in (False, True)
+        for count in range(pairs, pairs - (1 << k), -1)
+    ]
+    head = _row_head(kind, n)
     codes = _mask_codes([*duplicates, universal, shape], width)
     return summary, "".join([
-        f"{head}{mask}{suffixes[code]}" for mask, code in zip(range(lo, hi), codes)
+        f"{head}{mask}{tails[code]}" for mask, code in zip(range(lo, hi), codes)
     ])
 
 

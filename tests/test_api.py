@@ -1,8 +1,10 @@
 """The public API: every name in ``linesys.__all__`` is exported once and
 resolves on the package, so a deleted name cannot linger as a stale
 export; no module keeps an import that only a vanished tracer site
-needed.  The library sketch in the README runs as written."""
+needed, or any other import it does not use.  The library sketch in
+the README runs as written."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -38,6 +40,40 @@ def test_every_tracer_only_import_is_a_traced_site():
     ]
     assert imported
     assert [entry for entry in imported if entry not in sites] == []
+
+
+def test_every_module_level_import_is_used():
+    # Tracer-only imports end in "# noqa: F401" and are pinned above;
+    # every other imported name is read in its module or exported.
+    unused = []
+    for path in sorted(Path(linesys.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in {
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            }:
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                line.endswith("# noqa: F401")
+                for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                continue
+            unused += [
+                f"{path.name}: {name}"
+                for alias in node.names
+                if (name := (alias.asname or alias.name).partition(".")[0]) not in read
+            ]
+    assert unused == []
 
 
 def test_readme_library_sketch_runs():

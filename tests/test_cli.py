@@ -500,6 +500,22 @@ def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.count("error: ") == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, monkeypatch, workers):
+    # Such counts once ran serially; now no chunk runs and --out stays unopened.
+    monkeypatch.setattr(sweeps, "_run_chunk", None)
+    target = tmp_path / "reports.jsonl"
+    for argv in (
+        ["sweep", "--kind", "graph", "--n", "3"],
+        ["sweep", "--kind", "poset", "--n", "3", "--format", "jsonl", "--out", str(target)],
+        ["sweep", "--kind", "pairsum", "--n", "3"],
+    ):
+        assert run_cli([*argv, "--workers", workers]) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert err == f"error: --workers needs at least 1, got {workers}\n"
+    assert not target.exists()
+
+
 def test_graph_jsonl_stops_below_the_text_sweep(monkeypatch, capsys):
     # A graph stream at n = 8 would be about 52 GB; it is refused before
     # any chunk runs, while the text summary at n = 8 stays allowed.

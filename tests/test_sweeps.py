@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import SWEEP_STREAMS
 
+import linesys.construct as construct
+import linesys.posets as posets
 import linesys.sweeps as sweeps
 from linesys import (
     CapError,
@@ -25,7 +27,7 @@ from linesys import (
     run_sweep,
 )
 from linesys.core import BetweennessRelation
-from linesys.enumeration import poset_state_prefixes
+from linesys.enumeration import METRIC_ENUM_CAP, poset_state_prefixes
 from linesys.sweeps import VerificationReport, shape_mismatch
 
 
@@ -133,7 +135,8 @@ def reference_fold(reports):
 @pytest.mark.parametrize("chunk_masks", [1 << 12, 96])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_chunk_kernel_matches_the_graph_reports(monkeypatch, n, chunk_masks):
-    # 96-mask chunks start and end inside the 256-entry low table.
+    # 96-mask chunks start and end off the period of pair bits 5 and up,
+    # so their edge planes are shifted patterns or switch mid-chunk.
     monkeypatch.setattr(sweeps, "_CHUNK_MASKS", chunk_masks)
     masks = range(1 << comb(n, 2))
     reports = [graph_report(Graph.from_mask(n, mask), mask) for mask in masks]
@@ -275,12 +278,43 @@ def test_jsonl_output_byte_identical_across_worker_counts():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind", ["graph", "metric"])
-def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, workers):
-    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 64)
-    assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == 16
+@pytest.mark.parametrize(
+    "kind, chunk_masks",
+    [("graph", 64), ("metric", 64), ("metric", 96)],
+    ids=["graph", "metric", "metric-unaligned"],
+)
+def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, chunk_masks, workers):
+    # 96-mask chunks start and end off the period of pair bits 5 and up.
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", chunk_masks)
+    assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == -(-1024 // chunk_masks)
     data = jsonl_of(kind, 5, workers)[0].encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS[kind, 5]
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [
+        (3, 0, 8), (5, 37, 133), (6, 4000, 4096),
+        (7, 1_000_003, 1_001_000), (7, 2**21 - 99, 2**21),
+    ],
+)
+def test_metric_chunks_decode_every_mask_of_the_chunk(n, lo, hi):
+    # A metric graph's row of n bits is one byte of ``_mask_codes``, so
+    # the metric cap may not pass 8.
+    assert METRIC_ENUM_CAP <= 8
+    decoded = [g.adj for g in sweeps._mask_graphs(n, (lo, hi))]
+    assert decoded == [Graph.from_mask(n, mask).adj for mask in range(lo, hi)]
+
+
+def test_each_reported_poset_evaluates_its_bound_once(monkeypatch):
+    # The report, the certificate build and its replay share Poset.bound.
+    calls = []
+    real = posets.dbe_bound
+    for module in (posets, construct):
+        monkeypatch.setattr(module, "dbe_bound", lambda n, h: calls.append(h) or real(n, h))
+    summary = run_sweep("poset", 5)
+    assert len(calls) == summary.reported == 4230
+    assert summary.ok and summary.checked == 3450
 
 
 def test_poset_chunks_fix_point_zero_against_every_other_point():

@@ -54,6 +54,12 @@ EXIT_INPUT = 1
 EXIT_INTERNAL = 2
 EXIT_VIOLATION = 3
 
+# Python's documented default int-to-str digit limit.  ``main`` runs
+# under it whatever the interpreter's own setting (PYTHONINTMAXSTRDIGITS,
+# -X int_max_str_digits), so which ids and numbers print, and so every
+# command's bytes and exit code, do not depend on that setting.
+INT_MAX_STR_DIGITS = 4300
+
 
 class _UsageError(LinesysError):
     pass
@@ -85,29 +91,14 @@ def _write_json(out, row: dict) -> None:
     out.write(json.dumps(row) + "\n")
 
 
-def _verify_graph(g, jsonl):
-    min_n = SWEEP_KINDS["graph"].min_n
-    if g.size < min_n:
-        raise _UsageError(f"graph verification needs n >= {min_n}")
-    return graph_report(g), None
-
-
-def _verify_poset(p, jsonl):
-    report, cert_issue = poset_report(p, None if jsonl else "")
-    if report is None:
-        raise _UsageError(
-            "poset verification needs height >= 2 (an antichain has no bound)"
-        )
-    return report, cert_issue
-
-
 class _InputKind(NamedTuple):
     parse: Callable[[str], object]  # text -> structure
     lines: Callable[[object], Iterator]  # structure -> runs of line_system
-    # (structure, jsonl output?) -> (report, defect).  Only the jsonl
-    # row prints the instance id, so text output of a poset skips its
-    # id, a base-3 number of C(n, 2) digits.
-    verify: Callable[[object, bool], tuple] | None
+    # (structure, instance id) -> (report, certificate defect or None).
+    # Only a jsonl row prints the id: it passes None, the report's
+    # default id, and text passes "", so no kind builds an id it will
+    # not print (a poset's is a base-3 number of up to C(n, 2) digits).
+    verify: Callable[[object, int | str | None], tuple] | None
 
 
 # The one place an input kind is described; verify is None when no
@@ -118,15 +109,16 @@ class _InputKind(NamedTuple):
 # induces the same lines) into ``core.line_system``.
 INPUT_KINDS = {
     "graph": _InputKind(
-        lambda text: parse_graph(text), lambda g: graph_lines(g), _verify_graph
+        lambda text: parse_graph(text), lambda g: graph_lines(g),
+        lambda g, instance_id: (graph_report(g, instance_id), None),
     ),
     "poset": _InputKind(
         lambda text: parse_poset(text), lambda p: graph_lines(comparability_graph(p)),
-        _verify_poset,
+        lambda p, instance_id: poset_report(p, instance_id),
     ),
     "metric": _InputKind(
         lambda text: parse_metric(text), lambda m: metric_lines(m),
-        lambda m, jsonl: (metric_report(m), None),
+        lambda m, instance_id: (metric_report(m, instance_id), None),
     ),
     "hypergraph": _InputKind(
         lambda text: parse_hypergraph(text), lambda h: hypergraph_lines(*h), None
@@ -208,7 +200,7 @@ def _cmd_verify(args, out) -> int:
             "verify supports graph, poset, and metric"
         )
     structure = kind.parse(_read_input(args.input))
-    report, cert_issue = kind.verify(structure, args.format == "jsonl")
+    report, cert_issue = kind.verify(structure, None if args.format == "jsonl" else "")
     if args.format == "jsonl":
         out.write(report.json_line() + "\n")
     else:
@@ -280,8 +272,8 @@ def _cmd_sweep(args, out) -> int:
         f"checked {summary.checked}\n"
         f"universal {summary.universal_count}\n"
         f"violations {len(summary.violations)}\n"
-        f"equality cases {len(summary.equality_ids)}\n"
-        f"shape matches {len(summary.shape_match_ids)}\n"
+        f"equality cases {summary.equality_cases}\n"
+        f"shape matches {summary.shape_matches}\n"
         f"certificate failures {len(summary.certificate_failures)}\n"
     )
     for issue in summary.issues:
@@ -344,8 +336,13 @@ _COMMANDS = {
 
 
 def main(argv=None, out=None) -> int:
+    """Run one command and return its exit status.  The digit limit is
+    set before the arguments are parsed, inherited by forked sweep
+    workers, and restored on return."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(INT_MAX_STR_DIGITS)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
@@ -358,6 +355,8 @@ def main(argv=None, out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main_entry() -> None:

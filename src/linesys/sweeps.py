@@ -15,17 +15,24 @@ failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
-so output is byte-identical across runs and worker counts.  A graph
-chunk reads its counters off popcounts of the kernel's planes, its id
-lists off their set bits.  Poset and metric chunks fold their kind's
-per-instance field tuples into counters and id lists; metric chunks
-read each mask's adjacency rows off the same edge planes the graph
-kernel uses.  Every jsonl row is the head of its (kind, n), the
-instance id and a tail rendered once per distinct tuple of the fields
-after the id; a graph chunk picks each mask's tail by a one-byte code.
+so output is byte-identical across runs and worker counts.  A summary
+counts instances and lists only the failing ones; every other
+per-instance fact is in the jsonl rows.  A graph chunk reads its
+counters off popcounts of the kernel's planes, its failing masks off
+their set bits.  Poset and metric chunks add up their kind's
+per-instance flags; metric chunks read each mask's adjacency rows off
+the same edge planes the graph kernel uses.  Every jsonl row is the
+head of its (kind, n), the instance id and a tail rendered once per
+distinct tuple of the fields after the id; a graph chunk picks each
+mask's tail by a one-byte code.
 A ``VerificationReport`` is built only for ``verify`` and for the
 violations a sweep records.  The parent writes the chunks' rows in
 order.
+
+``graph_report``, ``poset_report`` and ``metric_report`` are what
+``verify`` calls.  Each builds its default id only when given None,
+and the graph and poset reports refuse an instance outside their
+bound with DomainError.
 
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
 its size and jsonl ranges, chunk list, chunk runner and whether its
@@ -37,9 +44,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from math import comb
+from math import comb, log10
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .bounds import min_pair_sum
@@ -103,10 +111,12 @@ class VerificationReport:
         try:
             id_text = json.dumps(instance_id)
         except ValueError:  # the int-to-str digit limit
-            raise DomainError(
-                f"the instance id of this {kind} is too long to print as jsonl"
-            ) from None
+            raise _id_too_long(kind) from None
         return _row_head(kind, n) + id_text + _row_tail(*values)[:-1]
+
+
+def _id_too_long(kind: str) -> DomainError:
+    return DomainError(f"the instance id of this {kind} is too long to print as jsonl")
 
 
 _JSON_BOOL = ("false", "true")
@@ -138,11 +148,13 @@ def _row_tail(
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """What a sweep, or one chunk of it, found: counters and id lists in
-    canonical enumeration order.
+    """What a sweep, or one chunk of it, found: counters, and the
+    failing instances in canonical enumeration order.
 
+    ``equality_cases`` and ``shape_matches`` count the reported
+    instances with that flag set; their ids are in the jsonl rows.
     ``checked`` (reported instances with no universal line), ``issues``
-    and ``ok`` are read off those fields.  ``mismatch_ids`` lists the
+    and ``ok`` are read off the fields.  ``mismatch_ids`` lists the
     instances whose equality case and extremal shape disagree, for kinds
     with an extremal shape.
     """
@@ -152,15 +164,15 @@ class SweepSummary:
     enumerated: int = 0
     reported: int = 0
     universal_count: int = 0
+    equality_cases: int = 0
+    shape_matches: int = 0
     violations: tuple[VerificationReport, ...] = ()
-    equality_ids: tuple[int | str, ...] = ()
-    shape_match_ids: tuple[int | str, ...] = ()
     mismatch_ids: tuple[int | str, ...] = ()
     certificate_failures: tuple[tuple[int | str, str], ...] = ()
 
     def merge(self, other: "SweepSummary") -> "SweepSummary":
-        """This summary followed by ``other``: counters add up and id
-        lists concatenate."""
+        """This summary followed by ``other``: counters add up and the
+        failure lists concatenate."""
         return SweepSummary(self.kind, self.n, *(
             getattr(self, f.name) + getattr(other, f.name) for f in fields(self)[2:]
         ))
@@ -235,9 +247,14 @@ def _metric_fields(m, instance_id: int | str) -> tuple:
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one graph: at least n distinct lines
     unless some line is universal, equality only on the extremal shape.
+    The default id is the edge mask.  DomainError below the smallest n
+    of a graph sweep.
 
     Lines are counted by ``graph_line_count`` straight from the
     adjacency rows; no relation is built."""
+    min_n = SWEEP_KINDS["graph"].min_n
+    if g.size < min_n:
+        raise DomainError(f"graph verification needs n >= {min_n}")
     if instance_id is None:
         instance_id = g.edge_mask()
     count, universal = graph_line_count(g)
@@ -247,21 +264,44 @@ def graph_report(g: Graph, instance_id: int | str | None = None) -> Verification
 
 
 def poset_report(p, instance_id: int | str | None = None):
-    """Verification record and certificate defect for one poset.
+    """Verification record and certificate defect for one poset, whose
+    default id is ``poset_code``.
 
-    Returns (None, None) for height-1 posets: the height-dependent bound
-    is not defined there.  Lines are counted and the shape is tested on
-    the comparability graph, which induces the same lines; no relation
-    is built.  The certificate is built and replayed only when no line
-    is universal; its first defect (or construction error) is returned
+    DomainError for height-1 posets: the height-dependent bound is not
+    defined there, and for a default id too long to print, before it is
+    built (``_poset_id``).  Lines are counted and the shape is tested
+    on the comparability graph, which induces the same lines; no
+    relation is built.  The certificate is built and replayed only when no line is
+    universal; its first defect (or construction error) is returned
     alongside the report.
     """
+    if p.height < 2:
+        raise DomainError(
+            "poset verification needs height >= 2 (an antichain has no bound)"
+        )
     if instance_id is None:
-        instance_id = poset_code(p)
+        instance_id = _poset_id(p)
     instance = _poset_fields(p, instance_id)
-    if instance is None:
-        return None, None
     return _report("poset", p.size, instance), instance[5]
+
+
+def _poset_id(p) -> int:
+    """``poset_code(p)`` of a poset with a comparable pair, refused
+    with the jsonl error of ``json_line`` and not built when it is
+    surely too long to print.  Its L base-3 digits run from the first
+    comparable pair to the last pair, so the code is at least
+    3 ** (L - 1).  A code near the int-to-str digit limit is built, and
+    ``json_line`` judges it."""
+    n = p.size
+    for a in range(n):
+        later = (p.succ[a] | p.pred[a]) >> a + 1
+        if later:
+            break
+    first = a * (2 * n - a - 1) // 2 + (later & -later).bit_length() - 1
+    limit = sys.get_int_max_str_digits()
+    if limit and (comb(n, 2) - first - 1) * log10(3) >= limit:
+        raise _id_too_long("poset")
+    return poset_code(p)
 
 
 def metric_report(m, instance_id: int | str | None = None) -> VerificationReport:
@@ -342,14 +382,15 @@ def _fold_instances(
     universal, bound, extremal shape match, certificate defect or None),
     or None when the bound does not apply.
 
-    It folds the fields into plain counters and id lists, renders each
-    row as the (kind, n) head, the id and its ``_row_tail``, and builds a
-    ``VerificationReport`` only for a violation.
+    It adds the flags up into plain counters, lists the ids of failing
+    instances only, renders each row as the (kind, n) head, the id and
+    its ``_row_tail``, and builds a ``VerificationReport`` only for a
+    violation.
     """
     compare_shape = SWEEP_KINDS[kind].compare_shape
     head = _row_head(kind, n)
-    enumerated = reported = universal_count = 0
-    violations, equality_ids, shape_ids, mismatch_ids, cert_failures = [], [], [], [], []
+    enumerated = reported = universal_count = equality_cases = shape_matches = 0
+    violations, mismatch_ids, cert_failures = [], [], []
     rows = []
     for instance in instances(n, chunk):
         enumerated += 1
@@ -364,10 +405,8 @@ def _fold_instances(
             mismatch_ids.append(instance_id)
         if not meets:
             violations.append(_report(kind, n, instance))
-        if equality:
-            equality_ids.append(instance_id)
-        if shape:
-            shape_ids.append(instance_id)
+        equality_cases += equality
+        shape_matches += shape
         if cert_issue is not None:
             cert_failures.append((instance_id, cert_issue))
         if render:
@@ -376,8 +415,8 @@ def _fold_instances(
                 f"{_row_tail(count, bound, universal, meets, equality, shape)}"
             )
     summary = SweepSummary(
-        kind, n, enumerated, reported, universal_count, tuple(violations),
-        tuple(equality_ids), tuple(shape_ids), tuple(mismatch_ids), tuple(cert_failures),
+        kind, n, enumerated, reported, universal_count, equality_cases, shape_matches,
+        tuple(violations), tuple(mismatch_ids), tuple(cert_failures),
     )
     return summary, "".join(rows)
 
@@ -420,7 +459,7 @@ def _graph_chunk(
     """The summary and (when ``render``) the jsonl rows of one chunk of
     edge masks [lo, hi), read off the bit planes of
     ``graph_mask_planes``, where bit i stands for the mask lo + i: the
-    counters are popcounts, the id lists the set bits plus lo, and a
+    counters are popcounts, the mismatch ids the set bits plus lo, and a
     ``VerificationReport`` is built only for a violation bit.
 
     A graph has n lines exactly when C(n, 2) - n of its edges repeat an
@@ -436,10 +475,6 @@ def _graph_chunk(
     equal, above = _compare_planes(duplicates, pairs - n, full)
     no_universal = full ^ universal
     equality = equal & no_universal
-
-    def ids(plane: int) -> tuple[int, ...]:
-        return tuple(lo + i for i in bits_of(plane))
-
     violations = tuple(
         _report(kind, n, (
             lo + i, pairs - sum((plane >> i & 1) << j for j, plane in enumerate(duplicates)),
@@ -448,8 +483,9 @@ def _graph_chunk(
         for i in bits_of(above & no_universal)
     )
     summary = SweepSummary(
-        kind, n, width, width, universal.bit_count(), violations,
-        ids(equality), ids(shape), ids((equality ^ shape) & no_universal),
+        kind, n, width, width, universal.bit_count(), equality.bit_count(),
+        shape.bit_count(), violations,
+        tuple(lo + i for i in bits_of((equality ^ shape) & no_universal)),
     )
     if not render:
         return summary, ""
@@ -528,13 +564,16 @@ def run_sweep(
 ) -> SweepSummary:
     """Run one exhaustive sweep: the chunk summaries merged in chunk order.
 
-    ``kind`` is a key of ``SWEEP_KINDS``.  With ``jsonl``, a text stream,
-    every per-instance report is written to it as one JSON line, in
-    canonical enumeration order.  Worker processes split the canonical
+    ``kind`` is a key of ``SWEEP_KINDS``; ``workers`` below 1 raises
+    DomainError.  With ``jsonl``, a text stream, every per-instance
+    report is written to it as one JSON line, in canonical enumeration
+    order.  Worker processes split the canonical
     chunk list and render their chunks' lines; the parent merges the
     summaries and writes the chunks in order, so the summary and the
     stream are identical for every worker count.
     """
+    if workers < 1:
+        raise DomainError(f"a sweep needs at least 1 worker, got {workers}")
     render = jsonl is not None
     entry = sweep_kind(kind, n, render)
     args = [(kind, n, chunk, render) for chunk in entry.chunks(n)]

@@ -25,6 +25,7 @@ from linesys import (
 )
 from linesys.cli import main as cli_main
 from linesys.construct import build_certificate
+from test_sweeps import flagged_sweep
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -96,11 +97,15 @@ def test_criterion_4_graph_bound_exhaustive():
     timings = {}
     for n in range(4, 8):
         start = time.monotonic()
-        summary = run_sweep("graph", n)
+        # The ids come from the jsonl rows; the stream (400 MB at n = 7)
+        # is filtered as it is written.
+        summary, rows = flagged_sweep("graph", n)
         timings[n] = time.monotonic() - start
         ok = ok and summary.ok
         ok = ok and not summary.violations
-        ok = ok and set(summary.equality_ids) == set(summary.shape_match_ids)
+        equality = rows.ids("is_equality_case")
+        ok = ok and equality == rows.ids("extremal_shape_match")
+        ok = ok and summary.equality_cases == summary.shape_matches == len(equality)
     ok = ok and timings[7] < 600.0
     report(
         4,
@@ -111,7 +116,7 @@ def test_criterion_4_graph_bound_exhaustive():
 
 
 def test_criterion_5_three_point_equality_cases():
-    summary = run_sweep("graph", 3)
+    summary, rows = flagged_sweep("graph", 3)
     # Expected equality cases, found independently: the empty graph plus
     # every graph with a dominant 2-clique and a low-degree third vertex.
     expected = {0}
@@ -122,9 +127,9 @@ def test_criterion_5_three_point_equality_cases():
             if g.adj[v].bit_count() <= 1 and g.adj[u] >> w & 1:
                 expected.add(mask)
     ok = summary.ok
-    ok = ok and set(summary.equality_ids) == expected
-    ok = ok and set(summary.shape_match_ids) == expected
-    ok = ok and 0 in expected and len(summary.equality_ids) == 7
+    ok = ok and rows.ids("is_equality_case") == expected
+    ok = ok and rows.ids("extremal_shape_match") == expected
+    ok = ok and 0 in expected and summary.equality_cases == len(expected) == 7
     report(5, "n=3 equality cases are the extremal shapes plus the empty graph", ok)
 
 

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linesys import dbe_bound, enumeration, graphs, sweeps
-from linesys.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, main
+from linesys.cli import (
+    EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INT_MAX_STR_DIGITS, main,
+)
 from test_golden import workloads
 from test_sweeps import (
     flip_the_shape,
@@ -270,8 +272,8 @@ def test_verify_graph_builds_no_pair_list(fmt, first, monkeypatch):
 
 def test_verify_poset_on_1200_points(monkeypatch, capsys):
     # About 718k certificate lines of up to 1200 bits are counted by
-    # sorting; their poset id walks the order rows, with no list of all
-    # C(n, 2) pairs, and is too long to print as jsonl.
+    # sorting, with no list of all C(n, 2) pairs; the poset id is too
+    # long to print as jsonl.
     real = enumeration.pair_list
 
     def small_only(n):
@@ -311,6 +313,80 @@ def test_verify_poset_text_builds_no_poset_id(monkeypatch, poset_file):
     ))
     with pytest.raises(AssertionError, match="text verify built a poset id"):
         run_cli(["verify", "--kind", "poset", "--format", "jsonl", poset_file])
+
+
+SHORT_CODE_POSET_ROW = (
+    '{"structure_kind": "poset", "n": 200, "instance_id": 1, "line_count": 19900, '
+    '"bound": 9902, "has_universal": false, "meets_bound": true, '
+    '"is_equality_case": false, "extremal_shape_match": false}\n'
+)
+
+
+def test_verify_jsonl_refuses_a_long_poset_id_before_building_it(monkeypatch, capsys):
+    # The code of 0 < 1 on 1200 points has C(1200, 2) = 719,400 base-3
+    # digits, one per pair from (0, 1) on, so its length alone refuses it.
+    def refuse(p):
+        raise AssertionError("a poset id too long to print was built")
+
+    monkeypatch.setattr(sweeps, "poset_code", refuse)
+    argv = ["verify", "--kind", "poset", "--format", "jsonl"]
+    assert run_cli(argv, "1200 1\n0 1\n", monkeypatch=monkeypatch) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == (
+        "error: the instance id of this poset is too long to print as jsonl\n"
+    )
+    # The code of 198 < 199 has one digit, at the last pair: it prints.
+    monkeypatch.setattr(sweeps, "poset_code", enumeration.poset_code)
+    assert run_cli(argv, "200 1\n198 199\n", monkeypatch=monkeypatch) == (
+        EXIT_OK, SHORT_CODE_POSET_ROW
+    )
+
+
+COMPLETE_200 = "200 19900\n" + "".join(
+    f"{a} {b}\n" for a in range(200) for b in range(a + 1, 200)
+)
+
+
+@pytest.mark.parametrize("limit", [0, 640])
+def test_bytes_do_not_depend_on_the_interpreter_digit_limit(limit, monkeypatch, capsys):
+    # Every case prints or refuses a number near the digit limit: ids of
+    # 5,991 (the complete graph's edge mask) and 1 digits, a refused
+    # 719,400-digit base-3 poset code, a 1,201-digit bound and a
+    # 5,000-digit argument.  The sweep's forked workers check that they
+    # run under the pinned limit too.
+    real = sweeps.certificate_issues
+
+    def pinned(cert, p):
+        assert sys.get_int_max_str_digits() == INT_MAX_STR_DIGITS
+        return real(cert, p)
+
+    monkeypatch.setattr(sweeps, "certificate_issues", pinned)
+    verify = ["verify", "--format", "jsonl", "--kind"]
+    cases = [
+        ([*verify, "graph"], COMPLETE_200, EXIT_INPUT),
+        ([*verify, "poset"], "1200 1\n0 1\n", EXIT_INPUT),
+        ([*verify, "poset"], "200 1\n198 199\n", EXIT_OK),
+        (["bound", "--poset-n", "9" * 600, "--height", "2"], None, EXIT_OK),
+        (["bound", "--poset-n", "9" * 5000, "--height", "2"], None, EXIT_INPUT),
+        (["sweep", "--kind", "poset", "--n", "4", "--workers", "2"], None, EXIT_OK),
+    ]
+
+    def outcomes():
+        results = []
+        for argv, text, _ in cases:
+            code, out = run_cli(argv, text, monkeypatch=monkeypatch)
+            results.append((code, out, capsys.readouterr().err))
+        return results
+
+    expected = outcomes()
+    assert [code for code, _, _ in expected] == [code for _, _, code in cases]
+    assert len(expected[3][1]) == 1201
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert outcomes() == expected
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_verify_hypergraph_rejected(tmp_path):

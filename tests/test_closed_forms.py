@@ -77,8 +77,8 @@ def test_graph_sweep_totals(n):
     summary = run_sweep("graph", n)
     assert (summary.enumerated, summary.reported) == (2 ** comb(n, 2),) * 2
     assert summary.universal_count == graphs_with_a_universal_line(n)
-    assert len(summary.equality_ids) == graph_equality_cases(n)
-    assert len(summary.shape_match_ids) == graph_equality_cases(n)
+    assert summary.equality_cases == graph_equality_cases(n)
+    assert summary.shape_matches == graph_equality_cases(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -88,8 +88,8 @@ def test_poset_sweep_totals(n):
     # Every poset but the antichain has height at least 2.
     assert summary.reported == LABELED_POSETS[n] - 1
     assert summary.universal_count == posets_with_a_universal_line(n)
-    equality = len(summary.equality_ids)
-    assert equality == len(summary.shape_match_ids)
+    equality = summary.equality_cases
+    assert equality == summary.shape_matches
     if n >= 4:
         assert equality == poset_equality_cases(n)
 

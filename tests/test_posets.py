@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from linesys import (
     CycleError,
+    DomainError,
     Graph,
     Poset,
     SizeError,
@@ -314,10 +315,11 @@ def test_poset_report_count_matches_the_generic_evaluator_up_to_n5():
     for n in range(2, 6):
         full = (1 << n) - 1
         for p in enumerate_posets(n):
-            report, _ = poset_report(p)
-            if report is None:
-                assert p.height == 1
+            if p.height == 1:
+                with pytest.raises(DomainError, match="height >= 2"):
+                    poset_report(p)
                 continue
+            report, _ = poset_report(p)
             s = line_mask_set(poset_betweenness(p))
             assert (report.line_count, report.has_universal) == (len(s), full in s)
             reported += 1

@@ -42,6 +42,35 @@ def ids_of(kind, n):
     return [json.loads(row)["instance_id"] for row in rows]
 
 
+class FlaggedRows(io.TextIOBase):
+    """A jsonl stream that keeps, parsed, only the rows with one of the
+    given flags true, so the ids of a large sweep's rare instances are
+    read without holding its stream.  ``run_sweep`` writes whole rows."""
+
+    def __init__(self, *flags):
+        self.marks = [f'"{flag}": true' for flag in flags]
+        self.rows = []
+
+    def write(self, text):
+        starts = set()
+        for mark in self.marks:
+            at = text.find(mark)
+            while at >= 0:
+                starts.add(text.rfind("\n", 0, at) + 1)
+                at = text.find(mark, at + 1)
+        self.rows += [json.loads(text[i : text.index("\n", i)]) for i in sorted(starts)]
+        return len(text)
+
+    def ids(self, flag):
+        return {row["instance_id"] for row in self.rows if row[flag]}
+
+
+def flagged_sweep(kind, n, workers=1):
+    """The summary of a jsonl sweep and its equality and shape rows."""
+    rows = FlaggedRows("is_equality_case", "extremal_shape_match")
+    return run_sweep(kind, n, workers=workers, jsonl=rows), rows
+
+
 # --- per-instance reports ---------------------------------------------------
 
 def test_graph_report_fields_for_one_triangle_graph():
@@ -58,7 +87,10 @@ def test_graph_report_universal_graph_meets_trivially():
 
 
 def test_poset_report_skips_antichains():
-    assert poset_report(Poset.from_covers(3, [])) == (None, None)
+    # The sweep counts an antichain as enumerated, not reported; a
+    # report of one is refused, as verify refuses it.
+    with pytest.raises(DomainError, match=r"height >= 2 \(an antichain has no bound\)"):
+        poset_report(Poset.from_covers(3, []))
 
 
 def test_poset_report_equality_and_certificate():
@@ -125,10 +157,8 @@ def reference_fold(reports):
         "checked": sum(not r.has_universal for r in reports),
         "universal_count": sum(r.has_universal for r in reports),
         "violations": tuple(r for r in reports if not r.meets_bound),
-        "equality_ids": tuple(r.instance_id for r in reports if r.is_equality_case),
-        "shape_match_ids": tuple(
-            r.instance_id for r in reports if r.extremal_shape_match
-        ),
+        "equality_cases": sum(r.is_equality_case for r in reports),
+        "shape_matches": sum(r.extremal_shape_match for r in reports),
     }
 
 
@@ -151,7 +181,7 @@ def test_chunk_kernel_matches_the_graph_reports(monkeypatch, n, chunk_masks):
 # --- sweeps -----------------------------------------------------------------
 
 def test_graph_sweep_n4_equality_cases_are_the_one_triangle_graphs():
-    summary = run_sweep("graph", 4)
+    summary, rows = flagged_sweep("graph", 4)
     assert summary.enumerated == 64
     assert summary.ok
     assert not summary.violations
@@ -161,18 +191,19 @@ def test_graph_sweep_n4_equality_cases_are_the_one_triangle_graphs():
         if graph_report(Graph.from_mask(4, mask)).line_count == 4
         and not graph_report(Graph.from_mask(4, mask)).has_universal
     }
-    assert set(summary.equality_ids) == one_triangle
-    assert set(summary.shape_match_ids) == one_triangle
-    assert len(one_triangle) == 16
+    assert rows.ids("is_equality_case") == one_triangle
+    assert rows.ids("extremal_shape_match") == one_triangle
+    assert summary.equality_cases == summary.shape_matches == len(one_triangle) == 16
 
 
 def test_graph_sweep_n3_equality_includes_the_empty_graph():
-    summary = run_sweep("graph", 3)
+    summary, rows = flagged_sweep("graph", 3)
     assert summary.ok
-    assert 0 in summary.equality_ids
-    assert 0 in summary.shape_match_ids
+    assert 0 in rows.ids("is_equality_case")
+    assert 0 in rows.ids("extremal_shape_match")
     # all 7 non-complete graphs have exactly 3 lines
-    assert len(summary.equality_ids) == 7
+    assert rows.ids("is_equality_case") == set(range(7))
+    assert summary.equality_cases == 7
 
 
 def test_graph_sweep_n5_zero_violations():
@@ -250,7 +281,11 @@ def test_metric_sweep_reports_what_its_counter_returns(monkeypatch):
     assert {(r.line_count, r.has_universal) for r in summary.violations} == {(1, False)}
 
 
-def test_sweep_domain_checks():
+def test_sweep_domain_checks(monkeypatch):
+    monkeypatch.setattr(sweeps, "_run_chunk", None)  # no chunk may run
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match=f"at least 1 worker, got {workers}"):
+            run_sweep("graph", 4, workers=workers)
     with pytest.raises(CapError):
         run_sweep("graph", 9)
     with pytest.raises(DomainError):
@@ -261,6 +296,25 @@ def test_sweep_domain_checks():
         run_sweep("metric", 8)
     with pytest.raises(DomainError):
         run_sweep("unknown", 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["graph", "poset", "metric"])
+def test_summary_counts_match_the_jsonl_rows(kind, workers):
+    text, summary = jsonl_of(kind, 5, workers)
+    rows = [json.loads(row) for row in text.splitlines()]
+
+    def flagged(flag):
+        return sum(row[flag] for row in rows)
+
+    assert summary.reported == len(rows)
+    assert summary.universal_count == flagged("has_universal")
+    assert summary.checked == len(rows) - flagged("has_universal")
+    assert summary.equality_cases == flagged("is_equality_case")
+    assert summary.shape_matches == flagged("extremal_shape_match")
+    assert len(summary.violations) == len(rows) - flagged("meets_bound") == 0
+    # No graph metric on 5 points has exactly 5 lines and no universal one.
+    assert (summary.equality_cases > 0) == (kind != "metric")
 
 
 def test_sweep_reports_stream_in_canonical_order():

@@ -14,7 +14,7 @@ with the same rule.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 from typing import Iterable, Iterator
 
 from .core import check_size, pair_list
@@ -103,11 +103,21 @@ def poset_from_state(n: int, state: Iterable[int]) -> Poset:
 
 
 def poset_state(p: Poset) -> tuple[int, ...]:
-    succ = p.succ
-    return tuple(
-        1 if succ[a] >> b & 1 else 2 if succ[b] >> a & 1 else 0
-        for a, b in combinations(range(p.size), 2)
-    )
+    return _pair_states(p.succ, combinations(range(p.size), 2))
+
+
+def _pair_states(succ: list[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    return tuple(1 if succ[a] >> b & 1 else 2 if succ[b] >> a & 1 else 0 for a, b in pairs)
+
+
+def _first_comparable(p: Poset) -> tuple[int, int] | None:
+    """The first pair a < b, in pair order, of comparable points; None
+    for an antichain."""
+    for a in range(p.size):
+        later = (p.succ[a] | p.pred[a]) >> a + 1
+        if later:
+            return a, a + (later & -later).bit_length()
+    return None
 
 
 def state_code(state: Iterable[int]) -> int:
@@ -119,9 +129,17 @@ def state_code(state: Iterable[int]) -> int:
 
 
 def poset_code(p: Poset) -> int:
-    """``state_code(poset_state(p))``, built by halves: on C(n, 2) digits
-    the digit-by-digit loop is quadratic, and large inputs reach it."""
-    return _code_by_halves(poset_state(p))
+    """``state_code(poset_state(p))``.  Only the digits from the first
+    comparable pair on are built, since those before it are leading
+    zeros, and they are coded by halves: on C(n, 2) digits the
+    digit-by-digit loop is quadratic, and large inputs reach it."""
+    first = _first_comparable(p)
+    if first is None:
+        return 0
+    a, b = first
+    n = p.size
+    pairs = chain(zip(repeat(a), range(b, n)), combinations(range(a + 1, n), 2))
+    return _code_by_halves(_pair_states(p.succ, pairs))
 
 
 def _code_by_halves(state: tuple[int, ...]) -> int:

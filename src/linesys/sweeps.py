@@ -23,11 +23,13 @@ their set bits.  Poset and metric chunks add up their kind's
 per-instance flags; metric chunks read each mask's adjacency rows off
 the same edge planes the graph kernel uses.  Every jsonl row is the
 head of its (kind, n), the instance id and a tail rendered once per
-distinct tuple of the fields after the id; a graph chunk picks each
-mask's tail by a one-byte code.
-A ``VerificationReport`` is built only for ``verify`` and for the
-violations a sweep records.  The parent writes the chunks' rows in
-order.
+distinct tuple of the fields after the id.  A poset or metric chunk
+renders its own rows; a graph chunk returns one code byte per mask,
+and the parent picks each mask's tail by its code, so a worker sends
+back about 1 byte per graph instead of about 190 bytes of rows.  A
+``VerificationReport`` is built only for ``verify`` and for the
+violations a sweep records.  The parent turns each chunk's payload
+into rows with its kind's ``rows`` and writes them in chunk order.
 
 ``graph_report``, ``poset_report`` and ``metric_report`` are what
 ``verify`` calls.  Each builds its default id only when given None,
@@ -35,8 +37,9 @@ and the graph and poset reports refuse an instance outside their
 bound with DomainError.
 
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
-its size and jsonl ranges, chunk list, chunk runner and whether its
-equality cases are compared with an extremal shape.
+its size and jsonl ranges, chunk list, chunk runner, the parent-side
+renderer of a chunk's jsonl payload and whether its equality cases are
+compared with an extremal shape.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .enumeration import (
     GRAPH_ENUM_CAP,
     METRIC_ENUM_CAP,
     POSET_ENUM_CAP,
+    _first_comparable,
     _iter_states,
     poset_code,
     poset_state_prefixes,
@@ -289,17 +293,15 @@ def _poset_id(p) -> int:
     """``poset_code(p)`` of a poset with a comparable pair, refused
     with the jsonl error of ``json_line`` and not built when it is
     surely too long to print.  Its L base-3 digits run from the first
-    comparable pair to the last pair, so the code is at least
-    3 ** (L - 1).  A code near the int-to-str digit limit is built, and
-    ``json_line`` judges it."""
+    comparable pair (a, b) to the last pair: the n - b pairs (a, b..n-1)
+    and every pair above a.  So the code is at least 3 ** (L - 1).  A
+    code near the int-to-str digit limit is built, and ``json_line``
+    judges it."""
     n = p.size
-    for a in range(n):
-        later = (p.succ[a] | p.pred[a]) >> a + 1
-        if later:
-            break
-    first = a * (2 * n - a - 1) // 2 + (later & -later).bit_length() - 1
+    a, b = _first_comparable(p)
+    digits = n - b + comb(n - a - 1, 2)
     limit = sys.get_int_max_str_digits()
-    if limit and (comb(n, 2) - first - 1) * log10(3) >= limit:
+    if limit and (digits - 1) * log10(3) >= limit:
         raise _id_too_long("poset")
     return poset_code(p)
 
@@ -448,24 +450,33 @@ def _mask_codes(planes: list[int], width: int) -> bytes:
     spread = _byte_spread()
     codes = 0
     for j, plane in enumerate(planes):
+        if not plane:
+            continue
         bits = b"".join(map(spread.__getitem__, plane.to_bytes(size, "little")))
         codes |= int.from_bytes(bits, "little") << j
     return codes.to_bytes(8 * size, "little")[:width]
 
 
+# The code byte of a graph mask: its duplicate count in the low 5 bits,
+# then its universal and shape bits.  The jsonl cap keeps n <= 7, so at
+# most C(7, 2) - 1 = 20 duplicates.
+_DUPLICATE_BITS = 5
+
+
 def _graph_chunk(
     kind: str, n: int, chunk: tuple[int, int], render: bool
-) -> tuple[SweepSummary, str]:
-    """The summary and (when ``render``) the jsonl rows of one chunk of
+) -> tuple[SweepSummary, bytes]:
+    """The summary and (when ``render``) the code bytes of one chunk of
     edge masks [lo, hi), read off the bit planes of
     ``graph_mask_planes``, where bit i stands for the mask lo + i: the
     counters are popcounts, the mismatch ids the set bits plus lo, and a
     ``VerificationReport`` is built only for a violation bit.
 
     A graph has n lines exactly when C(n, 2) - n of its edges repeat an
-    earlier edge's line, and fewer when more do.  Each jsonl row is the
-    (kind, n) head, the mask and the ``_row_tail`` that its duplicate
-    count, universal flag and shape select.
+    earlier edge's line, and fewer when more do.  Byte i of the codes is
+    the code of mask lo + i (``_DUPLICATE_BITS``), from which
+    ``_graph_rows`` renders the jsonl rows: one byte per mask travels,
+    not the rows.
     """
     lo, hi = chunk
     width = hi - lo
@@ -488,22 +499,40 @@ def _graph_chunk(
         tuple(lo + i for i in bits_of((equality ^ shape) & no_universal)),
     )
     if not render:
-        return summary, ""
-    # The code of a mask: its duplicate count, then the universal and
-    # shape bits.  The jsonl cap keeps n <= 7, so at most 20 duplicates:
-    # 5 planes, and a code fits in a byte.
-    k = len(duplicates)
-    tails = [
-        _row_tail(count, n, is_universal, *_judge(n, count, is_universal, n), is_shape)
-        for is_shape in (False, True)
-        for is_universal in (False, True)
-        for count in range(pairs, pairs - (1 << k), -1)
-    ]
+        return summary, b""
+    # Zero planes pad the duplicate count to the low bits of the code.
+    padding = [0] * (_DUPLICATE_BITS - len(duplicates))
+    return summary, _mask_codes([*duplicates, *padding, universal, shape], width)
+
+
+@lru_cache(maxsize=None)
+def _code_tails(n: int) -> tuple[str, ...]:
+    """The row tail that every code byte of a graph chunk on n vertices
+    selects, indexed by the byte: the duplicate count, then the
+    universal and shape bits.  Codes no graph has get a tail too."""
+    pairs = comb(n, 2)
+    return tuple(
+        _row_tail(count, n, universal, *_judge(n, count, universal, n), shape)
+        for shape in (False, True)
+        for universal in (False, True)
+        for count in range(pairs, pairs - (1 << _DUPLICATE_BITS), -1)
+    )
+
+
+def _graph_rows(kind: str, n: int, chunk: tuple[int, int], codes: bytes) -> str:
+    """The jsonl rows of a graph chunk [lo, hi) from its code bytes:
+    each row is the (kind, n) head, the mask and the tail its code
+    selects."""
     head = _row_head(kind, n)
-    codes = _mask_codes([*duplicates, universal, shape], width)
-    return summary, "".join([
-        f"{head}{mask}{tails[code]}" for mask, code in zip(range(lo, hi), codes)
+    tails = _code_tails(n)
+    return "".join([
+        f"{head}{mask}{tails[code]}" for mask, code in zip(range(*chunk), codes)
     ])
+
+
+def _text_rows(kind: str, n: int, chunk: tuple, text: str) -> str:
+    """The jsonl rows of a chunk whose runner already rendered them."""
+    return text
 
 
 class _SweepKind(NamedTuple):
@@ -511,27 +540,34 @@ class _SweepKind(NamedTuple):
     cap: int
     jsonl_cap: int  # the largest n whose jsonl stream a sweep writes
     chunks: Callable[[int], list]  # n -> canonically ordered work units
-    # (kind, n, unit, render) -> the unit's summary and jsonl rows
-    run_chunk: Callable[[str, int, tuple, bool], tuple[SweepSummary, str]]
+    # (kind, n, unit, render) -> the unit's summary and (when render) its
+    # jsonl payload: code bytes for graphs, rendered rows otherwise
+    run_chunk: Callable[[str, int, tuple, bool], tuple[SweepSummary, bytes | str]]
+    # (kind, n, unit, payload) -> the unit's jsonl rows, in the parent
+    rows: Callable[[str, int, tuple, bytes | str], str]
     compare_shape: bool  # equality cases are checked against the extremal shape
 
 
 # The one place a sweepable structure kind is described.  Graph chunks
-# are counted all at once by ``graph_mask_planes``; posets and metrics
-# fold their instance generators one instance at a time.  Chunk runners
-# look up the module functions they call (graph_mask_planes,
-# graph_metric_line_count, certificate_issues, ...) at call time, so
-# patching or tracing one of them reaches every sweep that calls it.
+# are counted all at once by ``graph_mask_planes`` and ship one code
+# byte per mask, which the parent renders; posets and metrics fold
+# their instance generators one instance at a time and ship their rows.
+# Chunk runners look up the module functions they call
+# (graph_mask_planes, graph_metric_line_count, certificate_issues, ...)
+# at call time, so patching or tracing one of them reaches every sweep
+# that calls it.
 # A graph jsonl stream at n = 8 would be about 52 GB.
 SWEEP_KINDS = {
-    "graph": _SweepKind(3, GRAPH_ENUM_CAP, 7, _mask_chunks, _graph_chunk, True),
+    "graph": _SweepKind(
+        3, GRAPH_ENUM_CAP, 7, _mask_chunks, _graph_chunk, _graph_rows, True
+    ),
     "poset": _SweepKind(
         2, POSET_ENUM_CAP, POSET_ENUM_CAP, _poset_chunks,
-        partial(_fold_instances, _poset_instances), True,
+        partial(_fold_instances, _poset_instances), _text_rows, True,
     ),
     "metric": _SweepKind(
         2, METRIC_ENUM_CAP, METRIC_ENUM_CAP, _mask_chunks,
-        partial(_fold_instances, _metric_instances), False,
+        partial(_fold_instances, _metric_instances), _text_rows, False,
     ),
 }
 
@@ -551,10 +587,9 @@ def sweep_kind(kind: str, n: int, jsonl: bool = False) -> _SweepKind:
     return entry
 
 
-def _run_chunk(args) -> tuple[SweepSummary, str]:
-    """The summary and (when ``render``) the jsonl rows of one chunk.
-    The rows travel back as one string: rendering runs in the workers,
-    and the parent only writes."""
+def _run_chunk(args) -> tuple[SweepSummary, bytes | str]:
+    """The summary and (when ``render``) the jsonl payload of one chunk,
+    which the kind's ``rows`` turns into text in the parent."""
     kind, n, chunk, render = args
     return SWEEP_KINDS[kind].run_chunk(kind, n, chunk, render)
 
@@ -567,36 +602,36 @@ def run_sweep(
     ``kind`` is a key of ``SWEEP_KINDS``; ``workers`` below 1 raises
     DomainError.  With ``jsonl``, a text stream, every per-instance
     report is written to it as one JSON line, in canonical enumeration
-    order.  Worker processes split the canonical
-    chunk list and render their chunks' lines; the parent merges the
-    summaries and writes the chunks in order, so the summary and the
-    stream are identical for every worker count.
+    order.  Worker processes split the canonical chunk list and run its
+    chunks; the parent merges the summaries in chunk order and renders
+    each chunk's payload with the kind's ``rows`` (the same runner and
+    renderer serve a serial sweep), so the summary and the stream are
+    identical for every worker count.
     """
     if workers < 1:
         raise DomainError(f"a sweep needs at least 1 worker, got {workers}")
     render = jsonl is not None
     entry = sweep_kind(kind, n, render)
-    args = [(kind, n, chunk, render) for chunk in entry.chunks(n)]
-    total = SweepSummary(kind, n)
+    chunks = entry.chunks(n)
+    args = [(kind, n, chunk, render) for chunk in chunks]
 
-    def consume(result) -> None:
-        nonlocal total
-        summary, text = result
-        total = total.merge(summary)
-        if text:
-            jsonl.write(text)
+    def consume(results) -> SweepSummary:
+        total = SweepSummary(kind, n)
+        for chunk, (summary, payload) in zip(chunks, results):
+            total = total.merge(summary)
+            if render:
+                text = entry.rows(kind, n, chunk, payload)
+                if text:
+                    jsonl.write(text)
+        return total
 
     # No flag value may start more processes than there are chunks or CPUs.
     workers = min(workers, len(args), os.cpu_count() or 1)
     if workers <= 1:
-        for arg in args:
-            consume(_run_chunk(arg))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for result in pool.imap(_run_chunk, args):
-                consume(result)
-    return total
+        return consume(map(_run_chunk, args))
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers) as pool:
+        return consume(pool.imap(_run_chunk, args))
 
 
 @dataclass(frozen=True)

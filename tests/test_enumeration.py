@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import linesys.enumeration as enumeration
 from linesys import (
     CapError,
     DomainError,
@@ -115,6 +116,29 @@ def test_poset_code_equals_the_digit_by_digit_code():
             assert poset_code(p) == state_code(poset_state(p))
             if n <= 40:
                 assert poset_from_code(n, poset_code(p)).succ == p.succ
+
+
+def test_poset_code_builds_only_the_digits_from_the_first_comparable_pair(monkeypatch):
+    # The digits before the first comparable pair are leading zeros.
+    built = []
+    pair_states = enumeration._pair_states
+
+    def recorded(succ, pairs):
+        built.append(pair_states(succ, pairs))
+        return built[-1]
+
+    monkeypatch.setattr(enumeration, "_pair_states", recorded)
+    for n in range(2, 8):
+        for q, (a, b) in enumerate(pair_list(n)):
+            for rows in ([1 << b if x == a else 0 for x in range(n)],
+                         [1 << a if x == b else 0 for x in range(n)]):
+                p = Poset(rows)
+                built.clear()
+                assert poset_code(p) == state_code(poset_state(p))
+                assert len(built[0]) == len(pair_list(n)) - q
+    built.clear()
+    assert poset_code(Poset([0] * 5)) == 0 and built == []
+    assert poset_code(Poset([0] * 1198 + [1 << 1199, 0])) == 1 and built == [(1,)]
 
 
 def test_poset_from_code_rejects_codes_no_poset_has():

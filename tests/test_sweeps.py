@@ -178,6 +178,43 @@ def test_chunk_kernel_matches_the_graph_reports(monkeypatch, n, chunk_masks):
         assert getattr(summary, name) == value, name
 
 
+@st.composite
+def graph_chunks(draw):
+    n = draw(st.integers(3, 7))
+    total = 1 << comb(n, 2)
+    lo = draw(st.integers(0, total - 1))
+    hi = draw(st.integers(lo + 1, min(total, lo + 300)))
+    return n, lo, hi
+
+
+@given(graph_chunks())
+def test_graph_rows_render_the_reports_from_the_chunk_codes(chunk):
+    # The workers run the chunk and ship its codes; the parent renders
+    # them with the kind's ``rows``.
+    n, lo, hi = chunk
+    entry = sweeps.SWEEP_KINDS["graph"]
+    _, codes = entry.run_chunk("graph", n, (lo, hi), True)
+    text = entry.rows("graph", n, (lo, hi), codes)
+    assert text.splitlines(keepends=True) == [
+        graph_report(Graph.from_mask(n, mask)).json_line() + "\n"
+        for mask in range(lo, hi)
+    ]
+
+
+@pytest.mark.parametrize("n, lo, hi", [(3, 0, 8), (5, 37, 133), (7, 2**21 - 4096, 2**21)])
+def test_a_rendered_graph_chunk_ships_one_byte_per_mask(n, lo, hi):
+    summary, codes = sweeps._graph_chunk("graph", n, (lo, hi), True)
+    assert isinstance(codes, bytes) and len(codes) == hi - lo
+    assert sweeps._graph_chunk("graph", n, (lo, hi), False) == (summary, b"")
+
+
+def test_the_graph_jsonl_cap_keeps_the_duplicate_count_in_its_code_bits():
+    # A graph on n vertices has at most C(n, 2) - 1 duplicate edge lines,
+    # held in the low _DUPLICATE_BITS bits of its code byte.
+    assert sweeps._DUPLICATE_BITS == 5
+    assert comb(sweeps.SWEEP_KINDS["graph"].jsonl_cap, 2) - 1 < 2**5
+
+
 # --- sweeps -----------------------------------------------------------------
 
 def test_graph_sweep_n4_equality_cases_are_the_one_triangle_graphs():
@@ -334,8 +371,8 @@ def test_jsonl_output_byte_identical_across_worker_counts():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "kind, chunk_masks",
-    [("graph", 64), ("metric", 64), ("metric", 96)],
-    ids=["graph", "metric", "metric-unaligned"],
+    [("graph", 64), ("graph", 96), ("metric", 64), ("metric", 96)],
+    ids=["graph", "graph-unaligned", "metric", "metric-unaligned"],
 )
 def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, chunk_masks, workers):
     # 96-mask chunks start and end off the period of pair bits 5 and up.

@@ -63,7 +63,6 @@ from .graphs import (
 )
 from .metrics import (
     MetricSpace,
-    graph_metric_line_count,
     graph_shortest_path_metric,
     metric_betweenness,
     metric_lines,
@@ -125,7 +124,6 @@ __all__ = [
     "graph_betweenness",
     "graph_line_count",
     "graph_lines",
-    "graph_metric_line_count",
     "graph_report",
     "graph_shortest_path_metric",
     "hypergraph_lines",

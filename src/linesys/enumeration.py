@@ -25,8 +25,9 @@ from .posets import Poset
 GRAPH_ENUM_CAP = 8
 POSET_ENUM_CAP = 7
 # Metrics are enumerated as the shortest-path metrics of every graph
-# mask, each counted from n breadth-first searches, so their cap sits
-# below the graphs'.
+# mask, counted a chunk of masks at a time on distance planes
+# (``metrics.metric_mask_planes``): about 1 s for n = 7 on one core,
+# and about 3 minutes for the 128 times as many masks of n = 8.
 METRIC_ENUM_CAP = 7
 
 

@@ -185,9 +185,10 @@ def has_universal_line(adj: Sequence[int]) -> bool:
     return len(adj) == 2 and not adj[0]
 
 
-def _edge_planes(count: int, lo: int, hi: int) -> list[int]:
-    """For each of the first ``count`` pairs, the int whose bit i is set
-    when the edge mask lo + i holds that pair.
+def _adjacency_planes(n: int, lo: int, hi: int) -> list[list[int]]:
+    """The n x n adjacency planes of the edge masks lo..hi-1: bit i of
+    adj[a][b] is set when the mask lo + i holds the pair ab, and each
+    vertex is adjacent to itself in every mask.
 
     Bit p of a mask repeats with period 2^(p+1), so a pair with
     2^p < hi - lo takes the repeated pattern of the aligned block that
@@ -195,8 +196,8 @@ def _edge_planes(count: int, lo: int, hi: int) -> list[int]:
     once inside the range."""
     width = hi - lo
     full = (1 << width) - 1
-    planes = []
-    for p in range(count):
+    adj = [[full] * n for _ in range(n)]
+    for p, (a, b) in enumerate(pair_list(n)):
         half = 1 << p
         if half < width:
             period = 2 * half
@@ -205,11 +206,11 @@ def _edge_planes(count: int, lo: int, hi: int) -> list[int]:
             pattern = ((1 << half) - 1 << half) * (
                 ((1 << period * repeats) - 1) // ((1 << period) - 1)
             )
-            planes.append(pattern >> lo - start & full)
+            adj[a][b] = adj[b][a] = pattern >> lo - start & full
         else:
             head = (1 << min((lo // half + 1) * half, hi) - lo) - 1
-            planes.append(head if lo >> p & 1 else full ^ head)
-    return planes
+            adj[a][b] = adj[b][a] = head if lo >> p & 1 else full ^ head
+    return adj
 
 
 def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
@@ -231,43 +232,10 @@ def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, i
     """
     pairs = pair_list(n)
     full = (1 << hi - lo) - 1
-    edge = _edge_planes(len(pairs), lo, hi)
-    adj = [[full] * n for _ in range(n)]
-    for p, (a, b) in enumerate(pairs):
-        adj[a][b] = adj[b][a] = edge[p]
+    adj = _adjacency_planes(n, lo, hi)
+    edge = [adj[a][b] for a, b in pairs]
     members = [list(map(and_, adj[a], adj[b])) for a, b in pairs]
-    universal = 0
-    duplicates: list[int] = []
-    for p, member in enumerate(members):
-        both = edge[p]
-        if not both:
-            continue
-        line = both
-        for x in member:
-            line &= x
-        universal |= line
-        # Edge q repeats edge p's line where both are edges and no
-        # point is a member of one line only: outside ^ members[q] has
-        # a bit set where the two memberships agree.
-        outside = [full ^ x for x in member]
-        repeat = 0
-        for q in range(p):
-            same = both & edge[q]
-            if not same:
-                continue
-            for x, y in zip(outside, members[q]):
-                same &= x ^ y
-                if not same:
-                    break
-            repeat |= same
-        # Add this edge's repeat bit into the planes, carry by carry.
-        for j, plane in enumerate(duplicates):
-            if not repeat:
-                break
-            duplicates[j] = plane ^ repeat
-            repeat &= plane
-        if repeat:
-            duplicates.append(repeat)
+    duplicates, universal = _line_planes(edge, members, full)
     shape = 0
     for v, row in enumerate(adj):
         rest = full
@@ -282,7 +250,52 @@ def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, i
         shape |= rest & ~twice
     if n == 3:
         shape |= full ^ (edge[0] | edge[1] | edge[2])
-    return tuple(duplicates), universal, shape
+    return duplicates, universal, shape
+
+
+def _line_planes(
+    linked: Sequence[int], members: Sequence[Sequence[int]], full: int
+) -> tuple[tuple[int, ...], int]:
+    """(duplicate planes, universal) of the line systems of a chunk, bit
+    i for its instance i, from each pair's ``linked`` plane (the pairs
+    whose line is more than a bare pair no other pair generates) and its
+    membership plane of every point.  The duplicate planes count, in
+    binary with the least significant plane first, the linked pairs
+    whose line equals that of a lower-indexed linked pair; a linked line
+    holding every point is universal."""
+    universal = 0
+    duplicates: list[int] = []
+    for p, member in enumerate(members):
+        both = linked[p]
+        if not both:
+            continue
+        line = both
+        for x in member:
+            line &= x
+        universal |= line
+        # Pair q repeats pair p's line where both are linked and no
+        # point is a member of one line only: outside ^ members[q] has
+        # a bit set where the two memberships agree.
+        outside = [full ^ x for x in member]
+        repeat = 0
+        for q in range(p):
+            same = both & linked[q]
+            if not same:
+                continue
+            for x, y in zip(outside, members[q]):
+                same &= x ^ y
+                if not same:
+                    break
+            repeat |= same
+        # Add this pair's repeat bit into the planes, carry by carry.
+        for j, plane in enumerate(duplicates):
+            if not repeat:
+                break
+            duplicates[j] = plane ^ repeat
+            repeat &= plane
+        if repeat:
+            duplicates.append(repeat)
+    return tuple(duplicates), universal
 
 
 def is_extremal_graph(g: Graph) -> bool:

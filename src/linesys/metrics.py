@@ -7,19 +7,21 @@ tolerance-based comparison would silently change line counts.
 ``metric_lines`` reads the lines of a metric space from its distance
 rows.  The shortest-path metric of a connected graph is read off its
 breadth-first distance layers: ``graph_shortest_path_metric`` builds
-the metric space, and ``graph_metric_line_count`` counts its lines
-with no metric space built.
+the metric space, and ``metric_mask_planes`` counts the lines of a
+whole chunk of edge masks at once on the graph kernel's planes, with
+no metric space built.
 """
 
 from __future__ import annotations
 
 import numbers
+from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
-from .core import BetweennessRelation, bits_of, check_size, line_system
+from .core import BetweennessRelation, bits_of, check_size, line_system, pair_list
 from .errors import DisconnectedError, MetricError, SizeError
-from .graphs import Graph
+from .graphs import Graph, _adjacency_planes, _line_planes
 
 
 class MetricSpace:
@@ -156,39 +158,54 @@ def graph_shortest_path_metric(g: Graph) -> MetricSpace:
     return MetricSpace._from_rows(tuple(rows))
 
 
-def graph_metric_line_count(g: Graph) -> tuple[int, bool]:
-    """Number of distinct lines of the shortest-path metric of a
-    connected graph, and whether one of them is universal.
+def metric_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
+    """Line counts and universal lines of the shortest-path metrics of
+    the graphs on n vertices with edge masks lo..hi-1, all at once: in
+    every returned int, bit i stands for the graph of mask lo + i.
 
-    Read straight from the distance layers ``L`` of ``_distance_layers``,
-    with no metric space or relation built: a point x with
-    d(a, x) = k lies on the line of a pair at distance d exactly when
-    d(b, x) is d - k, k - d or k + d, so that line is the union over k
-    of ``L[a][k] & (L[b][|k - d|] | L[b][k + d])``.  For an edge
-    (d = 1) these are the points not equidistant from a and b.
-    Raises DisconnectedError on a disconnected graph.
+    Returns (duplicate planes, universal, connected); a bit outside
+    ``connected`` has no metric, and no duplicate or universal bit.
+    Breadth-first search on the adjacency planes gives ``dist[a][x][k]``,
+    the masks in which x is k steps from a.  Point x with d(a, x) = k is
+    on the line of a pair at distance d exactly when d(b, x) is |k - d|
+    or k + d.  Every pair is linked, so a metric has C(n, 2) lines less
+    the pairs whose line repeats that of a lower-indexed pair
+    (``_line_planes``).
     """
-    n = g.size
-    if n < 2:
-        raise SizeError("a line system needs at least two points")
-    layers = _distance_layers(g)
-    full = (1 << n) - 1
-    # reflected[b][e + j] is L[b][|j|] for |j| <= e, the eccentricity
-    # of b, followed by n empty layers, so that a slice starting at
-    # e - d lists L[b][|k - d|] and one starting at e + d lists
-    # L[b][k + d], for k = 0, 1, ...
+    full = (1 << hi - lo) - 1
+    adj = _adjacency_planes(n, lo, hi)
+    # n empty layers pad each point's list, so that k + d indexes it.
     empty = [0] * n
-    reflected = [row[:0:-1] + row + empty for row in layers]
-    # The layers of a are disjoint, so summing masks cut from them
-    # takes their union.
-    lines = set()
-    for a, row in enumerate(layers):
-        above = full ^ ((2 << a) - 1)
-        for b in bits_of(row[1] & above):
-            lines.add(full ^ sum(map(and_, row, layers[b])))
-        for d in range(2, len(row)):
-            for b in bits_of(row[d] & above):
-                ext = reflected[b]
-                e = len(layers[b]) - 1
-                lines.add(sum(map(and_, row, map(or_, ext[e - d :], ext[e + d :]))))
-    return len(lines), full in lines
+    dist = []
+    for a in range(n):
+        layer = [0] * n
+        layer[a] = full
+        seen, layers = layer, [layer]
+        while any(layer):
+            reached = [0] * n
+            for y, at_y in enumerate(layer):
+                if at_y:
+                    for x, edge in enumerate(adj[y]):
+                        reached[x] |= at_y & edge
+            layer = [r & ~s for r, s in zip(reached, seen)]
+            seen = list(map(or_, seen, layer))
+            layers.append(layer)
+        dist.append([[*column, *empty] for column in zip(*layers)])
+    # A graph is connected when the last source reaches every point.
+    connected = reduce(and_, seen)
+    members = []
+    for a, b in pair_list(n):
+        from_a, from_b = dist[a], dist[b]
+        member = [0] * n
+        for d, at_d in enumerate(from_a[b]):
+            if not at_d:
+                continue
+            for x, (at_x, to_b) in enumerate(zip(from_a, from_b)):
+                on = 0
+                for k, at_k in enumerate(at_x):
+                    if at_k:
+                        on |= at_k & (to_b[abs(k - d)] | to_b[k + d])
+                member[x] |= at_d & on
+        members.append(member)
+    duplicates, universal = _line_planes([connected] * len(members), members, full)
+    return duplicates, universal, connected

@@ -3,30 +3,27 @@
 Each sweep enumerates every instance of its kind on n labeled points,
 counts distinct lines (never through the constructive process, which
 is what the sweeps cross-validate), and folds the results into a
-summary.  Graph sweeps count a whole chunk of edge masks at once with
-``graph_mask_planes``, one bit per mask in plain ints; ``verify``
-counts one graph from its adjacency rows with ``graph_line_count``,
-and posets go through the same counter on their comparability graph,
-which induces the same lines.  The shortest-path metric of a graph is
-counted by ``graph_metric_line_count`` straight from its breadth-first
-distance layers, with no metric space or relation built.  Violations
-are data, not exceptions: a sweep always completes and reports every
-failing instance.
+summary.  Graph and metric sweeps count a whole chunk of edge masks at
+once, one bit per mask in plain ints: ``graph_mask_planes`` from the
+edge planes, ``metric_mask_planes`` from the distance planes that
+breadth-first search builds on them.  ``verify`` counts one graph from
+its adjacency rows with ``graph_line_count``, and posets go through the
+same counter on their comparability graph, which induces the same
+lines.  Violations are data, not exceptions: a sweep always completes
+and reports every failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
 so output is byte-identical across runs and worker counts.  A summary
 counts instances and lists only the failing ones; every other
-per-instance fact is in the jsonl rows.  A graph chunk reads its
-counters off popcounts of the kernel's planes, its failing masks off
-their set bits.  Poset and metric chunks add up their kind's
-per-instance flags; metric chunks read each mask's adjacency rows off
-the same edge planes the graph kernel uses.  Every jsonl row is the
-head of its (kind, n), the instance id and a tail rendered once per
-distinct tuple of the fields after the id.  A poset or metric chunk
-renders its own rows; a graph chunk returns one code byte per mask,
-and the parent picks each mask's tail by its code, so a worker sends
-back about 1 byte per graph instead of about 190 bytes of rows.  A
+per-instance fact is in the jsonl rows.  A mask chunk reads its
+counters off popcounts of its kernel's planes, its failing masks off
+their set bits, and returns one code byte per mask; the parent picks
+each reported mask's row tail by its code, so a worker sends back
+1 byte per graph instead of about 190 bytes of rows.  A poset chunk
+adds up its posets' flags and renders its own rows.  Every jsonl row
+is the head of its (kind, n), the instance id and a tail rendered once
+per distinct tuple of the fields after the id.  A
 ``VerificationReport`` is built only for ``verify`` and for the
 violations a sweep records.  The parent turns each chunk's payload
 into rows with its kind's ``rows`` and writes them in chunk order.
@@ -49,9 +46,9 @@ import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, log10
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from .bounds import min_pair_sum
 from .construct import build_certificate, certificate_issues
@@ -66,10 +63,8 @@ from .enumeration import (
     poset_state_prefixes,
 )
 from .errors import CapError, DomainError, LinesysError, MetricError
-from .graphs import (
-    Graph, _edge_planes, graph_line_count, graph_mask_planes, is_extremal_graph,
-)
-from .metrics import DisconnectedError, graph_metric_line_count, metric_lines
+from .graphs import Graph, graph_line_count, graph_mask_planes, is_extremal_graph
+from .metrics import metric_lines, metric_mask_planes
 from .posets import Poset, comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
 from .core import line_mask_set  # noqa: F401
@@ -344,43 +339,12 @@ def _poset_chunks(n: int) -> list[tuple[int, ...]]:
     return poset_state_prefixes(n, n - 1)
 
 
-def _mask_graphs(n: int, chunk: tuple[int, int]) -> Iterator[Graph]:
-    """The graph of every edge mask in a chunk [lo, hi), in ascending
-    mask order, decoded from the graph kernel's edge planes: row a of
-    mask lo + i is byte i of the planes of a's pairs, each put at the
-    bit of a's partner (``_mask_codes``, so n is at most 8)."""
-    lo, hi = chunk
-    planes = [[0] * n for _ in range(n)]
-    for edge, (a, b) in zip(_edge_planes(comb(n, 2), lo, hi), pair_list(n)):
-        planes[a][b] = planes[b][a] = edge
-    rows = [_mask_codes(row_planes, hi - lo) for row_planes in planes]
-    return map(Graph._from_rows, zip(*rows))
-
-
-def _poset_instances(n: int, prefix: tuple[int, ...]) -> Iterator[tuple | None]:
-    for code, rows in _iter_states(n, prefix):
-        yield _poset_fields(Poset(rows), code)
-
-
-def _metric_instances(n: int, chunk: tuple[int, int]) -> Iterator[tuple | None]:
-    # Disconnected graphs have no shortest-path metric: they count as
-    # enumerated but are not reported.
-    for mask, g in enumerate(_mask_graphs(n, chunk), chunk[0]):
-        try:
-            count, universal = graph_metric_line_count(g)
-        except DisconnectedError:
-            yield None
-            continue
-        yield mask, count, universal, n, False, None
-
-
 def _fold_instances(
-    instances: Callable[[int, tuple], Iterator[tuple | None]],
-    kind: str, n: int, chunk: tuple, render: bool,
+    kind: str, n: int, chunk: tuple, render: bool
 ) -> tuple[SweepSummary, str]:
     """The summary and (when ``render``) the jsonl rows of one chunk of
-    a kind whose instance generator yields, per enumerated instance, its
-    fields (int instance id, number of distinct lines, whether one is
+    posets, from the fields ``_poset_fields`` gives each enumerated
+    poset (int instance id, number of distinct lines, whether one is
     universal, bound, extremal shape match, certificate defect or None),
     or None when the bound does not apply.
 
@@ -394,8 +358,9 @@ def _fold_instances(
     enumerated = reported = universal_count = equality_cases = shape_matches = 0
     violations, mismatch_ids, cert_failures = [], [], []
     rows = []
-    for instance in instances(n, chunk):
+    for code, order in _iter_states(n, chunk):
         enumerated += 1
+        instance = _poset_fields(Poset(order), code)
         if instance is None:
             continue
         reported += 1
@@ -425,7 +390,10 @@ def _fold_instances(
 
 def _compare_planes(planes: tuple[int, ...], value: int, full: int) -> tuple[int, int]:
     """(equal, above): the bits whose number, read in binary down the
-    planes (least significant plane first), equals or exceeds ``value``."""
+    planes (least significant plane first), equals or exceeds ``value``.
+    A metric on 2 points compares its 0 duplicates with C(2, 2) - 2."""
+    if value < 0:
+        return 0, full
     equal, above = full, 0
     for j in reversed(range(max(len(planes), value.bit_length()))):
         plane = planes[j] if j < len(planes) else 0
@@ -457,59 +425,71 @@ def _mask_codes(planes: list[int], width: int) -> bytes:
     return codes.to_bytes(8 * size, "little")[:width]
 
 
-# The code byte of a graph mask: its duplicate count in the low 5 bits,
-# then its universal and shape bits.  The jsonl cap keeps n <= 7, so at
-# most C(7, 2) - 1 = 20 duplicates.
+# The code byte of a mask: its duplicate count in the low 5 bits, then
+# its universal, shape and unreported bits.  The jsonl caps keep n <= 7,
+# so at most C(7, 2) - 1 = 20 duplicates.
 _DUPLICATE_BITS = 5
+_UNREPORTED = 1 << _DUPLICATE_BITS + 2
 
 
-def _graph_chunk(
+def _mask_chunk(
     kind: str, n: int, chunk: tuple[int, int], render: bool
 ) -> tuple[SweepSummary, bytes]:
     """The summary and (when ``render``) the code bytes of one chunk of
-    edge masks [lo, hi), read off the bit planes of
-    ``graph_mask_planes``, where bit i stands for the mask lo + i: the
-    counters are popcounts, the mismatch ids the set bits plus lo, and a
-    ``VerificationReport`` is built only for a violation bit.
+    edge masks [lo, hi), read off the bit planes of the kind's kernel,
+    ``graph_mask_planes`` or ``metric_mask_planes``, where bit i stands
+    for the mask lo + i: the counters are popcounts, the mismatch ids
+    the set bits plus lo, and a ``VerificationReport`` is built only
+    for a violation bit.  A disconnected graph has no metric: it is
+    enumerated but not reported.
 
-    A graph has n lines exactly when C(n, 2) - n of its edges repeat an
-    earlier edge's line, and fewer when more do.  Byte i of the codes is
+    An instance has n lines exactly when C(n, 2) - n of its pairs repeat
+    a lower pair's line, and fewer when more do.  Byte i of the codes is
     the code of mask lo + i (``_DUPLICATE_BITS``), from which
-    ``_graph_rows`` renders the jsonl rows: one byte per mask travels,
+    ``_mask_rows`` renders the jsonl rows: one byte per mask travels,
     not the rows.
     """
     lo, hi = chunk
     width = hi - lo
     full = (1 << width) - 1
-    duplicates, universal, shape = graph_mask_planes(n, lo, hi)
+    if kind == "graph":
+        duplicates, universal, shape = graph_mask_planes(n, lo, hi)
+        reported = full
+    else:
+        duplicates, universal, reported = metric_mask_planes(n, lo, hi)
+        shape = 0
     pairs = comb(n, 2)
     equal, above = _compare_planes(duplicates, pairs - n, full)
-    no_universal = full ^ universal
-    equality = equal & no_universal
+    checked = reported ^ universal
+    equality = equal & checked
     violations = tuple(
         _report(kind, n, (
             lo + i, pairs - sum((plane >> i & 1) << j for j, plane in enumerate(duplicates)),
             False, n, bool(shape >> i & 1), None,
         ))
-        for i in bits_of(above & no_universal)
+        for i in bits_of(above & checked)
     )
+    mismatches = (equality ^ shape) & checked if SWEEP_KINDS[kind].compare_shape else 0
     summary = SweepSummary(
-        kind, n, width, width, universal.bit_count(), equality.bit_count(),
-        shape.bit_count(), violations,
-        tuple(lo + i for i in bits_of((equality ^ shape) & no_universal)),
+        kind, n, width, reported.bit_count(), universal.bit_count(),
+        equality.bit_count(), shape.bit_count(), violations,
+        tuple(lo + i for i in bits_of(mismatches)),
     )
     if not render:
         return summary, b""
     # Zero planes pad the duplicate count to the low bits of the code.
     padding = [0] * (_DUPLICATE_BITS - len(duplicates))
-    return summary, _mask_codes([*duplicates, *padding, universal, shape], width)
+    return summary, _mask_codes(
+        [*duplicates, *padding, universal, shape, full ^ reported], width
+    )
 
 
 @lru_cache(maxsize=None)
 def _code_tails(n: int) -> tuple[str, ...]:
-    """The row tail that every code byte of a graph chunk on n vertices
-    selects, indexed by the byte: the duplicate count, then the
-    universal and shape bits.  Codes no graph has get a tail too."""
+    """The row tail that every reported code byte of a mask chunk on n
+    vertices selects, indexed by the byte: the duplicate count, then
+    the universal and shape bits.  Codes no instance has get a tail
+    too."""
     pairs = comb(n, 2)
     return tuple(
         _row_tail(count, n, universal, *_judge(n, count, universal, n), shape)
@@ -519,15 +499,18 @@ def _code_tails(n: int) -> tuple[str, ...]:
     )
 
 
-def _graph_rows(kind: str, n: int, chunk: tuple[int, int], codes: bytes) -> str:
-    """The jsonl rows of a graph chunk [lo, hi) from its code bytes:
-    each row is the (kind, n) head, the mask and the tail its code
-    selects."""
+def _mask_rows(kind: str, n: int, chunk: tuple[int, int], codes: bytes) -> str:
+    """The jsonl rows of a mask chunk [lo, hi) from its code bytes: each
+    reported mask's row is the (kind, n) head, the mask and the tail its
+    code selects."""
     head = _row_head(kind, n)
     tails = _code_tails(n)
-    return "".join([
-        f"{head}{mask}{tails[code]}" for mask, code in zip(range(*chunk), codes)
-    ])
+    rows = zip(range(*chunk), codes)
+    # The unreported bit is a byte's top bit, so a chunk with no code to
+    # drop, as every graph chunk, is ASCII and pays nothing per row.
+    if not codes.isascii():
+        rows = [(mask, code) for mask, code in rows if code < _UNREPORTED]
+    return "".join([f"{head}{mask}{tails[code]}" for mask, code in rows])
 
 
 def _text_rows(kind: str, n: int, chunk: tuple, text: str) -> str:
@@ -541,33 +524,31 @@ class _SweepKind(NamedTuple):
     jsonl_cap: int  # the largest n whose jsonl stream a sweep writes
     chunks: Callable[[int], list]  # n -> canonically ordered work units
     # (kind, n, unit, render) -> the unit's summary and (when render) its
-    # jsonl payload: code bytes for graphs, rendered rows otherwise
+    # jsonl payload: code bytes for masks, rendered rows for posets
     run_chunk: Callable[[str, int, tuple, bool], tuple[SweepSummary, bytes | str]]
     # (kind, n, unit, payload) -> the unit's jsonl rows, in the parent
     rows: Callable[[str, int, tuple, bytes | str], str]
     compare_shape: bool  # equality cases are checked against the extremal shape
 
 
-# The one place a sweepable structure kind is described.  Graph chunks
-# are counted all at once by ``graph_mask_planes`` and ship one code
-# byte per mask, which the parent renders; posets and metrics fold
-# their instance generators one instance at a time and ship their rows.
+# The one place a sweepable structure kind is described.  Graph and
+# metric chunks are counted all at once by their kernel's bit planes and
+# ship one code byte per mask, which the parent renders; posets fold
+# their instance generator one instance at a time and ship their rows.
 # Chunk runners look up the module functions they call
-# (graph_mask_planes, graph_metric_line_count, certificate_issues, ...)
-# at call time, so patching or tracing one of them reaches every sweep
-# that calls it.
-# A graph jsonl stream at n = 8 would be about 52 GB.
+# (graph_mask_planes, metric_mask_planes, certificate_issues, ...) at
+# call time, so patching or tracing one of them reaches every sweep
+# that calls it.  The jsonl caps keep a mask's code in one byte; a
+# graph jsonl stream at n = 8 would be about 52 GB.
 SWEEP_KINDS = {
     "graph": _SweepKind(
-        3, GRAPH_ENUM_CAP, 7, _mask_chunks, _graph_chunk, _graph_rows, True
+        3, GRAPH_ENUM_CAP, 7, _mask_chunks, _mask_chunk, _mask_rows, True
     ),
     "poset": _SweepKind(
-        2, POSET_ENUM_CAP, POSET_ENUM_CAP, _poset_chunks,
-        partial(_fold_instances, _poset_instances), _text_rows, True,
+        2, POSET_ENUM_CAP, POSET_ENUM_CAP, _poset_chunks, _fold_instances, _text_rows, True
     ),
     "metric": _SweepKind(
-        2, METRIC_ENUM_CAP, METRIC_ENUM_CAP, _mask_chunks,
-        partial(_fold_instances, _metric_instances), _text_rows, False,
+        2, METRIC_ENUM_CAP, 7, _mask_chunks, _mask_chunk, _mask_rows, False
     ),
 }
 

@@ -2,8 +2,10 @@
 
 Every summary count of a labeled sweep except the metric universal
 count has an independent formula.  They are checked against
-``run_sweep`` where a sweep is quick (graphs up to n = 7), and at
-n = 7 and 8 against the totals recorded from full sweeps.
+``run_sweep`` where a sweep is quick (graphs and metrics up to n = 7),
+and at n = 7 and 8 against the totals recorded from full sweeps.  The
+metric universal count, which has no formula, is pinned to the totals
+recorded from full sweeps.
 """
 
 from math import comb, factorial
@@ -94,11 +96,20 @@ def test_poset_sweep_totals(n):
         assert equality == poset_equality_cases(n)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+# Metric universal counts recorded from full sweeps, by n.
+METRIC_UNIVERSAL = {3: 3, 4: 37, 5: 600, 6: 21661, 7: 1336972}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_metric_sweep_reports_every_connected_graph(n):
     summary = run_sweep("metric", n)
     assert summary.enumerated == 2 ** comb(n, 2)
     assert summary.reported == connected_graphs(n)
+    assert summary.universal_count == METRIC_UNIVERSAL[n]
+    # The triangle's three pair lines are the one equality case; a
+    # metric has no extremal shape for it to disagree with.
+    assert summary.equality_cases == (n == 3)
+    assert (summary.violations, summary.mismatch_ids) == ((), ())
 
 
 def test_formulas_give_the_recorded_totals_of_the_largest_sweeps():

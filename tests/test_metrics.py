@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linesys import (
@@ -12,7 +13,6 @@ from linesys import (
     MetricSpace,
     SizeError,
     all_lines,
-    graph_metric_line_count,
     graph_shortest_path_metric,
     line_mask_set,
     line_of,
@@ -21,6 +21,7 @@ from linesys import (
     metric_report,
     pair_list,
 )
+from linesys.metrics import metric_mask_planes
 
 from line_entries import line_entries
 
@@ -181,13 +182,55 @@ def test_metric_lines_of_graph_metrics_match_the_generic_evaluator():
             ), (n, mask)
 
 
-# --- graph_metric_line_count against the generic evaluator ------------------
+# --- metric_mask_planes against the generic evaluator -----------------------
 
 def oracle_line_count(g):
     """(number of lines, universal line present) through a validated
     metric space and the generic relation evaluator."""
     masks = line_mask_set(metric_betweenness(MetricSpace(graph_shortest_path_metric(g).dist)))
     return len(masks), (1 << g.size) - 1 in masks
+
+
+def oracle_counts(n, lo, hi):
+    """``oracle_line_count`` of every edge mask lo..hi-1, None where the
+    graph is disconnected."""
+    counts = []
+    for mask in range(lo, hi):
+        try:
+            counts.append(oracle_line_count(Graph.from_mask(n, mask)))
+        except DisconnectedError:
+            counts.append(None)
+    return counts
+
+
+def plane_counts(n, lo, hi):
+    """(number of lines, universal line present) of every edge mask
+    lo..hi-1 read off ``metric_mask_planes``, None where its connected
+    bit is clear; such a mask sets no other bit, and no plane has a bit
+    past the range."""
+    duplicates, universal, connected = metric_mask_planes(n, lo, hi)
+    width = hi - lo
+    assert not (universal | connected) >> width
+    assert not any(plane >> width for plane in duplicates)
+    counts = []
+    for i in range(width):
+        repeats = sum((plane >> i & 1) << j for j, plane in enumerate(duplicates))
+        if connected >> i & 1:
+            counts.append((comb(n, 2) - repeats, bool(universal >> i & 1)))
+        else:
+            assert (repeats, universal >> i & 1) == (0, 0)
+            counts.append(None)
+    return counts
+
+
+def kernel_line_count(g):
+    """The kernel's count for one graph: the one-mask chunk of its edge
+    mask, so graphs of any size are counted."""
+    mask = g.edge_mask()
+    (count,) = plane_counts(g.size, mask, mask + 1)
+    if count is None:
+        raise DisconnectedError("the kernel's connected bit is clear")
+    return count
 
 
 def floyd_warshall(g):
@@ -203,20 +246,33 @@ def floyd_warshall(g):
 
 
 def test_graph_metric_line_count_matches_the_oracle_on_every_connected_graph():
+    # Every mask of n = 2..6 in one chunk: count, universal and connected.
     connected = 0
     for n in range(2, 7):
-        for mask in range(1 << len(pair_list(n))):
-            g = Graph.from_mask(n, mask)
-            try:
-                expected = oracle_line_count(g)
-            except DisconnectedError:
-                with pytest.raises(DisconnectedError):
-                    graph_metric_line_count(g)
-                continue
-            connected += 1
-            assert graph_metric_line_count(g) == expected, (n, mask)
+        total = 1 << len(pair_list(n))
+        expected = oracle_counts(n, 0, total)
+        assert plane_counts(n, 0, total) == expected, n
+        connected += total - expected.count(None)
     # OEIS A001187: connected labeled graphs on 2..6 vertices.
     assert connected == 1 + 4 + 38 + 728 + 26704
+
+
+@st.composite
+def mask_ranges(draw):
+    """n = 7 or 8 and any range lo < hi of its edge masks, up to 4096
+    masks long."""
+    n = draw(st.sampled_from((7, 8)))
+    total = 1 << comb(n, 2)
+    lo = draw(st.integers(0, total - 1))
+    return n, lo, draw(st.integers(lo + 1, min(total, lo + 4096)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mask_ranges())
+@example((7, 0, 4096))
+@example((8, (1 << 28) - 700, 1 << 28))
+def test_metric_mask_planes_match_the_oracle_on_mask_ranges(case):
+    assert plane_counts(*case) == oracle_counts(*case)
 
 
 @st.composite
@@ -240,7 +296,7 @@ def connected_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_graph_metric_line_count_matches_the_oracle_on_random_connected_graphs(g):
     assert graph_shortest_path_metric(g).dist == tuple(map(tuple, floyd_warshall(g)))
-    assert graph_metric_line_count(g) == oracle_line_count(g)
+    assert kernel_line_count(g) == oracle_line_count(g)
 
 
 @given(connected_graphs(), st.integers(min_value=1, max_value=4))
@@ -250,7 +306,7 @@ def test_graph_metric_line_count_rejects_disconnected_graphs(g, isolated):
     n = g.size + isolated
     h = Graph(g.adj + (0,) * isolated)
     with pytest.raises(DisconnectedError):
-        graph_metric_line_count(h)
+        kernel_line_count(h)
     with pytest.raises(DisconnectedError):
         graph_shortest_path_metric(h)
 
@@ -259,7 +315,7 @@ def test_graph_metric_line_count_on_long_paths_and_cycles():
     for n in range(2, 13):
         path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
         # A path is one line through every point.
-        assert graph_metric_line_count(path) == oracle_line_count(path) == (1, True)
+        assert kernel_line_count(path) == oracle_line_count(path) == (1, True)
         if n >= 3:
             cycle = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-            assert graph_metric_line_count(cycle) == oracle_line_count(cycle)
+            assert kernel_line_count(cycle) == oracle_line_count(cycle)

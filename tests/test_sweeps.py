@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from test_golden import SWEEP_STREAMS
+from test_metrics import oracle_line_count
 
 import linesys.construct as construct
 import linesys.posets as posets
 import linesys.sweeps as sweeps
 from linesys import (
     CapError,
+    DisconnectedError,
     DomainError,
     Graph,
     MetricError,
@@ -27,7 +29,7 @@ from linesys import (
     run_sweep,
 )
 from linesys.core import BetweennessRelation
-from linesys.enumeration import METRIC_ENUM_CAP, poset_state_prefixes
+from linesys.enumeration import poset_state_prefixes
 from linesys.sweeps import VerificationReport, shape_mismatch
 
 
@@ -162,6 +164,18 @@ def reference_fold(reports):
     }
 
 
+def metric_report_of(n, mask):
+    """The report of the shortest-path metric of one graph, its lines
+    counted by the generic relation evaluator; None when the graph is
+    disconnected."""
+    try:
+        count, universal = oracle_line_count(Graph.from_mask(n, mask))
+    except DisconnectedError:
+        return None
+    meets, equality = count >= n or universal, count == n and not universal
+    return VerificationReport("metric", n, mask, count, n, universal, meets, equality, False)
+
+
 @pytest.mark.parametrize("chunk_masks", [1 << 12, 96])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_chunk_kernel_matches_the_graph_reports(monkeypatch, n, chunk_masks):
@@ -203,16 +217,31 @@ def test_graph_rows_render_the_reports_from_the_chunk_codes(chunk):
 
 @pytest.mark.parametrize("n, lo, hi", [(3, 0, 8), (5, 37, 133), (7, 2**21 - 4096, 2**21)])
 def test_a_rendered_graph_chunk_ships_one_byte_per_mask(n, lo, hi):
-    summary, codes = sweeps._graph_chunk("graph", n, (lo, hi), True)
-    assert isinstance(codes, bytes) and len(codes) == hi - lo
-    assert sweeps._graph_chunk("graph", n, (lo, hi), False) == (summary, b"")
+    # Graph and metric chunks alike ship a byte for every enumerated
+    # mask; a disconnected graph's byte sets the unreported bit.
+    for kind in ("graph", "metric"):
+        summary, codes = sweeps._mask_chunk(kind, n, (lo, hi), True)
+        assert isinstance(codes, bytes) and len(codes) == summary.enumerated == hi - lo
+        unreported = sum(code >= sweeps._UNREPORTED for code in codes)
+        assert unreported == summary.enumerated - summary.reported
+        assert (unreported > 0) == (kind == "metric")
+        assert sweeps._mask_chunk(kind, n, (lo, hi), False) == (summary, b"")
 
 
 def test_the_graph_jsonl_cap_keeps_the_duplicate_count_in_its_code_bits():
-    # A graph on n vertices has at most C(n, 2) - 1 duplicate edge lines,
-    # held in the low _DUPLICATE_BITS bits of its code byte.
+    # Every kind that ships code bytes, graph and metric, fits its code
+    # layout in the 8 planes _mask_codes allows: 5 duplicate bits (an
+    # instance on n points repeats at most C(n, 2) - 1 pair lines), then
+    # the universal, shape and unreported bits.  The unreported bit is
+    # the top one, which _mask_rows finds with bytes.isascii.
+    coded = [
+        kind for kind, entry in sweeps.SWEEP_KINDS.items() if entry.rows is sweeps._mask_rows
+    ]
+    assert coded == ["graph", "metric"]
     assert sweeps._DUPLICATE_BITS == 5
-    assert comb(sweeps.SWEEP_KINDS["graph"].jsonl_cap, 2) - 1 < 2**5
+    assert sweeps._UNREPORTED == 1 << sweeps._DUPLICATE_BITS + 2 == 1 << 7
+    for kind in coded:
+        assert comb(sweeps.SWEEP_KINDS[kind].jsonl_cap, 2) - 1 < 2**sweeps._DUPLICATE_BITS
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -273,7 +302,7 @@ def test_poset_sweep_builds_no_betweenness_relation(monkeypatch):
 
 
 def test_metric_sweep_builds_no_metric_space_or_relation(monkeypatch):
-    # The metric sweep counts from distance layers; a validated metric
+    # The metric sweep counts from distance planes; a validated metric
     # space or a relation on the hot path fails here.
     def forbidden(*args, **kwargs):
         raise AssertionError("a metric sweep built a metric space or a relation")
@@ -303,19 +332,26 @@ def test_metric_sweep_n4():
 
 
 def test_metric_sweep_reports_what_its_counter_returns(monkeypatch):
-    # The sweep looks its counter up by module name at call time, so a
-    # planted undercount reaches every connected graph as a violation.
-    real = sweeps.graph_metric_line_count
+    # The sweep looks its kernel up by module name at call time, so a
+    # planted undercount (every pair but one repeats a line, none is
+    # universal) reaches every connected graph as a violation.
+    real = sweeps.metric_mask_planes
 
-    def undercounted(g):
-        real(g)  # a disconnected graph still raises
-        return 1, False
+    def undercounted(n, lo, hi):
+        _, _, connected = real(n, lo, hi)
+        repeats = comb(n, 2) - 1
+        planes = tuple(connected * (repeats >> j & 1) for j in range(repeats.bit_length()))
+        return planes, 0, connected
 
-    monkeypatch.setattr(sweeps, "graph_metric_line_count", undercounted)
+    monkeypatch.setattr(sweeps, "metric_mask_planes", undercounted)
     summary = run_sweep("metric", 4, workers=1)
     assert (summary.enumerated, summary.reported, summary.checked) == (64, 38, 38)
-    assert not summary.ok and len(summary.violations) == 38
-    assert {(r.line_count, r.has_universal) for r in summary.violations} == {(1, False)}
+    connected = [mask for mask in range(64) if metric_report_of(4, mask) is not None]
+    assert not summary.ok
+    assert summary.violations == tuple(
+        VerificationReport("metric", 4, mask, 1, 4, False, False, False, False)
+        for mask in connected
+    )
 
 
 def test_sweep_domain_checks(monkeypatch):
@@ -390,11 +426,17 @@ def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, chunk_mas
     ],
 )
 def test_metric_chunks_decode_every_mask_of_the_chunk(n, lo, hi):
-    # A metric graph's row of n bits is one byte of ``_mask_codes``, so
-    # the metric cap may not pass 8.
-    assert METRIC_ENUM_CAP <= 8
-    decoded = [g.adj for g in sweeps._mask_graphs(n, (lo, hi))]
-    assert decoded == [Graph.from_mask(n, mask).adj for mask in range(lo, hi)]
+    # The workers run the chunk and ship its codes; the parent renders a
+    # row for every connected graph of the chunk, and none for the rest.
+    entry = sweeps.SWEEP_KINDS["metric"]
+    summary, codes = entry.run_chunk("metric", n, (lo, hi), True)
+    reports = [metric_report_of(n, mask) for mask in range(lo, hi)]
+    reports = [r for r in reports if r is not None]
+    assert entry.rows("metric", n, (lo, hi), codes).splitlines(keepends=True) == [
+        r.json_line() + "\n" for r in reports
+    ]
+    for name, value in reference_fold(reports).items():
+        assert getattr(summary, name) == value, name
 
 
 def test_each_reported_poset_evaluates_its_bound_once(monkeypatch):
@@ -480,7 +522,7 @@ def test_violations_are_reported_as_data_not_exceptions(monkeypatch):
         assert getattr(summary, name) == value, name
 
 
-@given(st.lists(st.integers(0, 40), min_size=1, max_size=70), st.integers(0, 70))
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=70), st.integers(-3, 70))
 def test_compare_planes_reads_each_bit_position_as_a_number(values, value):
     planes = tuple(
         sum((v >> j & 1) << i for i, v in enumerate(values))

@@ -25,12 +25,7 @@ from .core import (
     line_of,
     pair_list,
 )
-from .enumeration import (
-    enumerate_graphs,
-    enumerate_posets,
-    poset_code,
-    poset_from_code,
-)
+from .enumeration import poset_code, poset_from_code
 from .errors import (
     CapError,
     CycleError,
@@ -72,7 +67,6 @@ from .posets import (
     comparability_graph,
     is_extremal_poset,
     maximum_chain_through_levels,
-    mirsky_partition,
     poset_betweenness,
 )
 from .sweeps import (
@@ -119,8 +113,6 @@ __all__ = [
     "certificate_issues",
     "comparability_graph",
     "dbe_bound",
-    "enumerate_graphs",
-    "enumerate_posets",
     "graph_betweenness",
     "graph_line_count",
     "graph_lines",
@@ -135,7 +127,6 @@ __all__ = [
     "metric_betweenness",
     "metric_lines",
     "metric_report",
-    "mirsky_partition",
     "min_pair_sum",
     "pair_list",
     "pair_sum_sweep",

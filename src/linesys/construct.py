@@ -47,12 +47,7 @@ from .bounds import dbe_bound
 from .core import bits_of
 from .errors import HeightError, InternalError, UniversalLineError
 from .graphs import has_universal_line
-from .posets import (
-    Poset,
-    comparability_graph,
-    maximum_chain_through_levels,
-    mirsky_partition,
-)
+from .posets import Poset, comparability_graph, maximum_chain_through_levels
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
 from .core import line_of  # noqa: F401
 from .posets import poset_betweenness  # noqa: F401
@@ -90,7 +85,7 @@ class ProcessStep:
 @dataclass(frozen=True, slots=True)
 class LineCertificate:
     """Recorded output of the line-finding process.  ``layers`` are the
-    level masks ``mirsky_partition`` returns, lowest level first."""
+    poset's level masks, ``Poset.layers``, lowest level first."""
 
     size: int
     height: int
@@ -186,7 +181,7 @@ def build_certificate(p: Poset) -> LineCertificate:
         steps.append(ProcessStep(kind, bottom, top, probe, added))
         bottom, top = new_bottom, new_top
 
-    layers = mirsky_partition(p)
+    layers = p.layers
     distinct, bound = _distinct_lines(layers, steps), p.bound
     if distinct < bound:
         raise InternalError(
@@ -232,7 +227,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         issues.append("chain points are not increasing in the order")
 
     layers = cert.layers
-    if layers != mirsky_partition(p):
+    if layers != p.layers:
         issues.append("layers are not the levels of the poset")
     if reduce(or_, layers, 0) != (1 << n) - 1 or sum(map(int.bit_count, layers)) != n:
         issues.append("layers do not partition the points")

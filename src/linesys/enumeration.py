@@ -1,44 +1,23 @@
-"""Exhaustive generation of all labeled graphs and posets on small
-ground sets, with canonical integer encodings.
+"""Exhaustive generation of all labeled posets on small ground sets,
+and their canonical integer encoding.
 
-Graphs are encoded by an edge bitmask over pair_list(n) and enumerated
-in ascending mask order.  A poset is encoded by the state of each pair
-a < b in lexicographic pair order (0 incomparable, 1 a < b, 2 b < a),
-read as a big-endian base-3 number.  Posets are enumerated by
-backtracking over that pair order on successor and predecessor rows:
-``_fits`` admits a state only if it keeps every triple of placed pairs
-transitive, so the codes ascend in enumeration order and each poset
-comes with its order rows.  The decoder of a code places its digits
-with the same rule.
+A poset is encoded by the state of each pair a < b in lexicographic
+pair order (0 incomparable, 1 a < b, 2 b < a), read as a big-endian
+base-3 number.  Posets are enumerated by backtracking over that pair
+order on successor and predecessor rows: ``_fits`` admits a state only
+if it keeps every triple of placed pairs transitive, so the codes
+ascend in enumeration order and each poset comes with its order rows.
+The decoder of a code places its digits with the same rule.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator
 
 from .core import check_size, pair_list
-from .errors import CapError, DomainError
-from .graphs import Graph
+from .errors import DomainError
 from .posets import Poset
-
-GRAPH_ENUM_CAP = 8
-POSET_ENUM_CAP = 7
-# Metrics are enumerated as the shortest-path metrics of every graph
-# mask, counted a chunk of masks at a time on distance planes
-# (``metrics.metric_mask_planes``): about 1 s for n = 7 on one core,
-# and about 3 minutes for the 128 times as many masks of n = 8.
-METRIC_ENUM_CAP = 7
-
-
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on 0..n-1 in edge-bitmask order."""
-    if not 1 <= n <= GRAPH_ENUM_CAP:
-        raise CapError(
-            f"graph enumeration supports 1 <= n <= {GRAPH_ENUM_CAP}, got {n}"
-        )
-    for mask in range(1 << len(pair_list(n))):
-        yield Graph.from_mask(n, mask)
 
 
 def _fits(succ: list[int], pred: list[int], b: int, c: int, s: int) -> bool:
@@ -103,10 +82,6 @@ def poset_from_state(n: int, state: Iterable[int]) -> Poset:
     return Poset(succ)
 
 
-def poset_state(p: Poset) -> tuple[int, ...]:
-    return _pair_states(p.succ, combinations(range(p.size), 2))
-
-
 def _pair_states(succ: list[int], pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(1 if succ[a] >> b & 1 else 2 if succ[b] >> a & 1 else 0 for a, b in pairs)
 
@@ -130,10 +105,10 @@ def state_code(state: Iterable[int]) -> int:
 
 
 def poset_code(p: Poset) -> int:
-    """``state_code(poset_state(p))``.  Only the digits from the first
-    comparable pair on are built, since those before it are leading
-    zeros, and they are coded by halves: on C(n, 2) digits the
-    digit-by-digit loop is quadratic, and large inputs reach it."""
+    """The ``state_code`` of the pair states of ``p``.  Only the digits
+    from the first comparable pair on are built, since those before it
+    are leading zeros, and they are coded by halves: on C(n, 2) digits
+    the digit-by-digit loop is quadratic, and large inputs reach it."""
     first = _first_comparable(p)
     if first is None:
         return 0
@@ -168,20 +143,3 @@ def poset_from_code(n: int, code: int) -> Poset:
     for q in range(total - 1, -1, -1):
         rest, digits[q] = divmod(rest, 3)
     return poset_from_state(n, digits)
-
-
-def enumerate_posets(n: int) -> Iterator[Poset]:
-    """Every labeled strict partial order on 0..n-1, in ascending
-    poset_code order."""
-    if not 1 <= n <= POSET_ENUM_CAP:
-        raise CapError(
-            f"poset enumeration supports 1 <= n <= {POSET_ENUM_CAP}, got {n}"
-        )
-    for _, rows in _iter_states(n):
-        yield Poset(rows)
-
-
-def poset_state_prefixes(n: int, depth: int) -> list[tuple[int, ...]]:
-    """Backtracking-tree prefixes partitioning the enumeration, in order."""
-    depth = min(depth, len(pair_list(n)))
-    return [tuple(prefix) for prefix in product(range(3), repeat=depth)]

@@ -14,7 +14,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    BetweennessRelation, bits_of, check_point, check_size, line_system, pair_list,
+    BetweennessRelation, bits_of, check_size, line_system, pair_list,
 )
 from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
 
@@ -48,18 +48,6 @@ class Graph:
         g.adj = tuple(adjacency)
         g.size = check_size(len(g.adj))
         return g
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [0] * n
-        for a, b in edges:
-            check_point(n, a)
-            check_point(n, b)
-            if a == b:
-                raise IdenticalPointsError(f"self-loop at vertex {a}")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return cls._from_rows(adj)
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":

@@ -23,8 +23,9 @@ class Poset:
     ``succ[v]`` holds every point strictly above v in the (transitively
     closed) order; ``pred[v]`` every point strictly below.  ``levels[v]``
     is the size of the longest chain ending at v, so the level sets
-    partition the poset into ``height`` antichains; ``layers`` holds
-    them as point masks, lowest level first.
+    partition the poset into ``height`` antichains, the fewest possible
+    (Mirsky's theorem); ``layers`` holds them as point masks, lowest
+    level first.
 
     The constructor is the one validation path: it takes the transitive
     closure of the rows it is given, so any acyclic relation is
@@ -144,17 +145,6 @@ def poset_betweenness(p: Poset) -> BetweennessRelation:
     )
 
 
-def mirsky_partition(p: Poset) -> tuple[int, ...]:
-    """Partition into height-many antichains by longest-chain level,
-    one point mask per layer: ``p.layers``, found when ``p`` was built.
-
-    Layer i (1-based) collects the points whose longest chain ending
-    there has exactly i points; by Mirsky's theorem no partition into
-    antichains can use fewer layers.
-    """
-    return p.layers
-
-
 def maximum_chain_through_levels(p: Poset) -> tuple[int, ...]:
     """A maximum chain c_1 < ... < c_H with c_i at level i.
 
@@ -162,9 +152,10 @@ def maximum_chain_through_levels(p: Poset) -> tuple[int, ...]:
     level, so the chain is built top-down: start from the smallest point
     of the top level, then repeatedly take the smallest predecessor one
     level down (one always exists by the level recurrence), the lowest
-    bit of the predecessor row masked by that level's layer.
+    bit of the predecessor row masked by that level's mask in
+    ``p.layers``.
     """
-    *lower, top = mirsky_partition(p)
+    *lower, top = p.layers
     pred = p.pred
     chain = [(top & -top).bit_length() - 1]
     for layer in reversed(lower):

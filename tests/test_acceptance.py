@@ -14,8 +14,6 @@ from linesys import (
     all_lines,
     comparability_graph,
     dbe_bound,
-    enumerate_graphs,
-    enumerate_posets,
     graph_betweenness,
     line_mask_set,
     min_pair_sum,
@@ -25,6 +23,7 @@ from linesys import (
 )
 from linesys.cli import main as cli_main
 from linesys.construct import build_certificate
+from reference import enumerate_graphs, enumerate_posets
 from test_sweeps import flagged_sweep
 
 

@@ -576,6 +576,42 @@ def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err.count("error: ") == 2
 
 
+# Each sweep kind's (min_n, cap, jsonl_cap), pinned literally so that
+# moving where the limits are written can change no refusal.
+SWEEP_LIMITS = {"graph": (3, 8, 7), "poset": (2, 7, 7), "metric": (2, 7, 7)}
+
+
+@pytest.mark.parametrize("kind", SWEEP_LIMITS)
+def test_each_sweep_kind_refuses_exactly_past_its_limits(tmp_path, capsys, monkeypatch, kind):
+    min_n, cap, jsonl_cap = SWEEP_LIMITS[kind]
+    entry = sweeps.SWEEP_KINDS[kind]
+    assert (entry.min_n, entry.cap, entry.jsonl_cap) == SWEEP_LIMITS[kind]
+    below = f"error: {kind} sweeps need n >= {min_n}, got {min_n - 1}\n"
+    above = f"error: {kind} sweeps support n <= {cap}, got {cap + 1}\n"
+    # Past the cap the cap's message wins, so a jsonl cap at the cap
+    # refuses with it.
+    above_jsonl = (
+        f"error: {kind} sweeps write jsonl for n <= {jsonl_cap}, got {jsonl_cap + 1}\n"
+        if jsonl_cap < cap else above
+    )
+    monkeypatch.setattr(sweeps, "_run_chunk", None)
+    target = tmp_path / "reports.jsonl"
+    for n, jsonl, err in (
+        (min_n - 1, False, below), (min_n - 1, True, below),
+        (cap + 1, False, above), (cap + 1, True, above),
+        (jsonl_cap + 1, True, above_jsonl),
+    ):
+        argv = ["sweep", "--kind", kind, "--n", str(n)]
+        if jsonl:
+            argv += ["--format", "jsonl", "--out", str(target)]
+        assert run_cli(argv) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == err
+        assert not target.exists()
+    # The limits themselves are admitted.
+    for n, jsonl in ((min_n, False), (min_n, True), (cap, False), (jsonl_cap, True)):
+        assert sweeps.sweep_kind(kind, n, jsonl) is entry
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, monkeypatch, workers):
     # Such counts once ran serially; now no chunk runs and --out stays unopened.

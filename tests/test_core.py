@@ -21,7 +21,7 @@ from linesys.graphs import Graph, graph_betweenness
 from linesys.metrics import MetricSpace
 from linesys.posets import Poset, poset_betweenness
 
-from line_entries import line_entries
+from reference import graph_from_edges, line_entries
 
 
 def empty_relation(n):
@@ -33,7 +33,7 @@ def mask_of(points):
 
 
 def triangle_plus_isolated():
-    return graph_betweenness(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+    return graph_betweenness(graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]))
 
 
 # --- ground sets -----------------------------------------------------------
@@ -95,7 +95,7 @@ def test_all_lines_triangle_plus_isolated_gives_four():
 
 
 def test_all_lines_five_cycle_gives_ten_pairs():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert len(all_lines(graph_betweenness(g))) == 10
 
 
@@ -115,7 +115,7 @@ def test_all_lines_rejects_single_point():
 # --- universal lines -------------------------------------------------------
 
 def test_universal_line_complete_graph():
-    g = Graph.from_edges(4, list(pair_list(4)))
+    g = graph_from_edges(4, list(pair_list(4)))
     rel = graph_betweenness(g)
     assert line_of(rel, 0, 1) == 0b1111
     assert (1 << 4) - 1 in line_mask_set(rel)

@@ -7,16 +7,14 @@ import linesys.enumeration as enumeration
 from linesys import (
     CapError,
     DomainError,
-    enumerate_graphs,
-    enumerate_posets,
     Poset,
     pair_list,
     poset_code,
     poset_from_code,
 )
-from linesys.enumeration import (
-    poset_state, poset_state_prefixes, state_code, _iter_states,
-)
+from linesys.enumeration import state_code, _iter_states
+from linesys.sweeps import SWEEP_KINDS, sweep_kind
+from reference import enumerate_graphs, enumerate_posets, poset_state
 
 
 def brute_force_poset_codes(n):
@@ -56,10 +54,12 @@ def test_graph_enumeration_is_in_mask_order_and_deterministic():
 
 
 def test_graph_cap():
+    # The cap lives with the sweep kind; below the minimum is a domain
+    # error, not a cap.
     with pytest.raises(CapError):
-        next(enumerate_graphs(9))
-    with pytest.raises(CapError):
-        next(enumerate_graphs(0))
+        sweep_kind("graph", 9)
+    with pytest.raises(DomainError):
+        sweep_kind("graph", 2)
 
 
 def test_poset_counts_match_independent_filter():
@@ -166,7 +166,7 @@ def test_poset_from_code_rejects_codes_no_poset_has():
 
 def test_poset_cap():
     with pytest.raises(CapError):
-        next(enumerate_posets(8))
+        sweep_kind("poset", 8)
 
 
 def test_posets_yielded_are_valid():
@@ -184,7 +184,7 @@ def test_posets_yielded_are_valid():
 def test_prefix_partition_covers_the_enumeration_in_order():
     whole = [(poset_code(p), p.succ) for p in enumerate_posets(4)]
     pieces = []
-    for prefix in poset_state_prefixes(4, 3):
+    for prefix in SWEEP_KINDS["poset"].chunks(4):
         pieces.extend(_iter_states(4, prefix))
     assert pieces == whole
 
@@ -195,7 +195,7 @@ def test_prefixes_of_one_point_against_all_others_partition_in_order(n):
     # whole enumeration is cheap.
     pieces = []
     largest = 0
-    for prefix in poset_state_prefixes(n, n - 1):
+    for prefix in SWEEP_KINDS["poset"].chunks(n):
         piece = list(_iter_states(n, prefix))
         largest = max(largest, len(piece))
         pieces.extend(piece)

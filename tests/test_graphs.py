@@ -23,7 +23,7 @@ from linesys import (
 
 from linesys.graphs import graph_mask_planes, has_universal_line
 
-from line_entries import line_entries
+from reference import graph_from_edges, line_entries
 
 
 def brute_force_line_sets(n, edges):
@@ -42,21 +42,17 @@ def brute_force_line_sets(n, edges):
 
 
 def complete_graph(n):
-    return Graph.from_edges(n, list(pair_list(n)))
+    return graph_from_edges(n, list(pair_list(n)))
 
 
 def test_graph_construction_validates():
-    with pytest.raises(IdenticalPointsError):
-        Graph.from_edges(3, [(0, 0)])
     with pytest.raises(IdenticalPointsError):
         Graph([0b1])
     with pytest.raises(MalformedEdgeError):
         Graph([0b10, 0])
     with pytest.raises(UnknownPointError):
-        Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(UnknownPointError):
         Graph([0b100, 0])
-    g = Graph.from_edges(3, [(0, 1)])
+    g = graph_from_edges(3, [(0, 1)])
     assert g.adj == (0b010, 0b001, 0)
 
 
@@ -66,20 +62,20 @@ def test_mask_round_trip():
 
 
 def test_triangle_free_graph_has_empty_relation():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     rel = graph_betweenness(g)
     assert not any(rel.triples())
     assert len(all_lines(rel)) == 6
 
 
 def test_one_triangle_graph_has_four_lines():
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2)])
     assert len(all_lines(graph_betweenness(g))) == 4
 
 
 def test_k4_minus_edge_line_sets_match_brute_force():
     edges = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    g = Graph.from_edges(4, edges)
+    g = graph_from_edges(4, edges)
     lines = all_lines(graph_betweenness(g))
     assert {mask for mask, _ in lines} == brute_force_line_sets(4, edges)
     assert len(lines) == 4
@@ -88,7 +84,7 @@ def test_k4_minus_edge_line_sets_match_brute_force():
 def test_bare_pair_comes_before_the_longer_line_it_begins():
     # The edge 23 has the non-adjacent common neighbors 0 and 1, so the
     # bare pair (0, 1) is a prefix of the line (0, 1, 2, 3).
-    g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert list(graph_lines(g)) == [
         (0, [1], ((0, 1, 2, 3), [(2, 3)])),
         (0, [], ((0, 2, 3), [(0, 2), (0, 3)])),
@@ -109,7 +105,7 @@ def test_bare_pair_comes_before_the_longer_line_it_begins():
 
 def test_graph_betweenness_matches_explicit_triangle_triples():
     edges = [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]
-    g = Graph.from_edges(5, edges)
+    g = graph_from_edges(5, edges)
     rel = graph_betweenness(g)
     edge_set = {frozenset(e) for e in edges}
     expected = set()
@@ -122,15 +118,15 @@ def test_graph_betweenness_matches_explicit_triangle_triples():
 
 
 def test_extremal_shapes():
-    pendant = Graph.from_edges(5, list(pair_list(4)) + [(0, 4)])
+    pendant = graph_from_edges(5, list(pair_list(4)) + [(0, 4)])
     assert is_extremal_graph(pendant)
     assert len(all_lines(graph_betweenness(pendant))) == 5
-    isolated = Graph.from_edges(5, list(pair_list(4)))
+    isolated = graph_from_edges(5, list(pair_list(4)))
     assert is_extremal_graph(isolated)
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert not is_extremal_graph(c5)
     with pytest.raises(SizeError):
-        is_extremal_graph(Graph.from_edges(1, []))
+        is_extremal_graph(graph_from_edges(1, []))
 
 
 def test_every_graph_on_two_or_three_vertices_but_the_triangle_is_extremal():
@@ -171,7 +167,7 @@ def test_trusted_mask_constructor_matches_the_validating_ones_up_to_n5():
             g = Graph.from_mask(n, mask)
             edges = [pair for p, pair in enumerate(pair_list(n)) if mask >> p & 1]
             assert g.size == n
-            assert g.adj == Graph(g.adj).adj == Graph.from_edges(n, edges).adj
+            assert g.adj == Graph(g.adj).adj == graph_from_edges(n, edges).adj
     with pytest.raises(SizeError):
         Graph.from_mask(0, 0)
 
@@ -215,15 +211,15 @@ def test_universal_check_matches_the_generic_evaluator_up_to_n6():
 
 def test_edgeless_graph_on_two_vertices_has_a_universal_bare_pair():
     # Its one line is the non-edge {0, 1}: the whole ground set.
-    g = Graph.from_edges(2, [])
+    g = graph_from_edges(2, [])
     assert graph_line_count(g) == generic_line_count(g) == (1, True)
-    assert graph_line_count(Graph.from_edges(2, [(0, 1)])) == (1, True)
+    assert graph_line_count(graph_from_edges(2, [(0, 1)])) == (1, True)
     with pytest.raises(SizeError):
         graph_line_count(Graph([0]))
 
 
 def test_two_neighbor_attachment_is_not_extremal():
-    g = Graph.from_edges(5, list(pair_list(4)) + [(0, 4), (1, 4)])
+    g = graph_from_edges(5, list(pair_list(4)) + [(0, 4), (1, 4)])
     assert not is_extremal_graph(g)
 
 

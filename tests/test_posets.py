@@ -14,7 +14,6 @@ from linesys import (
     all_lines,
     bits_of,
     comparability_graph,
-    enumerate_posets,
     graph_betweenness,
     graph_line_count,
     graph_lines,
@@ -22,13 +21,12 @@ from linesys import (
     line_mask_set,
     line_of,
     maximum_chain_through_levels,
-    mirsky_partition,
     pair_list,
     poset_betweenness,
     poset_report,
 )
 
-from line_entries import line_entries
+from reference import enumerate_posets, line_entries
 
 
 def less(p, a, b):
@@ -164,11 +162,11 @@ def test_poset_betweenness_matches_explicit_triples():
 
 def test_mirsky_partition_examples():
     chain = Poset.from_covers(3, [(0, 1), (1, 2)])
-    assert mirsky_partition(chain) == (0b001, 0b010, 0b100)
+    assert chain.layers == (0b001, 0b010, 0b100)
     antichain = Poset.from_covers(4, [])
-    assert mirsky_partition(antichain) == (0b1111,)
+    assert antichain.layers == (0b1111,)
     branching = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
-    assert mirsky_partition(branching) == (0b1001, 0b010, 0b100)
+    assert branching.layers == (0b1001, 0b010, 0b100)
 
 
 def test_maximum_chain_examples():
@@ -268,7 +266,7 @@ def test_mirsky_invariant_exhaustive_up_to_n6():
     for n in range(1, 7):
         for p in enumerate_posets(n):
             chain = maximum_chain_through_levels(p)
-            assert len(mirsky_partition(p)) == len(chain) == p.height
+            assert len(p.layers) == len(chain) == p.height
             for i, c in enumerate(chain):
                 assert p.levels[c] == i + 1
 
@@ -278,7 +276,7 @@ def test_mirsky_invariant_exhaustive_up_to_n6():
 def test_mirsky_layer_count_equals_chain_length_equals_height(case):
     n, covers = case
     p = Poset.from_covers(n, covers)
-    layers = mirsky_partition(p)
+    layers = p.layers
     chain = maximum_chain_through_levels(p)
     assert len(layers) == len(chain) == p.height
     assert sorted(v for layer in layers for v in bits_of(layer)) == list(range(n))
@@ -397,7 +395,7 @@ def test_levels_and_layers_equal_the_recurrence_and_its_buckets_up_to_n6():
     for n in range(1, 7):
         for p in enumerate_posets(n):
             assert p.levels == levels_by_recurrence(p), p.succ
-            assert p.layers == bucketed_layers(p) == mirsky_partition(p), p.succ
+            assert p.layers == bucketed_layers(p), p.succ
             assert p.height == max(p.levels)
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+from itertools import product
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import graph_from_edges
 from test_golden import SWEEP_STREAMS
 from test_metrics import oracle_line_count
 
@@ -29,7 +31,6 @@ from linesys import (
     run_sweep,
 )
 from linesys.core import BetweennessRelation
-from linesys.enumeration import poset_state_prefixes
 from linesys.sweeps import VerificationReport, shape_mismatch
 
 
@@ -76,7 +77,7 @@ def flagged_sweep(kind, n, workers=1):
 # --- per-instance reports ---------------------------------------------------
 
 def test_graph_report_fields_for_one_triangle_graph():
-    r = graph_report(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+    r = graph_report(graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]))
     assert r.structure_kind == "graph"
     assert (r.n, r.line_count, r.bound) == (4, 4, 4)
     assert not r.has_universal
@@ -84,7 +85,7 @@ def test_graph_report_fields_for_one_triangle_graph():
 
 
 def test_graph_report_universal_graph_meets_trivially():
-    r = graph_report(Graph.from_edges(4, list(pair_list(4))))
+    r = graph_report(graph_from_edges(4, list(pair_list(4))))
     assert r.has_universal and r.meets_bound and not r.is_equality_case
 
 
@@ -120,7 +121,7 @@ def test_metric_report_rejects_a_default_id_too_long_to_print():
 
 
 def test_report_json_key_order():
-    r = graph_report(Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)]))
+    r = graph_report(graph_from_edges(4, [(0, 1), (0, 2), (1, 2)]))
     line = r.json_line()
     keys = [
         "structure_kind", "n", "instance_id", "line_count", "bound",
@@ -455,7 +456,7 @@ def test_poset_chunks_fix_point_zero_against_every_other_point():
     # at n = 4 and 5 with one and two workers.
     chunks = sweeps.SWEEP_KINDS["poset"].chunks
     for n in range(2, 8):
-        assert chunks(n) == poset_state_prefixes(n, n - 1)
+        assert chunks(n) == list(product(range(3), repeat=n - 1))
     assert (len(chunks(5)), len(chunks(7))) == (81, 729)
 
 

@@ -4,8 +4,13 @@ Graphs, posets, finite metric spaces, and 3-uniform hypergraphs each
 read their lines from their own rows into one line builder; this
 package computes their line systems, evaluates the height-dependent
 lower bound for posets, builds recheckable certificates for it, and
-verifies the bounds exhaustively on all small instances.  The generic
-``BetweennessRelation`` evaluator is the tests' reference.
+verifies the bounds exhaustively on all small instances.
+
+The generic ``BetweennessRelation`` evaluator (``core``) and the
+relation builders of each kind are the tests' reference and are not
+exported: every production path counts lines without them.  They stay
+in their modules because the per-layer tracer of ``perfbench/`` looks
+them up there.
 """
 
 from .bounds import dbe_bound, min_pair_sum
@@ -16,15 +21,7 @@ from .construct import (
     build_certificate,
     certificate_issues,
 )
-from .core import (
-    BetweennessRelation,
-    all_lines,
-    bits_of,
-    hypergraph_lines,
-    line_mask_set,
-    line_of,
-    pair_list,
-)
+from .core import bits_of, hypergraph_lines, pair_list
 from .enumeration import poset_code, poset_from_code
 from .errors import (
     CapError,
@@ -49,26 +46,9 @@ from .formats import (
     parse_poset,
     render_line_system,
 )
-from .graphs import (
-    Graph,
-    graph_betweenness,
-    graph_line_count,
-    graph_lines,
-    is_extremal_graph,
-)
-from .metrics import (
-    MetricSpace,
-    graph_shortest_path_metric,
-    metric_betweenness,
-    metric_lines,
-)
-from .posets import (
-    Poset,
-    comparability_graph,
-    is_extremal_poset,
-    maximum_chain_through_levels,
-    poset_betweenness,
-)
+from .graphs import Graph, graph_line_count, graph_lines, is_extremal_graph
+from .metrics import MetricSpace, metric_lines
+from .posets import Poset, comparability_graph, maximum_chain_through_levels
 from .sweeps import (
     PairSumSweepSummary,
     SweepSummary,
@@ -83,7 +63,6 @@ from .sweeps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetweennessRelation",
     "CapError",
     "CycleError",
     "DisconnectedError",
@@ -107,24 +86,17 @@ __all__ = [
     "UniversalLineError",
     "UnknownPointError",
     "VerificationReport",
-    "all_lines",
     "bits_of",
     "build_certificate",
     "certificate_issues",
     "comparability_graph",
     "dbe_bound",
-    "graph_betweenness",
     "graph_line_count",
     "graph_lines",
     "graph_report",
-    "graph_shortest_path_metric",
     "hypergraph_lines",
     "is_extremal_graph",
-    "is_extremal_poset",
-    "line_mask_set",
-    "line_of",
     "maximum_chain_through_levels",
-    "metric_betweenness",
     "metric_lines",
     "metric_report",
     "min_pair_sum",
@@ -134,7 +106,6 @@ __all__ = [
     "parse_hypergraph",
     "parse_metric",
     "parse_poset",
-    "poset_betweenness",
     "poset_code",
     "poset_from_code",
     "poset_report",

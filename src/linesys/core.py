@@ -21,6 +21,9 @@ metric spaces from distance rows (``metrics.metric_lines``) and
 (``hypergraph_lines``).  ``BetweennessRelation`` and its evaluators
 ``all_lines``, ``line_mask_set`` and ``line_of`` are the test oracle
 every fast path is checked against; no production path builds one.
+The package does not export them: the tests import them through
+``tests/reference.py``, and they stay here because the benchmark's
+per-layer tracer looks them up in this module.
 """
 
 from __future__ import annotations

@@ -198,49 +198,53 @@ def _judge(n: int, count: int, universal: bool, bound: int) -> tuple[bool, bool]
     return universal or count >= bound, not universal and count == n
 
 
-def _report(kind: str, n: int, instance: tuple) -> VerificationReport:
-    """The record of one instance's fields, as ``SWEEP_KINDS`` yields them."""
-    instance_id, count, universal, bound, shape, _ = instance
+def _report(
+    kind: str, n: int, instance_id: int | str, count: int, bound: int,
+    universal: bool, shape: bool,
+) -> VerificationReport:
+    """The record of one instance from the fields its row prints."""
     return VerificationReport(
         kind, n, instance_id, count, bound, universal,
         *_judge(n, count, universal, bound), shape,
     )
 
 
-def _poset_fields(p, instance_id: int | str) -> tuple | None:
-    if p.height < 2:
-        return None
+def _mismatch(kind: str, universal: bool, equality: bool, shape: bool) -> bool:
+    """True when the kind has an extremal shape and, with no universal
+    line, the equality case and the shape match disagree."""
+    return SWEEP_KINDS[kind].compare_shape and not universal and equality != shape
+
+
+def _poset_fields(p) -> tuple[tuple, str | None]:
+    """The row fields of a poset of height at least 2 (line count,
+    bound, universal, extremal shape match) and its certificate defect
+    or None."""
     g = comparability_graph(p)
     count, universal = graph_line_count(g)
-    cert_issue = None
+    defect = None
     if not universal:
         try:
             issues = certificate_issues(build_certificate(p), p)
             if issues:
-                cert_issue = issues[0]
+                defect = issues[0]
         except LinesysError as exc:
-            cert_issue = f"certificate construction failed: {exc}"
-    return instance_id, count, universal, p.bound, is_extremal_graph(g), cert_issue
+            defect = f"certificate construction failed: {exc}"
+    return (count, p.bound, universal, is_extremal_graph(g)), defect
 
 
-def _metric_fields(m, instance_id: int | str) -> tuple:
-    n = m.size
-    count = 0
-    universal = False
-    for _, bare, line in metric_lines(m):
-        count += len(bare) + (line is not None)
-        # The full ground set: a linked line of n points, or on two
-        # points a bare pair.
-        if line is not None and len(line[0]) == n or bare and n == 2:
-            universal = True
-    return instance_id, count, universal, n, False, None
+def _metric_fields(m) -> tuple:
+    """The row fields of a metric space.  Every pair of a metric is
+    linked, so each run of its lines holds no bare pair."""
+    members = [line[0] for _, _, line in metric_lines(m) if line is not None]
+    return len(members), m.size, any(len(line) == m.size for line in members), False
 
 
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
     """Verification record for one graph: at least n distinct lines
     unless some line is universal, equality only on the extremal shape.
-    The default id is the edge mask.  DomainError below the smallest n
-    of a graph sweep.
+    The default id is the edge mask, refused before it is built when it
+    is too long to print (``_graph_id``).  DomainError below the
+    smallest n of a graph sweep.
 
     Lines are counted by ``graph_line_count`` straight from the
     adjacency rows; no relation is built."""
@@ -248,10 +252,10 @@ def graph_report(g: Graph, instance_id: int | str | None = None) -> Verification
     if g.size < min_n:
         raise DomainError(f"graph verification needs n >= {min_n}")
     if instance_id is None:
-        instance_id = g.edge_mask()
+        instance_id = _graph_id(g)
     count, universal = graph_line_count(g)
     return _report(
-        "graph", g.size, (instance_id, count, universal, g.size, is_extremal_graph(g), None)
+        "graph", g.size, instance_id, count, g.size, universal, is_extremal_graph(g)
     )
 
 
@@ -273,24 +277,43 @@ def poset_report(p, instance_id: int | str | None = None):
         )
     if instance_id is None:
         instance_id = _poset_id(p)
-    instance = _poset_fields(p, instance_id)
-    return _report("poset", p.size, instance), instance[5]
+    fields, defect = _poset_fields(p)
+    return _report("poset", p.size, instance_id, *fields), defect
+
+
+def _refuse_long_id(kind: str, log10_lower: float) -> None:
+    """Refuse, with the jsonl error of ``json_line``, an id of at least
+    10 ** log10_lower when that surely has more digits than the
+    int-to-str limit allows.  An id near the limit is built, and
+    ``json_line`` judges it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and log10_lower >= limit:
+        raise _id_too_long(kind)
+
+
+def _graph_id(g: Graph) -> int:
+    """``g.edge_mask()``, not built when it is surely too long to print:
+    its top bit is the pair index i of the last edge (a, b), the one
+    with the highest a and then the highest b, so the mask is at least
+    2 ** i."""
+    n = g.size
+    for a in reversed(range(n)):
+        b = g.adj[a].bit_length() - 1
+        if b > a:
+            _refuse_long_id("graph", (a * (2 * n - a - 1) // 2 + b - a - 1) * log10(2))
+            break
+    return g.edge_mask()
 
 
 def _poset_id(p) -> int:
-    """``poset_code(p)`` of a poset with a comparable pair, refused
-    with the jsonl error of ``json_line`` and not built when it is
-    surely too long to print.  Its L base-3 digits run from the first
-    comparable pair (a, b) to the last pair: the n - b pairs (a, b..n-1)
-    and every pair above a.  So the code is at least 3 ** (L - 1).  A
-    code near the int-to-str digit limit is built, and ``json_line``
-    judges it."""
+    """``poset_code(p)`` of a poset with a comparable pair, not built
+    when it is surely too long to print.  Its L base-3 digits run from
+    the first comparable pair (a, b) to the last pair: the n - b pairs
+    (a, b..n-1) and every pair above a.  So the code is at least
+    3 ** (L - 1)."""
     n = p.size
     a, b = _first_comparable(p)
-    digits = n - b + comb(n - a - 1, 2)
-    limit = sys.get_int_max_str_digits()
-    if limit and (digits - 1) * log10(3) >= limit:
-        raise _id_too_long("poset")
+    _refuse_long_id("poset", (n - b + comb(n - a - 1, 2) - 1) * log10(3))
     return poset_code(p)
 
 
@@ -307,16 +330,14 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
             raise MetricError(
                 "a distance is too long to spell out as the instance id"
             ) from None
-    return _report("metric", m.size, _metric_fields(m, instance_id))
+    return _report("metric", m.size, instance_id, *_metric_fields(m))
 
 
 def shape_mismatch(report: VerificationReport) -> bool:
-    """True when the kind has an extremal shape and, with no universal
-    line, the equality case and the shape match disagree."""
-    return (
-        SWEEP_KINDS[report.structure_kind].compare_shape
-        and not report.has_universal
-        and report.is_equality_case != report.extremal_shape_match
+    """``_mismatch`` of one report."""
+    return _mismatch(
+        report.structure_kind, report.has_universal,
+        report.is_equality_case, report.extremal_shape_match,
     )
 
 
@@ -336,44 +357,39 @@ def _fold_instances(
     kind: str, n: int, chunk: tuple, render: bool
 ) -> tuple[SweepSummary, str]:
     """The summary and (when ``render``) the jsonl rows of one chunk of
-    posets, from the fields ``_poset_fields`` gives each enumerated
-    poset (int instance id, number of distinct lines, whether one is
-    universal, bound, extremal shape match, certificate defect or None),
-    or None when the bound does not apply.
+    posets, from the row fields and certificate defect ``_poset_fields``
+    gives each enumerated poset of height at least 2 (the bound does not
+    apply to an antichain, which is enumerated but not reported).
 
     It adds the flags up into plain counters, lists the ids of failing
     instances only, renders each row as the (kind, n) head, the id and
     its ``_row_tail``, and builds a ``VerificationReport`` only for a
     violation.
     """
-    compare_shape = SWEEP_KINDS[kind].compare_shape
     head = _row_head(kind, n)
     enumerated = reported = universal_count = equality_cases = shape_matches = 0
     violations, mismatch_ids, cert_failures = [], [], []
     rows = []
     for code, order in _iter_states(n, chunk):
         enumerated += 1
-        instance = _poset_fields(Poset(order), code)
-        if instance is None:
+        p = Poset(order)
+        if p.height < 2:
             continue
         reported += 1
-        instance_id, count, universal, bound, shape, cert_issue = instance
+        (count, bound, universal, shape), defect = _poset_fields(p)
         meets, equality = _judge(n, count, universal, bound)
-        if universal:
-            universal_count += 1
-        elif compare_shape and equality != shape:
-            mismatch_ids.append(instance_id)
-        if not meets:
-            violations.append(_report(kind, n, instance))
+        universal_count += universal
         equality_cases += equality
         shape_matches += shape
-        if cert_issue is not None:
-            cert_failures.append((instance_id, cert_issue))
+        if not meets:
+            violations.append(_report(kind, n, code, count, bound, universal, shape))
+        if _mismatch(kind, universal, equality, shape):
+            mismatch_ids.append(code)
+        if defect is not None:
+            cert_failures.append((code, defect))
         if render:
-            rows.append(
-                f"{head}{instance_id}"
-                f"{_row_tail(count, bound, universal, meets, equality, shape)}"
-            )
+            tail = _row_tail(count, bound, universal, meets, equality, shape)
+            rows.append(f"{head}{code}{tail}")
     summary = SweepSummary(
         kind, n, enumerated, reported, universal_count, equality_cases, shape_matches,
         tuple(violations), tuple(mismatch_ids), tuple(cert_failures),
@@ -456,10 +472,11 @@ def _mask_chunk(
     checked = reported ^ universal
     equality = equal & checked
     violations = tuple(
-        _report(kind, n, (
-            lo + i, pairs - sum((plane >> i & 1) << j for j, plane in enumerate(duplicates)),
-            False, n, bool(shape >> i & 1), None,
-        ))
+        _report(
+            kind, n, lo + i,
+            pairs - sum((plane >> i & 1) << j for j, plane in enumerate(duplicates)),
+            n, False, bool(shape >> i & 1),
+        )
         for i in bits_of(above & checked)
     )
     mismatches = (equality ^ shape) & checked if SWEEP_KINDS[kind].compare_shape else 0

@@ -1,5 +1,10 @@
-"""Test-side builders and exhaustive iterators, and the runs of
-``core.line_system`` expanded into the oracle's entry list.
+"""The line oracle, test-side builders and exhaustive iterators, and
+the runs of ``core.line_system`` expanded into the oracle's entry list.
+
+The generic ``BetweennessRelation`` evaluator and the relation builders
+of each kind are the reference every fast path is checked against.
+The package does not export them, and every test takes them from here,
+so moving their code out of the package edits only this module.
 
 The package sweeps graphs by edge-mask chunks and posets by pair-state
 prefixes; the tests walk every instance one at a time through these
@@ -8,7 +13,11 @@ iterators and build small graphs from edge lists."""
 from itertools import combinations
 
 from linesys import Graph, Poset, pair_list
+from linesys.core import BetweennessRelation, all_lines, line_mask_set, line_of
 from linesys.enumeration import _iter_states
+from linesys.graphs import graph_betweenness
+from linesys.metrics import graph_shortest_path_metric, metric_betweenness
+from linesys.posets import is_extremal_poset, poset_betweenness
 
 
 def graph_from_edges(n, edges):

@@ -11,19 +11,22 @@ from itertools import combinations
 
 from linesys import (
     Graph,
-    all_lines,
     comparability_graph,
     dbe_bound,
-    graph_betweenness,
-    line_mask_set,
     min_pair_sum,
     pair_sum_sweep,
-    poset_betweenness,
     run_sweep,
 )
 from linesys.cli import main as cli_main
 from linesys.construct import build_certificate
-from reference import enumerate_graphs, enumerate_posets
+from reference import (
+    all_lines,
+    enumerate_graphs,
+    enumerate_posets,
+    graph_betweenness,
+    line_mask_set,
+    poset_betweenness,
+)
 from test_sweeps import flagged_sweep
 
 

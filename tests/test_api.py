@@ -1,11 +1,13 @@
 """The public API: every name in ``linesys.__all__`` is exported once,
 resolves on the package and is used by the package itself, so a
 deleted name cannot linger as a stale export and no name lives on only
-for the tests; no module keeps an import that only a vanished tracer
-site needed, or any other import it does not use.  The library sketch
-in the README runs as written."""
+for the tests; the line oracle is not exported, and the tests take it
+from ``tests/reference.py`` only; no module keeps an import that only a
+vanished tracer site needed, or any other import it does not use.  The
+library sketch in the README runs as written."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -38,17 +40,55 @@ def names_read(node):
 
 def test_every_exported_name_is_read_by_the_package():
     # Each exported name is read in a module other than __init__.py,
-    # outside its own definition, or is a traced site of the benchmark.
-    # poset_from_code is read by no module: it decodes a jsonl poset id.
+    # outside its own definition.  poset_from_code is read by no module:
+    # it decodes a jsonl poset id.
     read = set()
     for path in sorted(Path(linesys.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text()).body:
             read |= names_read(node) - {getattr(node, "name", None)}
-    traced = {attr for _, _, attr, _ in tracer.SITES}
-    unread = [name for name in linesys.__all__ if name not in read | traced]
+    unread = [name for name in linesys.__all__ if name not in read]
     assert unread == ["poset_from_code"]
+
+
+# The generic line evaluator and the relation builders: the tests'
+# reference, kept in the package only where the benchmark's tracer
+# finds them.
+ORACLE = {
+    "core": ("BetweennessRelation", "all_lines", "line_mask_set", "line_of"),
+    "graphs": ("graph_betweenness",),
+    "metrics": ("graph_shortest_path_metric", "metric_betweenness"),
+    "posets": ("is_extremal_poset", "poset_betweenness"),
+}
+ORACLE_NAMES = {name for names in ORACLE.values() for name in names}
+
+
+def test_the_oracle_is_not_exported_and_stays_in_its_modules():
+    assert ORACLE_NAMES.isdisjoint(linesys.__all__)
+    assert ORACLE_NAMES.isdisjoint(vars(linesys))
+    for module, names in ORACLE.items():
+        owner = importlib.import_module(f"linesys.{module}")
+        assert [name for name in names if not callable(vars(owner).get(name))] == []
+
+
+def test_only_the_reference_module_imports_the_oracle():
+    # So moving the oracle's code out of the package edits one test file.
+    importers = []
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").partition(".")[0] == "linesys"
+            ):
+                importers += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name in ORACLE_NAMES
+                ]
+    assert importers == []
 
 
 def test_every_tracer_only_import_is_a_traced_site():

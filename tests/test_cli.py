@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -341,6 +342,34 @@ def test_verify_jsonl_refuses_a_long_poset_id_before_building_it(monkeypatch, ca
     )
 
 
+def test_verify_jsonl_refuses_a_long_graph_id_before_building_it(monkeypatch, capsys):
+    # The edge mask's top bit is the last edge's pair index i, so the
+    # mask has more than 4,300 digits once i * log10(2) reaches 4,300:
+    # from i = 14,285, the pair (156, 168) of 170 vertices, on.  The
+    # mask of (59998, 59999) on 60,000 vertices alone takes 225 MB.
+    def refuse(g):
+        raise AssertionError("a graph id too long to print was built")
+
+    real = graphs.Graph.edge_mask
+    monkeypatch.setattr(graphs.Graph, "edge_mask", refuse)
+    argv = ["verify", "--kind", "graph", "--format", "jsonl"]
+    for text in (
+        "170 1\n156 168\n", "60000 1\n59998 59999\n", "200000 1\n199998 199999\n"
+    ):
+        assert run_cli(argv, text, monkeypatch=monkeypatch) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            "error: the instance id of this graph is too long to print as jsonl\n"
+        )
+    # (156, 167) has index 14,284: its mask 2 ** 14,284 has 4,300 digits
+    # and prints, in the bytes the row had before this refusal existed.
+    monkeypatch.setattr(graphs.Graph, "edge_mask", real)
+    code, out = run_cli(argv, "170 1\n156 167\n", monkeypatch=monkeypatch)
+    assert (code, len(out), hashlib.sha256(out.encode()).hexdigest()) == (
+        EXIT_OK, 4493, "b8068f4291f41c5214114f6435f335c800a5ac4bbaa9560a5f8e42028015f493"
+    )
+    assert out.index('"line_count"') - out.index('"instance_id"') == 4300 + 17
+
+
 COMPLETE_200 = "200 19900\n" + "".join(
     f"{a} {b}\n" for a in range(200) for b in range(a + 1, 200)
 )
@@ -445,6 +474,19 @@ def test_sweep_shape_disagreement_exit_code(monkeypatch):
     code, out = run_cli(["sweep", "--kind", "graph", "--n", "4"])
     assert code == EXIT_VIOLATION
     assert "equality cases and the extremal shape disagree" in out
+    assert out.endswith("result: VIOLATION\n")
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [flip_the_verified_shape, undercount_the_verified_lines],
+    ids=["flip_the_shape", "undercount_the_lines"],
+)
+def test_sweep_poset_violation_exit_code(monkeypatch, plant):
+    plant(monkeypatch)
+    code, out = run_cli(["sweep", "--kind", "poset", "--n", "4"])
+    assert code == EXIT_VIOLATION
+    assert "certificate failures 0\n" in out
     assert out.endswith("result: VIOLATION\n")
 
 

@@ -11,21 +11,23 @@ from linesys import (
     ProcessStep,
     StepKind,
     UniversalLineError,
-    all_lines,
     bits_of,
     build_certificate,
     certificate_issues,
     comparability_graph,
     dbe_bound,
-    graph_betweenness,
-    line_mask_set,
-    line_of,
     maximum_chain_through_levels,
-    poset_betweenness,
 )
 from linesys.construct import _adjacency_line
 from linesys.graphs import has_universal_line
-from reference import enumerate_posets
+from reference import (
+    all_lines,
+    enumerate_posets,
+    graph_betweenness,
+    line_mask_set,
+    line_of,
+    poset_betweenness,
+)
 
 poset_strategy = st.integers(min_value=2, max_value=7).flatmap(
     lambda n: st.tuples(

@@ -5,23 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linesys import (
-    BetweennessRelation,
     IdenticalPointsError,
     MalformedEdgeError,
     SizeError,
     UnknownPointError,
-    all_lines,
     bits_of,
     hypergraph_lines,
-    line_mask_set,
-    line_of,
     pair_list,
 )
-from linesys.graphs import Graph, graph_betweenness
+from linesys.graphs import Graph
 from linesys.metrics import MetricSpace
-from linesys.posets import Poset, poset_betweenness
+from linesys.posets import Poset
 
-from reference import graph_from_edges, line_entries
+from reference import (
+    BetweennessRelation,
+    all_lines,
+    graph_betweenness,
+    graph_from_edges,
+    line_entries,
+    line_mask_set,
+    line_of,
+    poset_betweenness,
+)
 
 
 def empty_relation(n):

@@ -7,9 +7,7 @@ import pytest
 from linesys import (
     CycleError,
     ParseError,
-    all_lines,
     bits_of,
-    graph_betweenness,
     graph_lines,
     parse_graph,
     parse_hypergraph,
@@ -18,7 +16,7 @@ from linesys import (
     render_line_system,
 )
 from linesys.formats import render_points
-from reference import enumerate_graphs
+from reference import all_lines, enumerate_graphs, graph_betweenness
 
 GRAPH_K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
 

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from linesys import BetweennessRelation
 from linesys.cli import main
+from reference import BetweennessRelation
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

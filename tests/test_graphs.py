@@ -11,19 +11,22 @@ from linesys import (
     MalformedEdgeError,
     SizeError,
     UnknownPointError,
-    all_lines,
-    graph_betweenness,
     graph_line_count,
     graph_lines,
     is_extremal_graph,
-    line_mask_set,
-    line_of,
     pair_list,
 )
 
 from linesys.graphs import graph_mask_planes, has_universal_line
 
-from reference import graph_from_edges, line_entries
+from reference import (
+    all_lines,
+    graph_betweenness,
+    graph_from_edges,
+    line_entries,
+    line_mask_set,
+    line_of,
+)
 
 
 def brute_force_line_sets(n, edges):

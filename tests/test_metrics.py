@@ -12,18 +12,21 @@ from linesys import (
     MetricError,
     MetricSpace,
     SizeError,
-    all_lines,
-    graph_shortest_path_metric,
-    line_mask_set,
-    line_of,
-    metric_betweenness,
     metric_lines,
     metric_report,
     pair_list,
 )
 from linesys.metrics import metric_mask_planes
 
-from reference import graph_from_edges, line_entries
+from reference import (
+    all_lines,
+    graph_from_edges,
+    graph_shortest_path_metric,
+    line_entries,
+    line_mask_set,
+    line_of,
+    metric_betweenness,
+)
 
 
 def menger_line_sets(dist):

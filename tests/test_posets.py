@@ -11,22 +11,25 @@ from linesys import (
     Poset,
     SizeError,
     UnknownPointError,
-    all_lines,
     bits_of,
     comparability_graph,
-    graph_betweenness,
     graph_line_count,
     graph_lines,
-    is_extremal_poset,
-    line_mask_set,
-    line_of,
     maximum_chain_through_levels,
     pair_list,
-    poset_betweenness,
     poset_report,
 )
 
-from reference import enumerate_posets, line_entries
+from reference import (
+    all_lines,
+    enumerate_posets,
+    graph_betweenness,
+    is_extremal_poset,
+    line_entries,
+    line_mask_set,
+    line_of,
+    poset_betweenness,
+)
 
 
 def less(p, a, b):

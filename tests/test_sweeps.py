@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import graph_from_edges
+from reference import BetweennessRelation, enumerate_posets, graph_from_edges
 from test_golden import SWEEP_STREAMS
 from test_metrics import oracle_line_count
 
@@ -30,7 +30,6 @@ from linesys import (
     poset_report,
     run_sweep,
 )
-from linesys.core import BetweennessRelation
 from linesys.sweeps import VerificationReport, shape_mismatch
 
 
@@ -565,6 +564,28 @@ def test_chunking_does_not_change_the_summary(monkeypatch, kind, flip):
     assert chunked == whole
     assert (chunked.checked, chunked.issues) == (whole.checked, whole.issues)
     assert bool(whole.mismatch_ids) == flip
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [undercount_the_verified_lines, flip_the_verified_shape],
+    ids=["undercount_the_lines", "flip_the_shape"],
+)
+def test_poset_failures_are_the_reports_under_the_same_plant(monkeypatch, plant):
+    # The poset fold counts and tests the shape through the seams of
+    # verify, so a planted fault gives the failures, in id order, that
+    # poset_report and shape_mismatch give each poset.
+    plant(monkeypatch)
+    summary = run_sweep("poset", 4, workers=1)
+    reports = [poset_report(p)[0] for p in enumerate_posets(4) if p.height >= 2]
+    assert summary.violations == tuple(r for r in reports if not r.meets_bound)
+    assert summary.mismatch_ids == tuple(
+        r.instance_id for r in reports if shape_mismatch(r)
+    )
+    assert summary.mismatch_ids and not summary.certificate_failures
+    assert bool(summary.violations) == (plant is undercount_the_verified_lines)
+    for name, value in reference_fold(reports).items():
+        assert getattr(summary, name) == value, name
 
 
 def test_certificate_failures_are_reported_as_data(monkeypatch):

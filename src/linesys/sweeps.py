@@ -69,6 +69,11 @@ from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
 PAIR_SUM_SWEEP_CAP = 12
 
 _CHUNK_MASKS = 1 << 12
+# At most one worker per this many chunks: a pool's start-up (about
+# 10-20 ms on 2 cores) outweighs sweeps of 27 chunks or fewer (graph or
+# metric n <= 6, poset n <= 4), which a pool slows down; from poset
+# n = 5's 81 chunks on, it pays for itself.
+_CHUNKS_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -593,7 +598,9 @@ def run_sweep(
     chunks; the parent merges the summaries in chunk order and renders
     each chunk's payload with the kind's ``rows`` (the same runner and
     renderer serve a serial sweep), so the summary and the stream are
-    identical for every worker count.
+    identical for every worker count.  The pool gets at most one worker
+    per ``_CHUNKS_PER_WORKER`` chunks and per CPU; when that leaves one
+    worker, the sweep runs in this process and starts no pool.
     """
     if workers < 1:
         raise DomainError(f"a sweep needs at least 1 worker, got {workers}")
@@ -612,8 +619,9 @@ def run_sweep(
                     jsonl.write(text)
         return total
 
-    # No flag value may start more processes than there are chunks or CPUs.
-    workers = min(workers, len(args), os.cpu_count() or 1)
+    # No flag value may start more processes than there are CPUs, or a
+    # pool whose start-up costs more than the chunks it spreads.
+    workers = min(workers, len(args) // _CHUNKS_PER_WORKER or 1, os.cpu_count() or 1)
     if workers <= 1:
         return consume(map(_run_chunk, args))
     ctx = multiprocessing.get_context("fork")

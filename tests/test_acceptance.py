@@ -17,6 +17,7 @@ from linesys import (
     pair_sum_sweep,
     run_sweep,
 )
+import linesys.sweeps as sweeps
 from linesys.cli import main as cli_main
 from linesys.construct import build_certificate
 from reference import (
@@ -27,7 +28,7 @@ from reference import (
     line_mask_set,
     poset_betweenness,
 )
-from test_sweeps import flagged_sweep
+from test_sweeps import flagged_sweep, record_pools
 
 
 def report(number: int, description: str, ok: bool) -> None:
@@ -216,7 +217,11 @@ def test_criterion_9_metric_evidence_sweep():
     )
 
 
-def test_criterion_10_worker_determinism():
+def test_criterion_10_worker_determinism(monkeypatch):
+    # Every sweep here is small enough to run in-process by default; the
+    # patches make its 3-worker run start a real pool.
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 16)  # 4 graph and metric chunks
     ok = True
     for kind, n in (("graph", 4), ("poset", 4), ("metric", 4)):
         outputs = []
@@ -224,6 +229,8 @@ def test_criterion_10_worker_determinism():
             stream = io.StringIO()
             summary = run_sweep(kind, n, workers=workers, jsonl=stream)
             outputs.append((stream.getvalue(), summary))
+        ok = ok and pools == [2]
+        pools.clear()
         ok = ok and outputs[0][0] == outputs[1][0]
         ok = ok and outputs[0][1] == outputs[1][1]
         ok = ok and len(outputs[0][0]) > 0

@@ -20,6 +20,7 @@ from test_golden import workloads
 from test_sweeps import (
     flip_the_shape,
     flip_the_verified_shape,
+    record_pools,
     undercount_the_lines,
     undercount_the_verified_lines,
 )
@@ -382,6 +383,7 @@ def test_bytes_do_not_depend_on_the_interpreter_digit_limit(limit, monkeypatch, 
     # 719,400-digit base-3 poset code, a 1,201-digit bound and a
     # 5,000-digit argument.  The sweep's forked workers check that they
     # run under the pinned limit too.
+    pools = record_pools(monkeypatch)
     real = sweeps.certificate_issues
 
     def pinned(cert, p):
@@ -416,6 +418,7 @@ def test_bytes_do_not_depend_on_the_interpreter_digit_limit(limit, monkeypatch, 
         assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(saved)
+    assert pools == [2, 2]
 
 
 def test_verify_hypergraph_rejected(tmp_path):

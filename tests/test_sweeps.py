@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import json
@@ -65,6 +66,27 @@ class FlaggedRows(io.TextIOBase):
 
     def ids(self, flag):
         return {row["instance_id"] for row in self.rows if row[flag]}
+
+
+def record_pools(monkeypatch):
+    """Let a sweep start a real fork pool for as few as 2 chunks, on a
+    box taken to have 2 CPUs, and return the list that records the size
+    of every pool it starts."""
+    sizes = []
+    real = sweeps.multiprocessing.get_context
+
+    class Spy:
+        def __init__(self, method):
+            self.context = real(method)
+
+        def Pool(self, size):
+            sizes.append(size)
+            return self.context.Pool(size)
+
+    monkeypatch.setattr(sweeps, "_CHUNKS_PER_WORKER", 1)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps.multiprocessing, "get_context", Spy)
+    return sizes
 
 
 def flagged_sweep(kind, n, workers=1):
@@ -373,8 +395,11 @@ def test_sweep_domain_checks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["graph", "poset", "metric"])
-def test_summary_counts_match_the_jsonl_rows(kind, workers):
+def test_summary_counts_match_the_jsonl_rows(monkeypatch, kind, workers):
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 64)  # 16 graph and metric chunks
     text, summary = jsonl_of(kind, 5, workers)
+    assert pools == ([2] if workers > 1 else [])
     rows = [json.loads(row) for row in text.splitlines()]
 
     def flagged(flag):
@@ -396,10 +421,14 @@ def test_sweep_reports_stream_in_canonical_order():
     assert poset_ids == sorted(poset_ids)
 
 
-def test_jsonl_output_byte_identical_across_worker_counts():
+def test_jsonl_output_byte_identical_across_worker_counts(monkeypatch):
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 16)  # 4 graph and metric chunks
     for kind, n in (("graph", 4), ("poset", 4), ("metric", 4)):
         solo, s1 = jsonl_of(kind, n, workers=1)
+        assert pools == []
         multi, s3 = jsonl_of(kind, n, workers=3)
+        assert pools.pop() == 2
         assert solo == multi, kind
         assert s1 == s3
 
@@ -412,9 +441,11 @@ def test_jsonl_output_byte_identical_across_worker_counts():
 )
 def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, chunk_masks, workers):
     # 96-mask chunks start and end off the period of pair bits 5 and up.
+    pools = record_pools(monkeypatch)
     monkeypatch.setattr(sweeps, "_CHUNK_MASKS", chunk_masks)
     assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == -(-1024 // chunk_masks)
     data = jsonl_of(kind, 5, workers)[0].encode()
+    assert pools == ([2] if workers > 1 else [])
     assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS[kind, 5]
 
 
@@ -647,11 +678,37 @@ class _RecordingContext:
         return map(fn, args)
 
 
-@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
-def test_worker_count_is_clamped_to_cpus(monkeypatch, cpus, pools):
+@functools.cache
+def serial_summary(kind, n):
+    return run_sweep(kind, n, workers=1)
+
+
+@pytest.mark.parametrize(
+    "kind, n, workers, cpus, pools",
+    [
+        # --workers 2 on 2 CPUs starts no pool below 32 chunks.
+        ("graph", 6, 2, 2, []),  # 8 chunks
+        ("metric", 6, 2, 2, []),  # 8 chunks
+        ("poset", 4, 2, 2, []),  # 27 chunks
+        ("poset", 5, 2, 2, [2]),  # 81 chunks
+        ("graph", 7, 2, 2, [2]),  # 512 chunks
+        # The CPU clamp, and a box whose CPU count is unknown.
+        ("poset", 5, 4, 3, [3]),
+        ("poset", 5, 4, 1, []),
+        ("poset", 5, 4, None, []),
+        # No flag value gets more than one worker per 16 chunks.
+        ("poset", 5, 1_000_000, 64, [5]),
+        ("graph", 7, 1_000_000, 64, [32]),
+    ],
+)
+def test_pool_gets_at_most_one_worker_per_16_chunks_and_per_cpu(
+    monkeypatch, kind, n, workers, cpus, pools
+):
     context = _RecordingContext()
     monkeypatch.setattr(sweeps.multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
-    summary = run_sweep("poset", 4, workers=1_000_000)
+    chunks = len(sweeps.SWEEP_KINDS[kind].chunks(n))
+    summary = run_sweep(kind, n, workers=workers)
     assert context.sizes == pools
-    assert summary == run_sweep("poset", 4, workers=1)
+    assert all(1 < size <= min(chunks // 16, cpus) for size in pools)
+    assert summary == serial_summary(kind, n)

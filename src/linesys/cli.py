@@ -157,6 +157,10 @@ def _cmd_construct(args, out) -> int:
     poset = parse_poset(_read_input(args.input))
     cert = build_certificate(poset)
     distinct, bound = cert.total_distinct, cert.bound
+    if distinct < bound:
+        raise InternalError(
+            f"process found {distinct} distinct lines, below the guaranteed {bound}"
+        )
     if args.format == "jsonl":
         # The first row, as json.dumps writes it, streamed pair by pair.
         pairs = map("[%d, %d]".__mod__, cert.layer_pairs())

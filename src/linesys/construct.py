@@ -22,15 +22,17 @@ point masks (``layers``), the chain, and every iteration's window,
 probe point and the member masks of the lines it added.  A line's
 generating pair follows from the chain, the window, the probe and the
 step kind.  The distinct total is the C(|L|, 2) pairs of each level L
-plus the distinct step lines that are not such a pair.  An independent
-pass replays the bookkeeping, derives each step's generators and
-recomputes each recorded line once.  Neither side builds a betweenness
-relation, and they share no line evaluator: the process reads each line
-from the order rows (the pair, everything below its lower point or above
-its upper point, and everything between them), the replay from the
-adjacency rows of the comparability graph (the pair, plus the common
-neighbors of an adjacent pair), which its O(n) universal-line check,
-``graphs.has_universal_line``, reads too.
+plus the distinct step lines that are not such a pair; the build does
+not count it.  An independent pass replays the bookkeeping, derives
+each step's generators, recomputes each recorded line once, and counts
+the total once to compare it with the poset's bound, as the
+``construct`` command does before it prints.  Neither side builds a
+betweenness relation, and they share no line evaluator: the process
+reads each line from the order rows (the pair, everything below its
+lower point or above its upper point, and everything between them), the
+replay from the adjacency rows of the comparability graph (the pair,
+plus the common neighbors of an adjacent pair), which its O(n)
+universal-line check, ``graphs.has_universal_line``, reads too.
 """
 
 from __future__ import annotations
@@ -40,11 +42,11 @@ from enum import Enum
 from functools import reduce
 from itertools import combinations, repeat
 from math import comb
-from operator import and_, ne, or_
+from operator import and_, or_
 from typing import Iterator
 
 from .bounds import dbe_bound
-from .core import bits_of
+from .core import bits_of, distinct_count
 from .errors import HeightError, InternalError, UniversalLineError
 from .graphs import has_universal_line
 from .posets import Poset, comparability_graph, maximum_chain_through_levels
@@ -112,7 +114,10 @@ def build_certificate(p: Poset) -> LineCertificate:
 
     Raises HeightError on height < 2 and UniversalLineError as soon as
     some window line covers every point (which can only happen when the
-    no-universal-line precondition is violated).
+    no-universal-line precondition is violated).  The build does not
+    count its lines: ``certificate_issues`` replays the certificate and
+    compares its distinct total with the bound, and ``construct``
+    compares ``total_distinct`` with ``bound`` before it prints.
     """
     height = p.height
     if height < 2:
@@ -180,14 +185,7 @@ def build_certificate(p: Poset) -> LineCertificate:
             kind, added = StepKind.LOWER_TOP, lines_to(probe, new_top, top)
         steps.append(ProcessStep(kind, bottom, top, probe, added))
         bottom, top = new_bottom, new_top
-
-    layers = p.layers
-    distinct, bound = _distinct_lines(layers, steps), p.bound
-    if distinct < bound:
-        raise InternalError(
-            f"process found {distinct} distinct lines, below the guaranteed {bound}"
-        )
-    return LineCertificate(n, height, chain, layers, tuple(steps))
+    return LineCertificate(n, height, chain, p.layers, tuple(steps))
 
 
 def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
@@ -257,17 +255,15 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
 
 def _distinct_lines(layers: tuple[int, ...], steps: tuple[ProcessStep, ...]) -> int:
     """The C(|L|, 2) bare pairs in each layer L plus the distinct step
-    lines that are no such pair, counted by sorting: an int hashes to its
-    value mod 2**61 - 1, so a set of large line masks collides."""
-    masks = [
+    lines that are no such pair, counted by ``core.distinct_count``."""
+    masks = sorted(
         mask
         for step in steps
         for mask in step.lines
         if mask.bit_count() != 2 or mask not in map(mask.__and__, layers)
-    ]
-    masks.sort()
+    )
     pairs = sum(map(comb, map(int.bit_count, layers), repeat(2)))
-    return pairs + (len(masks) and 1 + sum(map(ne, masks, masks[1:])))
+    return pairs + distinct_count(masks)
 
 
 def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:

@@ -11,7 +11,8 @@ A point set is an int bitmask, bit p standing for point p, from
 parsing to printing; only output turns a mask into a sorted point
 list.  Lines are compared as masks: two generating pairs that produce
 the same member set produce the same line.  This is the counting
-convention used by every bound and sweep in the package.
+convention used by every bound and sweep in the package; masks are
+counted by sorting them (``distinct_count``), never by hashing them.
 
 Every structure kind reads its lines from its own rows into one
 grouping step, ``line_system``: graphs and posets (through their
@@ -31,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, groupby
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -167,9 +168,7 @@ def all_lines(rel: BetweennessRelation) -> list[tuple[int, list[tuple[int, int]]
     n = rel.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
-    # Pairs are grouped by sorting, not in a dict: an int hashes to its
-    # value mod 2**61 - 1, so masks of points 61 apart collide, and on
-    # large ground sets every dict keyed by masks is slow to build.
+    # Grouped by sorting, as ``distinct_count`` explains.
     lm = rel.line_mask
     generated = sorted([(lm(a, b), (a, b)) for a, b in pair_list(n)])
     groups = [
@@ -181,12 +180,23 @@ def all_lines(rel: BetweennessRelation) -> list[tuple[int, list[tuple[int, int]]
 
 
 def line_mask_set(rel: BetweennessRelation) -> set[int]:
-    """Distinct line member sets as bitmasks; the sweep-facing evaluator."""
+    """Distinct line member sets as bitmasks; the tests' reference count,
+    which no production path calls."""
     n = rel.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
     lm = rel.line_mask
     return {lm(a, b) for a, b in pair_list(n)}
+
+
+def distinct_count(masks: Sequence[int]) -> int:
+    """The number of distinct values in a sorted list of masks.
+
+    Line masks are counted and grouped by sorting, never in a set or a
+    dict: an int hashes to its value mod 2**61 - 1, so masks of points
+    61 apart collide, and on large ground sets every collection keyed by
+    masks is slow to build."""
+    return len(masks) and 1 + sum(map(ne, masks, masks[1:]))
 
 
 def line_system(
@@ -212,7 +222,7 @@ def line_system(
     n = len(linked)
     if n < 2:
         raise SizeError("a line system needs at least two points")
-    # Grouped by sorting, as in all_lines.
+    # Grouped by sorting, as ``distinct_count`` explains.
     grouped = sorted(
         (tuple(bits_of(mask)), [pair for _, pair in run])
         for mask, run in groupby(sorted(pair_lines), key=itemgetter(0))

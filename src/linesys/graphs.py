@@ -14,7 +14,7 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    BetweennessRelation, bits_of, check_size, line_system, pair_list,
+    BetweennessRelation, bits_of, check_size, distinct_count, line_system, pair_list,
 )
 from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
 
@@ -127,30 +127,30 @@ def graph_line_count(g: Graph) -> tuple[int, bool]:
     The line of a non-edge is the bare pair, which no other pair
     generates, and the line of an edge ab is {a, b} plus the common
     neighbors of a and b.  So the count is C(n, 2) - m plus the number
-    of distinct edge lines, read straight from the adjacency rows.  The
-    flag is read from those edge lines, where ``has_universal_line``
-    would walk the rows again for every poset the poset sweep counts.
+    of distinct edge lines, read straight from the adjacency rows into
+    a list and counted by sorting (``core.distinct_count``).  The flag
+    is read off the largest edge line, since the ground set is the
+    largest mask a line can have; ``has_universal_line`` would walk the
+    rows again for every poset the poset sweep counts.
     """
     n = g.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
     adj = g.adj
-    m = 0
-    edge_lines = set()
+    edge_lines = []
     for a, row in enumerate(adj):
         # Each edge once, from its larger end: the neighbors below a.
         below = row & ((1 << a) - 1)
-        if below:
-            ends = 1 << a
-            while below:
-                low = below & -below
-                edge_lines.add(row & adj[low.bit_length() - 1] | ends | low)
-                below ^= low
-                m += 1
-    full = (1 << n) - 1
+        ends = 1 << a
+        while below:
+            low = below & -below
+            edge_lines.append(row & adj[low.bit_length() - 1] | ends | low)
+            below ^= low
+    edge_lines.sort()
+    m = len(edge_lines)
     # On two points the bare pair of a non-edge is the whole ground set.
-    universal = full in edge_lines or (n == 2 and m == 0)
-    return n * (n - 1) // 2 - m + len(edge_lines), universal
+    universal = edge_lines[-1:] == [(1 << n) - 1] or (n == 2 and m == 0)
+    return n * (n - 1) // 2 - m + distinct_count(edge_lines), universal
 
 
 def has_universal_line(adj: Sequence[int]) -> bool:

@@ -74,6 +74,10 @@ _CHUNK_MASKS = 1 << 12
 # metric n <= 6, poset n <= 4), which a pool slows down; from poset
 # n = 5's 81 chunks on, it pays for itself.
 _CHUNKS_PER_WORKER = 16
+# About this many pool tasks per worker: a task of one chunk costs the
+# parent a message per chunk, which outweighs a graph n = 7 chunk's
+# work, so a task takes several chunks once each worker has more.
+_TASKS_PER_WORKER = 32
 
 
 @dataclass(frozen=True)
@@ -600,7 +604,9 @@ def run_sweep(
     renderer serve a serial sweep), so the summary and the stream are
     identical for every worker count.  The pool gets at most one worker
     per ``_CHUNKS_PER_WORKER`` chunks and per CPU; when that leaves one
-    worker, the sweep runs in this process and starts no pool.
+    worker, the sweep runs in this process and starts no pool.  Each
+    pool task takes about 1/``_TASKS_PER_WORKER`` of a worker's chunks,
+    and one chunk when a worker has fewer than twice that many.
     """
     if workers < 1:
         raise DomainError(f"a sweep needs at least 1 worker, got {workers}")
@@ -625,8 +631,9 @@ def run_sweep(
     if workers <= 1:
         return consume(map(_run_chunk, args))
     ctx = multiprocessing.get_context("fork")
+    chunksize = len(args) // (workers * _TASKS_PER_WORKER) or 1
     with ctx.Pool(workers) as pool:
-        return consume(pool.imap(_run_chunk, args))
+        return consume(pool.imap(_run_chunk, args, chunksize))
 
 
 @dataclass(frozen=True)

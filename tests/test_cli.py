@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesys import dbe_bound, enumeration, graphs, sweeps
+from linesys import construct, dbe_bound, enumeration, graphs, sweeps
 from linesys.cli import (
     EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INT_MAX_STR_DIGITS, main,
 )
@@ -543,6 +543,22 @@ def test_verify_jsonl_sends_a_certificate_problem_to_stderr(
     assert code == EXIT_INTERNAL
     assert out.endswith("extremal shape: yes\ncertificate problem: planted defect\n")
     assert capsys.readouterr().err == ""
+
+
+def test_an_undercounted_certificate_is_an_internal_error(monkeypatch, capsys, poset_file):
+    # construct compares the certificate's distinct total with the bound
+    # before it prints, and the sweep's replay reports the shortfall.
+    monkeypatch.setattr(construct, "_distinct_lines", lambda layers, steps: 3)
+    for fmt in ("text", "jsonl"):
+        argv = ["construct", "--format", fmt, poset_file]
+        assert run_cli(argv) == (EXIT_INTERNAL, "")
+        assert capsys.readouterr().err == (
+            "internal error: process found 3 distinct lines, below the guaranteed 4\n"
+        )
+    code, out = run_cli(["sweep", "--kind", "poset", "--n", "4"])
+    assert code == EXIT_INTERNAL
+    assert "certificate failures 158\n" in out
+    assert "issue: 158 certificates failed to verify\n" in out
 
 
 def test_pairsum_sweep_rejects_jsonl(capsys):

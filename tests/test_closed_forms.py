@@ -6,13 +6,22 @@ count has an independent formula.  They are checked against
 and at n = 7 and 8 against the totals recorded from full sweeps.  The
 metric universal count, which has no formula, is pinned to the totals
 recorded from full sweeps.
+
+The line counts of complete multipartite graphs, and of the weak orders
+whose comparability graphs they are, have a closed form too; it is
+checked against the oracle on small part lists and through the CLI on
+generated inputs of up to 300 points.
 """
 
+import io
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
+from reference import graph_betweenness, line_mask_set
 
-from linesys import run_sweep
+from linesys import dbe_bound, parse_graph, run_sweep
+from linesys.cli import EXIT_OK, main
 
 # Labeled posets on n points, OEIS A001035, n = 0..8.
 LABELED_POSETS = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379)
@@ -138,3 +147,116 @@ def test_stacked_posets_on_small_cases():
     for m in range(len(LABELED_POSETS)):
         assert stacked_posets(m, 1) == LABELED_POSETS[m]
     assert stacked_posets(2, 2) == 2 * 3 + 2
+
+
+# --- complete multipartite graphs and weak orders ---------------------------
+
+def multipartite_lines(parts):
+    """(lines, universal) of the complete multipartite graph with the
+    given part sizes, t of them 1.  A bare pair inside a part is its own
+    line, and so is an edge between two parts of size at least 2: the
+    edge plus every point outside both parts.  The t edges from the
+    singletons to a point x of a larger part all give one line, every
+    point but the rest of x's part, so each of the n - t such points
+    repeats t - 1 lines.  The C(t, 2) edges between singletons all give
+    the universal line, so with t >= 2 there is one, repeated
+    C(t, 2) - 1 times.  (The edgeless graph on 2 points, outside every
+    verified size, is the one exception: its bare pair is universal.)"""
+    n, t = sum(parts), parts.count(1)
+    if t <= 1:
+        return comb(n, 2), False
+    return comb(n, 2) - (comb(t, 2) - 1) - (t - 1) * (n - t), True
+
+
+def blocks(parts):
+    """Consecutive runs of points, one per part."""
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    return [range(start, start + size) for start, size in zip(starts, parts)]
+
+
+def multipartite_text(parts):
+    """The complete multipartite graph as ``verify --kind graph`` input."""
+    parts_of = blocks(parts)
+    edges = [
+        f"{a} {b}" for x, y in combinations(parts_of, 2) for a in x for b in y
+    ]
+    return "\n".join([f"{sum(parts)} {len(edges)}", *edges, ""])
+
+
+def weak_order_text(parts):
+    """The parts stacked as levels, each point below every point of the
+    next level, as ``verify --kind poset`` input."""
+    parts_of = blocks(parts)
+    covers = [f"{a} {b}" for x, y in zip(parts_of, parts_of[1:]) for a in x for b in y]
+    return "\n".join([f"{sum(parts)} {len(covers)}", *covers, ""])
+
+
+def run_on(tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out = io.StringIO()
+    return main([*argv, str(path)], out=out), out.getvalue()
+
+
+def part_lists(n, largest=None):
+    """Every part list of n in non-increasing order."""
+    if n == 0:
+        yield []
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in part_lists(n - first, first):
+            yield [first, *rest]
+
+
+def test_multipartite_line_counts_match_the_oracle_up_to_n9():
+    for n in range(3, 10):
+        for parts in part_lists(n):
+            for order in (parts, parts[::-1]):
+                g = parse_graph(multipartite_text(order))
+                masks = line_mask_set(graph_betweenness(g))
+                assert (len(masks), (1 << n) - 1 in masks) == multipartite_lines(order)
+
+
+# K_{s,s} with s >= 61 holds bare-pair edge lines whose masks hash alike
+# (2**61 = 1 mod 2**61 - 1); the sorted count sees them as distinct.
+AT_SCALE = [
+    [100, 100], [150, 150], [1, 70, 80], [100, 1, 1, 120], [1, 1, 1, 50], [5] * 24,
+]
+
+
+@pytest.mark.parametrize("parts", AT_SCALE, ids=str)
+def test_verify_counts_complete_multipartite_graphs_in_closed_form(tmp_path, parts):
+    n = sum(parts)
+    lines, universal = multipartite_lines(parts)
+    argv = ["verify", "--kind", "graph"]
+    code, out = run_on(tmp_path, argv, multipartite_text(parts))
+    assert (code, out) == (EXIT_OK, (
+        f"kind graph n {n}\nlines {lines} bound {n} "
+        f"universal {'yes' if universal else 'no'}\n"
+        "equality case: no\nextremal shape: no\nresult: ok\n"
+    ))
+
+
+@pytest.mark.parametrize(
+    "parts", [[150, 150], [1, 70, 80], [100, 1, 1, 120], [5] * 24], ids=str
+)
+def test_verify_counts_weak_orders_in_closed_form(tmp_path, parts):
+    # With no universal line the certificate is built and replayed too.
+    n = sum(parts)
+    lines, universal = multipartite_lines(parts)
+    argv = ["verify", "--kind", "poset"]
+    code, out = run_on(tmp_path, argv, weak_order_text(parts))
+    assert (code, out) == (EXIT_OK, (
+        f"kind poset n {n}\nlines {lines} bound {dbe_bound(n, len(parts))} "
+        f"universal {'yes' if universal else 'no'}\n"
+        "equality case: no\nextremal shape: no\nresult: ok\n"
+    ))
+
+
+@pytest.mark.parametrize(
+    "parts", [[3, 4], [1, 2, 3], [1, 1, 2], [1, 1, 1, 1, 3]], ids=str
+)
+def test_lines_count_row_of_complete_multipartite_graphs(tmp_path, parts):
+    argv = ["lines", "--kind", "graph"]
+    code, out = run_on(tmp_path, argv, multipartite_text(parts))
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == f"count {multipartite_lines(parts)[0]}"

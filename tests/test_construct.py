@@ -18,6 +18,7 @@ from linesys import (
     dbe_bound,
     maximum_chain_through_levels,
 )
+import linesys.construct as construct
 from linesys.construct import _adjacency_line
 from linesys.graphs import has_universal_line
 from reference import (
@@ -114,6 +115,15 @@ def test_certificate_issues_flags_tampering():
     # replay against a different poset of the same shape data
     other = Poset.from_covers(4, [(0, 1), (1, 2), (0, 3)])
     assert certificate_issues(cert, other) != []
+
+
+def test_the_replay_compares_the_distinct_total_with_the_bound(monkeypatch):
+    # With a planted undercount the build still succeeds, since it counts
+    # nothing, and the replay reports the total below the bound.
+    p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
+    monkeypatch.setattr(construct, "_distinct_lines", lambda layers, steps: 3)
+    cert = build_certificate(p)
+    assert certificate_issues(cert, p) == ["3 distinct lines, below the bound 4"]
 
 
 def test_certificate_issues_recomputes_every_recorded_line():

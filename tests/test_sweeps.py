@@ -471,7 +471,7 @@ def test_metric_chunks_decode_every_mask_of_the_chunk(n, lo, hi):
 
 
 def test_each_reported_poset_evaluates_its_bound_once(monkeypatch):
-    # The report, the certificate build and its replay share Poset.bound.
+    # The report and the certificate replay share Poset.bound.
     calls = []
     real = posets.dbe_bound
     for module in (posets, construct):
@@ -479,6 +479,24 @@ def test_each_reported_poset_evaluates_its_bound_once(monkeypatch):
     summary = run_sweep("poset", 5)
     assert len(calls) == summary.reported == 4230
     assert summary.ok and summary.checked == 3450
+
+
+def test_each_certificate_is_counted_once(monkeypatch):
+    # The build counts nothing; the replay counts the distinct total of
+    # every certified poset, one with no universal line, once.
+    calls = []
+    real = construct._distinct_lines
+
+    def counted(layers, steps):
+        calls.append(len(steps))
+        return real(layers, steps)
+
+    monkeypatch.setattr(construct, "_distinct_lines", counted)
+    summary = run_sweep("poset", 4)
+    assert summary.ok and len(calls) == summary.checked == 158
+    calls.clear()
+    assert poset_report(Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)]))[1] is None
+    assert len(calls) == 1
 
 
 def test_poset_chunks_fix_point_zero_against_every_other_point():
@@ -659,10 +677,11 @@ def test_exhaustive_min_pair_sum_agrees_with_plain_composition_search():
 
 class _RecordingContext:
     """Stands in for a multiprocessing context: records the pool size and
-    runs every chunk in this process."""
+    the chunks per task, and runs every chunk in this process."""
 
     def __init__(self):
         self.sizes = []
+        self.chunksizes = []
 
     def Pool(self, size):
         self.sizes.append(size)
@@ -674,7 +693,8 @@ class _RecordingContext:
     def __exit__(self, *exc):
         return False
 
-    def imap(self, fn, args):
+    def imap(self, fn, args, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, args)
 
 
@@ -711,4 +731,29 @@ def test_pool_gets_at_most_one_worker_per_16_chunks_and_per_cpu(
     summary = run_sweep(kind, n, workers=workers)
     assert context.sizes == pools
     assert all(1 < size <= min(chunks // 16, cpus) for size in pools)
+    assert summary == serial_summary(kind, n)
+
+
+@pytest.mark.parametrize(
+    "kind, n, workers, chunksize",
+    [
+        ("poset", 5, 2, 1),  # 81 chunks, fewer than 64 per worker
+        ("graph", 7, 2, 8),  # 512 chunks, 256 per worker
+        ("graph", 7, 4, 4),
+        ("graph", 7, 1_000_000, 1),  # 32 workers of 16 chunks each
+    ],
+)
+def test_a_pool_task_takes_several_chunks_only_when_each_worker_has_many(
+    monkeypatch, kind, n, workers, chunksize
+):
+    # One task per chunk costs the parent a message per chunk; about 32
+    # tasks per worker keep the parent's share small and still spread
+    # uneven chunks.
+    context = _RecordingContext()
+    monkeypatch.setattr(sweeps.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+    chunks = len(sweeps.SWEEP_KINDS[kind].chunks(n))
+    summary = run_sweep(kind, n, workers=workers)
+    (size,) = context.sizes
+    assert context.chunksizes == [chunksize] == [max(1, chunks // (32 * size))]
     assert summary == serial_summary(kind, n)

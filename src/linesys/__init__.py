@@ -50,12 +50,10 @@ from .graphs import Graph, graph_line_count, graph_lines, is_extremal_graph
 from .metrics import MetricSpace, metric_lines
 from .posets import Poset, comparability_graph, maximum_chain_through_levels
 from .sweeps import (
-    PairSumSweepSummary,
     SweepSummary,
     VerificationReport,
     graph_report,
     metric_report,
-    pair_sum_sweep,
     poset_report,
     run_sweep,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "MalformedEdgeError",
     "MetricError",
     "MetricSpace",
-    "PairSumSweepSummary",
     "ParseError",
     "Poset",
     "ProcessStep",
@@ -101,7 +98,6 @@ __all__ = [
     "metric_report",
     "min_pair_sum",
     "pair_list",
-    "pair_sum_sweep",
     "parse_graph",
     "parse_hypergraph",
     "parse_metric",

@@ -8,7 +8,7 @@ violation.
 ``INPUT_KINDS`` is the one place where an input kind is described: how
 its text becomes the line system that ``lines`` prints and the report
 that ``verify`` checks.  Sweepable kinds are described in
-``sweeps.SWEEP_KINDS``.
+``sweeps.SWEEP_KINDS``, and ``sweep --kind`` offers exactly its keys.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .sweeps import (
     SWEEP_KINDS,
     graph_report,
     metric_report,
-    pair_sum_sweep,
     poset_report,
     run_sweep,
     shape_mismatch,
@@ -142,14 +141,18 @@ def _cmd_bound(args, out) -> int:
         raise _UsageError(
             "request --poset-n N --height H and/or --pair-sum-n N --parts R"
         )
+    # Both requests are checked and evaluated before anything is
+    # written, so a failing one leaves stdout empty.
+    values = []
     if wants_poset:
         if args.poset_n is None or args.height is None:
             raise _UsageError("--poset-n and --height go together")
-        out.write(f"{dbe_bound(args.poset_n, args.height)}\n")
+        values.append(dbe_bound(args.poset_n, args.height))
     if wants_pairs:
         if args.pair_sum_n is None or args.parts is None:
             raise _UsageError("--pair-sum-n and --parts go together")
-        out.write(f"{min_pair_sum(args.pair_sum_n, args.parts)}\n")
+        values.append(min_pair_sum(args.pair_sum_n, args.parts))
+    out.writelines(f"{value}\n" for value in values)
     return EXIT_OK
 
 
@@ -235,30 +238,8 @@ def _cmd_verify(args, out) -> int:
 def _cmd_sweep(args, out) -> int:
     if args.workers < 1:
         raise _UsageError(f"--workers needs at least 1, got {args.workers}")
-    if args.out is not None and (args.format != "jsonl" or args.kind not in SWEEP_KINDS):
-        raise _UsageError(
-            f"--out needs --format jsonl and a --kind with reports "
-            f"({', '.join(SWEEP_KINDS)})"
-        )
-    if args.kind not in SWEEP_KINDS and args.format == "jsonl":
-        raise _UsageError(
-            f"--format jsonl needs a --kind with reports ({', '.join(SWEEP_KINDS)})"
-        )
-    if args.kind not in SWEEP_KINDS:  # "pairsum", the only other choice
-        summary = pair_sum_sweep(args.n)
-        out.write(
-            f"pair-sum sweep up to n {summary.max_n}: {summary.cases} cases\n"
-        )
-        for n, parts, formula, search in summary.mismatches:
-            out.write(
-                f"MISMATCH n {n} parts {parts}: formula {formula}, "
-                f"search {search}\n"
-            )
-        for big, small in summary.smoothing_failures:
-            out.write(f"SMOOTHING FAILURE sizes {big} {small}\n")
-        out.write(f"result: {'ok' if summary.ok else 'VIOLATION'}\n")
-        return EXIT_OK if summary.ok else EXIT_VIOLATION
-
+    if args.out is not None and args.format != "jsonl":
+        raise _UsageError("--out needs --format jsonl")
     # Reject a bad size, or a jsonl stream past the kind's jsonl cap,
     # before --out is opened.
     sweep_kind(args.kind, args.n, args.format == "jsonl")
@@ -322,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("input", nargs="?", default="-")
 
     sweep = sub.add_parser("sweep", help="exhaustively verify all instances of size n")
-    sweep.add_argument("--kind", choices=(*SWEEP_KINDS, "pairsum"), required=True)
+    sweep.add_argument("--kind", choices=tuple(SWEEP_KINDS), required=True)
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--format", choices=("text", "jsonl"), default="text")

@@ -36,7 +36,8 @@ bound with DomainError.
 ``SWEEP_KINDS`` is the one place where a sweepable kind is described:
 its size and jsonl ranges, chunk list, chunk runner, the parent-side
 renderer of a chunk's jsonl payload and whether its equality cases are
-compared with an extremal shape.
+compared with an extremal shape.  Its keys are exactly the kinds that
+``sweep --kind`` offers.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from itertools import product
 from math import comb, log10
 from typing import Callable, NamedTuple, TextIO
 
-from .bounds import min_pair_sum
 from .construct import build_certificate, certificate_issues
 from .core import bits_of, pair_list
 from .enumeration import _first_comparable, _iter_states, poset_code
@@ -65,8 +65,6 @@ from .enumeration import poset_from_state  # noqa: F401
 from .graphs import graph_betweenness  # noqa: F401
 from .metrics import graph_shortest_path_metric, metric_betweenness  # noqa: F401
 from .posets import is_extremal_poset, poset_betweenness  # noqa: F401
-
-PAIR_SUM_SWEEP_CAP = 12
 
 _CHUNK_MASKS = 1 << 12
 # At most one worker per this many chunks: a pool's start-up (about
@@ -634,77 +632,3 @@ def run_sweep(
     chunksize = len(args) // (workers * _TASKS_PER_WORKER) or 1
     with ctx.Pool(workers) as pool:
         return consume(pool.imap(_run_chunk, args, chunksize))
-
-
-@dataclass(frozen=True)
-class PairSumSweepSummary:
-    max_n: int
-    cases: int
-    mismatches: tuple[tuple[int, int, int, int], ...]
-    smoothing_failures: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and not self.smoothing_failures
-
-
-def _exhaustive_min_pair_sum(n: int, parts: int) -> int:
-    """Exhaustive search for the smallest within-group pair total.
-
-    The objective is invariant under reordering the groups, so scanning
-    weakly decreasing size lists covers the value of every split of n
-    items into ``parts`` (possibly empty) groups.
-    """
-    best: int | None = None
-
-    def descend(remaining: int, slots: int, cap: int, acc: int) -> None:
-        nonlocal best
-        if slots == 1:
-            if remaining <= cap:
-                total = acc + comb(remaining, 2)
-                if best is None or total < best:
-                    best = total
-            return
-        for first in range(min(cap, remaining), -1, -1):
-            if first * (slots - 1) < remaining - first:
-                break
-            descend(remaining - first, slots - 1, first, acc + comb(first, 2))
-
-    descend(n, parts, n, 0)
-    assert best is not None
-    return best
-
-
-def pair_sum_sweep(max_n: int) -> PairSumSweepSummary:
-    """Check the balanced-split formula against exhaustive search for
-    all 1 <= parts <= n <= max_n, plus the one-point smoothing step
-    (moving an item off the larger of two groups differing by more than
-    one never increases the pair total)."""
-    if max_n < 1:
-        raise DomainError(f"need max_n >= 1, got {max_n}")
-    if max_n > PAIR_SUM_SWEEP_CAP:
-        raise CapError(
-            f"pair-sum sweeps support max_n <= {PAIR_SUM_SWEEP_CAP}, got {max_n}"
-        )
-    mismatches = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        for parts in range(1, n + 1):
-            cases += 1
-            formula = min_pair_sum(n, parts)
-            search = _exhaustive_min_pair_sum(n, parts)
-            if formula != search:
-                mismatches.append((n, parts, formula, search))
-    smoothing_failures = [
-        (big, small)
-        for big in range(2, max_n + 1)
-        for small in range(0, big - 1)
-        if comb(big, 2) + comb(small, 2)
-        < comb(big - 1, 2) + comb(small + 1, 2)
-    ]
-    return PairSumSweepSummary(
-        max_n=max_n,
-        cases=cases,
-        mismatches=tuple(mismatches),
-        smoothing_failures=tuple(smoothing_failures),
-    )

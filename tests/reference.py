@@ -8,9 +8,13 @@ so moving their code out of the package edits only this module.
 
 The package sweeps graphs by edge-mask chunks and posets by pair-state
 prefixes; the tests walk every instance one at a time through these
-iterators and build small graphs from edge lists."""
+iterators and build small graphs from edge lists.
+
+``exhaustive_min_pair_sum`` is the search that the closed form
+``bounds.min_pair_sum`` is checked against."""
 
 from itertools import combinations
+from math import comb
 
 from linesys import Graph, Poset, pair_list
 from linesys.core import BetweennessRelation, all_lines, line_mask_set, line_of
@@ -65,3 +69,30 @@ def line_entries(runs):
             assert members[0] == a and list(members) == sorted(set(members))
             entries.append((sum(1 << p for p in members), pairs))
     return entries
+
+
+def exhaustive_min_pair_sum(n: int, parts: int) -> int:
+    """Exhaustive search for the smallest within-group pair total.
+
+    The objective is invariant under reordering the groups, so scanning
+    weakly decreasing size lists covers the value of every split of n
+    items into ``parts`` (possibly empty) groups.
+    """
+    best: int | None = None
+
+    def descend(remaining: int, slots: int, cap: int, acc: int) -> None:
+        nonlocal best
+        if slots == 1:
+            if remaining <= cap:
+                total = acc + comb(remaining, 2)
+                if best is None or total < best:
+                    best = total
+            return
+        for first in range(min(cap, remaining), -1, -1):
+            if first * (slots - 1) < remaining - first:
+                break
+            descend(remaining - first, slots - 1, first, acc + comb(first, 2))
+
+    descend(n, parts, n, 0)
+    assert best is not None
+    return best

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from linesys import DomainError, dbe_bound, min_pair_sum
+from reference import exhaustive_min_pair_sum
 
 
 def compositions(n, parts):
@@ -44,12 +45,23 @@ def test_min_pair_sum_seven_into_three_matches_composition_search():
 
 
 def test_min_pair_sum_matches_composition_search_up_to_nine():
+    # The reference search is checked too: the test below relies on it
+    # up to n = 12.
     for n in range(1, 10):
         for parts in range(1, n + 1):
             best = min(
                 sum(comb(size, 2) for size in c) for c in compositions(n, parts)
             )
             assert min_pair_sum(n, parts) == best, (n, parts)
+            assert exhaustive_min_pair_sum(n, parts) == best, (n, parts)
+
+
+def test_min_pair_sum_matches_exhaustive_search_up_to_twelve():
+    for n in range(1, 13):
+        for parts in range(1, n + 1):
+            assert min_pair_sum(n, parts) == exhaustive_min_pair_sum(n, parts), (
+                n, parts,
+            )
 
 
 def test_min_pair_sum_domain():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from linesys import construct, dbe_bound, enumeration, graphs, sweeps
 from linesys.cli import (
-    EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INT_MAX_STR_DIGITS, main,
+    EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INPUT_KINDS, INT_MAX_STR_DIGITS,
+    build_parser, main,
 )
 from test_golden import workloads
 from test_sweeps import (
@@ -163,6 +165,19 @@ def test_bound_usage_errors():
     assert code == EXIT_INPUT
     code, _ = run_cli(["bound", "--poset-n", "10", "--height", "1"])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "pair_sum",
+    [["--pair-sum-n", "5"], ["--pair-sum-n", "5", "--parts", "9"]],
+    ids=["no-parts", "parts-beyond-n"],
+)
+def test_bound_writes_nothing_when_either_request_fails(capsys, pair_sum):
+    # The poset bound was once printed before the pair-sum request failed.
+    argv = ["bound", "--poset-n", "5", "--height", "3", *pair_sum]
+    assert run_cli(argv) == (EXIT_INPUT, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bound_beyond_its_cap_is_a_one_line_error(capsys):
@@ -460,12 +475,6 @@ def test_sweep_jsonl_to_file_and_determinism(tmp_path):
     assert all(row["meets_bound"] for row in rows)
 
 
-def test_sweep_pairsum():
-    code, out = run_cli(["sweep", "--kind", "pairsum", "--n", "12"])
-    assert code == EXIT_OK
-    assert "result: ok" in out
-
-
 def test_sweep_violation_exit_code(monkeypatch):
     undercount_the_lines(monkeypatch)
     code, _ = run_cli(["sweep", "--kind", "graph", "--n", "3"])
@@ -559,13 +568,6 @@ def test_an_undercounted_certificate_is_an_internal_error(monkeypatch, capsys, p
     assert code == EXIT_INTERNAL
     assert "certificate failures 158\n" in out
     assert "issue: 158 certificates failed to verify\n" in out
-
-
-def test_pairsum_sweep_rejects_jsonl(capsys):
-    argv = ["sweep", "--kind", "pairsum", "--n", "3", "--format", "jsonl"]
-    assert run_cli(argv) == (EXIT_INPUT, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: --format jsonl needs") and err.count("\n") == 1
 
 
 def test_python_dash_m_runs_the_cli():
@@ -681,7 +683,7 @@ def test_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, monkeypatch, work
     for argv in (
         ["sweep", "--kind", "graph", "--n", "3"],
         ["sweep", "--kind", "poset", "--n", "3", "--format", "jsonl", "--out", str(target)],
-        ["sweep", "--kind", "pairsum", "--n", "3"],
+        ["sweep", "--kind", "metric", "--n", "3"],
     ):
         assert run_cli([*argv, "--workers", workers]) == (EXIT_INPUT, "")
         err = capsys.readouterr().err
@@ -703,9 +705,9 @@ def test_graph_jsonl_stops_below_the_text_sweep(monkeypatch, capsys):
     "argv",
     [
         ["sweep", "--kind", "graph", "--n", "3"],
-        ["sweep", "--kind", "pairsum", "--n", "3", "--format", "jsonl"],
+        ["sweep", "--kind", "metric", "--n", "3"],
     ],
-    ids=["text-format", "pairsum"],
+    ids=["text-format", "metric-text-format"],
 )
 def test_out_without_jsonl_reports_is_rejected(tmp_path, capsys, argv):
     target = tmp_path / "reports.jsonl"
@@ -713,6 +715,42 @@ def test_out_without_jsonl_reports_is_rejected(tmp_path, capsys, argv):
     assert not target.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: --out needs --format jsonl") and err.count("\n") == 1
+
+
+def test_sweep_rejects_the_removed_pairsum_kind(tmp_path, capsys):
+    # The pair-sum search is a test reference (tests/reference.py),
+    # not a sweep kind.
+    target = tmp_path / "reports.jsonl"
+    for argv in (
+        ["sweep", "--kind", "pairsum", "--n", "3"],
+        ["sweep", "--kind", "pairsum", "--n", "3", "--format", "jsonl", "--out", str(target)],
+    ):
+        assert run_cli(argv) == (EXIT_INPUT, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_each_kind_flag_offers_exactly_the_described_kinds():
+    # A kind added to or dropped from only one of the parser and its
+    # table fails here.
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+
+    def kind_choices(command):
+        return next(
+            action.choices
+            for action in commands[command]._actions
+            if action.dest == "kind"
+        )
+
+    assert kind_choices("sweep") == tuple(sweeps.SWEEP_KINDS)
+    assert kind_choices("lines") == tuple(INPUT_KINDS)
+    assert kind_choices("verify") == tuple(INPUT_KINDS)
 
 
 # --- fuzzed metric input ----------------------------------------------------

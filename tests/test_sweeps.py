@@ -27,7 +27,6 @@ from linesys import (
     graph_report,
     metric_report,
     pair_list,
-    pair_sum_sweep,
     poset_report,
     run_sweep,
 )
@@ -644,35 +643,6 @@ def test_certificate_failures_are_reported_as_data(monkeypatch):
     summary = run_sweep("poset", 3, workers=1)
     assert summary.certificate_failures
     assert any("certificates failed" in issue for issue in summary.issues)
-
-
-# --- pair-sum sweep ---------------------------------------------------------
-
-def test_pair_sum_sweep_up_to_twelve():
-    summary = pair_sum_sweep(12)
-    assert summary.ok
-    assert summary.cases == sum(range(1, 13))
-
-
-def test_pair_sum_sweep_caps():
-    with pytest.raises(CapError):
-        pair_sum_sweep(13)
-    with pytest.raises(DomainError):
-        pair_sum_sweep(0)
-
-
-def test_exhaustive_min_pair_sum_agrees_with_plain_composition_search():
-    from itertools import product as cartesian
-    from math import comb
-
-    for n in range(1, 8):
-        for parts in range(1, n + 1):
-            plain = min(
-                sum(comb(c, 2) for c in combo)
-                for combo in cartesian(range(n + 1), repeat=parts)
-                if sum(combo) == n
-            )
-            assert sweeps._exhaustive_min_pair_sum(n, parts) == plain
 
 
 class _RecordingContext:

@@ -8,7 +8,12 @@ from math import comb
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference import BetweennessRelation, enumerate_posets, graph_from_edges
+from reference import (
+    BetweennessRelation,
+    enumerate_posets,
+    exhaustive_min_pair_sum,
+    graph_from_edges,
+)
 from test_golden import SWEEP_STREAMS
 from test_metrics import oracle_line_count
 
@@ -643,6 +648,19 @@ def test_certificate_failures_are_reported_as_data(monkeypatch):
     summary = run_sweep("poset", 3, workers=1)
     assert summary.certificate_failures
     assert any("certificates failed" in issue for issue in summary.issues)
+
+
+# --- pair-sum reference search ----------------------------------------------
+
+def test_exhaustive_min_pair_sum_agrees_with_plain_composition_search():
+    for n in range(1, 8):
+        for parts in range(1, n + 1):
+            plain = min(
+                sum(comb(c, 2) for c in combo)
+                for combo in product(range(n + 1), repeat=parts)
+                if sum(combo) == n
+            )
+            assert exhaustive_min_pair_sum(n, parts) == plain
 
 
 class _RecordingContext:

@@ -200,17 +200,19 @@ def distinct_count(masks: Sequence[int]) -> int:
 
 
 def line_system(
-    linked: Sequence[int], pair_lines: Iterable[tuple[int, tuple]]
+    n: int, pair_lines: Iterable[tuple[int, tuple]]
 ) -> Iterator[tuple[int, list[int], tuple | None]]:
-    """Every distinct line with the pairs that generate it, as runs in
-    the output order of ``all_lines``; the one builder of every kind.
+    """Every distinct line of a structure on 0..n-1 with the pairs that
+    generate it, as runs in the output order of ``all_lines``; the one
+    builder of every kind.
 
-    ``linked[a]`` is the mask of the points whose line with a may hold a
-    third point, and ``pair_lines`` yields ``(mask, (a, b))`` for each
-    linked pair a < b.  Every other pair's line is its bare pair, which
-    no other pair generates, so only the linked lines are grouped and
-    sorted, and no n x n table, collection keyed by masks or list of
-    every line is built.
+    ``pair_lines`` yields ``(mask, (a, b))``, a < b, for the pairs whose
+    line may hold a third point, the linked pairs.  Every other pair's
+    line is its bare pair, which no other pair generates, so only the
+    linked lines are grouped and sorted, the linked pairs are read off
+    the groups, and no n x n table, collection keyed by masks or list
+    of every line is built.  A linked pair whose line is its bare pair
+    prints the same row as an unlinked one.
 
     Each run is ``(a, bare, line)``: ``bare`` is the ascending list of
     the points b whose bare pair (a, b) comes next, and ``line`` is the
@@ -219,7 +221,6 @@ def line_system(
     The linked lines are grouped here, so every error is raised by the
     call, before the first run.
     """
-    n = len(linked)
     if n < 2:
         raise SizeError("a line system needs at least two points")
     # Grouped by sorting, as ``distinct_count`` explains.
@@ -227,10 +228,14 @@ def line_system(
         (tuple(bits_of(mask)), [pair for _, pair in run])
         for mask, run in groupby(sorted(pair_lines), key=itemgetter(0))
     )
-    # Linked lines by their lowest point.
+    # Linked lines by their lowest point, and each point's linked
+    # partners above it.
     starting: list[list] = [[] for _ in range(n)]
+    linked = [0] * n
     for line in grouped:
         starting[line[0][0]].append(line)
+        for a, b in line[1]:
+            linked[a] |= 1 << b
     return _runs(linked, starting)
 
 
@@ -262,7 +267,6 @@ def hypergraph_lines(n: int, edges: Iterable[Iterable[int]]) -> Iterator[tuple]:
     Raises MalformedEdgeError on an edge that is not 3 distinct points
     of the ground set."""
     third: dict[tuple[int, int], int] = {}
-    linked = [0] * n
     for edge in edges:
         vertices = tuple(edge)
         if len(vertices) != 3 or len(set(vertices)) != 3:
@@ -277,6 +281,4 @@ def hypergraph_lines(n: int, edges: Iterable[Iterable[int]]) -> Iterator[tuple]:
         p, q, r = sorted(vertices)
         for a, b, x in ((p, q, r), (p, r, q), (q, r, p)):
             third[a, b] = third.get((a, b), 0) | 1 << a | 1 << b | 1 << x
-            linked[a] |= 1 << b
-            linked[b] |= 1 << a
-    return line_system(linked, ((mask, pair) for pair, mask in third.items()))
+    return line_system(n, ((mask, pair) for pair, mask in third.items()))

@@ -10,8 +10,11 @@ metric      first line "n", then n rows of n space-separated exact
             most 1000 characters and exponent at most 1000 in size.
 hypergraph  first line "n m", then m lines "a b c" per 3-edge.
 
-All points are 0-indexed.  Parse errors cite the 1-based line and
-column of the offending token.  A hypergraph parses into its point
+All points are 0-indexed.  Tokens are runs of non-whitespace, read one
+at a time from the text.  Parse errors cite the 1-based line and column
+of the offending token, with lines as ``str.splitlines`` splits them,
+or column 1 of the last line at the end of input; the position is
+worked out only for the error.  A hypergraph parses into its point
 count and edge list, the arguments of ``core.hypergraph_lines``.
 """
 
@@ -36,46 +39,52 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
 
 
 class _Tokens:
-    """Whitespace tokens of a text, with 1-based line/column positions."""
+    """Whitespace tokens of a text, read one at a time.
+
+    Each token comes with its offset in the text; its 1-based line and
+    column are worked out from the text before it only when a
+    ``ParseError`` cites it, so no table of every token is built.
+    """
 
     def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        last_line = 1
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            last_line = line_no
-            for match in _TOKEN.finditer(line):
-                self.items.append((match.group(), line_no, match.start() + 1))
-        self.pos = 0
-        self.end = (last_line, 1)
+        self.text = text
+        self.matches = _TOKEN.finditer(text)
 
-    def take(self, what: str) -> tuple[str, int, int]:
-        if self.pos >= len(self.items):
-            raise ParseError(f"expected {what}, found end of input", *self.end)
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+    def error(self, message: str, start: int | None) -> ParseError:
+        """A ParseError at the token that starts at offset ``start``, or
+        at the start of the last line when ``start`` is None."""
+        if start is None:
+            return ParseError(message, len(self.text.splitlines()) or 1, 1)
+        # A token starts with a non-space, so the text up to and
+        # including that character ends on the token's line.
+        lines = self.text[:start + 1].splitlines()
+        return ParseError(message, len(lines), len(lines[-1]))
 
-    def take_int(self, what: str, low: int, high: int) -> tuple[int, int, int]:
-        token, line, column = self.take(what)
+    def take(self, what: str) -> tuple[str, int]:
+        match = next(self.matches, None)
+        if match is None:
+            raise self.error(f"expected {what}, found end of input", None)
+        return match[0], match.start()
+
+    def take_int(self, what: str, low: int, high: int) -> tuple[int, int]:
+        token, start = self.take(what)
         try:
             value = int(token)
         except ValueError:
-            raise ParseError(f"expected {what}, found {token!r}", line, column)
+            raise self.error(f"expected {what}, found {token!r}", start)
         if not low <= value <= high:
-            raise ParseError(
-                f"{what} {value} out of range {low}..{high}", line, column
-            )
-        return value, line, column
+            raise self.error(f"{what} {value} out of range {low}..{high}", start)
+        return value, start
 
     def finish(self) -> None:
-        if self.pos < len(self.items):
-            token, line, column = self.items[self.pos]
-            raise ParseError(f"unexpected extra token {token!r}", line, column)
+        match = next(self.matches, None)
+        if match is not None:
+            raise self.error(f"unexpected extra token {match[0]!r}", match.start())
 
 
 def _header(tokens: _Tokens) -> tuple[int, int]:
-    n, _, _ = tokens.take_int("point count n", 1, 10**6)
-    m, _, _ = tokens.take_int("entry count m", 0, 10**9)
+    n, _ = tokens.take_int("point count n", 1, 10**6)
+    m, _ = tokens.take_int("entry count m", 0, 10**9)
     return n, m
 
 
@@ -84,12 +93,12 @@ def parse_graph(text: str) -> Graph:
     n, m = _header(tokens)
     rows = [0] * n
     for _ in range(m):
-        a, line, column = tokens.take_int("edge endpoint", 0, n - 1)
-        b, _, _ = tokens.take_int("edge endpoint", 0, n - 1)
+        a, start = tokens.take_int("edge endpoint", 0, n - 1)
+        b, _ = tokens.take_int("edge endpoint", 0, n - 1)
         if a == b:
-            raise ParseError(f"self-loop at vertex {a}", line, column)
+            raise tokens.error(f"self-loop at vertex {a}", start)
         if rows[a] >> b & 1:
-            raise ParseError(f"duplicate edge {a} {b}", line, column)
+            raise tokens.error(f"duplicate edge {a} {b}", start)
         rows[a] |= 1 << b
         rows[b] |= 1 << a
     tokens.finish()
@@ -102,10 +111,10 @@ def parse_poset(text: str) -> Poset:
     n, m = _header(tokens)
     covers = []
     for _ in range(m):
-        a, line, column = tokens.take_int("cover endpoint", 0, n - 1)
-        b, _, _ = tokens.take_int("cover endpoint", 0, n - 1)
+        a, start = tokens.take_int("cover endpoint", 0, n - 1)
+        b, _ = tokens.take_int("cover endpoint", 0, n - 1)
         if a == b:
-            raise ParseError(f"cover relates point {a} to itself", line, column)
+            raise tokens.error(f"cover relates point {a} to itself", start)
         covers.append((a, b))
     tokens.finish()
     return Poset.from_covers(n, covers)
@@ -113,26 +122,26 @@ def parse_poset(text: str) -> Poset:
 
 def parse_metric(text: str) -> MetricSpace:
     tokens = _Tokens(text)
-    n, _, _ = tokens.take_int("point count n", 1, 10**4)
+    n, _ = tokens.take_int("point count n", 1, 10**4)
     rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            token, line, column = tokens.take("distance entry")
+            token, start = tokens.take("distance entry")
             if len(token) > _MAX_ENTRY:
-                raise ParseError(
-                    f"distance entry longer than {_MAX_ENTRY} characters", line, column
+                raise tokens.error(
+                    f"distance entry longer than {_MAX_ENTRY} characters", start
                 )
             exponent = _EXPONENT.search(token)
             if exponent and abs(int(exponent[1])) > _MAX_ENTRY:
-                raise ParseError(
-                    f"distance {token!r}: exponent beyond +-{_MAX_ENTRY}", line, column
+                raise tokens.error(
+                    f"distance {token!r}: exponent beyond +-{_MAX_ENTRY}", start
                 )
             try:
                 value = Fraction(token)
             except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    f"distance {token!r} is not an exact rational", line, column
+                raise tokens.error(
+                    f"distance {token!r} is not an exact rational", start
                 )
             row.append(value)
         rows.append(row)
@@ -145,11 +154,11 @@ def parse_hypergraph(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     n, m = _header(tokens)
     edges = []
     for _ in range(m):
-        a, line, column = tokens.take_int("edge vertex", 0, n - 1)
-        b, _, _ = tokens.take_int("edge vertex", 0, n - 1)
-        c, _, _ = tokens.take_int("edge vertex", 0, n - 1)
+        a, start = tokens.take_int("edge vertex", 0, n - 1)
+        b, _ = tokens.take_int("edge vertex", 0, n - 1)
+        c, _ = tokens.take_int("edge vertex", 0, n - 1)
         if len({a, b, c}) != 3:
-            raise ParseError(f"edge {a} {b} {c} repeats a vertex", line, column)
+            raise tokens.error(f"edge {a} {b} {c} repeats a vertex", start)
         edges.append((a, b, c))
     tokens.finish()
     return n, edges

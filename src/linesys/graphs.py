@@ -3,7 +3,8 @@
 A point x lies between a and b exactly when abx is a triangle, so lines
 of non-adjacent pairs are bare pairs and the line of an edge is the edge
 plus the common neighborhood of its endpoints.  ``graph_lines`` and
-``graph_line_count`` read the lines straight from the adjacency rows;
+``graph_line_count`` read the lines straight from the adjacency rows
+and hold only those of edges in a triangle;
 ``graph_betweenness`` builds the relation for the generic evaluator of
 ``core``, the tests' oracle, which no production path calls.
 """
@@ -110,47 +111,53 @@ def graph_betweenness(g: Graph) -> BetweennessRelation:
 
 def graph_lines(g: Graph) -> Iterator[tuple]:
     """Every distinct line of g, as runs of ``line_system``, read
-    straight from the adjacency rows: the line of a non-edge is the
-    bare pair, and the line of an edge ab is {a, b} plus the common
-    neighbors of a and b."""
+    straight from the adjacency rows.  The line of an edge ab is {a, b}
+    plus the common neighbors of a and b, so only the edges in a
+    triangle are handed over: every other pair, edge or not, has its
+    bare pair as its line."""
     adj = g.adj
-    return line_system(adj, (
-        (row & adj[b] | 1 << a | 1 << b, (a, b))
+    return line_system(len(adj), (
+        (common | 1 << a | 1 << b, (a, b))
         for a, row in enumerate(adj)
         for b in bits_of(row >> a + 1 << a + 1)
+        if (common := row & adj[b])
     ))
 
 
 def graph_line_count(g: Graph) -> tuple[int, bool]:
     """Number of distinct lines of g and whether one of them is universal.
 
-    The line of a non-edge is the bare pair, which no other pair
-    generates, and the line of an edge ab is {a, b} plus the common
-    neighbors of a and b.  So the count is C(n, 2) - m plus the number
-    of distinct edge lines, read straight from the adjacency rows into
-    a list and counted by sorting (``core.distinct_count``).  The flag
-    is read off the largest edge line, since the ground set is the
-    largest mask a line can have; ``has_universal_line`` would walk the
-    rows again for every poset the poset sweep counts.
+    The line of an edge ab is {a, b} plus the common neighbors of a and
+    b, so only the lines of edges in a triangle can repeat: every other
+    pair's line is its bare pair, which no other pair generates.  So
+    the count is C(n, 2) less the number of edges in a triangle plus
+    the number of distinct lines among them, read straight from the
+    adjacency rows into a list and counted by sorting
+    (``core.distinct_count``).  On a triangle-free graph the list stays
+    empty.  The flag is read off the largest of these lines, since the
+    ground set is the largest mask a line can have;
+    ``has_universal_line`` would walk the rows again for every poset the
+    poset sweep counts.
     """
     n = g.size
     if n < 2:
         raise SizeError("a line system needs at least two points")
     adj = g.adj
-    edge_lines = []
+    lines = []
     for a, row in enumerate(adj):
         # Each edge once, from its larger end: the neighbors below a.
         below = row & ((1 << a) - 1)
         ends = 1 << a
         while below:
             low = below & -below
-            edge_lines.append(row & adj[low.bit_length() - 1] | ends | low)
+            common = row & adj[low.bit_length() - 1]
+            if common:
+                lines.append(common | ends | low)
             below ^= low
-    edge_lines.sort()
-    m = len(edge_lines)
-    # On two points the bare pair of a non-edge is the whole ground set.
-    universal = edge_lines[-1:] == [(1 << n) - 1] or (n == 2 and m == 0)
-    return n * (n - 1) // 2 - m + distinct_count(edge_lines), universal
+    lines.sort()
+    # On two points the one pair's line is the ground set.
+    universal = n == 2 or lines[-1:] == [(1 << n) - 1]
+    return n * (n - 1) // 2 - len(lines) + distinct_count(lines), universal
 
 
 def has_universal_line(adj: Sequence[int]) -> bool:
@@ -158,11 +165,11 @@ def has_universal_line(adj: Sequence[int]) -> bool:
     every vertex, in O(n), for a caller that does not count the lines.
     The line of an edge ab is universal exactly when every other vertex
     is adjacent to both a and b, that is when two vertices are adjacent
-    to all others; the bare pair of a non-edge is the whole ground set
-    only on two vertices.  ``graph_line_count`` reads the same flag from
-    the edge lines it builds anyway, so the poset sweep, which counts
-    every poset's comparability graph with it, does not walk the rows
-    a second time."""
+    to all others; on two vertices the one pair's line is the ground
+    set, edge or not.  ``graph_line_count`` reads the same flag from
+    the lines it sorts anyway, so the poset sweep, which counts every
+    poset's comparability graph with it, does not walk the rows a
+    second time."""
     full = (1 << len(adj)) - 1
     seen = False
     for v, row in enumerate(adj):
@@ -170,7 +177,7 @@ def has_universal_line(adj: Sequence[int]) -> bool:
             if seen:
                 return True
             seen = True
-    return len(adj) == 2 and not adj[0]
+    return len(adj) == 2
 
 
 def _adjacency_planes(n: int, lo: int, hi: int) -> list[list[int]]:

@@ -105,8 +105,7 @@ def metric_lines(m: MetricSpace) -> Iterator[tuple]:
     |d(a,x) - d(b,x)| (a or b between).  Every pair is linked.
     """
     dist = m.dist
-    full = (1 << m.size) - 1
-    return line_system([full ^ 1 << a for a in range(m.size)], (
+    return line_system(m.size, (
         (sum(1 << x for x, (ax, bx) in enumerate(zip(row_a, dist[b]))
              if d_ab in (ax + bx, bx - ax, ax - bx)), (a, b))
         for a, row_a in enumerate(dist)

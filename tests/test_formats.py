@@ -1,8 +1,12 @@
 import io
 import json
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linesys import (
     CycleError,
@@ -15,7 +19,7 @@ from linesys import (
     parse_poset,
     render_line_system,
 )
-from linesys.formats import render_points
+from linesys.formats import _Tokens, render_points
 from reference import all_lines, enumerate_graphs, graph_betweenness
 
 GRAPH_K3_PLUS_ISOLATED = "4 3\n0 1\n0 2\n1 2\n"
@@ -110,6 +114,113 @@ def test_parse_hypergraph():
     assert parse_hypergraph("4 2\n0 1 2\n0 1 3\n") == (4, [(0, 1, 2), (0, 1, 3)])
     with pytest.raises(ParseError, match="repeats"):
         parse_hypergraph("4 1\n0 1 1\n")
+
+
+PARSERS = {
+    "graph": parse_graph,
+    "poset": parse_poset,
+    "metric": parse_metric,
+    "hypergraph": parse_hypergraph,
+}
+
+# (kind, text, line, column, message): line breaks of every kind that
+# str.splitlines knows, blank leading lines, trailing whitespace, the
+# end of input with and without a final newline, and bad tokens on the
+# last line.  A line break is one of its characters, "\r\n" one break.
+PARSE_ERROR_POSITIONS = [
+    ("graph", "3 2\r\n0 1\r\n0 x\r\n", 3, 3, "expected edge endpoint, found 'x'"),
+    ("graph", "3 2\r0 1\r0 x", 3, 3, "expected edge endpoint, found 'x'"),
+    ("graph", "3 1\x0b  0 7\x0b", 2, 5, "edge endpoint 7 out of range 0..2"),
+    ("graph", "3 1\x0c1 1\x0c", 2, 1, "self-loop at vertex 1"),
+    ("graph", "3 2\x1c0 1\x1c1 0\x1c", 3, 1, "duplicate edge 1 0"),
+    ("graph", "3 2\x850 1\x85", 2, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 2\u20280 1", 2, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 2\x1d0 1\x1e\u2029", 3, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 2\r\r\n0 1\n\r0 1", 5, 1, "duplicate edge 0 1"),
+    ("graph", "\n\n  3 1\n0 1 \n2  \n", 5, 1, "unexpected extra token '2'"),
+    ("graph", "\r\n\r\n3 1\r\n0 5", 4, 3, "edge endpoint 5 out of range 0..2"),
+    ("graph", "", 1, 1, "expected point count n, found end of input"),
+    ("graph", "\n", 1, 1, "expected point count n, found end of input"),
+    ("graph", "   ", 1, 1, "expected point count n, found end of input"),
+    ("graph", "3 2\n0 1\n", 2, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 2\n0 1", 2, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 2\n0 1\n\n\n", 4, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 2\n0 1\n   \t", 3, 1, "expected edge endpoint, found end of input"),
+    ("graph", "3 1\n0 1\n2", 3, 1, "unexpected extra token '2'"),
+    ("graph", "3 1\n0\t\t1 2 x", 2, 6, "unexpected extra token '2'"),
+    ("graph", "0 0\n", 1, 1, "point count n 0 out of range 1..1000000"),
+    ("graph", "\n 3 x\n", 2, 4, "expected entry count m, found 'x'"),
+    ("poset", "3 1\r\n2 2\r\n", 2, 1, "cover relates point 2 to itself"),
+    ("poset", "3 1\x85 0 9", 2, 4, "cover endpoint 9 out of range 0..2"),
+    ("poset", "3 2\u20280 1", 2, 1, "expected cover endpoint, found end of input"),
+    ("poset", "", 1, 1, "expected point count n, found end of input"),
+    ("poset", "3 0\x0c\x0cz", 3, 1, "unexpected extra token 'z'"),
+    ("poset", "\x1c\x1c3 1\x1c\x1c0 1 \x1c2", 6, 1, "unexpected extra token '2'"),
+    ("metric", "2\r\n0 abc\r\nabc 0\r\n", 2, 3, "distance 'abc' is not an exact rational"),
+    ("metric", "2\x0b0 1\x0b1", 3, 1, "expected distance entry, found end of input"),
+    ("metric", "2\x1c0 1\x1c1 0 \x1c 5", 4, 2, "unexpected extra token '5'"),
+    ("metric", "\n\n2\n0 " + "9" * 1001 + "\n", 4, 3,
+     "distance entry longer than 1000 characters"),
+    ("metric", "2\u20280 1e1001", 2, 3, "distance '1e1001': exponent beyond +-1000"),
+    ("metric", "x", 1, 1, "expected point count n, found 'x'"),
+    ("metric", "2\n0 1/0\n1 0", 2, 3, "distance '1/0' is not an exact rational"),
+    ("metric", "2\r0 1\r\r1 0\r\r 7", 6, 2, "unexpected extra token '7'"),
+    ("metric", "", 1, 1, "expected point count n, found end of input"),
+    ("hypergraph", "4 1\r0 1 1\r", 2, 1, "edge 0 1 1 repeats a vertex"),
+    ("hypergraph", "4 1\x0c0 1 5", 2, 5, "edge vertex 5 out of range 0..3"),
+    ("hypergraph", "4 2\x850 1 2\x85", 2, 1, "expected edge vertex, found end of input"),
+    ("hypergraph", "4 1\u20280 1 2 3", 2, 7, "unexpected extra token '3'"),
+    ("hypergraph", "", 1, 1, "expected point count n, found end of input"),
+    ("hypergraph", "4 1\n\n0 1 2  \n\n\t5", 5, 2, "unexpected extra token '5'"),
+]
+
+
+@pytest.mark.parametrize("kind, text, line, column, message", PARSE_ERROR_POSITIONS)
+def test_parse_errors_cite_the_position_of_the_token(kind, text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        PARSERS[kind](text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([
+    "0", "12", "x/y", " ", "\t", "\x1f", "\n", "\r\n", "\r", "\x0b", "\x0c",
+    "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]), max_size=30))
+def test_every_token_is_cited_at_its_line_and_column(pieces):
+    text = "".join(pieces)
+    # Each line of str.splitlines, its tokens numbered from column 1.
+    expected = [
+        (match[0], line, match.start() + 1)
+        for line, row in enumerate(text.splitlines(), start=1)
+        for match in re.finditer(r"\S+", row)
+    ]
+    tokens = _Tokens(text)
+    cited = []
+    for match in re.finditer(r"\S+", text):
+        err = tokens.error("", match.start())
+        cited.append((match[0], err.line, err.column))
+    assert cited == expected
+    end = tokens.error("", None)
+    assert (end.line, end.column) == (max(len(text.splitlines()), 1), 1)
+
+
+def test_parsing_holds_no_table_of_every_token():
+    # K_{300,300}: 90,000 edge lines, about 720 kB of text.  The traced
+    # peak is the adjacency rows and a few tokens, far below the text.
+    side = 300
+    text = f"{2 * side} {side * side}\n" + "".join(
+        f"{a} {b}\n" for a in range(side) for b in range(side, 2 * side)
+    )
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adj[0] == ((1 << side) - 1) << side
+    assert peak < len(text) // 4, (peak, len(text))
 
 
 def render(runs, fmt="text"):

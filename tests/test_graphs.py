@@ -9,14 +9,18 @@ from linesys import (
     Graph,
     IdenticalPointsError,
     MalformedEdgeError,
+    Poset,
     SizeError,
     UnknownPointError,
+    comparability_graph,
     graph_line_count,
     graph_lines,
     is_extremal_graph,
     pair_list,
 )
 
+from linesys import graphs
+from linesys.core import distinct_count, line_system
 from linesys.graphs import graph_mask_planes, has_universal_line
 
 from reference import (
@@ -219,6 +223,56 @@ def test_edgeless_graph_on_two_vertices_has_a_universal_bare_pair():
     assert graph_line_count(graph_from_edges(2, [(0, 1)])) == (1, True)
     with pytest.raises(SizeError):
         graph_line_count(Graph([0]))
+
+
+# Only the line of an edge in a triangle can repeat, so only those
+# lines are held: by graph_line_count before it counts them, and by
+# line_system, which graph_lines hands them to.
+TRIANGLE_FREE = {
+    "K33": graph_from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    "C5": graph_from_edges(5, [(v, (v + 1) % 5) for v in range(5)]),
+    # The comparability graph of the height-2 poset 0, 1, 2 < 3, 4.
+    "height-2-poset": comparability_graph(
+        Poset.from_covers(5, [(a, b) for a in range(3) for b in (3, 4)])
+    ),
+    "empty": graph_from_edges(4, []),
+}
+
+
+def held_lines(monkeypatch, g):
+    """The masks graph_line_count counts and the pairs graph_lines
+    hands to line_system, recorded by spies on both."""
+    counted, handed = [], []
+
+    def count_spy(masks):
+        counted.extend(masks)
+        return distinct_count(masks)
+
+    def system_spy(n, pair_lines):
+        # line_system takes the point count and only the held lines.
+        assert n == g.size
+        pair_lines = list(pair_lines)
+        handed.extend(pair for _, pair in pair_lines)
+        return line_system(n, pair_lines)
+
+    monkeypatch.setattr(graphs, "distinct_count", count_spy)
+    monkeypatch.setattr(graphs, "line_system", system_spy)
+    count = graph_line_count(g)
+    entries = line_entries(graph_lines(g))
+    assert count == generic_line_count(g)
+    assert entries == all_lines(graph_betweenness(g))
+    return counted, handed
+
+
+@pytest.mark.parametrize("name", TRIANGLE_FREE)
+def test_a_triangle_free_graph_holds_no_line(name, monkeypatch):
+    assert held_lines(monkeypatch, TRIANGLE_FREE[name]) == ([], [])
+
+
+def test_every_edge_of_k4_is_in_a_triangle_and_holds_its_line(monkeypatch):
+    counted, handed = held_lines(monkeypatch, graph_from_edges(4, pair_list(4)))
+    assert counted == [0b1111] * 6
+    assert handed == list(pair_list(4))
 
 
 def test_two_neighbor_attachment_is_not_extremal():

@@ -37,13 +37,12 @@ universal-line check, ``graphs.has_universal_line``, reads too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import combinations, repeat
 from math import comb
 from operator import and_, or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bounds import dbe_bound
 from .core import bits_of, distinct_count
@@ -64,8 +63,7 @@ class StepKind(str, Enum):
     LOWER_TOP = "2c"     # probe comparable below only: lower the top
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessStep:
+class ProcessStep(NamedTuple):
     """One iteration: the window it saw, what it chose, what it added.
 
     A step's iteration number is its 1-based position in
@@ -84,8 +82,7 @@ class ProcessStep:
     lines: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class LineCertificate:
+class LineCertificate(NamedTuple):
     """Recorded output of the line-finding process.  ``layers`` are the
     poset's level masks, ``Poset.layers``, lowest level first."""
 

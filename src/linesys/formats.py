@@ -31,6 +31,8 @@ from .metrics import MetricSpace
 from .posets import Poset
 
 _TOKEN = re.compile(r"\S+")
+# An error position is worked out from this many characters at a time.
+_BLOCK = 1 << 10
 # A metric entry has at most this many characters and at most this
 # large a decimal exponent, so that Fraction builds it cheaply and its
 # numerator and denominator print within Python's 4300-digit limit.
@@ -52,13 +54,26 @@ class _Tokens:
 
     def error(self, message: str, start: int | None) -> ParseError:
         """A ParseError at the token that starts at offset ``start``, or
-        at the start of the last line when ``start`` is None."""
-        if start is None:
-            return ParseError(message, len(self.text.splitlines()) or 1, 1)
+        at the start of the last line when ``start`` is None.
+
+        The line breaks before the position are counted by
+        ``str.splitlines`` one block of the text at a time, so the memory
+        this takes does not grow with the text."""
         # A token starts with a non-space, so the text up to and
         # including that character ends on the token's line.
-        lines = self.text[:start + 1].splitlines()
-        return ParseError(message, len(lines), len(lines[-1]))
+        end = len(self.text) if start is None else start + 1
+        line, line_start = 1, 0
+        for pos in range(0, end, _BLOCK):
+            # The appended non-break leaves the text after the last break in rest.
+            block = self.text[pos:min(pos + _BLOCK, end)] + "."
+            *broken, rest = block.splitlines()
+            # A "\r\n" split between two blocks is one break, counted in both.
+            line += len(broken) - (0 < pos and self.text[pos - 1:pos + 1] == "\r\n")
+            if broken:
+                line_start = pos + len(block) - len(rest)
+        # No line follows a final line break, and an empty text is line 1.
+        line = line - (line_start == end) or 1
+        return ParseError(message, line, 1 if start is None else end - line_start)
 
     def take(self, what: str) -> tuple[str, int]:
         match = next(self.matches, None)

@@ -46,10 +46,10 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from math import comb, log10
+from operator import add
 from typing import Callable, NamedTuple, TextIO
 
 from .construct import build_certificate, certificate_issues
@@ -78,8 +78,7 @@ _CHUNKS_PER_WORKER = 16
 _TASKS_PER_WORKER = 32
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Verification record of one instance, built for ``verify`` and
     for the violations a sweep records; sweeps render their other rows
     straight from the instance fields.
@@ -105,8 +104,9 @@ class VerificationReport:
     def json_line(self) -> str:
         """The report's jsonl row, without its newline.  An int id too
         long to print (beyond Python's int-to-str digit limit, as the
-        default id of a large graph or poset can be) raises DomainError."""
-        kind, n, instance_id, *values = vars(self).values()
+        default id of a large graph or poset can be) raises DomainError.
+        The field order is the jsonl key order that ``_row_tail`` prints."""
+        kind, n, instance_id, *values = self
         try:
             id_text = json.dumps(instance_id)
         except ValueError:  # the int-to-str digit limit
@@ -145,8 +145,7 @@ def _row_tail(
     )
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """What a sweep, or one chunk of it, found: counters, and the
     failing instances in canonical enumeration order.
 
@@ -172,9 +171,7 @@ class SweepSummary:
     def merge(self, other: "SweepSummary") -> "SweepSummary":
         """This summary followed by ``other``: counters add up and the
         failure lists concatenate."""
-        return SweepSummary(self.kind, self.n, *(
-            getattr(self, f.name) + getattr(other, f.name) for f in fields(self)[2:]
-        ))
+        return SweepSummary(self.kind, self.n, *map(add, self[2:], other[2:]))
 
     @property
     def checked(self) -> int:

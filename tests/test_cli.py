@@ -583,6 +583,19 @@ def test_python_dash_m_runs_the_cli():
     )
 
 
+def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no .pth file of the site packages can import either one first.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import linesys.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 def test_usage_errors_exit_one():
     code, _ = run_cli(["sweep", "--kind", "nonsense", "--n", "4"])
     assert code == EXIT_INPUT

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -137,13 +136,13 @@ def test_certificate_issues_recomputes_every_recorded_line():
             lines = list(step.lines)
             lines[i] ^= 1
             steps = list(cert.steps)
-            steps[s] = replace(step, lines=tuple(lines))
-            assert certificate_issues(replace(cert, steps=tuple(steps)), p) == [
+            steps[s] = step._replace(lines=tuple(lines))
+            assert certificate_issues(cert._replace(steps=tuple(steps)), p) == [
                 f"step {s + 1} line {i + 1} recomputes to different members"
             ]
     # Point 0 toggled in the first level: its pair with 3 is gone.
     layers = (0b1000, *cert.layers[1:])
-    assert certificate_issues(replace(cert, layers=layers), p) == [
+    assert certificate_issues(cert._replace(layers=layers), p) == [
         "layers are not the levels of the poset",
         "layers do not partition the points",
     ]
@@ -311,7 +310,7 @@ def test_replay_reports_a_chain_point_outside_the_poset():
     cert = build_certificate(p)
     assert cert.chain == (0, 1, 2)
     for chain in [(0, 1, 4), (0, 1, 7), (-1, 1, 2)]:
-        issues = certificate_issues(replace(cert, chain=chain), p)
+        issues = certificate_issues(cert._replace(chain=chain), p)
         assert issues[0] == "chain names a point outside the poset"
 
 
@@ -321,8 +320,8 @@ def test_replay_reports_a_probe_outside_the_poset():
     (step,) = cert.steps
     assert (step.kind, step.probe) == (StepKind.SPLIT, 3)
     for probe in [-1, 4]:
-        steps = (replace(step, probe=probe),)
-        assert certificate_issues(replace(cert, steps=steps), p) == [
+        steps = (step._replace(probe=probe),)
+        assert certificate_issues(cert._replace(steps=steps), p) == [
             f"step 1 probe {probe} is not a point of the poset"
         ]
 
@@ -332,7 +331,7 @@ def test_replay_reports_a_layer_point_outside_the_poset():
     cert = build_certificate(p)
     first, *rest = cert.layers
     for bad in [first | 1 << 4, first | 1 << 9, -first]:
-        issues = certificate_issues(replace(cert, layers=(bad, *rest)), p)
+        issues = certificate_issues(cert._replace(layers=(bad, *rest)), p)
         assert issues[:2] == [
             "layers are not the levels of the poset",
             "layers do not partition the points",
@@ -346,8 +345,8 @@ def test_replay_reports_an_unknown_step_kind():
     cert = build_certificate(p)
     first, *later = cert.steps
     assert first.kind is StepKind.RAISE_BOTTOM
-    steps = (replace(first, kind="2b"), *later)
-    assert certificate_issues(replace(cert, steps=steps), p) == [
+    steps = (first._replace(kind="2b"), *later)
+    assert certificate_issues(cert._replace(steps=steps), p) == [
         "step 1 records an unknown step kind"
     ]
 
@@ -364,8 +363,8 @@ SPLITTING = Poset.from_covers(3, [(0, 1)])
 def with_step(p, index, **changes):
     cert = build_certificate(p)
     steps = list(cert.steps)
-    steps[index] = replace(steps[index], **changes)
-    return replace(cert, steps=tuple(steps))
+    steps[index] = steps[index]._replace(**changes)
+    return cert._replace(steps=tuple(steps))
 
 
 def with_lines(p, index, keep):
@@ -376,7 +375,7 @@ def with_lines(p, index, keep):
 def with_steps(p, keep):
     """``p``'s certificate with its steps sliced."""
     cert = build_certificate(p)
-    return replace(cert, steps=cert.steps[keep])
+    return cert._replace(steps=cert.steps[keep])
 
 
 def single_fan_on_a_comparable_probe():
@@ -385,20 +384,20 @@ def single_fan_on_a_comparable_probe():
     cert = build_certificate(BRANCHING)
     raise_step, close = cert.steps
     fan = ProcessStep(StepKind.SPLIT, 1, 3, 3, raise_step.lines + close.lines)
-    return replace(cert, steps=(fan,))
+    return cert._replace(steps=(fan,))
 
 
 WALK_DEFECTS = {
     "size": (
-        lambda: replace(build_certificate(BRANCHING), size=5), BRANCHING,
+        lambda: build_certificate(BRANCHING)._replace(size=5), BRANCHING,
         ["certificate size or height does not match the poset"],
     ),
     "chain-off-the-levels": (
-        lambda: replace(build_certificate(BRANCHING), chain=(0, 2)), BRANCHING,
+        lambda: build_certificate(BRANCHING)._replace(chain=(0, 2)), BRANCHING,
         ["chain does not run through the levels"],
     ),
     "chain-not-increasing": (
-        lambda: replace(build_certificate(BRANCHING), chain=(3, 1, 2)), BRANCHING,
+        lambda: build_certificate(BRANCHING)._replace(chain=(3, 1, 2)), BRANCHING,
         [
             "chain points are not increasing in the order",
             "step 1 probe 3 lies inside the window line",
@@ -483,8 +482,8 @@ def with_line(cert, index, mask):
         if index < len(step.lines):
             lines = list(step.lines)
             lines[index] = mask
-            steps[s] = replace(step, lines=tuple(lines))
-            return replace(cert, steps=tuple(steps)), s + 1, index + 1
+            steps[s] = step._replace(lines=tuple(lines))
+            return cert._replace(steps=tuple(steps)), s + 1, index + 1
         index -= len(step.lines)
     raise IndexError(index)
 
@@ -532,7 +531,7 @@ def test_replay_catches_a_flipped_layer_point(case, data):
     point = data.draw(st.integers(0, p.size - 1), label="point")
     layers = list(cert.layers)
     layers[index] ^= 1 << point
-    issues = certificate_issues(replace(cert, layers=tuple(layers)), p)
+    issues = certificate_issues(cert._replace(layers=tuple(layers)), p)
     assert issues[:2] == [
         "layers are not the levels of the poset",
         "layers do not partition the points",
@@ -551,8 +550,8 @@ def test_replay_catches_a_probe_moved_inside_the_window_line(case, data):
     window = line_of(poset_betweenness(p), low, high)
     probe = data.draw(st.sampled_from(list(bits_of(window))), label="probe")
     steps = list(cert.steps)
-    steps[pos] = replace(step, probe=probe)
-    issues = certificate_issues(replace(cert, steps=tuple(steps)), p)
+    steps[pos] = step._replace(probe=probe)
+    issues = certificate_issues(cert._replace(steps=tuple(steps)), p)
     assert f"step {pos + 1} probe {probe} lies inside the window line" in issues
 
 
@@ -588,7 +587,7 @@ def bipartite_certificate():
 
 def replay_with_layers(layers):
     p, cert = bipartite_certificate()
-    return certificate_issues(replace(cert, layers=layers), p)
+    return certificate_issues(cert._replace(layers=layers), p)
 
 
 def test_replay_reports_a_dropped_layer_line():
@@ -628,7 +627,7 @@ def test_replay_reports_merged_layers():
     # still objects.
     p, cert = bipartite_certificate()
     p.layers = merged
-    assert certificate_issues(replace(cert, layers=merged), p) == [
+    assert certificate_issues(cert._replace(layers=merged), p) == [
         "layer 1 is not an antichain"
     ]
 
@@ -652,14 +651,14 @@ def test_replay_reports_too_few_distinct_lines():
     close = steps[-1]
     # The closing line replaced by a copy of a layer line: it recomputes
     # to other members, and one line is lost.
-    steps[-1] = replace(close, lines=(0b0011,))
-    assert certificate_issues(replace(cert, steps=tuple(steps)), p) == [
+    steps[-1] = close._replace(lines=(0b0011,))
+    assert certificate_issues(cert._replace(steps=tuple(steps)), p) == [
         f"step {len(steps)} line 1 recomputes to different members",
         "3 distinct lines, below the bound 4",
     ]
     # A closing step with no line at all.
-    steps[-1] = replace(close, lines=())
-    assert certificate_issues(replace(cert, steps=tuple(steps)), p) == [
+    steps[-1] = close._replace(lines=())
+    assert certificate_issues(cert._replace(steps=tuple(steps)), p) == [
         "closing step does not add the full-chain line",
         "3 distinct lines, below the bound 4",
     ]
@@ -674,8 +673,8 @@ def test_replay_reports_a_broken_window_accounting_identity():
     cert = build_certificate(p)
     first, *later = cert.steps
     assert (first.bottom, first.top) == (1, 3)
-    steps = (replace(first, top=2), *later)
-    assert certificate_issues(replace(cert, steps=steps), p) == [
+    steps = (first._replace(top=2), *later)
+    assert certificate_issues(cert._replace(steps=steps), p) == [
         "step 1 records window 1..2, expected 1..3",
     ]
 
@@ -692,8 +691,8 @@ def test_a_tampered_first_window_is_the_first_defect_up_to_n5():
             for top in range(1, height + 1):
                 if (bottom, top) == (1, height):
                     continue
-                steps = (replace(first, bottom=bottom, top=top), *later)
-                issues = certificate_issues(replace(cert, steps=steps), p)
+                steps = (first._replace(bottom=bottom, top=top), *later)
+                issues = certificate_issues(cert._replace(steps=steps), p)
                 assert issues[:1] == [
                     f"step 1 records window {bottom}..{top}, expected 1..{height}"
                 ], (p.succ, bottom, top)

@@ -19,6 +19,7 @@ from linesys import (
     parse_poset,
     render_line_system,
 )
+import linesys.formats as formats
 from linesys.formats import _Tokens, render_points
 from reference import all_lines, enumerate_graphs, graph_betweenness
 
@@ -220,6 +221,48 @@ def test_parsing_holds_no_table_of_every_token():
     finally:
         tracemalloc.stop()
     assert g.adj[0] == ((1 << side) - 1) << side
+    assert peak < len(text) // 4, (peak, len(text))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@pytest.mark.parametrize("text", [
+    "0 \r\n1\r\n\r\n x\r\r\n2\x0b\x0c\x1cy\x1d\x1e\x85\u2028\u2029z\n\r\n",
+    "\r\n\r\n ab\r\n\n\rcd\r\n\r\r\ne \x85f",
+], ids=["every-break", "crlf-runs"])
+def test_error_positions_do_not_depend_on_the_block_size(monkeypatch, text, block):
+    # The position is counted a block at a time: blocks end everywhere,
+    # between the two characters of a "\r\n" too at both parities.
+    monkeypatch.setattr(formats, "_BLOCK", block)
+    expected = [
+        (line, match.start() + 1)
+        for line, row in enumerate(text.splitlines(), start=1)
+        for match in re.finditer(r"\S+", row)
+    ]
+    tokens = _Tokens(text)
+    cited = [tokens.error("", match.start()) for match in re.finditer(r"\S+", text)]
+    assert [(err.line, err.column) for err in cited] == expected
+    end = tokens.error("", None)
+    assert (end.line, end.column) == (len(text.splitlines()), 1)
+
+
+@pytest.mark.parametrize("last, line, message", [
+    ("", 90000, "expected edge endpoint, found end of input"),
+    ("x 599\n", 90001, "expected edge endpoint, found 'x'"),
+])
+def test_a_late_parse_error_holds_no_list_of_every_line(last, line, message):
+    # K_{300,300} with its last edge line cut or spoilt: the error cites
+    # the last lines, and its position is worked out in bounded memory.
+    side = 300
+    edges = [f"{a} {b}\n" for a in range(side) for b in range(side, 2 * side)]
+    text = f"{2 * side} {side * side}\n" + "".join(edges[:-1]) + last
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"line {line}, column 1: {message}"
     assert peak < len(text) // 4, (peak, len(text))
 
 

@@ -173,8 +173,8 @@ def test_template_rows_are_json_dumps_of_the_report(
 ):
     report = VerificationReport(kind, n, instance_id, count, bound, *flags)
     line = report.json_line()
-    assert line == json.dumps(vars(report))
-    assert json.loads(line) == vars(report)
+    assert line == json.dumps(report._asdict())
+    assert json.loads(line) == report._asdict()
 
 
 def reference_fold(reports):

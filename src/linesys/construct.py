@@ -214,7 +214,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     chain_in_range = all(map(range(n).__contains__, chain))
     if not chain_in_range:
         issues.append("chain names a point outside the poset")
-    elif list(map(p.levels.__getitem__, chain)) != list(range(1, height + 1)):
+    elif len(chain) != height or not all(map(and_, p.layers, map((1).__lshift__, chain))):
         issues.append("chain does not run through the levels")
     # Each chain point has its predecessor on the chain in its pred row.
     below = map((1).__lshift__, chain)

@@ -3,8 +3,8 @@
 graph       first line "n m", then m lines "a b" per undirected edge;
             duplicate and self-loop lines are rejected.
 poset       first line "n m", then m lines "a b" meaning a < b is a
-            cover; the closure is taken, so a full order relation is
-            accepted too.
+            cover, read straight into one order row per point; the
+            closure is taken, so a full order relation is accepted too.
 metric      first line "n", then n rows of n space-separated exact
             rationals ("p/q", integers, or finite decimals), each of at
             most 1000 characters and exponent at most 1000 in size.
@@ -124,15 +124,17 @@ def parse_graph(text: str) -> Graph:
 def parse_poset(text: str) -> Poset:
     tokens = _Tokens(text)
     n, m = _header(tokens)
-    covers = []
+    rows = [0] * n
     for _ in range(m):
         a, start = tokens.take_int("cover endpoint", 0, n - 1)
         b, _ = tokens.take_int("cover endpoint", 0, n - 1)
         if a == b:
             raise tokens.error(f"cover relates point {a} to itself", start)
-        covers.append((a, b))
+        rows[a] |= 1 << b
     tokens.finish()
-    return Poset.from_covers(n, covers)
+    # Inside 0..n-1 by the checks above; Poset takes the closure and
+    # rejects cycles.
+    return Poset(rows)
 
 
 def parse_metric(text: str) -> MetricSpace:

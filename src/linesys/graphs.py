@@ -146,7 +146,7 @@ def graph_line_count(g: Graph) -> tuple[int, bool]:
     lines = []
     for a, row in enumerate(adj):
         # Each edge once, from its larger end: the neighbors below a.
-        below = row & ((1 << a) - 1)
+        below = row ^ (row >> a << a)
         ends = 1 << a
         while below:
             low = below & -below

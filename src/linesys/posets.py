@@ -1,5 +1,5 @@
-"""Finite strict partial orders with cached longest-chain levels, their
-layers and their comparability graph.
+"""Finite strict partial orders with their level partition, held once
+as point masks, and their comparability graph.
 
 A point x lies between a and b exactly when a < x < b or b < x < a, so
 the line of a comparable pair is the pair plus everything comparable to
@@ -21,22 +21,23 @@ class Poset:
     """Immutable strict partial order stored as successor bitmasks.
 
     ``succ[v]`` holds every point strictly above v in the (transitively
-    closed) order; ``pred[v]`` every point strictly below.  ``levels[v]``
-    is the size of the longest chain ending at v, so the level sets
+    closed) order; ``pred[v]`` every point strictly below.  The level
+    of v is the size of the longest chain ending at v, so the level sets
     partition the poset into ``height`` antichains, the fewest possible
-    (Mirsky's theorem); ``layers`` holds them as point masks, lowest
-    level first.
+    (Mirsky's theorem).  ``layers`` holds them as point masks, lowest
+    level first, and is the one record of the partition: v has level
+    i + 1 exactly when it is a bit of ``layers[i]``.
 
     The constructor is the one validation path: it takes the transitive
     closure of the rows it is given, so any acyclic relation is
     accepted, and raises UnknownPointError on a row naming a point >= n
     and CycleError when the closure puts some point above itself.  The
     closure pass that finds the rows closed also transposes them into
-    ``pred``, and the levels come from peeling minimal points, one
+    ``pred``, and the layers come from peeling minimal points, one
     layer at a time.
     """
 
-    __slots__ = ("size", "succ", "pred", "levels", "layers", "height", "_graph", "_bound")
+    __slots__ = ("size", "succ", "pred", "layers", "height", "_graph", "_bound")
 
     def __init__(self, succ_rows: Iterable[int]):
         rows = list(succ_rows)
@@ -52,17 +53,15 @@ class Poset:
         while True:
             closed = []
             pred = [0] * n
-            bit = 1
-            for row in rows:
+            for v, row in enumerate(rows):
                 reach = rest = row
                 while rest:
                     low = rest & -rest
                     u = low.bit_length() - 1
                     reach |= rows[u]
-                    pred[u] |= bit
+                    pred[u] |= 1 << v
                     rest ^= low
                 closed.append(reach)
-                bit <<= 1
             if closed == rows:
                 break
             rows = closed
@@ -72,7 +71,6 @@ class Poset:
         # Peel minimal points: layer k holds the points whose
         # predecessors all lie in layers 1..k-1, which are exactly the
         # points whose longest chain ending there has k points.
-        levels = [0] * n
         layers = []
         rest = (1 << n) - 1
         while rest:
@@ -80,17 +78,14 @@ class Poset:
             scan = rest
             while scan:
                 low = scan & -scan
-                v = low.bit_length() - 1
-                if not pred[v] & rest:
+                if not pred[low.bit_length() - 1] & rest:
                     layer |= low
-                    levels[v] = len(layers) + 1
                 scan ^= low
             layers.append(layer)
             rest ^= layer
         self.size = n
         self.succ = tuple(rows)
         self.pred = tuple(pred)
-        self.levels = tuple(levels)
         self.layers = tuple(layers)
         self.height = len(layers)
         self._graph = None

@@ -8,7 +8,9 @@ so moving their code out of the package edits only this module.
 
 The package sweeps graphs by edge-mask chunks and posets by pair-state
 prefixes; the tests walk every instance one at a time through these
-iterators and build small graphs from edge lists.
+iterators and build small graphs from edge lists.  ``levels`` reads
+each point's level off a poset's layer masks, the one record of its
+level partition.
 
 ``exhaustive_min_pair_sum`` is the search that the closed form
 ``bounds.min_pair_sum`` is checked against."""
@@ -44,6 +46,17 @@ def enumerate_posets(n):
     ``poset_code`` order."""
     for _, rows in _iter_states(n):
         yield Poset(rows)
+
+
+def levels(p):
+    """The level of each point, read off ``p.layers``: v has level
+    i + 1 when it is a bit of ``p.layers[i]``."""
+    level = [0] * p.size
+    for i, layer in enumerate(p.layers, 1):
+        for v in range(p.size):
+            if layer >> v & 1:
+                level[v] = i
+    return tuple(level)
 
 
 def poset_state(p):

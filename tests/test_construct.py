@@ -24,6 +24,7 @@ from reference import (
     all_lines,
     enumerate_posets,
     graph_betweenness,
+    levels,
     line_mask_set,
     line_of,
     poset_betweenness,
@@ -289,11 +290,12 @@ def min_based_chain(p):
     """The top-down chain through the levels, each point found by
     ``min`` over the candidates on its level; an oracle independent of
     the layer masks."""
-    top = min(v for v in range(p.size) if p.levels[v] == p.height)
+    level_of = levels(p)
+    top = min(v for v in range(p.size) if level_of[v] == p.height)
     chain = [top]
     for level in range(p.height - 1, 0, -1):
         chain.append(
-            min(u for u in bits_of(p.pred[chain[-1]]) if p.levels[u] == level)
+            min(u for u in bits_of(p.pred[chain[-1]]) if level_of[u] == level)
         )
     chain.reverse()
     return tuple(chain)
@@ -395,6 +397,14 @@ WALK_DEFECTS = {
     "chain-off-the-levels": (
         lambda: build_certificate(BRANCHING)._replace(chain=(0, 2)), BRANCHING,
         ["chain does not run through the levels"],
+    ),
+    "chain-through-the-wrong-levels": (
+        lambda: build_certificate(BRANCHING)._replace(chain=(0, 3, 2)), BRANCHING,
+        [
+            "chain does not run through the levels",
+            "chain points are not increasing in the order",
+            "step 1 line 2 recomputes to different members",
+        ],
     ),
     "chain-not-increasing": (
         lambda: build_certificate(BRANCHING)._replace(chain=(3, 1, 2)), BRANCHING,
@@ -561,7 +571,7 @@ def test_replay_reports_a_universal_line_of_the_poset():
     # every point.
     p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
     q = Poset.from_covers(4, [(0, 1), (1, 2), (3, 1)])
-    assert q.levels == p.levels
+    assert q.layers == p.layers
     assert certificate_issues(build_certificate(p), q) == [
         "step 1 line 2 recomputes to different members",
         "step 1 line 3 recomputes to different members",

@@ -207,20 +207,24 @@ def test_every_token_is_cited_at_its_line_and_column(pieces):
     assert (end.line, end.column) == (max(len(text.splitlines()), 1), 1)
 
 
-def test_parsing_holds_no_table_of_every_token():
-    # K_{300,300}: 90,000 edge lines, about 720 kB of text.  The traced
-    # peak is the adjacency rows and a few tokens, far below the text.
+@pytest.mark.parametrize("kind", ["graph", "poset"])
+def test_parsing_holds_no_table_of_every_token(kind):
+    # K_{300,300}: 90,000 edge or cover lines, about 720 kB of text.
+    # The traced peak is the rows (a poset's closure and layers too) and
+    # a few tokens, far below the text.
     side = 300
     text = f"{2 * side} {side * side}\n" + "".join(
         f"{a} {b}\n" for a in range(side) for b in range(side, 2 * side)
     )
+    parse = parse_graph if kind == "graph" else parse_poset
     tracemalloc.start()
     try:
-        g = parse_graph(text)
+        parsed = parse(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.adj[0] == ((1 << side) - 1) << side
+    row = parsed.adj[0] if kind == "graph" else parsed.succ[0]
+    assert row == ((1 << side) - 1) << side
     assert peak < len(text) // 4, (peak, len(text))
 
 

@@ -25,6 +25,7 @@ from reference import (
     enumerate_posets,
     graph_betweenness,
     is_extremal_poset,
+    levels,
     line_entries,
     line_mask_set,
     line_of,
@@ -84,21 +85,21 @@ poset_strategy = st.integers(min_value=1, max_value=7).flatmap(
 def test_chain_from_covers():
     p = Poset.from_covers(3, [(0, 1), (1, 2)])
     assert p.height == 3
-    assert p.levels == (1, 2, 3)
+    assert levels(p) == (1, 2, 3)
     assert less(p, 0, 2)
 
 
 def test_antichain_from_no_covers():
     p = Poset.from_covers(4, [])
     assert p.height == 1
-    assert p.levels == (1, 1, 1, 1)
+    assert levels(p) == (1, 1, 1, 1)
 
 
 def test_branching_example_closure_levels_and_comparability():
     covers = [(0, 1), (1, 2), (3, 2)]
     p = Poset.from_covers(4, covers)
     assert relation_pairs(p) == reachable_pairs(4, covers)
-    assert p.levels == (1, 2, 3, 1)
+    assert levels(p) == (1, 2, 3, 1)
     assert p.height == 3
     assert [u for u in range(4) if comparable(p, 3, u)] == [2]
 
@@ -260,9 +261,10 @@ def test_extremal_poset_matches_its_definition_exhaustively_up_to_n5():
 def test_levels_satisfy_the_longest_chain_recurrence(case):
     n, covers = case
     p = Poset.from_covers(n, covers)
+    level = levels(p)
     for v in range(n):
-        below = [p.levels[u] for u in range(n) if less(p, u, v)]
-        assert p.levels[v] == (max(below) + 1 if below else 1)
+        below = [level[u] for u in range(n) if less(p, u, v)]
+        assert level[v] == (max(below) + 1 if below else 1)
 
 
 def test_mirsky_invariant_exhaustive_up_to_n6():
@@ -270,8 +272,9 @@ def test_mirsky_invariant_exhaustive_up_to_n6():
         for p in enumerate_posets(n):
             chain = maximum_chain_through_levels(p)
             assert len(p.layers) == len(chain) == p.height
+            level = levels(p)
             for i, c in enumerate(chain):
-                assert p.levels[c] == i + 1
+                assert level[c] == i + 1
 
 
 @given(poset_strategy)
@@ -286,8 +289,9 @@ def test_mirsky_layer_count_equals_chain_length_equals_height(case):
     for layer in layers:
         for a, b in combinations(bits_of(layer), 2):
             assert not comparable(p, a, b)
+    level = levels(p)
     for i, c in enumerate(chain):
-        assert p.levels[c] == i + 1
+        assert level[c] == i + 1
         if i:
             assert less(p, chain[i - 1], c)
 
@@ -344,10 +348,10 @@ def test_incomparable_pairs_give_bare_pair_lines(case):
         assert line_of(rel, a, b) == sum(1 << x for x in expected)
 
 
-def bucketed_layers(p):
+def bucketed_layers(point_levels):
     """The layers bucketed from the levels, one point mask per level."""
-    layers = [0] * p.height
-    for v, level in enumerate(p.levels):
+    layers = [0] * max(point_levels)
+    for v, level in enumerate(point_levels):
         layers[level - 1] |= 1 << v
     return tuple(layers)
 
@@ -381,7 +385,8 @@ def test_a_long_chain_of_covers_is_closed_over_several_passes(descending):
     assert p.pred == transpose(p.succ)
     assert p.height == n
     order = range(n - 1, -1, -1) if descending else range(n)
-    assert [p.levels[v] for v in order] == list(range(1, n + 1))
+    level = levels(p)
+    assert [level[v] for v in order] == list(range(1, n + 1))
     assert p.layers == tuple(1 << v for v in order)
 
 
@@ -397,9 +402,9 @@ def test_pred_is_the_transpose_of_succ(case):
 def test_levels_and_layers_equal_the_recurrence_and_its_buckets_up_to_n6():
     for n in range(1, 7):
         for p in enumerate_posets(n):
-            assert p.levels == levels_by_recurrence(p), p.succ
-            assert p.layers == bucketed_layers(p), p.succ
-            assert p.height == max(p.levels)
+            assert levels(p) == levels_by_recurrence(p), p.succ
+            assert p.layers == bucketed_layers(levels_by_recurrence(p)), p.succ
+            assert p.height == max(levels(p))
 
 
 def test_a_cycle_found_only_after_several_passes_is_rejected():

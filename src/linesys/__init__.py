@@ -17,7 +17,6 @@ from .bounds import dbe_bound, min_pair_sum
 from .construct import (
     LineCertificate,
     ProcessStep,
-    StepKind,
     build_certificate,
     certificate_issues,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Poset",
     "ProcessStep",
     "SizeError",
-    "StepKind",
     "SweepSummary",
     "UniversalLineError",
     "UnknownPointError",

@@ -159,7 +159,7 @@ def _cmd_bound(args, out) -> int:
 def _cmd_construct(args, out) -> int:
     poset = parse_poset(_read_input(args.input))
     cert = build_certificate(poset)
-    distinct, bound = cert.total_distinct, cert.bound
+    distinct, bound = cert.total_distinct, poset.bound
     if distinct < bound:
         raise InternalError(
             f"process found {distinct} distinct lines, below the guaranteed {bound}"
@@ -174,7 +174,7 @@ def _cmd_construct(args, out) -> int:
         for iteration, step in enumerate(cert.steps, 1):
             row = {
                 "iteration": iteration,
-                "step": step.kind.value,
+                "step": step.kind,
                 "bottom": step.bottom,
                 "top": step.top,
                 "probe": step.probe,
@@ -187,7 +187,7 @@ def _cmd_construct(args, out) -> int:
         out.writelines(map("layer line: %d %d\n".__mod__, cert.layer_pairs()))
         for iteration, step in enumerate(cert.steps, 1):
             head = (
-                f"iteration {iteration} step {step.kind.value} "
+                f"iteration {iteration} step {step.kind} "
                 f"window {step.bottom}..{step.top}"
             )
             if step.probe is not None:

@@ -17,13 +17,15 @@ the window reacts: fan out and stop when it is incomparable with both
 ("2a"), raise the bottom past the incomparable stretch when it sits
 above ("2b"), or lower the top symmetrically ("2c").
 
-The certificate records only what cannot be derived: the levels as
-point masks (``layers``), the chain, and every iteration's window,
-probe point and the member masks of the lines it added.  A line's
-generating pair follows from the chain, the window, the probe and the
-step kind.  The distinct total is the C(|L|, 2) pairs of each level L
-plus the distinct step lines that are not such a pair; the build does
-not count it.  An independent pass replays the bookkeeping, derives
+The certificate records only what cannot be derived, which is what the
+``construct`` command prints: the chain, the levels as point masks
+(``layers``), and every iteration's step kind (its printed label),
+window, probe point and the member masks of the lines it added.  The
+size, height and bound are the poset's.  A line's generating pair
+follows from the chain, the window, the probe and the step kind.  The
+distinct total is the C(|L|, 2) pairs of each level L plus the
+distinct step lines that are not such a pair; the build does not count
+it.  An independent pass replays the bookkeeping, derives
 each step's generators, recomputes each recorded line once, and counts
 the total once to compare it with the poset's bound, as the
 ``construct`` command does before it prints.  Neither side builds a
@@ -37,14 +39,12 @@ universal-line check, ``graphs.has_universal_line``, reads too.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import reduce
 from itertools import combinations, repeat
 from math import comb
 from operator import and_, or_
 from typing import Iterator, NamedTuple
 
-from .bounds import dbe_bound
 from .core import bits_of, distinct_count
 from .errors import HeightError, InternalError, UniversalLineError
 from .graphs import has_universal_line
@@ -54,20 +54,20 @@ from .core import line_of  # noqa: F401
 from .posets import poset_betweenness  # noqa: F401
 
 
-class StepKind(str, Enum):
-    """What an iteration did; values are the trace labels."""
-
-    CLOSE = "1"          # window closed: add the full-chain line, stop
-    SPLIT = "2a"         # probe incomparable with both endpoints: fan out, stop
-    RAISE_BOTTOM = "2b"  # probe comparable above only: raise the bottom
-    LOWER_TOP = "2c"     # probe comparable below only: lower the top
+# What an iteration did: the step kinds, as ``construct`` prints them.
+CLOSE = "1"          # window closed: add the full-chain line, stop
+SPLIT = "2a"         # probe incomparable with both endpoints: fan out, stop
+RAISE_BOTTOM = "2b"  # probe comparable above only: raise the bottom
+LOWER_TOP = "2c"     # probe comparable below only: lower the top
 
 
 class ProcessStep(NamedTuple):
     """One iteration: the window it saw, what it chose, what it added.
 
     A step's iteration number is its 1-based position in
-    ``LineCertificate.steps``.  ``bottom`` and ``top`` are 1-based
+    ``LineCertificate.steps``.  ``kind`` is the label ``construct``
+    prints: ``CLOSE``, ``SPLIT``, ``RAISE_BOTTOM`` or ``LOWER_TOP``
+    ("1", "2a", "2b", "2c").  ``bottom`` and ``top`` are 1-based
     positions on the chain.  ``probe`` is the smallest-index point
     outside the window line, or None when the window was already closed.
     ``lines`` are the member masks of the probe's lines with the chain
@@ -75,7 +75,7 @@ class ProcessStep(NamedTuple):
     the full-chain line, which a closing step adds alone.
     """
 
-    kind: StepKind
+    kind: str
     bottom: int
     top: int
     probe: int | None
@@ -83,11 +83,11 @@ class ProcessStep(NamedTuple):
 
 
 class LineCertificate(NamedTuple):
-    """Recorded output of the line-finding process.  ``layers`` are the
-    poset's level masks, ``Poset.layers``, lowest level first."""
+    """Recorded output of the line-finding process, the fields
+    ``construct`` prints.  ``layers`` are the poset's level masks,
+    ``Poset.layers``, lowest level first, printed as their pairs; the
+    size, height and bound are read from the poset."""
 
-    size: int
-    height: int
     chain: tuple[int, ...]
     layers: tuple[int, ...]
     steps: tuple[ProcessStep, ...]
@@ -100,10 +100,6 @@ class LineCertificate(NamedTuple):
     @property
     def total_distinct(self) -> int:
         return _distinct_lines(self.layers, self.steps)
-
-    @property
-    def bound(self) -> int:
-        return dbe_bound(self.size, self.height)
 
 
 def build_certificate(p: Poset) -> LineCertificate:
@@ -147,7 +143,7 @@ def build_certificate(p: Poset) -> LineCertificate:
     bottom, top = 1, height
     while True:
         if bottom == top:
-            steps.append(ProcessStep(StepKind.CLOSE, bottom, top, None, closing))
+            steps.append(ProcessStep(CLOSE, bottom, top, None, closing))
             break
         low, high = chain[bottom - 1], chain[top - 1]
         window_mask = line(low, high)
@@ -166,23 +162,23 @@ def build_certificate(p: Poset) -> LineCertificate:
             )
         if not with_low and not with_high:
             fan = lines_to(probe, bottom, top) + closing
-            steps.append(ProcessStep(StepKind.SPLIT, bottom, top, probe, fan))
+            steps.append(ProcessStep(SPLIT, bottom, top, probe, fan))
             break
         new_bottom, new_top = bottom, top
         if not with_low:
             new_bottom = 1 + max(
                 i for i in range(bottom, top) if not comparable >> chain[i - 1] & 1
             )
-            kind, added = StepKind.RAISE_BOTTOM, lines_to(probe, bottom, new_bottom)
+            kind, added = RAISE_BOTTOM, lines_to(probe, bottom, new_bottom)
         else:
             new_top = -1 + min(
                 i for i in range(bottom + 1, top + 1)
                 if not comparable >> chain[i - 1] & 1
             )
-            kind, added = StepKind.LOWER_TOP, lines_to(probe, new_top, top)
+            kind, added = LOWER_TOP, lines_to(probe, new_top, top)
         steps.append(ProcessStep(kind, bottom, top, probe, added))
         bottom, top = new_bottom, new_top
-    return LineCertificate(n, height, chain, p.layers, tuple(steps))
+    return LineCertificate(chain, p.layers, tuple(steps))
 
 
 def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
@@ -205,8 +201,6 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     ``construct`` command prints.
     """
     n, height = p.size, p.height
-    if cert.size != n or cert.height != height:
-        return ["certificate size or height does not match the poset"]
     adj = comparability_graph(p).adj
     issues: list[str] = []
 
@@ -243,6 +237,9 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
         issues += _window_issues(cert, adj)
     if has_universal_line(adj):
         issues.append("poset has a universal line; certificate is out of scope")
+    if height < 2:  # the bound is defined from height 2 up
+        issues.append("poset has height below 2; certificate is out of scope")
+        return issues
 
     distinct, bound = _distinct_lines(layers, cert.steps), p.bound
     if distinct < bound:
@@ -273,18 +270,18 @@ def _adjacency_line(adj: tuple[int, ...], a: int, b: int) -> int:
 
 def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
     """Defects of the recorded window walk along the certificate's chain,
-    a chain of ``cert.height`` points of the graph with adjacency rows
-    ``adj``: every window, step kind and probe, and each step's lines,
+    one point per level of the poset whose comparability graph has the
+    adjacency rows ``adj``: every window, step kind and probe, and each step's lines,
     recomputed from the generators the walk derives."""
     issues: list[str] = []
-    chain, height, steps = cert.chain, cert.height, cert.steps
+    chain, steps = cert.chain, cert.steps
     points = range(len(adj))
     closing = (_adjacency_line(adj, chain[0], chain[-1]),)
 
     def lines_to(point: int, lo: int, hi: int) -> tuple[int, ...]:
         return tuple([_adjacency_line(adj, c, point) for c in chain[lo - 1 : hi]])
 
-    bottom, top, last = 1, height, len(steps)
+    bottom, top, last = 1, len(chain), len(steps)
     for pos, step in enumerate(steps, start=1):
         if step.bottom != bottom or step.top != top:
             issues.append(
@@ -292,10 +289,10 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
                 f"expected {bottom}..{top}"
             )
         kind, probe = step.kind, step.probe
-        if (kind in (StepKind.CLOSE, StepKind.SPLIT)) != (pos == last):
+        if (kind in (CLOSE, SPLIT)) != (pos == last):
             issues.append(f"step {pos} stops in the wrong place")
             break
-        if kind is StepKind.CLOSE:
+        if kind == CLOSE:
             if bottom != top or probe is not None:
                 issues.append("closing step on an open window")
             expected = closing
@@ -311,12 +308,12 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
             if _adjacency_line(adj, low, high) >> probe & 1:
                 issues.append(f"step {pos} probe {probe} lies inside the window line")
             with_low, with_high = adj[probe] >> low & 1, adj[probe] >> high & 1
-            if kind is StepKind.SPLIT:
+            if kind == SPLIT:
                 if with_low or with_high:
                     issues.append(f"step {pos} fans out on a comparable probe")
                 expected = lines_to(probe, bottom, top) + closing
                 miscount = f"step {pos} fan does not cover the window"
-            elif kind is StepKind.RAISE_BOTTOM:
+            elif kind == RAISE_BOTTOM:
                 if with_low or not with_high:
                     issues.append(f"step {pos} raises the bottom on the wrong probe")
                 # Not the last step: the next one records the window left.
@@ -327,7 +324,7 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
                 expected = lines_to(probe, bottom, new_bottom)
                 miscount = f"step {pos} lines do not match the raised range"
                 bottom = new_bottom
-            elif kind is StepKind.LOWER_TOP:
+            elif kind == LOWER_TOP:
                 if with_high or not with_low:
                     issues.append(f"step {pos} lowers the top on the wrong probe")
                 new_top = steps[pos].top

@@ -7,7 +7,9 @@ poset       first line "n m", then m lines "a b" meaning a < b is a
             closure is taken, so a full order relation is accepted too.
 metric      first line "n", then n rows of n space-separated exact
             rationals ("p/q", integers, or finite decimals), each of at
-            most 1000 characters and exponent at most 1000 in size.
+            most 1000 characters and exponent at most 1000 in size;
+            an integral entry is held as an int, any other as a
+            Fraction.
 hypergraph  first line "n m", then m lines "a b c" per 3-edge.
 
 All points are 0-indexed.  Tokens are runs of non-whitespace, read one
@@ -21,7 +23,6 @@ count and edge list, the arguments of ``core.hypergraph_lines``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable, TextIO
 
 from .core import bits_of
@@ -138,6 +139,8 @@ def parse_poset(text: str) -> Poset:
 
 
 def parse_metric(text: str) -> MetricSpace:
+    from fractions import Fraction  # only a metric needs it: kept off the start-up path
+
     tokens = _Tokens(text)
     n, _ = tokens.take_int("point count n", 1, 10**4)
     rows = []
@@ -160,7 +163,9 @@ def parse_metric(text: str) -> MetricSpace:
                 raise tokens.error(
                     f"distance {token!r} is not an exact rational", start
                 )
-            row.append(value)
+            # An integral entry is held as an int, which sums and compares
+            # far faster than a Fraction and prints the same digits.
+            row.append(value.numerator if value.denominator == 1 else value)
         rows.append(row)
     tokens.finish()
     return MetricSpace(rows)

@@ -43,7 +43,6 @@ compared with an extremal shape.  Its keys are exactly the kinds that
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 from functools import lru_cache
@@ -625,6 +624,8 @@ def run_sweep(
     workers = min(workers, len(args) // _CHUNKS_PER_WORKER or 1, os.cpu_count() or 1)
     if workers <= 1:
         return consume(map(_run_chunk, args))
+    import multiprocessing  # only a pool needs it: kept off the start-up path
+
     ctx = multiprocessing.get_context("fork")
     chunksize = len(args) // (workers * _TASKS_PER_WORKER) or 1
     with ctx.Pool(workers) as pool:

@@ -3,12 +3,15 @@ resolves on the package and is used by the package itself, so a
 deleted name cannot linger as a stale export and no name lives on only
 for the tests; the line oracle is not exported, and the tests take it
 from ``tests/reference.py`` only; no module keeps an import that only a
-vanished tracer site needed, or any other import it does not use.  The
-library sketch in the README runs as written."""
+vanished tracer site needed, or any other import it does not use, and
+starting the CLI loads no module that only a pool or a metric input
+needs.  The library sketch in the README runs as written."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import linesys
@@ -141,3 +144,18 @@ def test_readme_library_sketch_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_starting_the_cli_loads_neither_multiprocessing_nor_fractions():
+    # Only a pooled sweep needs multiprocessing and only a metric input
+    # needs fractions, so each is imported on its own path.  -S: no .pth
+    # file of the site packages can import either one first.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import linesys.cli; "
+        "print(sorted({'multiprocessing', 'fractions'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -70,6 +70,17 @@ def test_parse_metric_exact_rationals():
     assert decimal.dist[0][1] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize(
+    "entry, kind",
+    [("3", int), ("1e3", int), ("4/2", int), ("2.0", int), ("1/2", Fraction), ("0.5", Fraction)],
+)
+def test_parse_metric_holds_integral_entries_as_ints(entry, kind):
+    # Both print the same digits, so no output byte depends on the type.
+    value = parse_metric(symmetric_pair(entry)).dist[0][1]
+    assert type(value) is kind
+    assert value == Fraction(entry) and str(value) == str(Fraction(entry))
+
+
 def test_parse_metric_rejects_junk():
     with pytest.raises(ParseError, match="exact rational") as err:
         parse_metric("2\n0 abc\nabc 0\n")

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import io
 import json
+import multiprocessing
 from itertools import product
 from math import comb
 
@@ -77,7 +78,7 @@ def record_pools(monkeypatch):
     box taken to have 2 CPUs, and return the list that records the size
     of every pool it starts."""
     sizes = []
-    real = sweeps.multiprocessing.get_context
+    real = multiprocessing.get_context
 
     class Spy:
         def __init__(self, method):
@@ -89,7 +90,7 @@ def record_pools(monkeypatch):
 
     monkeypatch.setattr(sweeps, "_CHUNKS_PER_WORKER", 1)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(sweeps.multiprocessing, "get_context", Spy)
+    monkeypatch.setattr(multiprocessing, "get_context", Spy)
     return sizes
 
 
@@ -478,8 +479,7 @@ def test_each_reported_poset_evaluates_its_bound_once(monkeypatch):
     # The report and the certificate replay share Poset.bound.
     calls = []
     real = posets.dbe_bound
-    for module in (posets, construct):
-        monkeypatch.setattr(module, "dbe_bound", lambda n, h: calls.append(h) or real(n, h))
+    monkeypatch.setattr(posets, "dbe_bound", lambda n, h: calls.append(h) or real(n, h))
     summary = run_sweep("poset", 5)
     assert len(calls) == summary.reported == 4230
     assert summary.ok and summary.checked == 3450
@@ -713,7 +713,7 @@ def test_pool_gets_at_most_one_worker_per_16_chunks_and_per_cpu(
     monkeypatch, kind, n, workers, cpus, pools
 ):
     context = _RecordingContext()
-    monkeypatch.setattr(sweeps.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
     chunks = len(sweeps.SWEEP_KINDS[kind].chunks(n))
     summary = run_sweep(kind, n, workers=workers)
@@ -738,7 +738,7 @@ def test_a_pool_task_takes_several_chunks_only_when_each_worker_has_many(
     # tasks per worker keep the parent's share small and still spread
     # uneven chunks.
     context = _RecordingContext()
-    monkeypatch.setattr(sweeps.multiprocessing, "get_context", lambda method: context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
     chunks = len(sweeps.SWEEP_KINDS[kind].chunks(n))
     summary = run_sweep(kind, n, workers=workers)

@@ -34,18 +34,18 @@ reads each line from the order rows (the pair, everything below its
 lower point or above its upper point, and everything between them), the
 replay from the adjacency rows of the comparability graph (the pair,
 plus the common neighbors of an adjacent pair), which its O(n)
-universal-line check, ``graphs.has_universal_line``, reads too.
+universal-line check, ``graphs.has_universal_line``, reads too.  Each
+side reads a probe's rows once per step.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, repeat
-from math import comb
+from itertools import combinations
 from operator import and_, or_
 from typing import Iterator, NamedTuple
 
-from .core import bits_of, distinct_count
+from .core import bits_of, distinct_count, set_bits
 from .errors import HeightError, InternalError, UniversalLineError
 from .graphs import has_universal_line
 from .posets import Poset, comparability_graph, maximum_chain_through_levels
@@ -133,7 +133,17 @@ def build_certificate(p: Poset) -> LineCertificate:
     chain = maximum_chain_through_levels(p)
 
     def lines_to(point: int, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple([line(c, point) for c in chain[lo - 1 : hi]])
+        # ``line(c, point)`` for the chain points at positions lo..hi.
+        above, below, ends = succ[point], pred[point], 1 << point
+        lines = []
+        for c in chain[lo - 1 : hi]:
+            if below >> c & 1:  # c < point
+                lines.append(ends | 1 << c | pred[c] | above | succ[c] & below)
+            elif above >> c & 1:  # point < c
+                lines.append(ends | 1 << c | below | succ[c] | above & pred[c])
+            else:
+                lines.append(ends | 1 << c)
+        return tuple(lines)
 
     # The full-chain line, which joins chain positions 1 and height, ends
     # every run of the process.
@@ -166,15 +176,19 @@ def build_certificate(p: Poset) -> LineCertificate:
             break
         new_bottom, new_top = bottom, top
         if not with_low:
-            new_bottom = 1 + max(
-                i for i in range(bottom, top) if not comparable >> chain[i - 1] & 1
-            )
+            # Past the highest chain point below the top that the probe
+            # is incomparable with (the bottom is one).
+            i = top - 1
+            while comparable >> chain[i - 1] & 1:
+                i -= 1
+            new_bottom = i + 1
             kind, added = RAISE_BOTTOM, lines_to(probe, bottom, new_bottom)
         else:
-            new_top = -1 + min(
-                i for i in range(bottom + 1, top + 1)
-                if not comparable >> chain[i - 1] & 1
-            )
+            # Short of the lowest one above the bottom; the top is one.
+            i = bottom + 1
+            while comparable >> chain[i - 1] & 1:
+                i += 1
+            new_top = i - 1
             kind, added = LOWER_TOP, lines_to(probe, new_top, top)
         steps.append(ProcessStep(kind, bottom, top, probe, added))
         bottom, top = new_bottom, new_top
@@ -223,7 +237,7 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
     else:
         for i, layer in enumerate(layers, 1):
             if layer & layer - 1:  # a one-point layer is an antichain
-                for v in bits_of(layer):
+                for v in set_bits(layer):
                     if adj[v] & layer:
                         issues.append(f"layer {i} is not an antichain")
                         break
@@ -249,14 +263,25 @@ def certificate_issues(cert: LineCertificate, p: Poset) -> list[str]:
 
 def _distinct_lines(layers: tuple[int, ...], steps: tuple[ProcessStep, ...]) -> int:
     """The C(|L|, 2) bare pairs in each layer L plus the distinct step
-    lines that are no such pair, counted by ``core.distinct_count``."""
-    masks = sorted(
-        mask
-        for step in steps
-        for mask in step.lines
-        if mask.bit_count() != 2 or mask not in map(mask.__and__, layers)
-    )
-    pairs = sum(map(comb, map(int.bit_count, layers), repeat(2)))
+    lines that are no such pair, counted by ``core.distinct_count``.
+    Plain loops: a ``map`` per 2-bit mask and per layer slows the n = 5
+    poset sweep by about 5 %."""
+    masks = []
+    for step in steps:
+        for mask in step.lines:
+            if mask.bit_count() == 2:
+                for layer in layers:
+                    if mask & layer == mask:
+                        break
+                else:
+                    masks.append(mask)
+            else:
+                masks.append(mask)
+    masks.sort()
+    pairs = 0
+    for layer in layers:
+        size = layer.bit_count()
+        pairs += size * (size - 1) // 2
     return pairs + distinct_count(masks)
 
 
@@ -279,16 +304,21 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
     closing = (_adjacency_line(adj, chain[0], chain[-1]),)
 
     def lines_to(point: int, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple([_adjacency_line(adj, c, point) for c in chain[lo - 1 : hi]])
+        # ``_adjacency_line(adj, c, point)`` for the chain points at
+        # positions lo..hi.
+        row, ends = adj[point], 1 << point
+        return tuple([
+            ends | 1 << c | adj[c] & row if row >> c & 1 else ends | 1 << c
+            for c in chain[lo - 1 : hi]
+        ])
 
     bottom, top, last = 1, len(chain), len(steps)
-    for pos, step in enumerate(steps, start=1):
-        if step.bottom != bottom or step.top != top:
+    for pos, (kind, step_bottom, step_top, probe, lines) in enumerate(steps, start=1):
+        if step_bottom != bottom or step_top != top:
             issues.append(
-                f"step {pos} records window {step.bottom}..{step.top}, "
+                f"step {pos} records window {step_bottom}..{step_top}, "
                 f"expected {bottom}..{top}"
             )
-        kind, probe = step.kind, step.probe
         if (kind in (CLOSE, SPLIT)) != (pos == last):
             issues.append(f"step {pos} stops in the wrong place")
             break
@@ -307,7 +337,8 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
             low, high = chain[bottom - 1], chain[top - 1]
             if _adjacency_line(adj, low, high) >> probe & 1:
                 issues.append(f"step {pos} probe {probe} lies inside the window line")
-            with_low, with_high = adj[probe] >> low & 1, adj[probe] >> high & 1
+            row = adj[probe]
+            with_low, with_high = row >> low & 1, row >> high & 1
             if kind == SPLIT:
                 if with_low or with_high:
                     issues.append(f"step {pos} fans out on a comparable probe")
@@ -337,12 +368,12 @@ def _window_issues(cert: LineCertificate, adj: tuple[int, ...]) -> list[str]:
             else:
                 issues.append(f"step {pos} records an unknown step kind")
                 break
-        if len(step.lines) != len(expected):
+        if len(lines) != len(expected):
             issues.append(miscount)
-        elif step.lines != expected:
+        elif lines != expected:
             issues += [
                 f"step {pos} line {i} recomputes to different members"
-                for i, (mask, line) in enumerate(zip(step.lines, expected), 1)
+                for i, (mask, line) in enumerate(zip(lines, expected), 1)
                 if mask != line
             ]
     return issues

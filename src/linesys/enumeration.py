@@ -4,10 +4,12 @@ and their canonical integer encoding.
 A poset is encoded by the state of each pair a < b in lexicographic
 pair order (0 incomparable, 1 a < b, 2 b < a), read as a big-endian
 base-3 number.  Posets are enumerated by backtracking over that pair
-order on successor and predecessor rows: ``_fits`` admits a state only
-if it keeps every triple of placed pairs transitive, so the codes
-ascend in enumeration order and each poset comes with its order rows.
-The decoder of a code places its digits with the same rule.
+order on successor and predecessor rows, in one loop over an explicit
+stack: ``_fits`` admits a state only if it keeps every triple of placed
+pairs transitive, so the codes ascend in enumeration order and each
+poset comes with both of its closed order rows, which the sweep does
+not validate again.  The decoder of a code places its digits with the
+same rule.
 """
 
 from __future__ import annotations
@@ -45,27 +47,46 @@ def _place(succ: list[int], pred: list[int], b: int, c: int, s: int) -> None:
 
 def _iter_states(
     n: int, prefix: tuple[int, ...] = ()
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """``(code, succ rows)`` of every poset whose leading pair states
-    are ``prefix``, in ascending code order.
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """``(code, succ rows, pred rows)`` of every poset whose leading
+    pair states are ``prefix``, in ascending code order; the rows are
+    closed and acyclic, and each is the other's transpose.  Yields
+    nothing when the prefix itself breaks transitivity.
 
-    Yields nothing when the prefix itself breaks transitivity.
+    ``tries[q]`` holds the states left to try at pair q, and ``placed``
+    the state of each placed pair with the code before it.
     """
     pairs = pair_list(n)
+    last = len(pairs)
     succ, pred = [0] * n, [0] * n
-
-    def extend(q: int, code: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-        if q == len(pairs):
-            yield code, tuple(succ)
-            return
+    if not last:
+        yield 0, tuple(succ), tuple(pred)
+        return
+    options = [(s,) for s in prefix[:last]] + [(0, 1, 2)] * (last - len(prefix))
+    tries = [iter(options[0])]
+    placed: list[tuple[int, int]] = []
+    code = 0
+    while tries:
+        q = len(placed)
         b, c = pairs[q]
-        for s in (prefix[q],) if q < len(prefix) else range(3):
+        for s in tries[-1]:
             if _fits(succ, pred, b, c, s):
+                break
+        else:  # pair q is exhausted: take back the state of pair q - 1
+            tries.pop()
+            if placed:
+                s, code = placed.pop()
+                b, c = pairs[q - 1]
                 _place(succ, pred, b, c, s)
-                yield from extend(q + 1, code * 3 + s)
-                _place(succ, pred, b, c, s)
-
-    yield from extend(0, 0)
+            continue
+        _place(succ, pred, b, c, s)
+        if q + 1 == last:
+            yield code * 3 + s, tuple(succ), tuple(pred)
+            _place(succ, pred, b, c, s)
+        else:
+            placed.append((s, code))
+            code = code * 3 + s
+            tries.append(iter(options[q + 1]))
 
 
 def poset_from_state(n: int, state: Iterable[int]) -> Poset:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .bounds import dbe_bound
-from .core import BetweennessRelation, check_point, check_size
+from .core import WIDE_BITS, BetweennessRelation, check_point, check_size, set_bits
 from .errors import CycleError, UnknownPointError
 from .graphs import Graph, is_extremal_graph
 
@@ -28,13 +28,15 @@ class Poset:
     level first, and is the one record of the partition: v has level
     i + 1 exactly when it is a bit of ``layers[i]``.
 
-    The constructor is the one validation path: it takes the transitive
-    closure of the rows it is given, so any acyclic relation is
-    accepted, and raises UnknownPointError on a row naming a point >= n
-    and CycleError when the closure puts some point above itself.  The
-    closure pass that finds the rows closed also transposes them into
-    ``pred``, and the layers come from peeling minimal points, one
-    layer at a time.
+    The constructor is the one validation path, for every poset read
+    from outside (parsed input, ``verify``, ``poset_report``): it takes
+    the transitive closure of the rows it is given, so any acyclic
+    relation is accepted, and raises UnknownPointError on a row naming
+    a point >= n and CycleError when the closure puts some point above
+    itself.  The closure pass that finds the rows closed also
+    transposes them into ``pred``.  ``_from_closed`` takes the
+    enumerator's rows, closed and acyclic by construction, without
+    that pass.  Both peel the layers in ``_fill``.
     """
 
     __slots__ = ("size", "succ", "pred", "layers", "height", "_graph", "_bound")
@@ -68,24 +70,47 @@ class Poset:
         for v in range(n):
             if rows[v] >> v & 1:
                 raise CycleError(f"cover relations create a cycle through point {v}")
-        # Peel minimal points: layer k holds the points whose
-        # predecessors all lie in layers 1..k-1, which are exactly the
-        # points whose longest chain ending there has k points.
+        self._fill(tuple(rows), tuple(pred))
+
+    @classmethod
+    def _from_closed(cls, succ: tuple[int, ...], pred: tuple[int, ...]) -> "Poset":
+        # For closed, acyclic rows, each the other's transpose (every
+        # enumerated poset): skips the closure pass and the checks.
+        p = cls.__new__(cls)
+        p._fill(succ, pred)
+        return p
+
+    def _fill(self, succ: tuple[int, ...], pred: tuple[int, ...]) -> None:
+        """Set the fields from closed rows, peeling the layers as minimal
+        points: layer k holds the points whose predecessors all lie in
+        layers 1..k-1, which are exactly the points whose longest chain
+        ending there has k points.  A wide ``rest`` is walked, and its
+        layer set, a byte at a time: a shift or an OR on an n-bit int
+        copies it.  A narrow one stays with int operations, since a byte
+        buffer per layer slows the n = 5 poset sweep by 7 to 10 %."""
+        n = len(succ)
         layers = []
         rest = (1 << n) - 1
         while rest:
-            layer = 0
-            scan = rest
-            while scan:
-                low = scan & -scan
-                if not pred[low.bit_length() - 1] & rest:
-                    layer |= low
-                scan ^= low
+            if rest.bit_length() < WIDE_BITS:
+                layer = 0
+                scan = rest
+                while scan:
+                    low = scan & -scan
+                    if not pred[low.bit_length() - 1] & rest:
+                        layer |= low
+                    scan ^= low
+            else:
+                buffer = bytearray(n + 7 >> 3)
+                for v in set_bits(rest):
+                    if not pred[v] & rest:
+                        buffer[v >> 3] |= 1 << (v & 7)
+                layer = int.from_bytes(buffer, "little")
             layers.append(layer)
             rest ^= layer
         self.size = n
-        self.succ = tuple(rows)
-        self.pred = tuple(pred)
+        self.succ = succ
+        self.pred = pred
         self.layers = tuple(layers)
         self.height = len(layers)
         self._graph = None

@@ -212,10 +212,11 @@ def _report(
     )
 
 
-def _mismatch(kind: str, universal: bool, equality: bool, shape: bool) -> bool:
-    """True when the kind has an extremal shape and, with no universal
-    line, the equality case and the shape match disagree."""
-    return SWEEP_KINDS[kind].compare_shape and not universal and equality != shape
+def _mismatch(compare_shape: bool, universal: bool, equality: bool, shape: bool) -> bool:
+    """True when the kind compares its equality cases with an extremal
+    shape (its ``compare_shape``) and, with no universal line, the
+    equality case and the shape match disagree."""
+    return compare_shape and not universal and equality != shape
 
 
 def _poset_fields(p) -> tuple[tuple, str | None]:
@@ -339,7 +340,7 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
 def shape_mismatch(report: VerificationReport) -> bool:
     """``_mismatch`` of one report."""
     return _mismatch(
-        report.structure_kind, report.has_universal,
+        SWEEP_KINDS[report.structure_kind].compare_shape, report.has_universal,
         report.is_equality_case, report.extremal_shape_match,
     )
 
@@ -362,7 +363,9 @@ def _fold_instances(
     """The summary and (when ``render``) the jsonl rows of one chunk of
     posets, from the row fields and certificate defect ``_poset_fields``
     gives each enumerated poset of height at least 2 (the bound does not
-    apply to an antichain, which is enumerated but not reported).
+    apply to an antichain, which is enumerated but not reported).  Each
+    poset is built from the enumerator's closed rows with
+    ``Poset._from_closed``, not validated again.
 
     It adds the flags up into plain counters, lists the ids of failing
     instances only, renders each row as the (kind, n) head, the id and
@@ -370,12 +373,13 @@ def _fold_instances(
     violation.
     """
     head = _row_head(kind, n)
+    compare_shape = SWEEP_KINDS[kind].compare_shape
     enumerated = reported = universal_count = equality_cases = shape_matches = 0
     violations, mismatch_ids, cert_failures = [], [], []
     rows = []
-    for code, order in _iter_states(n, chunk):
+    for code, succ, pred in _iter_states(n, chunk):
         enumerated += 1
-        p = Poset(order)
+        p = Poset._from_closed(succ, pred)
         if p.height < 2:
             continue
         reported += 1
@@ -386,7 +390,7 @@ def _fold_instances(
         shape_matches += shape
         if not meets:
             violations.append(_report(kind, n, code, count, bound, universal, shape))
-        if _mismatch(kind, universal, equality, shape):
+        if _mismatch(compare_shape, universal, equality, shape):
             mismatch_ids.append(code)
         if defect is not None:
             cert_failures.append((code, defect))

@@ -44,7 +44,7 @@ def enumerate_graphs(n):
 def enumerate_posets(n):
     """Every labeled strict partial order on 0..n-1, in ascending
     ``poset_code`` order."""
-    for _, rows in _iter_states(n):
+    for _, rows, _ in _iter_states(n):
         yield Poset(rows)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linesys import construct, dbe_bound, enumeration, graphs, sweeps
+from linesys import construct, dbe_bound, enumeration, graphs, posets, sweeps
 from linesys.cli import (
     EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INPUT_KINDS, INT_MAX_STR_DIGITS,
     build_parser, main,
@@ -902,3 +902,37 @@ def test_fuzzed_structure_input_ends_in_an_exit_code_never_a_traceback(case, com
         assert out.getvalue() == ""
     else:
         assert err == "" and out.getvalue()
+
+
+def test_only_parsed_posets_go_through_the_validating_constructor(monkeypatch, capsys):
+    # The sweep builds its posets from the enumerator's closed rows with
+    # Poset._from_closed; verify still validates the poset it parses.
+    calls = []
+    validate = posets.Poset.__init__
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        validate(self, rows)
+
+    monkeypatch.setattr(posets.Poset, "__init__", counting)
+    summary = sweeps.run_sweep("poset", 5)
+    assert summary[2:7] == (4231, 4230, 780, 360, 360) and summary.ok
+    assert calls == []
+    cycle = "3 3\n0 1\n1 2\n2 0\n"
+    assert run_cli(["verify", "--kind", "poset"], cycle, monkeypatch=monkeypatch) == (
+        EXIT_INPUT, ""
+    )
+    assert capsys.readouterr().err == (
+        "error: cover relations create a cycle through point 0\n"
+    )
+    assert calls == [3]
+    outside = "3 1\n0 3\n"
+    assert run_cli(["verify", "--kind", "poset"], outside, monkeypatch=monkeypatch) == (
+        EXIT_INPUT, ""
+    )
+    assert capsys.readouterr().err == (
+        "error: line 2, column 3: cover endpoint 3 out of range 0..2\n"
+    )
+    assert run_cli(["verify", "--kind", "poset", "--format", "jsonl"], CHAIN_POSET,
+                   monkeypatch=monkeypatch)[0] == EXIT_OK
+    assert calls == [3, 3]

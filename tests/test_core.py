@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linesys import (
@@ -13,6 +13,7 @@ from linesys import (
     hypergraph_lines,
     pair_list,
 )
+from linesys.core import WIDE_BITS, set_bits
 from linesys.graphs import Graph
 from linesys.metrics import MetricSpace
 from linesys.posets import Poset
@@ -308,3 +309,22 @@ def test_line_mask_set_matches_all_lines(case):
     lines = all_lines(rel)
     assert len(masks) == len(lines)
     assert {mask for mask, _ in lines} == masks
+
+
+# Masks of every width up to three times the switch point, so both the
+# shift walk (below WIDE_BITS bits) and the byte walk are drawn.
+masks_across_the_switch = st.integers(0, 3 * WIDE_BITS).flatmap(
+    lambda width: st.integers(0, (1 << width) - 1)
+)
+
+
+@given(masks_across_the_switch)
+@example(0)
+@example((1 << WIDE_BITS - 1) - 1)
+@example(1 << WIDE_BITS - 1)
+@example((1 << WIDE_BITS) - 1)
+@example(1 << WIDE_BITS)
+@example((1 << WIDE_BITS + 1) - 1)
+@settings(max_examples=300)
+def test_set_bits_lists_the_bits_of_bits_of_on_both_sides_of_the_switch(mask):
+    assert list(set_bits(mask)) == list(bits_of(mask))

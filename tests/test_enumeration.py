@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import linesys.enumeration as enumeration
 from linesys import (
@@ -66,7 +69,7 @@ def test_poset_counts_match_independent_filter():
     for n, expected in ((1, 1), (2, 3), (3, 19), (4, 219)):
         codes = brute_force_poset_codes(n)
         assert len(codes) == expected
-        assert [code for code, _ in _iter_states(n)] == codes
+        assert [code for code, _, _ in _iter_states(n)] == codes
         assert sum(1 for _ in enumerate_posets(n)) == expected
 
 
@@ -74,7 +77,7 @@ def test_enumerated_rows_are_closed_orders_with_their_code():
     # Every yielded row tuple is already the closed order, and its code
     # is the one poset_code reads back from the rows.
     for n in range(1, 6):
-        for code, rows in _iter_states(n):
+        for code, rows, _ in _iter_states(n):
             p = Poset(rows)
             assert p.succ == rows
             assert poset_code(p) == code
@@ -182,7 +185,7 @@ def test_posets_yielded_are_valid():
 
 
 def test_prefix_partition_covers_the_enumeration_in_order():
-    whole = [(poset_code(p), p.succ) for p in enumerate_posets(4)]
+    whole = [(poset_code(p), p.succ, p.pred) for p in enumerate_posets(4)]
     pieces = []
     for prefix in SWEEP_KINDS["poset"].chunks(4):
         pieces.extend(_iter_states(4, prefix))
@@ -203,3 +206,43 @@ def test_prefixes_of_one_point_against_all_others_partition_in_order(n):
     # Point 0 unrelated, below all or above all: each as many posets as
     # on the other n - 1 points, and no prefix has more.
     assert largest == sum(1 for _ in _iter_states(n - 1))
+
+
+@lru_cache(maxsize=None)
+def whole_enumeration(n):
+    return tuple(_iter_states(n))
+
+
+# A size n <= 6 and a prefix of up to all C(n, 2) pair states.
+prefixes = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 2), max_size=n * (n - 1) // 2).map(tuple)
+    )
+)
+
+
+@given(prefixes)
+@example((3, (1, 0, 1)))  # 0 < 1 < 2 but 0 and 2 incomparable: no poset
+@example((4, (2, 2, 2)))  # point 0 above every other point
+@settings(max_examples=150, deadline=None)
+def test_a_prefix_selects_the_posets_with_those_leading_states_in_order(case):
+    n, prefix = case
+    rest = n * (n - 1) // 2 - len(prefix)
+    # The leading states of a code are its leading base-3 digits.
+    expected = [
+        entry for entry in whole_enumeration(n)
+        if entry[0] // 3**rest == state_code(prefix)
+    ]
+    assert list(_iter_states(n, prefix)) == expected
+
+
+def test_a_prefix_that_breaks_transitivity_yields_nothing():
+    # 0 < 1 and 1 < 2 force 0 < 2, so 0 and 2 incomparable (state 0)
+    # or 2 < 0 (state 2, a cycle) has no poset, whatever follows.
+    assert list(_iter_states(3, (1, 0, 1))) == []
+    assert list(_iter_states(3, (1, 2, 1))) == []
+    assert list(_iter_states(5, (1, 0, 0, 0, 1))) == []
+    # With 0 below 1 and 2, the pair (1, 2) may take every state.
+    assert [code for code, _, _ in _iter_states(3, (1, 1))] == [
+        state_code((1, 1, s)) for s in range(3)
+    ]

@@ -20,6 +20,9 @@ from linesys import (
     poset_report,
 )
 
+from linesys.core import WIDE_BITS
+from linesys.enumeration import _iter_states
+
 from reference import (
     all_lines,
     enumerate_posets,
@@ -425,3 +428,42 @@ def test_the_comparability_graph_is_built_once_per_poset():
     p = Poset.from_covers(4, [(0, 1), (1, 2), (3, 2)])
     assert comparability_graph(p) is comparability_graph(p)
     assert comparability_graph(p).adj == (0b0110, 0b0101, 0b1011, 0b0100)
+
+
+def test_the_trusted_constructor_equals_the_validating_one_up_to_n6():
+    # The sweep builds each enumerated poset from both of its rows with
+    # Poset._from_closed, which skips the closure pass, the transposition
+    # and the cycle check of Poset.__init__.
+    for n in range(1, 7):
+        for _, succ, pred in _iter_states(n):
+            assert pred == transpose(succ)
+            trusted, checked = Poset._from_closed(succ, pred), Poset(succ)
+            assert (
+                trusted.size, trusted.succ, trusted.pred, trusted.layers, trusted.height
+            ) == (
+                checked.size, checked.succ, checked.pred, checked.layers, checked.height
+            )
+
+
+# Index-increasing covers on up to three times the width from which the
+# level peel walks the points a byte at a time, and on fewer points.
+wide_poset_strategy = st.integers(1, 3 * WIDE_BITS).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] < p[1]
+            ),
+            max_size=4 * n,
+        ),
+    )
+)
+
+
+@given(wide_poset_strategy)
+@settings(max_examples=120, deadline=None)
+def test_layers_equal_the_recurrence_on_both_sides_of_the_wide_peel(case):
+    n, covers = case
+    p = Poset.from_covers(n, covers)
+    assert p.layers == bucketed_layers(levels_by_recurrence(p))
+    assert p.height == len(p.layers)

@@ -5,10 +5,11 @@ success, 1 on input errors (including violated preconditions), 2 on
 internal invariant violations, 3 when a verification finds a theorem
 violation.
 
-``INPUT_KINDS`` is the one place where an input kind is described: how
-its text becomes the line system that ``lines`` prints and the report
-that ``verify`` checks.  Sweepable kinds are described in
-``sweeps.SWEEP_KINDS``, and ``sweep --kind`` offers exactly its keys.
+Every structure kind is described once, in ``sweeps.KINDS``: how its
+text becomes the line system that ``lines`` prints, the report that
+``verify`` checks and, for a sweepable kind, its sweep.  ``lines`` and
+``verify --kind`` offer every key of that table, ``sweep --kind`` the
+keys with a sweep part, and ``verify`` refuses a kind with no report.
 """
 
 from __future__ import annotations
@@ -18,34 +19,16 @@ import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
 
-from .bounds import dbe_bound, min_pair_sum
+from .bounds import dbe_bound
 from .construct import build_certificate
-from .core import bits_of, hypergraph_lines
+from .core import bits_of
 from .errors import InternalError, LinesysError
-from .formats import (
-    parse_graph,
-    parse_hypergraph,
-    parse_metric,
-    parse_poset,
-    render_line_system,
-    render_points,
-)
-from .graphs import graph_lines
-from .metrics import metric_lines
-from .posets import comparability_graph
-from .sweeps import (
-    SWEEP_KINDS,
-    graph_report,
-    metric_report,
-    poset_report,
-    run_sweep,
-    shape_mismatch,
-    sweep_kind,
-)
+from .formats import parse_poset, render_line_system, render_points
+from .sweeps import KINDS, run_sweep, shape_mismatch, sweep_kind
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
 from .core import all_lines  # noqa: F401
+from .formats import parse_graph  # noqa: F401
 from .graphs import graph_betweenness  # noqa: F401
 
 EXIT_OK = 0
@@ -90,43 +73,8 @@ def _write_json(out, row: dict) -> None:
     out.write(json.dumps(row) + "\n")
 
 
-class _InputKind(NamedTuple):
-    parse: Callable[[str], object]  # text -> structure
-    lines: Callable[[object], Iterator]  # structure -> runs of line_system
-    # (structure, instance id) -> (report, certificate defect or None).
-    # Only a jsonl row prints the id: it passes None, the report's
-    # default id, and text passes "", so no kind builds an id it will
-    # not print (a poset's is a base-3 number of up to C(n, 2) digits).
-    verify: Callable[[object, int | str | None], tuple] | None
-
-
-# The one place an input kind is described; verify is None when no
-# line-count theorem covers the kind.  Entries look the parsers, line
-# builders and reports up when called, so patching or tracing those
-# module names reaches every subcommand.  Every line builder reads the
-# kind's own rows (a poset's through its comparability graph, which
-# induces the same lines) into ``core.line_system``.
-INPUT_KINDS = {
-    "graph": _InputKind(
-        lambda text: parse_graph(text), lambda g: graph_lines(g),
-        lambda g, instance_id: (graph_report(g, instance_id), None),
-    ),
-    "poset": _InputKind(
-        lambda text: parse_poset(text), lambda p: graph_lines(comparability_graph(p)),
-        lambda p, instance_id: poset_report(p, instance_id),
-    ),
-    "metric": _InputKind(
-        lambda text: parse_metric(text), lambda m: metric_lines(m),
-        lambda m, instance_id: (metric_report(m, instance_id), None),
-    ),
-    "hypergraph": _InputKind(
-        lambda text: parse_hypergraph(text), lambda h: hypergraph_lines(*h), None
-    ),
-}
-
-
 def _cmd_lines(args, out) -> int:
-    kind = INPUT_KINDS[args.kind]
+    kind = KINDS[args.kind]
     # The builder raises every input error when called, so nothing is
     # written before it has succeeded; the rows are then streamed.
     runs = kind.lines(kind.parse(_read_input(args.input)))
@@ -135,24 +83,7 @@ def _cmd_lines(args, out) -> int:
 
 
 def _cmd_bound(args, out) -> int:
-    wants_poset = args.poset_n is not None or args.height is not None
-    wants_pairs = args.pair_sum_n is not None or args.parts is not None
-    if not wants_poset and not wants_pairs:
-        raise _UsageError(
-            "request --poset-n N --height H and/or --pair-sum-n N --parts R"
-        )
-    # Both requests are checked and evaluated before anything is
-    # written, so a failing one leaves stdout empty.
-    values = []
-    if wants_poset:
-        if args.poset_n is None or args.height is None:
-            raise _UsageError("--poset-n and --height go together")
-        values.append(dbe_bound(args.poset_n, args.height))
-    if wants_pairs:
-        if args.pair_sum_n is None or args.parts is None:
-            raise _UsageError("--pair-sum-n and --parts go together")
-        values.append(min_pair_sum(args.pair_sum_n, args.parts))
-    out.writelines(f"{value}\n" for value in values)
+    out.write(f"{dbe_bound(args.poset_n, args.height)}\n")
     return EXIT_OK
 
 
@@ -200,14 +131,15 @@ def _cmd_construct(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    kind = INPUT_KINDS[args.kind]
-    if kind.verify is None:
+    kind = KINDS[args.kind]
+    if kind.report is None:
+        *covered, last = [name for name, entry in KINDS.items() if entry.report]
         raise _UsageError(
             "no line-count theorem covers general 3-uniform hypergraphs; "
-            "verify supports graph, poset, and metric"
+            f"verify supports {', '.join(covered)}, and {last}"
         )
     structure = kind.parse(_read_input(args.input))
-    report, cert_issue = kind.verify(structure, None if args.format == "jsonl" else "")
+    report, cert_issue = kind.report(structure, None if args.format == "jsonl" else "")
     if args.format == "jsonl":
         out.write(report.json_line() + "\n")
     else:
@@ -281,15 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     lines = sub.add_parser("lines", help="print the distinct lines of one structure")
-    lines.add_argument("--kind", choices=tuple(INPUT_KINDS), required=True)
+    lines.add_argument("--kind", choices=tuple(KINDS), required=True)
     lines.add_argument("--format", choices=("text", "jsonl"), default="text")
     lines.add_argument("input", nargs="?", default="-", help="input path or - for stdin")
 
     bound = sub.add_parser("bound", help="evaluate the line-count bounds")
-    bound.add_argument("--poset-n", type=int)
-    bound.add_argument("--height", type=int)
-    bound.add_argument("--pair-sum-n", type=int)
-    bound.add_argument("--parts", type=int)
+    bound.add_argument("--poset-n", type=int, required=True)
+    bound.add_argument("--height", type=int, required=True)
 
     construct = sub.add_parser(
         "construct", help="run the line-finding process on a poset"
@@ -298,12 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     construct.add_argument("input", nargs="?", default="-")
 
     verify = sub.add_parser("verify", help="check one instance against its bound")
-    verify.add_argument("--kind", choices=tuple(INPUT_KINDS), required=True)
+    verify.add_argument("--kind", choices=tuple(KINDS), required=True)
     verify.add_argument("--format", choices=("text", "jsonl"), default="text")
     verify.add_argument("input", nargs="?", default="-")
 
     sweep = sub.add_parser("sweep", help="exhaustively verify all instances of size n")
-    sweep.add_argument("--kind", choices=tuple(SWEEP_KINDS), required=True)
+    sweep.add_argument(
+        "--kind",
+        choices=tuple(name for name, entry in KINDS.items() if entry.sweep),
+        required=True,
+    )
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--format", choices=("text", "jsonl"), default="text")

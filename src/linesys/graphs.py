@@ -147,6 +147,8 @@ def graph_line_count(g: Graph) -> tuple[int, bool]:
     for a, row in enumerate(adj):
         # Each edge once, from its larger end: the neighbors below a.
         below = row ^ (row >> a << a)
+        if not below:  # no n-bit int for a vertex with no edge down
+            continue
         ends = 1 << a
         while below:
             low = below & -below
@@ -169,11 +171,13 @@ def has_universal_line(adj: Sequence[int]) -> bool:
     set, edge or not.  ``graph_line_count`` reads the same flag from
     the lines it sorts anyway, so the poset sweep, which counts every
     poset's comparability graph with it, does not walk the rows a
-    second time."""
-    full = (1 << len(adj)) - 1
+    second time.  The rows are a ``Graph``'s, loop-free and inside the
+    ground set, so a vertex adjacent to all others is one with n - 1
+    neighbors, and no n-bit int is built per vertex."""
+    others = len(adj) - 1
     seen = False
-    for v, row in enumerate(adj):
-        if row | 1 << v == full:
+    for row in adj:
+        if row.bit_count() == others:
             if seen:
                 return True
             seen = True
@@ -208,14 +212,15 @@ def _adjacency_planes(n: int, lo: int, hi: int) -> list[list[int]]:
     return adj
 
 
-def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
+def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int, int]:
     """Line counts, universal lines and extremal shapes of the graphs on
     n >= 3 vertices with edge masks lo..hi-1, all at once: in every
     returned int, bit i stands for the graph of mask lo + i.
 
-    Returns (duplicate planes, universal, shape).  The line of a
-    non-edge is its bare pair, which no other pair generates, so a
-    graph has C(n, 2) lines less the number of its edges whose line
+    Returns (duplicate planes, universal, shape, reported), the tuple
+    of ``metrics.metric_mask_planes``, with every graph reported.  The
+    line of a non-edge is its bare pair, which no other pair generates,
+    so a graph has C(n, 2) lines less the number of its edges whose line
     equals the line of a lower-indexed edge; the duplicate planes hold
     that number in binary, least significant plane first.  The line of
     an edge ab holds x when x is adjacent to a and b (a and b count as
@@ -245,7 +250,7 @@ def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, i
         shape |= rest & ~twice
     if n == 3:
         shape |= full ^ (edge[0] | edge[1] | edge[2])
-    return duplicates, universal, shape
+    return duplicates, universal, shape, full
 
 
 def _line_planes(

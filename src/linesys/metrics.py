@@ -157,13 +157,15 @@ def graph_shortest_path_metric(g: Graph) -> MetricSpace:
     return MetricSpace._from_rows(tuple(rows))
 
 
-def metric_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
+def metric_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int, int]:
     """Line counts and universal lines of the shortest-path metrics of
     the graphs on n vertices with edge masks lo..hi-1, all at once: in
     every returned int, bit i stands for the graph of mask lo + i.
 
-    Returns (duplicate planes, universal, connected); a bit outside
-    ``connected`` has no metric, and no duplicate or universal bit.
+    Returns (duplicate planes, universal, shape, connected), the tuple
+    of ``graphs.graph_mask_planes``.  shape is 0: a metric has no
+    extremal shape here.  A bit outside ``connected`` has no metric, and
+    no duplicate or universal bit.
     Breadth-first search on the adjacency planes gives ``dist[a][x][k]``,
     the masks in which x is k steps from a.  Point x with d(a, x) = k is
     on the line of a pair at distance d exactly when d(b, x) is |k - d|
@@ -207,4 +209,4 @@ def metric_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, 
                 member[x] |= at_d & on
         members.append(member)
     duplicates, universal = _line_planes([connected] * len(members), members, full)
-    return duplicates, universal, connected
+    return duplicates, universal, 0, connected

@@ -33,11 +33,14 @@ into rows with its kind's ``rows`` and writes them in chunk order.
 and the graph and poset reports refuse an instance outside their
 bound with DomainError.
 
-``SWEEP_KINDS`` is the one place where a sweepable kind is described:
-its size and jsonl ranges, chunk list, chunk runner, the parent-side
-renderer of a chunk's jsonl payload and whether its equality cases are
-compared with an extremal shape.  Its keys are exactly the kinds that
-``sweep --kind`` offers.
+``KINDS`` is the one place where a structure kind is described: how
+its text becomes the structure (``parse``), the line system that
+``lines`` prints and the report that ``verify`` checks, and, for a
+sweepable kind, its size and jsonl ranges, chunk list, chunk runner,
+the parent-side renderer of a chunk's jsonl payload, whether its
+equality cases are compared with an extremal shape and, for the mask
+kinds, the kernel that counts a chunk.  ``lines`` and ``verify --kind``
+offer every key, and ``sweep --kind`` the keys with a sweep part.
 """
 
 from __future__ import annotations
@@ -49,13 +52,16 @@ from functools import lru_cache
 from itertools import product
 from math import comb, log10
 from operator import add
-from typing import Callable, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .construct import build_certificate, certificate_issues
-from .core import bits_of, pair_list
+from .core import bits_of, hypergraph_lines, pair_list
 from .enumeration import _first_comparable, _iter_states, poset_code
 from .errors import CapError, DomainError, LinesysError, MetricError
-from .graphs import Graph, graph_line_count, graph_mask_planes, is_extremal_graph
+from .formats import parse_graph, parse_hypergraph, parse_metric, parse_poset
+from .graphs import (
+    Graph, graph_line_count, graph_lines, graph_mask_planes, is_extremal_graph,
+)
 from .metrics import metric_lines, metric_mask_planes
 from .posets import Poset, comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
@@ -252,7 +258,7 @@ def graph_report(g: Graph, instance_id: int | str | None = None) -> Verification
 
     Lines are counted by ``graph_line_count`` straight from the
     adjacency rows; no relation is built."""
-    min_n = SWEEP_KINDS["graph"].min_n
+    min_n = KINDS["graph"].sweep.min_n
     if g.size < min_n:
         raise DomainError(f"graph verification needs n >= {min_n}")
     if instance_id is None:
@@ -340,7 +346,7 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
 def shape_mismatch(report: VerificationReport) -> bool:
     """``_mismatch`` of one report."""
     return _mismatch(
-        SWEEP_KINDS[report.structure_kind].compare_shape, report.has_universal,
+        KINDS[report.structure_kind].sweep.compare_shape, report.has_universal,
         report.is_equality_case, report.extremal_shape_match,
     )
 
@@ -373,7 +379,7 @@ def _fold_instances(
     violation.
     """
     head = _row_head(kind, n)
-    compare_shape = SWEEP_KINDS[kind].compare_shape
+    compare_shape = KINDS[kind].sweep.compare_shape
     enumerated = reported = universal_count = equality_cases = shape_matches = 0
     violations, mismatch_ids, cert_failures = [], [], []
     rows = []
@@ -452,12 +458,12 @@ def _mask_chunk(
     kind: str, n: int, chunk: tuple[int, int], render: bool
 ) -> tuple[SweepSummary, bytes]:
     """The summary and (when ``render``) the code bytes of one chunk of
-    edge masks [lo, hi), read off the bit planes of the kind's kernel,
-    ``graph_mask_planes`` or ``metric_mask_planes``, where bit i stands
-    for the mask lo + i: the counters are popcounts, the mismatch ids
-    the set bits plus lo, and a ``VerificationReport`` is built only
-    for a violation bit.  A disconnected graph has no metric: it is
-    enumerated but not reported.
+    edge masks [lo, hi), read off the bit planes of the kind's
+    ``kernel``, ``graph_mask_planes`` or ``metric_mask_planes``, where
+    bit i stands for the mask lo + i: the counters are popcounts, the
+    mismatch ids the set bits plus lo, and a ``VerificationReport`` is
+    built only for a violation bit.  A disconnected graph has no metric:
+    it is enumerated but not reported.
 
     An instance has n lines exactly when C(n, 2) - n of its pairs repeat
     a lower pair's line, and fewer when more do.  Byte i of the codes is
@@ -468,12 +474,8 @@ def _mask_chunk(
     lo, hi = chunk
     width = hi - lo
     full = (1 << width) - 1
-    if kind == "graph":
-        duplicates, universal, shape = graph_mask_planes(n, lo, hi)
-        reported = full
-    else:
-        duplicates, universal, reported = metric_mask_planes(n, lo, hi)
-        shape = 0
+    sweep = KINDS[kind].sweep
+    duplicates, universal, shape, reported = sweep.kernel(n, lo, hi)
     pairs = comb(n, 2)
     equal, above = _compare_planes(duplicates, pairs - n, full)
     checked = reported ^ universal
@@ -486,7 +488,7 @@ def _mask_chunk(
         )
         for i in bits_of(above & checked)
     )
-    mismatches = (equality ^ shape) & checked if SWEEP_KINDS[kind].compare_shape else 0
+    mismatches = (equality ^ shape) & checked if sweep.compare_shape else 0
     summary = SweepSummary(
         kind, n, width, reported.bit_count(), universal.bit_count(),
         equality.bit_count(), shape.bit_count(), violations,
@@ -535,7 +537,7 @@ def _text_rows(kind: str, n: int, chunk: tuple, text: str) -> str:
     return text
 
 
-class _SweepKind(NamedTuple):
+class _Sweep(NamedTuple):
     min_n: int
     cap: int
     jsonl_cap: int  # the largest n whose jsonl stream a sweep writes
@@ -546,46 +548,85 @@ class _SweepKind(NamedTuple):
     # (kind, n, unit, payload) -> the unit's jsonl rows, in the parent
     rows: Callable[[str, int, tuple, bytes | str], str]
     compare_shape: bool  # equality cases are checked against the extremal shape
+    # (n, lo, hi) -> (duplicate planes, universal, shape, reported) of the
+    # edge masks lo..hi-1, for the kinds that ``_mask_chunk`` runs
+    kernel: Callable[[int, int, int], tuple] | None = None
 
 
-# The one place a sweepable structure kind is described.  Graph and
-# metric chunks are counted all at once by their kernel's bit planes and
-# ship one code byte per mask, which the parent renders; posets fold
+class _Kind(NamedTuple):
+    parse: Callable[[str], object]  # text -> structure
+    lines: Callable[[object], Iterator]  # structure -> runs of line_system
+    # (structure, instance id) -> (report, certificate defect or None).
+    # Only a jsonl row prints the id: it passes None, the report's
+    # default id, and text passes "", so no kind builds an id it will
+    # not print (a poset's is a base-3 number of up to C(n, 2) digits).
+    # None when no line-count theorem covers the kind.
+    report: Callable[[object, int | str | None], tuple] | None
+    sweep: _Sweep | None  # None for a kind with no sweep
+
+
+# The one place a structure kind is described.  Entries look the module
+# functions they call (parsers, line builders, reports, kernels,
+# certificate_issues, ...) up when called, so patching or tracing one of
+# them reaches every subcommand and sweep that calls it.  Every line
+# builder reads the kind's own rows (a poset's through its comparability
+# graph, which induces the same lines) into ``core.line_system``.  Graph
+# and metric chunks are counted all at once by their kernel's bit planes
+# and ship one code byte per mask, which the parent renders; posets fold
 # their instance generator one instance at a time and ship their rows.
-# Chunk runners look up the module functions they call
-# (graph_mask_planes, metric_mask_planes, certificate_issues, ...) at
-# call time, so patching or tracing one of them reaches every sweep
-# that calls it.  The jsonl caps keep a mask's code in one byte; a
-# graph jsonl stream at n = 8 would be about 52 GB.
-SWEEP_KINDS = {
-    "graph": _SweepKind(3, 8, 7, _mask_chunks, _mask_chunk, _mask_rows, True),
-    "poset": _SweepKind(2, 7, 7, _poset_chunks, _fold_instances, _text_rows, True),
+# The jsonl caps keep a mask's code in one byte; a graph jsonl stream at
+# n = 8 would be about 52 GB.
+KINDS = {
+    "graph": _Kind(
+        lambda text: parse_graph(text), lambda g: graph_lines(g),
+        lambda g, instance_id: (graph_report(g, instance_id), None),
+        _Sweep(
+            3, 8, 7, _mask_chunks, _mask_chunk, _mask_rows, True,
+            lambda n, lo, hi: graph_mask_planes(n, lo, hi),
+        ),
+    ),
+    "poset": _Kind(
+        lambda text: parse_poset(text), lambda p: graph_lines(comparability_graph(p)),
+        lambda p, instance_id: poset_report(p, instance_id),
+        _Sweep(2, 7, 7, _poset_chunks, _fold_instances, _text_rows, True),
+    ),
     # Metric n = 7 takes about 1 s on one core; n = 8, with 128 times as
     # many masks, about 3 minutes.
-    "metric": _SweepKind(2, 7, 7, _mask_chunks, _mask_chunk, _mask_rows, False),
+    "metric": _Kind(
+        lambda text: parse_metric(text), lambda m: metric_lines(m),
+        lambda m, instance_id: (metric_report(m, instance_id), None),
+        _Sweep(
+            2, 7, 7, _mask_chunks, _mask_chunk, _mask_rows, False,
+            lambda n, lo, hi: metric_mask_planes(n, lo, hi),
+        ),
+    ),
+    "hypergraph": _Kind(
+        lambda text: parse_hypergraph(text), lambda h: hypergraph_lines(*h), None, None
+    ),
 }
 
 
-def sweep_kind(kind: str, n: int, jsonl: bool = False) -> _SweepKind:
-    """The ``SWEEP_KINDS`` entry of ``kind``, once n is in its range
-    (and, for a sweep that writes jsonl, in the kind's jsonl range)."""
-    entry = SWEEP_KINDS.get(kind)
-    if entry is None:
+def sweep_kind(kind: str, n: int, jsonl: bool = False) -> _Sweep:
+    """The sweep part of ``kind``'s ``KINDS`` entry, once n is in its
+    range (and, for a sweep that writes jsonl, in the kind's jsonl
+    range)."""
+    sweep = getattr(KINDS.get(kind), "sweep", None)
+    if sweep is None:
         raise DomainError(f"unknown sweep kind {kind!r}")
-    if n > entry.cap:
-        raise CapError(f"{kind} sweeps support n <= {entry.cap}, got {n}")
-    if n < entry.min_n:
-        raise DomainError(f"{kind} sweeps need n >= {entry.min_n}, got {n}")
-    if jsonl and n > entry.jsonl_cap:
-        raise CapError(f"{kind} sweeps write jsonl for n <= {entry.jsonl_cap}, got {n}")
-    return entry
+    if n > sweep.cap:
+        raise CapError(f"{kind} sweeps support n <= {sweep.cap}, got {n}")
+    if n < sweep.min_n:
+        raise DomainError(f"{kind} sweeps need n >= {sweep.min_n}, got {n}")
+    if jsonl and n > sweep.jsonl_cap:
+        raise CapError(f"{kind} sweeps write jsonl for n <= {sweep.jsonl_cap}, got {n}")
+    return sweep
 
 
 def _run_chunk(args) -> tuple[SweepSummary, bytes | str]:
     """The summary and (when ``render``) the jsonl payload of one chunk,
     which the kind's ``rows`` turns into text in the parent."""
     kind, n, chunk, render = args
-    return SWEEP_KINDS[kind].run_chunk(kind, n, chunk, render)
+    return KINDS[kind].sweep.run_chunk(kind, n, chunk, render)
 
 
 def run_sweep(
@@ -593,14 +634,14 @@ def run_sweep(
 ) -> SweepSummary:
     """Run one exhaustive sweep: the chunk summaries merged in chunk order.
 
-    ``kind`` is a key of ``SWEEP_KINDS``; ``workers`` below 1 raises
-    DomainError.  With ``jsonl``, a text stream, every per-instance
-    report is written to it as one JSON line, in canonical enumeration
-    order.  Worker processes split the canonical chunk list and run its
-    chunks; the parent merges the summaries in chunk order and renders
-    each chunk's payload with the kind's ``rows`` (the same runner and
-    renderer serve a serial sweep), so the summary and the stream are
-    identical for every worker count.  The pool gets at most one worker
+    ``kind`` is a key of ``KINDS`` with a sweep part; ``workers`` below
+    1 raises DomainError.  With ``jsonl``, a text stream, every
+    per-instance report is written to it as one JSON line, in canonical
+    enumeration order.  Worker processes split the canonical chunk list
+    and run its chunks; the parent merges the summaries in chunk order
+    and renders each chunk's payload with the kind's ``rows`` (the same
+    runner and renderer serve a serial sweep), so the summary and the
+    stream are identical for every worker count.  The pool gets at most one worker
     per ``_CHUNKS_PER_WORKER`` chunks and per CPU; when that leaves one
     worker, the sweep runs in this process and starts no pool.  Each
     pool task takes about 1/``_TASKS_PER_WORKER`` of a worker's chunks,

@@ -139,6 +139,23 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_no_module_branches_on_a_kind_name():
+    # Each kind is described once, in sweeps.KINDS, so no code compares
+    # a name ``kind`` with a string literal to pick what a kind does.
+    branches = []
+    for path in sorted(Path(linesys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                names = {o.id for o in operands if isinstance(o, ast.Name)}
+                if "kind" in names and any(
+                    isinstance(o, ast.Constant) and isinstance(o.value, str)
+                    for o in operands
+                ):
+                    branches.append(f"{path.name}:{node.lineno}")
+    assert branches == []
+
+
 def test_readme_library_sketch_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from linesys import construct, dbe_bound, enumeration, graphs, posets, sweeps
 from linesys.cli import (
-    EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INPUT_KINDS, INT_MAX_STR_DIGITS,
-    build_parser, main,
+    EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION, INT_MAX_STR_DIGITS, build_parser,
+    main,
 )
 from test_golden import workloads
 from test_sweeps import (
@@ -99,7 +99,7 @@ def test_lines_builder_rejects_a_bad_hypergraph_edge_before_the_first_byte(
     # An edge the parser would have caught, handed straight to the
     # builder after a good one: the builder raises before any row.
     monkeypatch.setattr(
-        "linesys.cli.parse_hypergraph", lambda text: (4, [(0, 1, 2), (0, 1, 4)])
+        "linesys.sweeps.parse_hypergraph", lambda text: (4, [(0, 1, 2), (0, 1, 4)])
     )
     argv = ["lines", "--kind", "hypergraph", "--format", fmt]
     assert run_cli(argv, "", monkeypatch=monkeypatch) == (EXIT_INPUT, "")
@@ -150,12 +150,6 @@ def test_bound_values():
     code, out = run_cli(["bound", "--poset-n", "10", "--height", "2"])
     assert code == EXIT_OK
     assert out == "22\n"
-    code, out = run_cli(["bound", "--pair-sum-n", "7", "--parts", "3"])
-    assert out == "5\n"
-    code, out = run_cli(
-        ["bound", "--poset-n", "6", "--height", "3", "--pair-sum-n", "6", "--parts", "3"]
-    )
-    assert out == "6\n3\n"
 
 
 def test_bound_usage_errors():
@@ -165,19 +159,6 @@ def test_bound_usage_errors():
     assert code == EXIT_INPUT
     code, _ = run_cli(["bound", "--poset-n", "10", "--height", "1"])
     assert code == EXIT_INPUT
-
-
-@pytest.mark.parametrize(
-    "pair_sum",
-    [["--pair-sum-n", "5"], ["--pair-sum-n", "5", "--parts", "9"]],
-    ids=["no-parts", "parts-beyond-n"],
-)
-def test_bound_writes_nothing_when_either_request_fails(capsys, pair_sum):
-    # The poset bound was once printed before the pair-sum request failed.
-    argv = ["bound", "--poset-n", "5", "--height", "3", *pair_sum]
-    assert run_cli(argv) == (EXIT_INPUT, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bound_beyond_its_cap_is_a_one_line_error(capsys):
@@ -660,7 +641,7 @@ SWEEP_LIMITS = {"graph": (3, 8, 7), "poset": (2, 7, 7), "metric": (2, 7, 7)}
 @pytest.mark.parametrize("kind", SWEEP_LIMITS)
 def test_each_sweep_kind_refuses_exactly_past_its_limits(tmp_path, capsys, monkeypatch, kind):
     min_n, cap, jsonl_cap = SWEEP_LIMITS[kind]
-    entry = sweeps.SWEEP_KINDS[kind]
+    entry = sweeps.KINDS[kind].sweep
     assert (entry.min_n, entry.cap, entry.jsonl_cap) == SWEEP_LIMITS[kind]
     below = f"error: {kind} sweeps need n >= {min_n}, got {min_n - 1}\n"
     above = f"error: {kind} sweeps support n <= {cap}, got {cap + 1}\n"
@@ -711,7 +692,7 @@ def test_graph_jsonl_stops_below_the_text_sweep(monkeypatch, capsys):
     argv = ["sweep", "--kind", "graph", "--n", "8", "--format", "jsonl"]
     assert run_cli(argv) == (EXIT_INPUT, "")
     assert capsys.readouterr().err == "error: graph sweeps write jsonl for n <= 7, got 8\n"
-    assert sweeps.sweep_kind("graph", 8) == sweeps.SWEEP_KINDS["graph"]
+    assert sweeps.sweep_kind("graph", 8) == sweeps.KINDS["graph"].sweep
 
 
 @pytest.mark.parametrize(
@@ -761,9 +742,10 @@ def test_each_kind_flag_offers_exactly_the_described_kinds():
             if action.dest == "kind"
         )
 
-    assert kind_choices("sweep") == tuple(sweeps.SWEEP_KINDS)
-    assert kind_choices("lines") == tuple(INPUT_KINDS)
-    assert kind_choices("verify") == tuple(INPUT_KINDS)
+    kinds = sweeps.KINDS
+    assert kind_choices("sweep") == tuple(name for name in kinds if kinds[name].sweep)
+    assert kind_choices("lines") == tuple(kinds)
+    assert kind_choices("verify") == tuple(kinds)
 
 
 # --- fuzzed metric input ----------------------------------------------------

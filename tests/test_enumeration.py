@@ -16,7 +16,7 @@ from linesys import (
     poset_from_code,
 )
 from linesys.enumeration import state_code, _iter_states
-from linesys.sweeps import SWEEP_KINDS, sweep_kind
+from linesys.sweeps import KINDS, sweep_kind
 from reference import enumerate_graphs, enumerate_posets, poset_state
 
 
@@ -187,7 +187,7 @@ def test_posets_yielded_are_valid():
 def test_prefix_partition_covers_the_enumeration_in_order():
     whole = [(poset_code(p), p.succ, p.pred) for p in enumerate_posets(4)]
     pieces = []
-    for prefix in SWEEP_KINDS["poset"].chunks(4):
+    for prefix in KINDS["poset"].sweep.chunks(4):
         pieces.extend(_iter_states(4, prefix))
     assert pieces == whole
 
@@ -198,7 +198,7 @@ def test_prefixes_of_one_point_against_all_others_partition_in_order(n):
     # whole enumeration is cheap.
     pieces = []
     largest = 0
-    for prefix in SWEEP_KINDS["poset"].chunks(n):
+    for prefix in KINDS["poset"].sweep.chunks(n):
         piece = list(_iter_states(n, prefix))
         largest = max(largest, len(piece))
         pieces.extend(piece)

@@ -351,7 +351,8 @@ def mask_ranges(draw):
 @example((8, (1 << 28) - 700, 1 << 28))
 def test_mask_planes_match_the_per_graph_counters(case):
     n, lo, hi = case
-    duplicates, universal, shape = graph_mask_planes(n, lo, hi)
+    duplicates, universal, shape, reported = graph_mask_planes(n, lo, hi)
+    assert reported == (1 << hi - lo) - 1
     assert not (universal | shape) >> hi - lo
     assert not any(plane >> hi - lo for plane in duplicates)
     for i, mask in enumerate(range(lo, hi)):

@@ -211,7 +211,8 @@ def plane_counts(n, lo, hi):
     lo..hi-1 read off ``metric_mask_planes``, None where its connected
     bit is clear; such a mask sets no other bit, and no plane has a bit
     past the range."""
-    duplicates, universal, connected = metric_mask_planes(n, lo, hi)
+    duplicates, universal, shape, connected = metric_mask_planes(n, lo, hi)
+    assert shape == 0
     width = hi - lo
     assert not (universal | connected) >> width
     assert not any(plane >> width for plane in duplicates)

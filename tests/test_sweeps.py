@@ -233,7 +233,7 @@ def test_graph_rows_render_the_reports_from_the_chunk_codes(chunk):
     # The workers run the chunk and ship its codes; the parent renders
     # them with the kind's ``rows``.
     n, lo, hi = chunk
-    entry = sweeps.SWEEP_KINDS["graph"]
+    entry = sweeps.KINDS["graph"].sweep
     _, codes = entry.run_chunk("graph", n, (lo, hi), True)
     text = entry.rows("graph", n, (lo, hi), codes)
     assert text.splitlines(keepends=True) == [
@@ -262,13 +262,15 @@ def test_the_graph_jsonl_cap_keeps_the_duplicate_count_in_its_code_bits():
     # the universal, shape and unreported bits.  The unreported bit is
     # the top one, which _mask_rows finds with bytes.isascii.
     coded = [
-        kind for kind, entry in sweeps.SWEEP_KINDS.items() if entry.rows is sweeps._mask_rows
+        kind
+        for kind, entry in sweeps.KINDS.items()
+        if entry.sweep and entry.sweep.rows is sweeps._mask_rows
     ]
     assert coded == ["graph", "metric"]
     assert sweeps._DUPLICATE_BITS == 5
     assert sweeps._UNREPORTED == 1 << sweeps._DUPLICATE_BITS + 2 == 1 << 7
     for kind in coded:
-        assert comb(sweeps.SWEEP_KINDS[kind].jsonl_cap, 2) - 1 < 2**sweeps._DUPLICATE_BITS
+        assert comb(sweeps.KINDS[kind].sweep.jsonl_cap, 2) - 1 < 2**sweeps._DUPLICATE_BITS
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -365,10 +367,10 @@ def test_metric_sweep_reports_what_its_counter_returns(monkeypatch):
     real = sweeps.metric_mask_planes
 
     def undercounted(n, lo, hi):
-        _, _, connected = real(n, lo, hi)
+        _, _, shape, connected = real(n, lo, hi)
         repeats = comb(n, 2) - 1
         planes = tuple(connected * (repeats >> j & 1) for j in range(repeats.bit_length()))
-        return planes, 0, connected
+        return planes, 0, shape, connected
 
     monkeypatch.setattr(sweeps, "metric_mask_planes", undercounted)
     summary = run_sweep("metric", 4, workers=1)
@@ -448,7 +450,7 @@ def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, chunk_mas
     # 96-mask chunks start and end off the period of pair bits 5 and up.
     pools = record_pools(monkeypatch)
     monkeypatch.setattr(sweeps, "_CHUNK_MASKS", chunk_masks)
-    assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == -(-1024 // chunk_masks)
+    assert len(sweeps.KINDS[kind].sweep.chunks(5)) == -(-1024 // chunk_masks)
     data = jsonl_of(kind, 5, workers)[0].encode()
     assert pools == ([2] if workers > 1 else [])
     assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS[kind, 5]
@@ -464,7 +466,7 @@ def test_many_chunks_are_written_in_canonical_order(monkeypatch, kind, chunk_mas
 def test_metric_chunks_decode_every_mask_of_the_chunk(n, lo, hi):
     # The workers run the chunk and ship its codes; the parent renders a
     # row for every connected graph of the chunk, and none for the rest.
-    entry = sweeps.SWEEP_KINDS["metric"]
+    entry = sweeps.KINDS["metric"].sweep
     summary, codes = entry.run_chunk("metric", n, (lo, hi), True)
     reports = [metric_report_of(n, mask) for mask in range(lo, hi)]
     reports = [r for r in reports if r is not None]
@@ -506,7 +508,7 @@ def test_each_certificate_is_counted_once(monkeypatch):
 def test_poset_chunks_fix_point_zero_against_every_other_point():
     # The jsonl streams of test_golden pin the bytes this layout writes
     # at n = 4 and 5 with one and two workers.
-    chunks = sweeps.SWEEP_KINDS["poset"].chunks
+    chunks = sweeps.KINDS["poset"].sweep.chunks
     for n in range(2, 8):
         assert chunks(n) == list(product(range(3), repeat=n - 1))
     assert (len(chunks(5)), len(chunks(7))) == (81, 729)
@@ -521,12 +523,12 @@ def undercount_the_lines(monkeypatch):
     real = sweeps.graph_mask_planes
 
     def undercounted(n, lo, hi):
-        duplicates, universal, shape = real(n, lo, hi)
+        duplicates, universal, shape, reported = real(n, lo, hi)
         planes, carry = [], (1 << hi - lo) - 1
         for plane in duplicates:
             planes.append(plane ^ carry)
             carry &= plane
-        return (*planes, carry), universal, shape
+        return (*planes, carry), universal, shape, reported
 
     monkeypatch.setattr(sweeps, "graph_mask_planes", undercounted)
 
@@ -536,8 +538,8 @@ def flip_the_shape(monkeypatch):
     real = sweeps.graph_mask_planes
 
     def flipped(n, lo, hi):
-        duplicates, universal, shape = real(n, lo, hi)
-        return duplicates, universal, shape ^ (1 << hi - lo) - 1
+        duplicates, universal, shape, reported = real(n, lo, hi)
+        return duplicates, universal, shape ^ (1 << hi - lo) - 1, reported
 
     monkeypatch.setattr(sweeps, "graph_mask_planes", flipped)
 
@@ -612,7 +614,7 @@ def test_chunking_does_not_change_the_summary(monkeypatch, kind, flip):
         flip_the_shape(monkeypatch)
     whole = run_sweep(kind, 5, workers=1)
     monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 64)
-    assert len(sweeps.SWEEP_KINDS[kind].chunks(5)) == 16
+    assert len(sweeps.KINDS[kind].sweep.chunks(5)) == 16
     chunked = run_sweep(kind, 5, workers=1)
     assert chunked == whole
     assert (chunked.checked, chunked.issues) == (whole.checked, whole.issues)
@@ -715,7 +717,7 @@ def test_pool_gets_at_most_one_worker_per_16_chunks_and_per_cpu(
     context = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cpus)
-    chunks = len(sweeps.SWEEP_KINDS[kind].chunks(n))
+    chunks = len(sweeps.KINDS[kind].sweep.chunks(n))
     summary = run_sweep(kind, n, workers=workers)
     assert context.sizes == pools
     assert all(1 < size <= min(chunks // 16, cpus) for size in pools)
@@ -740,7 +742,7 @@ def test_a_pool_task_takes_several_chunks_only_when_each_worker_has_many(
     context = _RecordingContext()
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
-    chunks = len(sweeps.SWEEP_KINDS[kind].chunks(n))
+    chunks = len(sweeps.KINDS[kind].sweep.chunks(n))
     summary = run_sweep(kind, n, workers=workers)
     (size,) = context.sizes
     assert context.chunksizes == [chunksize] == [max(1, chunks // (32 * size))]

@@ -8,9 +8,11 @@ verifies the bounds exhaustively on all small instances.
 
 The generic ``BetweennessRelation`` evaluator (``core``) and the
 relation builders of each kind are the tests' reference and are not
-exported: every production path counts lines without them.  They stay
-in their modules because the per-layer tracer of ``perfbench/`` looks
-them up there.
+exported: every production path counts lines without them.  Each
+builder is its kind's definition, handed to the one validating
+constructor of the relation or the metric space.  They stay in their
+modules because the per-layer tracer of ``perfbench/`` looks them up
+there.
 """
 
 from .bounds import dbe_bound, min_pair_sum

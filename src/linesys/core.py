@@ -22,9 +22,11 @@ metric spaces from distance rows (``metrics.metric_lines``) and
 (``hypergraph_lines``).  ``BetweennessRelation`` and its evaluators
 ``all_lines``, ``line_mask_set`` and ``line_of`` are the test oracle
 every fast path is checked against; no production path builds one.
-The package does not export them: the tests import them through
-``tests/reference.py``, and they stay here because the benchmark's
-per-layer tracer looks them up in this module.
+The oracle is the definition above and nothing faster: a relation is
+built only from its triples, by its one validating constructor.  The
+package does not export it: the tests import it through
+``tests/reference.py``, and it stays here because the benchmark's
+per-layer tracer looks its names up in this module.
 """
 
 from __future__ import annotations
@@ -139,18 +141,6 @@ class BetweennessRelation:
         self._mid = tuple(map(tuple, mid))
         self._outer = tuple(map(tuple, outer))
 
-    @classmethod
-    def _from_matrices(cls, size, mid, outer) -> "BetweennessRelation":
-        # Fast path for structure adapters that assemble the matrices
-        # directly; the caller guarantees they encode a symmetric triple
-        # set.  Equivalence with the triple constructor is covered by
-        # tests on every adapter.
-        rel = cls.__new__(cls)
-        rel.size = size
-        rel._mid = mid
-        rel._outer = outer
-        return rel
-
     def has(self, a: int, x: int, b: int) -> bool:
         """True when x lies between a and b."""
         for p in (a, x, b):
@@ -167,10 +157,9 @@ class BetweennessRelation:
                     yield (a, x, b)
 
     def line_mask(self, a: int, b: int) -> int:
-        """Members of the line through a and b, as a bitmask.
-
-        Unchecked hot-path accessor; ``line_of`` is the validating form.
-        """
+        """Members of the line through a and b, as a bitmask, for
+        points the caller already knows to be distinct and in range;
+        ``line_of`` checks them first."""
         return (
             (1 << a) | (1 << b)
             | self._mid[a][b]

@@ -4,9 +4,10 @@ A point x lies between a and b exactly when abx is a triangle, so lines
 of non-adjacent pairs are bare pairs and the line of an edge is the edge
 plus the common neighborhood of its endpoints.  ``graph_lines`` and
 ``graph_line_count`` read the lines straight from the adjacency rows
-and hold only those of edges in a triangle;
-``graph_betweenness`` builds the relation for the generic evaluator of
-``core``, the tests' oracle, which no production path calls.
+and hold only those of edges in a triangle.
+``graph_betweenness`` hands the triangles to the one constructor of
+``core.BetweennessRelation``, the tests' oracle, which no production
+path calls.
 """
 
 from __future__ import annotations
@@ -88,25 +89,15 @@ def _edge_rows(n: int, pairs: Sequence[tuple[int, int]], mask: int) -> tuple[int
 
 
 def graph_betweenness(g: Graph) -> BetweennessRelation:
-    """Betweenness relation whose triples are the triangles of g.
-
-    Triangle membership is symmetric in all three vertices, so the
-    middle and outer matrices of the relation coincide: both hold the
-    common neighborhood of each adjacent pair.
-    """
-    n = g.size
+    """Betweenness relation of g by its definition: the triples (a, x, b)
+    with a < b adjacent and x a common neighbor, so that abx is a
+    triangle."""
     adj = g.adj
-    mat = [[0] * n for _ in range(n)]
-    for a in range(n):
-        row_a = adj[a]
-        mat_a = mat[a]
-        for b in range(a + 1, n):
-            if row_a >> b & 1:
-                common = row_a & adj[b]
-                mat_a[b] = common
-                mat[b][a] = common
-    frozen = tuple(map(tuple, mat))
-    return BetweennessRelation._from_matrices(n, frozen, frozen)
+    return BetweennessRelation(g.size, (
+        (a, x, b)
+        for a, b in pair_list(g.size) if adj[a] >> b & 1
+        for x in bits_of(adj[a] & adj[b])
+    ))
 
 
 def graph_lines(g: Graph) -> Iterator[tuple]:

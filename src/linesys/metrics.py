@@ -5,11 +5,12 @@ is exact: distances are ints or Fractions, never floats, because a
 tolerance-based comparison would silently change line counts.
 
 ``metric_lines`` reads the lines of a metric space from its distance
-rows.  The shortest-path metric of a connected graph is read off its
-breadth-first distance layers: ``graph_shortest_path_metric`` builds
-the metric space, and ``metric_mask_planes`` counts the lines of a
-whole chunk of edge masks at once on the graph kernel's planes, with
-no metric space built.
+rows.  ``metric_mask_planes`` counts the lines of the shortest-path
+metrics of a whole chunk of edge masks at once, by breadth-first search
+on the graph kernel's planes, with no metric space built.  Its oracle,
+``graph_shortest_path_metric``, counts the hops of one graph by a plain
+queue search from each point and passes them to the validating
+``MetricSpace`` constructor.
 """
 
 from __future__ import annotations
@@ -74,15 +75,6 @@ class MetricSpace:
         self.size = n
         self.dist = rows
 
-    @classmethod
-    def _from_rows(cls, rows: tuple[tuple, ...]) -> "MetricSpace":
-        # For rows that satisfy the axioms by construction: skips the
-        # O(n^3) validation of __init__.
-        m = cls.__new__(cls)
-        m.dist = rows
-        m.size = check_size(len(rows))
-        return m
-
 
 def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
     """Betweenness relation with (a, x, b) when d(a,x) + d(x,b) = d(a,b)."""
@@ -113,48 +105,25 @@ def metric_lines(m: MetricSpace) -> Iterator[tuple]:
     ))
 
 
-def _distance_layers(g: Graph) -> list[list[int]]:
-    """Breadth-first distance layers of every point of a connected graph:
-    ``layers[a][k]`` is the mask of the points at distance k from a, for
-    k from 0 to the eccentricity of a.  Raises DisconnectedError when
-    some point is out of reach."""
-    adj = g.adj
-    full = (1 << g.size) - 1
-    layers = []
-    for source in range(g.size):
-        seen = frontier = 1 << source
-        row = [frontier]
-        while seen != full:
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reached & ~seen
-            if not frontier:
-                raise DisconnectedError(
-                    "shortest-path metric needs a connected graph"
-                )
-            seen |= frontier
-            row.append(frontier)
-        layers.append(row)
-    return layers
-
-
 def graph_shortest_path_metric(g: Graph) -> MetricSpace:
-    """Hop-count shortest-path metric of a connected graph.
-
-    Hop counts are metric by construction, so, as for
-    ``Graph._from_rows``, the axioms are not checked again."""
-    n = g.size
+    """Hop-count shortest-path metric of a connected graph, by a
+    breadth-first search from each point; ``MetricSpace`` checks the
+    axioms.  Raises DisconnectedError when some point is out of reach."""
+    n, adj = g.size, g.adj
     rows = []
-    for layers in _distance_layers(g):
-        dist_row = [0] * n
-        for hops, layer in enumerate(layers):
-            for x in bits_of(layer):
-                dist_row[x] = hops
-        rows.append(tuple(dist_row))
-    return MetricSpace._from_rows(tuple(rows))
+    for source in range(n):
+        hops = [None] * n
+        hops[source] = 0
+        queue = [source]
+        for y in queue:  # the loop reaches the points appended to it
+            for x in bits_of(adj[y]):
+                if hops[x] is None:
+                    hops[x] = hops[y] + 1
+                    queue.append(x)
+        if len(queue) < n:
+            raise DisconnectedError("shortest-path metric needs a connected graph")
+        rows.append(hops)
+    return MetricSpace(rows)
 
 
 def metric_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int, int]:

@@ -142,27 +142,15 @@ class Poset:
 
 
 def poset_betweenness(p: Poset) -> BetweennessRelation:
-    """Betweenness relation with (a, x, b) when a < x < b or b < x < a."""
-    n = p.size
+    """Betweenness relation of p by its definition: the 3-chains
+    (a, x, b) with a < x < b, read off ``succ[a] & pred[b]``."""
     succ, pred = p.succ, p.pred
-    mid = [[0] * n for _ in range(n)]
-    outer = [[0] * n for _ in range(n)]
-    for a in range(n):
-        succ_a, pred_a = succ[a], pred[a]
-        mid_a, outer_a = mid[a], outer[a]
-        for b in range(n):
-            if succ_a >> b & 1:
-                mid_a[b] = succ_a & pred[b]
-            elif pred_a >> b & 1:
-                mid_a[b] = pred_a & succ[b]
-            # outer[x=a][u=b]: partners beyond b through middle a
-            if pred_a >> b & 1:
-                outer_a[b] = succ_a
-            elif succ_a >> b & 1:
-                outer_a[b] = pred_a
-    return BetweennessRelation._from_matrices(
-        n, tuple(map(tuple, mid)), tuple(map(tuple, outer))
-    )
+    return BetweennessRelation(p.size, (
+        (a, x, b)
+        for a, above in enumerate(succ)
+        for b in set_bits(above)
+        for x in set_bits(above & pred[b])
+    ))
 
 
 def maximum_chain_through_levels(p: Poset) -> tuple[int, ...]:

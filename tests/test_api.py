@@ -1,8 +1,9 @@
 """The public API: every name in ``linesys.__all__`` is exported once,
 resolves on the package and is used by the package itself, so a
 deleted name cannot linger as a stale export and no name lives on only
-for the tests; the line oracle is not exported, and the tests take it
-from ``tests/reference.py`` only; no module keeps an import that only a
+for the tests; the line oracle is not exported, the tests take it
+from ``tests/reference.py`` only, and the relation and the metric space
+it builds each have one constructor; no module keeps an import that only a
 vanished tracer site needed, or any other import it does not use, and
 starting the CLI loads no module that only a pool or a metric input
 needs.  The library sketch in the README runs as written."""
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import linesys
+from reference import BetweennessRelation
 from test_benchmark_sites import tracer
 
 
@@ -73,6 +75,18 @@ def test_the_oracle_is_not_exported_and_stays_in_its_modules():
     for module, names in ORACLE.items():
         owner = importlib.import_module(f"linesys.{module}")
         assert [name for name in names if not callable(vars(owner).get(name))] == []
+
+
+def test_the_relation_and_the_metric_space_have_one_constructor():
+    # The oracle builds each from its definition through the validating
+    # __init__: no classmethod or staticmethod constructor skips it.
+    shortcuts = [
+        f"{cls.__name__}.{name}"
+        for cls in (BetweennessRelation, linesys.MetricSpace)
+        for name, value in vars(cls).items()
+        if isinstance(value, (classmethod, staticmethod))
+    ]
+    assert shortcuts == []
 
 
 def test_only_the_reference_module_imports_the_oracle():

@@ -413,12 +413,11 @@ def test_seeded_metric_verify_bytes(monkeypatch):
 
 @pytest.fixture
 def no_relation(monkeypatch):
-    """Building a BetweennessRelation, by either constructor, fails the test."""
+    """Building a BetweennessRelation, by its one constructor, fails the test."""
     def refuse(*args, **kwargs):
         raise AssertionError("a production path built a BetweennessRelation")
 
     monkeypatch.setattr(BetweennessRelation, "__init__", refuse)
-    monkeypatch.setattr(BetweennessRelation, "_from_matrices", classmethod(refuse))
 
 
 @pytest.mark.parametrize("kind", sorted(INPUTS))

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -25,6 +25,7 @@ from linesys.graphs import graph_mask_planes, has_universal_line
 
 from reference import (
     all_lines,
+    enumerate_graphs,
     graph_betweenness,
     graph_from_edges,
     line_entries,
@@ -111,17 +112,19 @@ def test_bare_pair_comes_before_the_longer_line_it_begins():
 
 
 def test_graph_betweenness_matches_explicit_triangle_triples():
-    edges = [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)]
-    g = graph_from_edges(5, edges)
-    rel = graph_betweenness(g)
-    edge_set = {frozenset(e) for e in edges}
-    expected = set()
-    for a, x, b in ((a, x, b) for a in range(5) for x in range(5) for b in range(5)):
-        if len({a, x, b}) == 3 and all(
-            frozenset(pair) in edge_set for pair in ((a, x), (x, b), (a, b))
-        ):
-            expected.add((a, x, b))
-    assert set(rel.triples()) == expected
+    # The definitional relation is the reference of every graph line
+    # count, so it is checked on every graph with n <= 5.
+    for n in range(1, 6):
+        for mask, g in enumerate(enumerate_graphs(n)):
+            edge_set = {
+                frozenset(pair) for p, pair in enumerate(pair_list(n)) if mask >> p & 1
+            }
+            expected = {
+                (a, x, b)
+                for a, x, b in permutations(range(n), 3)
+                if all(frozenset(pair) in edge_set for pair in ((a, x), (x, b), (a, b)))
+            }
+            assert set(graph_betweenness(g).triples()) == expected, (n, mask)
 
 
 def test_extremal_shapes():

@@ -174,15 +174,27 @@ def test_metric_lines_match_the_generic_evaluator(m):
 
 
 def test_metric_lines_of_graph_metrics_match_the_generic_evaluator():
-    for n in range(2, 6):
+    # Every graph on n <= 5: the oracle's hop counts are Floyd-Warshall's,
+    # and it refuses exactly the graphs where Floyd-Warshall leaves some
+    # pair at distance n, out of reach.
+    connected = 0
+    for n in range(1, 6):
         for mask in range(1 << len(pair_list(n))):
-            try:
-                m = graph_shortest_path_metric(Graph.from_mask(n, mask))
-            except DisconnectedError:
+            g = Graph.from_mask(n, mask)
+            expected = tuple(map(tuple, floyd_warshall(g)))
+            if any(n in row for row in expected):
+                with pytest.raises(DisconnectedError):
+                    graph_shortest_path_metric(g)
                 continue
-            assert line_entries(metric_lines(m)) == all_lines(
-                metric_betweenness(m)
-            ), (n, mask)
+            connected += 1
+            m = graph_shortest_path_metric(g)
+            assert m.dist == expected, (n, mask)
+            if n >= 2:
+                assert line_entries(metric_lines(m)) == all_lines(
+                    metric_betweenness(m)
+                ), (n, mask)
+    # OEIS A001187: connected labeled graphs on 1..5 vertices.
+    assert connected == 1 + 1 + 4 + 38 + 728
 
 
 # --- metric_mask_planes against the generic evaluator -----------------------
@@ -190,7 +202,7 @@ def test_metric_lines_of_graph_metrics_match_the_generic_evaluator():
 def oracle_line_count(g):
     """(number of lines, universal line present) through a validated
     metric space and the generic relation evaluator."""
-    masks = line_mask_set(metric_betweenness(MetricSpace(graph_shortest_path_metric(g).dist)))
+    masks = line_mask_set(metric_betweenness(graph_shortest_path_metric(g)))
     return len(masks), (1 << g.size) - 1 in masks
 
 

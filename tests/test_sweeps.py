@@ -322,7 +322,6 @@ def test_poset_sweep_builds_no_betweenness_relation(monkeypatch):
         raise AssertionError("a poset sweep built a BetweennessRelation")
 
     monkeypatch.setattr(BetweennessRelation, "__init__", forbidden)
-    monkeypatch.setattr(BetweennessRelation, "_from_matrices", classmethod(forbidden))
     data, summary = jsonl_of("poset", 5, workers=1)
     assert summary.ok and summary.checked == 3450
     assert not summary.certificate_failures
@@ -337,9 +336,7 @@ def test_metric_sweep_builds_no_metric_space_or_relation(monkeypatch):
         raise AssertionError("a metric sweep built a metric space or a relation")
 
     monkeypatch.setattr(BetweennessRelation, "__init__", forbidden)
-    monkeypatch.setattr(BetweennessRelation, "_from_matrices", classmethod(forbidden))
     monkeypatch.setattr(MetricSpace, "__init__", forbidden)
-    monkeypatch.setattr(MetricSpace, "_from_rows", classmethod(forbidden))
     data, summary = jsonl_of("metric", 5, workers=1)
     assert summary.ok and summary.reported == 728
     size, digest = SWEEP_STREAMS["metric", 5]

@@ -34,8 +34,12 @@ reads each line from the order rows (the pair, everything below its
 lower point or above its upper point, and everything between them), the
 replay from the adjacency rows of the comparability graph (the pair,
 plus the common neighbors of an adjacent pair), which its O(n)
-universal-line check, ``graphs.has_universal_line``, reads too.  Each
-side reads a probe's rows once per step.
+universal-line check, ``graphs.has_universal_line``, reads too.  The
+process reads every window line and the full-chain line as a pair of
+chain points, lower point first, with no case for a swapped or an
+incomparable pair; the replay reads the chain it is given, which need
+not be increasing, so it keeps the general line.  Each side reads a
+probe's rows once per step.
 """
 
 from __future__ import annotations
@@ -119,21 +123,16 @@ def build_certificate(p: Poset) -> LineCertificate:
         )
     n = p.size
     succ, pred = p.succ, p.pred
-
-    def line(a: int, b: int) -> int:
-        # The line of a < b in the order: the pair, everything below a or
-        # above b, and everything between them; an incomparable pair's
-        # line is the bare pair.
-        if succ[b] >> a & 1:
-            a, b = b, a
-        elif not succ[a] >> b & 1:
-            return 1 << a | 1 << b
-        return 1 << a | 1 << b | pred[a] | succ[b] | succ[a] & pred[b]
-
     chain = maximum_chain_through_levels(p)
+    # The line of a < b in the order is the pair, everything below a or
+    # above b, and everything between them; an incomparable pair's line
+    # is the bare pair.  The chain is increasing, so the full-chain line
+    # (positions 1 and height) and every window line join some a < b.
+    a, b = chain[0], chain[-1]
+    closing = (1 << a | 1 << b | pred[a] | succ[b] | succ[a] & pred[b],)
 
     def lines_to(point: int, lo: int, hi: int) -> tuple[int, ...]:
-        # ``line(c, point)`` for the chain points at positions lo..hi.
+        # The lines of ``point`` with the chain points at positions lo..hi.
         above, below, ends = succ[point], pred[point], 1 << point
         lines = []
         for c in chain[lo - 1 : hi]:
@@ -145,9 +144,6 @@ def build_certificate(p: Poset) -> LineCertificate:
                 lines.append(ends | 1 << c)
         return tuple(lines)
 
-    # The full-chain line, which joins chain positions 1 and height, ends
-    # every run of the process.
-    closing = (line(chain[0], chain[-1]),)
     full = (1 << n) - 1
     steps: list[ProcessStep] = []
     bottom, top = 1, height
@@ -156,7 +152,7 @@ def build_certificate(p: Poset) -> LineCertificate:
             steps.append(ProcessStep(CLOSE, bottom, top, None, closing))
             break
         low, high = chain[bottom - 1], chain[top - 1]
-        window_mask = line(low, high)
+        window_mask = 1 << low | 1 << high | pred[low] | succ[high] | succ[low] & pred[high]
         if window_mask == full:
             raise UniversalLineError(
                 f"the line of chain positions {bottom} and {top} contains all "

@@ -32,8 +32,8 @@ from .metrics import MetricSpace
 from .posets import Poset
 
 _TOKEN = re.compile(r"\S+")
-# An error position is worked out from this many characters at a time.
-_BLOCK = 1 << 10
+# The characters ``str.splitlines`` breaks a line on; "\r\n" is one break.
+_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # A metric entry has at most this many characters and at most this
 # large a decimal exponent, so that Fraction builds it cheaply and its
 # numerator and denominator print within Python's 4300-digit limit.
@@ -57,21 +57,19 @@ class _Tokens:
         """A ParseError at the token that starts at offset ``start``, or
         at the start of the last line when ``start`` is None.
 
-        The line breaks before the position are counted by
-        ``str.splitlines`` one block of the text at a time, so the memory
-        this takes does not grow with the text."""
+        The line breaks before the position are counted in place with
+        ``str.count``, one count per break character less one per CR LF
+        pair, and the line start is found with ``str.rfind``, so no part
+        of the text is copied."""
+        text = self.text
         # A token starts with a non-space, so the text up to and
         # including that character ends on the token's line.
-        end = len(self.text) if start is None else start + 1
-        line, line_start = 1, 0
-        for pos in range(0, end, _BLOCK):
-            # The appended non-break leaves the text after the last break in rest.
-            block = self.text[pos:min(pos + _BLOCK, end)] + "."
-            *broken, rest = block.splitlines()
-            # A "\r\n" split between two blocks is one break, counted in both.
-            line += len(broken) - (0 < pos and self.text[pos - 1:pos + 1] == "\r\n")
-            if broken:
-                line_start = pos + len(block) - len(rest)
+        end = len(text) if start is None else start + 1
+        line = 1 - text.count("\r\n", 0, end)
+        line_start = 0
+        for brk in _BREAKS:
+            line += text.count(brk, 0, end)
+            line_start = max(line_start, text.rfind(brk, 0, end) + 1)
         # No line follows a final line break, and an empty text is line 1.
         line = line - (line_start == end) or 1
         return ParseError(message, line, 1 if start is None else end - line_start)
@@ -142,7 +140,8 @@ def parse_metric(text: str) -> MetricSpace:
     from fractions import Fraction  # only a metric needs it: kept off the start-up path
 
     tokens = _Tokens(text)
-    n, _ = tokens.take_int("point count n", 1, 10**4)
+    # At most 1000 points: the triangle check is O(n^3), so at most 10^9 steps.
+    n, _ = tokens.take_int("point count n", 1, 1000)
     rows = []
     for _ in range(n):
         row = []

@@ -295,23 +295,17 @@ def is_extremal_graph(g: Graph) -> bool:
     graphs on n >= 3 vertices with no universal line and exactly n
     distinct lines.  On n = 2 every graph has the shape.
 
-    Every vertex is tried as the attached one, so ties (several valid
-    decompositions) are handled.
+    The other n - 1 vertices of a vertex v of degree d span m - d of
+    the m edges, so they form a clique exactly when d is
+    m - C(n - 1, 2).  So g has the shape exactly when that surplus is
+    at most 1 and some vertex has it as its degree.
     """
     n = g.size
     if n < 2:
         raise SizeError("the extremal shape is defined for graphs on >= 2 vertices")
-    adj = g.adj
-    # The shape has C(n-1, 2) or C(n-1, 2) + 1 edges, or none when n = 3.
-    m = sum(map(int.bit_count, adj)) // 2
+    degrees = list(map(int.bit_count, g.adj))
+    m = sum(degrees) // 2
     if n == 3 and m == 0:
         return True
-    if not 0 <= m - (n - 1) * (n - 2) // 2 <= 1:
-        return False
-    full = (1 << n) - 1
-    for v in range(n):
-        if adj[v].bit_count() > 1:
-            continue
-        if all(u == v or (adj[u] | (1 << u) | (1 << v)) == full for u in range(n)):
-            return True
-    return False
+    extra = m - (n - 1) * (n - 2) // 2
+    return extra <= 1 and extra in degrees

@@ -119,7 +119,7 @@ class Poset:
     @property
     def bound(self) -> int:
         """``dbe_bound(size, height)``, kept after the first read, so a
-        sweep's report, the certificate build and its replay share one
+        sweep's report fields and the certificate replay share one
         evaluation.  Raises DomainError when the height is below 2."""
         if self._bound is None:
             self._bound = dbe_bound(self.size, self.height)

@@ -190,3 +190,18 @@ def test_starting_the_cli_loads_neither_multiprocessing_nor_fractions():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_code_lines_prints_one_row_per_module_and_their_sum():
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, str(root / "tools" / "code_lines.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    rows = [line.split() for line in result.stdout.splitlines()]
+    assert all(len(row) == 2 for row in rows), rows
+    *modules, (last, total) = [(name, int(count.replace(",", ""))) for name, count in rows]
+    names = [path.name for path in sorted((root / "src" / "linesys").glob("*.py"))]
+    assert [name for name, _ in modules] == names
+    assert last == "total" and total == sum(count for _, count in modules)

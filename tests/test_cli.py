@@ -189,6 +189,16 @@ def test_oversized_metric_entry_is_a_one_line_error(entry, message, monkeypatch,
     assert capsys.readouterr().err == f"error: line 2, column 3: {message}\n"
 
 
+def test_metric_point_count_is_capped_before_any_entry_is_read(monkeypatch, capsys):
+    # The triangle check is O(n^3): 1001 points are refused at the
+    # header, not at the missing first entry.
+    code, out = run_cli(["verify", "--kind", "metric"], "1001\n", monkeypatch=monkeypatch)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert capsys.readouterr().err == (
+        "error: line 1, column 1: point count n 1001 out of range 1..1000\n"
+    )
+
+
 def test_construct_trace(poset_file):
     code, out = run_cli(["construct", poset_file])
     assert code == EXIT_OK

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -244,20 +245,29 @@ def test_parsing_holds_no_table_of_every_token(kind):
     "0 \r\n1\r\n\r\n x\r\r\n2\x0b\x0c\x1cy\x1d\x1e\x85\u2028\u2029z\n\r\n",
     "\r\n\r\n ab\r\n\n\rcd\r\n\r\r\ne \x85f",
 ], ids=["every-break", "crlf-runs"])
-def test_error_positions_do_not_depend_on_the_block_size(monkeypatch, text, block):
-    # The position is counted a block at a time: blocks end everywhere,
-    # between the two characters of a "\r\n" too at both parities.
-    monkeypatch.setattr(formats, "_BLOCK", block)
-    expected = [
-        (line, match.start() + 1)
-        for line, row in enumerate(text.splitlines(), start=1)
-        for match in re.finditer(r"\S+", row)
-    ]
-    tokens = _Tokens(text)
-    cited = [tokens.error("", match.start()) for match in re.finditer(r"\S+", text)]
-    assert [(err.line, err.column) for err in cited] == expected
-    end = tokens.error("", None)
-    assert (end.line, end.column) == (len(text.splitlines()), 1)
+def test_error_positions_do_not_depend_on_the_block_size(text, block):
+    # The text is cut after every block of characters, and whole: the
+    # breaks are counted up to the cut, which falls everywhere, between
+    # the two characters of a "\r\n" too at both parities.  Each break
+    # character counts once, and a "\r\n" once, next to a lone "\r" or
+    # "\n" too.
+    for cut in [*range(0, len(text), block), len(text)]:
+        part = text[:cut]
+        expected = [
+            (line, match.start() + 1)
+            for line, row in enumerate(part.splitlines(), start=1)
+            for match in re.finditer(r"\S+", row)
+        ]
+        tokens = _Tokens(part)
+        cited = [tokens.error("", match.start()) for match in re.finditer(r"\S+", part)]
+        assert [(err.line, err.column) for err in cited] == expected, cut
+        end = tokens.error("", None)
+        assert (end.line, end.column) == (max(len(part.splitlines()), 1), 1), cut
+
+
+def test_the_break_characters_are_those_splitlines_splits_on():
+    splits = {c for c in map(chr, range(sys.maxunicode + 1)) if ("x" + c).splitlines() == ["x"]}
+    assert sorted(formats._BREAKS) == sorted(splits)
 
 
 @pytest.mark.parametrize("last, line, message", [

@@ -423,7 +423,7 @@ def no_relation(monkeypatch):
 @pytest.mark.parametrize("kind", sorted(INPUTS))
 def test_lines_and_verify_build_no_relation(kind, no_relation, monkeypatch):
     # The generic evaluator is the tests' oracle only: every input kind
-    # gives its pinned bytes with both relation constructors disabled.
+    # gives its pinned bytes with the relation constructor disabled.
     test_lines_bytes(kind, monkeypatch)
     for fmt in ("text", "jsonl"):
         if (kind, fmt) in LARGE_LINES:

@@ -171,6 +171,31 @@ def test_edge_count_exit_keeps_the_extremal_shape_exhaustively_up_to_n6():
         assert is_extremal_graph(g) == extremal_by_search(g), (g.size, g.adj)
 
 
+@st.composite
+def near_extremal_graphs(draw):
+    """A clique on n - 1 vertices plus a vertex of degree 0-2, for
+    7 <= n <= 16, then up to two pairs flipped."""
+    n = draw(st.integers(7, 16))
+    attached = draw(st.integers(0, n - 1))
+    others = [v for v in range(n) if v != attached]
+    rows = [0] * n
+    for a, b in combinations(others, 2):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    neighbors = draw(st.lists(st.sampled_from(others), max_size=2, unique=True))
+    flips = draw(st.lists(st.sampled_from(pair_list(n)), max_size=2, unique=True))
+    for a, b in [(attached, v) for v in neighbors] + flips:
+        rows[a] ^= 1 << b
+        rows[b] ^= 1 << a
+    return Graph(rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_extremal_graphs())
+def test_extremal_shape_matches_the_search_near_the_shape_from_n7_to_n16(g):
+    assert is_extremal_graph(g) == extremal_by_search(g), (g.size, g.adj)
+
+
 def test_trusted_mask_constructor_matches_the_validating_ones_up_to_n5():
     for n in range(1, 6):
         for mask in range(1 << len(pair_list(n))):

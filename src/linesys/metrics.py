@@ -4,13 +4,14 @@ A point x lies between a and b when d(a,x) + d(x,b) = d(a,b).  Equality
 is exact: distances are ints or Fractions, never floats, because a
 tolerance-based comparison would silently change line counts.
 
-``metric_lines`` reads the lines of a metric space from its distance
-rows.  ``metric_mask_planes`` counts the lines of the shortest-path
-metrics of a whole chunk of edge masks at once, by breadth-first search
-on the graph kernel's planes, with no metric space built.  Its oracle,
-``graph_shortest_path_metric``, counts the hops of one graph by a plain
-queue search from each point and passes them to the validating
-``MetricSpace`` constructor.
+``metric_pair_lines`` reads the line of every pair of a metric space
+from its distance rows; ``metric_lines`` groups them into runs, and a
+metric report counts them by sorting.  ``metric_mask_planes`` counts
+the lines of the shortest-path metrics of a whole chunk of edge masks
+at once, by breadth-first search on the graph kernel's planes, with no
+metric space built.  Its oracle, ``graph_shortest_path_metric``,
+counts the hops of one graph by a plain queue search from each point
+and passes them to the validating ``MetricSpace`` constructor.
 """
 
 from __future__ import annotations
@@ -91,18 +92,24 @@ def metric_betweenness(m: MetricSpace) -> BetweennessRelation:
 
 
 def metric_lines(m: MetricSpace) -> Iterator[tuple]:
-    """Every distinct line of m, as runs of ``line_system``, read
-    straight from the distance rows: x is on the line of a and b when
-    d(a,b) is d(a,x) + d(x,b) (x between them, or x = a or b) or
-    |d(a,x) - d(b,x)| (a or b between).  Every pair is linked.
+    """Every distinct line of m, as runs of ``line_system``, from the
+    line of every pair (``metric_pair_lines``).  Every pair is linked.
     """
+    return line_system(m.size, metric_pair_lines(m))
+
+
+def metric_pair_lines(m: MetricSpace) -> Iterator[tuple[int, tuple[int, int]]]:
+    """``(mask, (a, b))`` for every pair a < b, its line read straight
+    from the distance rows: x is on the line of a and b when d(a,b) is
+    d(a,x) + d(x,b) (x between them, or x = a or b) or |d(a,x) - d(b,x)|
+    (a or b between)."""
     dist = m.dist
-    return line_system(m.size, (
+    return (
         (sum(1 << x for x, (ax, bx) in enumerate(zip(row_a, dist[b]))
              if d_ab in (ax + bx, bx - ax, ax - bx)), (a, b))
         for a, row_a in enumerate(dist)
         for b, d_ab in enumerate(row_a) if b > a
-    ))
+    )
 
 
 def graph_shortest_path_metric(g: Graph) -> MetricSpace:

@@ -22,8 +22,9 @@ their set bits, and returns one code byte per mask; the parent picks
 each reported mask's row tail by its code, so a worker sends back
 1 byte per graph instead of about 190 bytes of rows.  A poset chunk
 adds up its posets' flags and renders its own rows.  Every jsonl row
-is the head of its (kind, n), the instance id and a tail rendered once
-per distinct tuple of the fields after the id.  A
+is ``json.dumps`` of its ``VerificationReport``: the head of its
+(kind, n), the instance id and a tail rendered once per distinct tuple
+of the fields after the id.  A
 ``VerificationReport`` is built only for ``verify`` and for the
 violations a sweep records.  The parent turns each chunk's payload
 into rows with its kind's ``rows`` and writes them in chunk order.
@@ -36,11 +37,12 @@ bound with DomainError.
 ``KINDS`` is the one place where a structure kind is described: how
 its text becomes the structure (``parse``), the line system that
 ``lines`` prints and the report that ``verify`` checks, and, for a
-sweepable kind, its size and jsonl ranges, chunk list, chunk runner,
+sweepable kind, its size range, chunk list, chunk runner,
 the parent-side renderer of a chunk's jsonl payload, whether its
 equality cases are compared with an extremal shape and, for the mask
 kinds, the kernel that counts a chunk.  ``lines`` and ``verify --kind``
 offer every key, and ``sweep --kind`` the keys with a sweep part.
+Every kind writes jsonl up to the one ``_JSONL_CAP``.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ from operator import add
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .construct import build_certificate, certificate_issues
-from .core import bits_of, hypergraph_lines, pair_list
+from .core import bits_of, distinct_count, hypergraph_lines, pair_list
 from .enumeration import _first_comparable, _iter_states, poset_code
-from .errors import CapError, DomainError, LinesysError, MetricError
+from .errors import CapError, DomainError, LinesysError, MetricError, SizeError
 from .formats import parse_graph, parse_hypergraph, parse_metric, parse_poset
 from .graphs import (
     Graph, graph_line_count, graph_lines, graph_mask_planes, is_extremal_graph,
 )
-from .metrics import metric_lines, metric_mask_planes
+from .metrics import metric_lines, metric_mask_planes, metric_pair_lines
 from .posets import Poset, comparability_graph
 # Not called here: the per-layer tracer of perfbench/ wraps these names.
 from .core import line_mask_set  # noqa: F401
@@ -107,23 +109,19 @@ class VerificationReport(NamedTuple):
     extremal_shape_match: bool
 
     def json_line(self) -> str:
-        """The report's jsonl row, without its newline.  An int id too
-        long to print (beyond Python's int-to-str digit limit, as the
-        default id of a large graph or poset can be) raises DomainError.
-        The field order is the jsonl key order that ``_row_tail`` prints."""
-        kind, n, instance_id, *values = self
+        """The report's jsonl row, without its newline: ``json.dumps``
+        of its fields, whose declaration order is the jsonl key order.
+        An int id too long to print (beyond Python's int-to-str digit
+        limit, as the default id of a large graph or poset can be)
+        raises DomainError."""
         try:
-            id_text = json.dumps(instance_id)
+            return json.dumps(self._asdict())
         except ValueError:  # the int-to-str digit limit
-            raise _id_too_long(kind) from None
-        return _row_head(kind, n) + id_text + _row_tail(*values)[:-1]
+            raise _id_too_long(self.structure_kind) from None
 
 
 def _id_too_long(kind: str) -> DomainError:
     return DomainError(f"the instance id of this {kind} is too long to print as jsonl")
-
-
-_JSON_BOOL = ("false", "true")
 
 
 def _row_head(kind: str, n: int) -> str:
@@ -132,22 +130,16 @@ def _row_head(kind: str, n: int) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _row_tail(
-    count: int, bound: int, universal: bool, meets: bool, equality: bool, shape: bool
-) -> str:
+def _row_tail(*fields) -> str:
     """The text of a jsonl row after its instance id, newline included:
-    the fields of ``VerificationReport`` after ``instance_id``, in
-    declaration order, which is the fixed key order of the format.  With
-    the head and the id, each row is ``json.dumps`` of its report.  Rows
-    share a few tails, so each is rendered once (the cache is bounded
-    for a long-lived process that prints many reports)."""
-    return (
-        f', "line_count": {count:d}, "bound": {bound:d}, '
-        f'"has_universal": {_JSON_BOOL[universal]}, '
-        f'"meets_bound": {_JSON_BOOL[meets]}, '
-        f'"is_equality_case": {_JSON_BOOL[equality]}, '
-        f'"extremal_shape_match": {_JSON_BOOL[shape]}}}\n'
-    )
+    ``json.dumps`` of the fields of ``VerificationReport`` after
+    ``instance_id``, less its opening brace.  With the head and the id,
+    each row is ``json_line`` of its report, so the flags must be bools
+    (``json.dumps`` prints an int as a number).  Rows share a few
+    tails, so each is rendered once (the cache is bounded for a
+    long-lived process that prints many reports)."""
+    keys = VerificationReport._fields[3:]
+    return ", " + json.dumps(dict(zip(keys, fields)))[1:] + "\n"
 
 
 class SweepSummary(NamedTuple):
@@ -244,9 +236,14 @@ def _poset_fields(p) -> tuple[tuple, str | None]:
 
 def _metric_fields(m) -> tuple:
     """The row fields of a metric space.  Every pair of a metric is
-    linked, so each run of its lines holds no bare pair."""
-    members = [line[0] for _, _, line in metric_lines(m) if line is not None]
-    return len(members), m.size, any(len(line) == m.size for line in members), False
+    linked, so its lines are its C(n, 2) pair lines, counted by sorting
+    (``core.distinct_count``) as ``graph_line_count`` counts, with no
+    run of ``line_system`` built; the largest is universal when it is
+    the ground set."""
+    if m.size < 2:
+        raise SizeError("a line system needs at least two points")
+    lines = sorted([mask for mask, _ in metric_pair_lines(m)])
+    return distinct_count(lines), m.size, lines[-1] == (1 << m.size) - 1, False
 
 
 def graph_report(g: Graph, instance_id: int | str | None = None) -> VerificationReport:
@@ -427,28 +424,26 @@ def _compare_planes(planes: tuple[int, ...], value: int, full: int) -> tuple[int
     return equal, above
 
 
-@lru_cache(maxsize=None)
-def _byte_spread() -> tuple[bytes, ...]:
-    """For every byte value, the 8 bytes that hold its bits, lowest first."""
-    return tuple(bytes(value >> k & 1 for k in range(8)) for value in range(256))
-
-
 def _mask_codes(planes: list[int], width: int) -> bytes:
     """One byte per bit position below ``width``: bit j of byte i is bit
-    i of planes[j], for at most 8 planes."""
-    size = -(-width // 8)
-    spread = _byte_spread()
+    i of planes[j], for at most 8 planes.  ``format`` spells a plane as
+    one ASCII digit per bit, lowest bit first; read back as a
+    little-endian int less the all-"0" digits, byte i holds bit i,
+    which the shift moves to bit j."""
+    zeros = int.from_bytes(b"0" * width, "little")
     codes = 0
     for j, plane in enumerate(planes):
-        if not plane:
-            continue
-        bits = b"".join(map(spread.__getitem__, plane.to_bytes(size, "little")))
-        codes |= int.from_bytes(bits, "little") << j
-    return codes.to_bytes(8 * size, "little")[:width]
+        if plane:
+            digits = format(plane, f"0{width}b")[::-1].encode()
+            codes |= (int.from_bytes(digits, "little") - zeros) << j
+    return codes.to_bytes(width, "little")
 
 
+# The largest n whose jsonl stream a sweep of any kind writes: a graph
+# stream at n = 8 would be about 52 GB.
+_JSONL_CAP = 7
 # The code byte of a mask: its duplicate count in the low 5 bits, then
-# its universal, shape and unreported bits.  The jsonl caps keep n <= 7,
+# its universal, shape and unreported bits.  The jsonl cap keeps n <= 7,
 # so at most C(7, 2) - 1 = 20 duplicates.
 _DUPLICATE_BITS = 5
 _UNREPORTED = 1 << _DUPLICATE_BITS + 2
@@ -539,8 +534,7 @@ def _text_rows(kind: str, n: int, chunk: tuple, text: str) -> str:
 
 class _Sweep(NamedTuple):
     min_n: int
-    cap: int
-    jsonl_cap: int  # the largest n whose jsonl stream a sweep writes
+    cap: int  # the largest n a text sweep runs (jsonl stops at _JSONL_CAP)
     chunks: Callable[[int], list]  # n -> canonically ordered work units
     # (kind, n, unit, render) -> the unit's summary and (when render) its
     # jsonl payload: code bytes for masks, rendered rows for posets
@@ -574,21 +568,21 @@ class _Kind(NamedTuple):
 # and metric chunks are counted all at once by their kernel's bit planes
 # and ship one code byte per mask, which the parent renders; posets fold
 # their instance generator one instance at a time and ship their rows.
-# The jsonl caps keep a mask's code in one byte; a graph jsonl stream at
-# n = 8 would be about 52 GB.
+# One jsonl cap, ``_JSONL_CAP``, serves every kind and keeps a mask's
+# code in one byte.
 KINDS = {
     "graph": _Kind(
         lambda text: parse_graph(text), lambda g: graph_lines(g),
         lambda g, instance_id: (graph_report(g, instance_id), None),
         _Sweep(
-            3, 8, 7, _mask_chunks, _mask_chunk, _mask_rows, True,
+            3, 8, _mask_chunks, _mask_chunk, _mask_rows, True,
             lambda n, lo, hi: graph_mask_planes(n, lo, hi),
         ),
     ),
     "poset": _Kind(
         lambda text: parse_poset(text), lambda p: graph_lines(comparability_graph(p)),
         lambda p, instance_id: poset_report(p, instance_id),
-        _Sweep(2, 7, 7, _poset_chunks, _fold_instances, _text_rows, True),
+        _Sweep(2, 7, _poset_chunks, _fold_instances, _text_rows, True),
     ),
     # Metric n = 7 takes about 1 s on one core; n = 8, with 128 times as
     # many masks, about 3 minutes.
@@ -596,7 +590,7 @@ KINDS = {
         lambda text: parse_metric(text), lambda m: metric_lines(m),
         lambda m, instance_id: (metric_report(m, instance_id), None),
         _Sweep(
-            2, 7, 7, _mask_chunks, _mask_chunk, _mask_rows, False,
+            2, 7, _mask_chunks, _mask_chunk, _mask_rows, False,
             lambda n, lo, hi: metric_mask_planes(n, lo, hi),
         ),
     ),
@@ -608,8 +602,7 @@ KINDS = {
 
 def sweep_kind(kind: str, n: int, jsonl: bool = False) -> _Sweep:
     """The sweep part of ``kind``'s ``KINDS`` entry, once n is in its
-    range (and, for a sweep that writes jsonl, in the kind's jsonl
-    range)."""
+    range (and, for a sweep that writes jsonl, at most ``_JSONL_CAP``)."""
     sweep = getattr(KINDS.get(kind), "sweep", None)
     if sweep is None:
         raise DomainError(f"unknown sweep kind {kind!r}")
@@ -617,8 +610,8 @@ def sweep_kind(kind: str, n: int, jsonl: bool = False) -> _Sweep:
         raise CapError(f"{kind} sweeps support n <= {sweep.cap}, got {n}")
     if n < sweep.min_n:
         raise DomainError(f"{kind} sweeps need n >= {sweep.min_n}, got {n}")
-    if jsonl and n > sweep.jsonl_cap:
-        raise CapError(f"{kind} sweeps write jsonl for n <= {sweep.jsonl_cap}, got {n}")
+    if jsonl and n > _JSONL_CAP:
+        raise CapError(f"{kind} sweeps write jsonl for n <= {_JSONL_CAP}, got {n}")
     return sweep
 
 

@@ -6,11 +6,13 @@ from ``tests/reference.py`` only, and the relation and the metric space
 it builds each have one constructor; no module keeps an import that only a
 vanished tracer site needed, or any other import it does not use, and
 starting the CLI loads no module that only a pool or a metric input
-needs.  The library sketch in the README runs as written."""
+needs.  The library sketch in the README runs as written, and so do
+the scripts under ``tools/``."""
 
 import ast
 import importlib
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -205,3 +207,42 @@ def test_code_lines_prints_one_row_per_module_and_their_sum():
     names = [path.name for path in sorted((root / "src" / "linesys").glob("*.py"))]
     assert [name for name, _ in modules] == names
     assert last == "total" and total == sum(count for _, count in modules)
+
+
+def ab_checkouts(tmp_path):
+    """Two copies of the ``src/`` and ``perfbench/`` of this checkout,
+    without bytecode, for ``tools/ab.py``."""
+    root = Path(__file__).resolve().parent.parent
+    copies = []
+    for name in ("parent", "change"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(
+                root / part, tmp_path / name / part,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        copies.append(tmp_path / name)
+    return root / "tools" / "ab.py", copies
+
+
+def test_ab_runs_alternated_pairs_and_prints_every_end_to_end_metric(tmp_path):
+    ab, checkouts = ab_checkouts(tmp_path)
+    argv = [sys.executable, str(ab), *map(str, checkouts), "--workload", "sweep-metric",
+            "--pairs", "1", "--seconds", "0.5"]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert lines[0] == "workload sweep-metric: 1 pairs"
+    names = [line.split()[0] for line in lines[2:]]
+    assert names == ["run_s", "cpu_s", "peak_rss_mb", "setup_s"]
+    assert all(line.endswith(" of 1") for line in lines[2:])
+
+
+def test_ab_exits_1_when_a_run_fails(tmp_path):
+    # The parent runs first on pair 0; without its CLI, run.py refuses.
+    ab, (parent, change) = ab_checkouts(tmp_path)
+    (parent / "src" / "linesys" / "cli.py").unlink()
+    argv = [sys.executable, str(ab), str(parent), str(change), "--workload", "sweep-metric",
+            "--pairs", "1", "--seconds", "0.5"]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "error: sweep-metric seed 1" in result.stderr

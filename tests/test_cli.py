@@ -644,7 +644,8 @@ def test_rejected_sweep_leaves_its_out_file_alone(tmp_path, capsys, monkeypatch,
 
 
 # Each sweep kind's (min_n, cap, jsonl_cap), pinned literally so that
-# moving where the limits are written can change no refusal.
+# moving where the limits are written can change no refusal.  The jsonl
+# cap is one constant for every kind.
 SWEEP_LIMITS = {"graph": (3, 8, 7), "poset": (2, 7, 7), "metric": (2, 7, 7)}
 
 
@@ -652,7 +653,7 @@ SWEEP_LIMITS = {"graph": (3, 8, 7), "poset": (2, 7, 7), "metric": (2, 7, 7)}
 def test_each_sweep_kind_refuses_exactly_past_its_limits(tmp_path, capsys, monkeypatch, kind):
     min_n, cap, jsonl_cap = SWEEP_LIMITS[kind]
     entry = sweeps.KINDS[kind].sweep
-    assert (entry.min_n, entry.cap, entry.jsonl_cap) == SWEEP_LIMITS[kind]
+    assert (entry.min_n, entry.cap, sweeps._JSONL_CAP) == SWEEP_LIMITS[kind]
     below = f"error: {kind} sweeps need n >= {min_n}, got {min_n - 1}\n"
     above = f"error: {kind} sweeps support n <= {cap}, got {cap + 1}\n"
     # Past the cap the cap's message wins, so a jsonl cap at the cap

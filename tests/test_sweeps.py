@@ -172,9 +172,13 @@ ID_TEXT = st.text(alphabet=st.sampled_from('ab"\\/é€😀\n\x00 %'), max_size=
 def test_template_rows_are_json_dumps_of_the_report(
     kind, n, instance_id, count, bound, flags
 ):
+    # The sweeps' rows: the (kind, n) head, the id and the cached tail.
     report = VerificationReport(kind, n, instance_id, count, bound, *flags)
-    line = report.json_line()
-    assert line == json.dumps(report._asdict())
+    line = (
+        sweeps._row_head(kind, n) + json.dumps(instance_id)
+        + sweeps._row_tail(*report[3:])[:-1]
+    )
+    assert line == json.dumps(report._asdict()) == report.json_line()
     assert json.loads(line) == report._asdict()
 
 
@@ -269,8 +273,23 @@ def test_the_graph_jsonl_cap_keeps_the_duplicate_count_in_its_code_bits():
     assert coded == ["graph", "metric"]
     assert sweeps._DUPLICATE_BITS == 5
     assert sweeps._UNREPORTED == 1 << sweeps._DUPLICATE_BITS + 2 == 1 << 7
-    for kind in coded:
-        assert comb(sweeps.KINDS[kind].sweep.jsonl_cap, 2) - 1 < 2**sweeps._DUPLICATE_BITS
+    assert comb(sweeps._JSONL_CAP, 2) - 1 < 2**sweeps._DUPLICATE_BITS
+
+
+@st.composite
+def mask_planes(draw):
+    width = draw(st.integers(1, 4200))
+    plane = st.one_of(st.just(0), st.integers(0, (1 << width) - 1))
+    return width, draw(st.lists(plane, max_size=8))
+
+
+@given(mask_planes())
+def test_mask_codes_put_bit_i_of_plane_j_at_bit_j_of_byte_i(case):
+    width, planes = case
+    assert sweeps._mask_codes(planes, width) == bytes(
+        sum((plane >> i & 1) << j for j, plane in enumerate(planes))
+        for i in range(width)
+    )
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -313,6 +332,19 @@ def test_poset_sweep_n4_zero_violations():
     assert summary.reported == 218  # the antichain has height 1
     assert summary.ok
     assert not summary.certificate_failures
+
+
+@pytest.mark.parametrize("n, reported", [(2, 2), (3, 18), (4, 218), (5, 4230)])
+def test_poset_rows_are_the_reports_in_enumeration_order(n, reported):
+    # As graph and metric rows are checked against their reports: each
+    # poset is rebuilt by the validating constructor and its report
+    # gives the id (poset_code) and the fields.
+    rows = [
+        poset_report(p)[0].json_line() + "\n"
+        for p in enumerate_posets(n) if p.height >= 2
+    ]
+    assert len(rows) == reported
+    assert jsonl_of("poset", n, workers=1)[0].splitlines(keepends=True) == rows
 
 
 def test_poset_sweep_builds_no_betweenness_relation(monkeypatch):

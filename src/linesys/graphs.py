@@ -16,7 +16,8 @@ from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
-    BetweennessRelation, bits_of, check_size, distinct_count, line_system, pair_list,
+    BetweennessRelation, bit_planes, bits_of, check_size, distinct_count, line_system,
+    pair_list,
 )
 from .errors import IdenticalPointsError, MalformedEdgeError, SizeError, UnknownPointError
 
@@ -126,9 +127,8 @@ def graph_line_count(g: Graph) -> tuple[int, bool]:
     adjacency rows into a list and counted by sorting
     (``core.distinct_count``).  On a triangle-free graph the list stays
     empty.  The flag is read off the largest of these lines, since the
-    ground set is the largest mask a line can have;
-    ``has_universal_line`` would walk the rows again for every poset the
-    poset sweep counts.
+    ground set is the largest mask a line can have, so the rows are not
+    walked again as ``has_universal_line`` would.
     """
     n = g.size
     if n < 2:
@@ -160,11 +160,9 @@ def has_universal_line(adj: Sequence[int]) -> bool:
     is adjacent to both a and b, that is when two vertices are adjacent
     to all others; on two vertices the one pair's line is the ground
     set, edge or not.  ``graph_line_count`` reads the same flag from
-    the lines it sorts anyway, so the poset sweep, which counts every
-    poset's comparability graph with it, does not walk the rows a
-    second time.  The rows are a ``Graph``'s, loop-free and inside the
-    ground set, so a vertex adjacent to all others is one with n - 1
-    neighbors, and no n-bit int is built per vertex."""
+    the lines it sorts anyway.  The rows are a ``Graph``'s, loop-free
+    and inside the ground set, so a vertex adjacent to all others is one
+    with n - 1 neighbors, and no n-bit int is built per vertex."""
     others = len(adj) - 1
     seen = False
     for row in adj:
@@ -175,10 +173,10 @@ def has_universal_line(adj: Sequence[int]) -> bool:
     return len(adj) == 2
 
 
-def _adjacency_planes(n: int, lo: int, hi: int) -> list[list[int]]:
-    """The n x n adjacency planes of the edge masks lo..hi-1: bit i of
-    adj[a][b] is set when the mask lo + i holds the pair ab, and each
-    vertex is adjacent to itself in every mask.
+def _edge_planes(n: int, lo: int, hi: int) -> list[int]:
+    """The edge planes of the edge masks lo..hi-1, one per pair of
+    ``pair_list(n)``: bit i of plane p is set when the mask lo + i
+    holds pair p.
 
     Bit p of a mask repeats with period 2^(p+1), so a pair with
     2^p < hi - lo takes the repeated pattern of the aligned block that
@@ -186,8 +184,8 @@ def _adjacency_planes(n: int, lo: int, hi: int) -> list[list[int]]:
     once inside the range."""
     width = hi - lo
     full = (1 << width) - 1
-    adj = [[full] * n for _ in range(n)]
-    for p, (a, b) in enumerate(pair_list(n)):
+    planes = []
+    for p in range(n * (n - 1) // 2):
         half = 1 << p
         if half < width:
             period = 2 * half
@@ -196,17 +194,46 @@ def _adjacency_planes(n: int, lo: int, hi: int) -> list[list[int]]:
             pattern = ((1 << half) - 1 << half) * (
                 ((1 << period * repeats) - 1) // ((1 << period) - 1)
             )
-            adj[a][b] = adj[b][a] = pattern >> lo - start & full
+            planes.append(pattern >> lo - start & full)
         else:
             head = (1 << min((lo // half + 1) * half, hi) - lo) - 1
-            adj[a][b] = adj[b][a] = head if lo >> p & 1 else full ^ head
+            planes.append(head if lo >> p & 1 else full ^ head)
+    return planes
+
+
+def _adjacency_planes(n: int, edge: Sequence[int], full: int) -> list[list[int]]:
+    """The n x n adjacency planes of a chunk's edge planes: adj[a][b] is
+    the plane of pair ab, and each vertex is adjacent to itself in every
+    instance, the bits of ``full``."""
+    adj = [[full] * n for _ in range(n)]
+    for (a, b), plane in zip(pair_list(n), edge):
+        adj[a][b] = adj[b][a] = plane
     return adj
 
 
 def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int, int]:
-    """Line counts, universal lines and extremal shapes of the graphs on
-    n >= 3 vertices with edge masks lo..hi-1, all at once: in every
-    returned int, bit i stands for the graph of mask lo + i.
+    """``_graph_planes`` of the graphs with edge masks lo..hi-1: bit i
+    stands for the graph of mask lo + i."""
+    return _graph_planes(n, _edge_planes(n, lo, hi), (1 << hi - lo) - 1)
+
+
+def graph_list_planes(n: int, masks: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
+    """``_graph_planes`` of the graphs with the edge masks in ``masks``,
+    in any order and with repeats: bit i stands for the graph of
+    masks[i].  The list-of-masks entry, for graphs that no mask range
+    holds, such as the comparability graphs of a batch of posets."""
+    planes = bit_planes(masks, n * (n - 1) // 2)
+    return _graph_planes(n, planes, (1 << len(masks)) - 1)
+
+
+def _graph_planes(
+    n: int, edge: Sequence[int], full: int
+) -> tuple[tuple[int, ...], int, int, int]:
+    """Line counts, universal lines and extremal shapes of a chunk of
+    graphs on n >= 2 vertices, all at once, from their edge planes (one
+    per pair of ``pair_list(n)``, bit i set when graph i holds the
+    pair): in every returned int, bit i stands for graph i, and
+    ``full`` has a bit for every graph.
 
     Returns (duplicate planes, universal, shape, reported), the tuple
     of ``metrics.metric_mask_planes``, with every graph reported.  The
@@ -219,14 +246,15 @@ def graph_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, i
     point's membership agrees, and an edge's line is universal when
     every point is a member.  The shape is ``is_extremal_graph``'s: for
     some v, every pair avoiding v is an edge and at most one pair at v
-    is, or n = 3 and there is no edge.
+    is, or n = 3 and there is no edge.  On 2 vertices the one pair's
+    line is the ground set, and every graph has the shape.
     """
     pairs = pair_list(n)
-    full = (1 << hi - lo) - 1
-    adj = _adjacency_planes(n, lo, hi)
-    edge = [adj[a][b] for a, b in pairs]
+    adj = _adjacency_planes(n, edge, full)
     members = [list(map(and_, adj[a], adj[b])) for a, b in pairs]
     duplicates, universal = _line_planes(edge, members, full)
+    if n == 2:
+        universal = full
     shape = 0
     for v, row in enumerate(adj):
         rest = full

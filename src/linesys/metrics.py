@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import BetweennessRelation, bits_of, check_size, line_system, pair_list
 from .errors import DisconnectedError, MetricError, SizeError
-from .graphs import Graph, _adjacency_planes, _line_planes
+from .graphs import Graph, _adjacency_planes, _edge_planes, _line_planes
 
 
 class MetricSpace:
@@ -150,7 +150,7 @@ def metric_mask_planes(n: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, 
     (``_line_planes``).
     """
     full = (1 << hi - lo) - 1
-    adj = _adjacency_planes(n, lo, hi)
+    adj = _adjacency_planes(n, _edge_planes(n, lo, hi), full)
     # n empty layers pad each point's list, so that k + d indexes it.
     empty = [0] * n
     dist = []

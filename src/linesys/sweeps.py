@@ -3,25 +3,28 @@
 Each sweep enumerates every instance of its kind on n labeled points,
 counts distinct lines (never through the constructive process, which
 is what the sweeps cross-validate), and folds the results into a
-summary.  Graph and metric sweeps count a whole chunk of edge masks at
-once, one bit per mask in plain ints: ``graph_mask_planes`` from the
-edge planes, ``metric_mask_planes`` from the distance planes that
-breadth-first search builds on them.  ``verify`` counts one graph from
-its adjacency rows with ``graph_line_count``, and posets go through the
-same counter on their comparability graph, which induces the same
-lines.  Violations are data, not exceptions: a sweep always completes
-and reports every failing instance.
+summary.  Every sweep counts many instances at once, one bit per
+instance in plain ints.  Graph and metric sweeps count a chunk of edge
+masks: ``graph_mask_planes`` from the edge planes,
+``metric_mask_planes`` from the distance planes that breadth-first
+search builds on them.  A poset sweep counts a batch of comparability
+graphs, which induce the posets' lines, with ``graph_list_planes``.
+``verify`` counts one graph from its adjacency rows with
+``graph_line_count``, and one poset through the same counter on its
+comparability graph.  Violations are data, not exceptions: a sweep
+always completes and reports every failing instance.
 
 Work is partitioned into canonically ordered chunks (edge-bitmask
 ranges for graphs and metrics, backtracking-tree prefixes for posets),
 so output is byte-identical across runs and worker counts.  A summary
 counts instances and lists only the failing ones; every other
-per-instance fact is in the jsonl rows.  A mask chunk reads its
-counters off popcounts of its kernel's planes, its failing masks off
-their set bits, and returns one code byte per mask; the parent picks
-each reported mask's row tail by its code, so a worker sends back
-1 byte per graph instead of about 190 bytes of rows.  A poset chunk
-adds up its posets' flags and renders its own rows.  Every jsonl row
+per-instance fact is in the jsonl rows.  Mask chunks and poset
+batches share one plane reader, ``_read_planes``: counters are
+popcounts of the kernel's planes, failing instances their set bits,
+and each instance gets one code byte.  A mask chunk returns its
+codes, and the parent picks each reported mask's row tail by its
+code, so a worker sends back 1 byte per graph instead of about 190
+bytes of rows; a poset chunk renders its own rows.  Every jsonl row
 is ``json.dumps`` of its ``VerificationReport``: the head of its
 (kind, n), the instance id and a tail rendered once per distinct tuple
 of the fields after the id.  A
@@ -51,18 +54,19 @@ import json
 import os
 import sys
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb, log10
 from operator import add
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .construct import build_certificate, certificate_issues
-from .core import bits_of, distinct_count, hypergraph_lines, pair_list
+from .core import bit_planes, bits_of, distinct_count, hypergraph_lines, pair_list
 from .enumeration import _first_comparable, _iter_states, poset_code
 from .errors import CapError, DomainError, LinesysError, MetricError, SizeError
 from .formats import parse_graph, parse_hypergraph, parse_metric, parse_poset
 from .graphs import (
-    Graph, graph_line_count, graph_lines, graph_mask_planes, is_extremal_graph,
+    Graph, graph_line_count, graph_lines, graph_list_planes, graph_mask_planes,
+    is_extremal_graph,
 )
 from .metrics import metric_lines, metric_mask_planes, metric_pair_lines
 from .posets import Poset, comparability_graph
@@ -210,28 +214,25 @@ def _report(
     )
 
 
-def _mismatch(compare_shape: bool, universal: bool, equality: bool, shape: bool) -> bool:
-    """True when the kind compares its equality cases with an extremal
-    shape (its ``compare_shape``) and, with no universal line, the
-    equality case and the shape match disagree."""
-    return compare_shape and not universal and equality != shape
-
-
 def _poset_fields(p) -> tuple[tuple, str | None]:
     """The row fields of a poset of height at least 2 (line count,
     bound, universal, extremal shape match) and its certificate defect
-    or None."""
+    or None, one poset at a time: the oracle of the poset sweep's batch
+    kernel, as ``graph_report`` is of the graph sweep's."""
     g = comparability_graph(p)
     count, universal = graph_line_count(g)
-    defect = None
-    if not universal:
-        try:
-            issues = certificate_issues(build_certificate(p), p)
-            if issues:
-                defect = issues[0]
-        except LinesysError as exc:
-            defect = f"certificate construction failed: {exc}"
+    defect = None if universal else _certificate_defect(p)
     return (count, p.bound, universal, is_extremal_graph(g)), defect
+
+
+def _certificate_defect(p) -> str | None:
+    """The first defect of the certificate of ``p``, built and replayed,
+    or of its construction; None when it has none."""
+    try:
+        issues = certificate_issues(build_certificate(p), p)
+    except LinesysError as exc:
+        return f"certificate construction failed: {exc}"
+    return issues[0] if issues else None
 
 
 def _metric_fields(m) -> tuple:
@@ -341,10 +342,14 @@ def metric_report(m, instance_id: int | str | None = None) -> VerificationReport
 
 
 def shape_mismatch(report: VerificationReport) -> bool:
-    """``_mismatch`` of one report."""
-    return _mismatch(
-        KINDS[report.structure_kind].sweep.compare_shape, report.has_universal,
-        report.is_equality_case, report.extremal_shape_match,
+    """True when the report's kind compares its equality cases with an
+    extremal shape (its ``compare_shape``) and, with no universal line,
+    the equality case and the shape match disagree: the per-report
+    reading of a sweep's mismatch bits."""
+    return (
+        KINDS[report.structure_kind].sweep.compare_shape
+        and not report.has_universal
+        and report.is_equality_case != report.extremal_shape_match
     )
 
 
@@ -364,46 +369,54 @@ def _fold_instances(
     kind: str, n: int, chunk: tuple, render: bool
 ) -> tuple[SweepSummary, str]:
     """The summary and (when ``render``) the jsonl rows of one chunk of
-    posets, from the row fields and certificate defect ``_poset_fields``
-    gives each enumerated poset of height at least 2 (the bound does not
-    apply to an antichain, which is enumerated but not reported).  Each
-    poset is built from the enumerator's closed rows with
-    ``Poset._from_closed``, not validated again.
+    posets, folded in batches of at most ``_CHUNK_MASKS`` enumerated
+    posets, so that a chunk at n = 7 (up to 130,023 posets) stays
+    bounded.  Each poset is built from the enumerator's closed rows
+    with ``Poset._from_closed``, not validated again.  An antichain, of
+    height 1, has no bound: it is enumerated but not reported.
 
-    It adds the flags up into plain counters, lists the ids of failing
-    instances only, renders each row as the (kind, n) head, the id and
-    its ``_row_tail``, and builds a ``VerificationReport`` only for a
-    violation.
+    A batch counts the comparability graphs of its posets, which induce
+    the same lines and have the same extremal shape, all at once with
+    ``graph_list_planes``, and reads their planes with ``_read_planes``,
+    each poset under its ``Poset.bound``.  Certificates are built and
+    replayed only for the posets with no universal line.  Each row is
+    the (kind, n) head, the poset code and the tail that its code byte
+    and bound select.  ``_poset_fields`` is this fold's per-poset
+    oracle.
     """
     head = _row_head(kind, n)
-    compare_shape = KINDS[kind].sweep.compare_shape
-    enumerated = reported = universal_count = equality_cases = shape_matches = 0
-    violations, mismatch_ids, cert_failures = [], [], []
+    summary = SweepSummary(kind, n)
     rows = []
-    for code, succ, pred in _iter_states(n, chunk):
-        enumerated += 1
-        p = Poset._from_closed(succ, pred)
-        if p.height < 2:
-            continue
-        reported += 1
-        (count, bound, universal, shape), defect = _poset_fields(p)
-        meets, equality = _judge(n, count, universal, bound)
-        universal_count += universal
-        equality_cases += equality
-        shape_matches += shape
-        if not meets:
-            violations.append(_report(kind, n, code, count, bound, universal, shape))
-        if _mismatch(compare_shape, universal, equality, shape):
-            mismatch_ids.append(code)
-        if defect is not None:
-            cert_failures.append((code, defect))
+    states = _iter_states(n, chunk)
+    while batch := list(islice(states, _CHUNK_MASKS)):
+        posets, codes, bounds, masks = [], [], [], []
+        for code, succ, pred in batch:
+            p = Poset._from_closed(succ, pred)
+            if p.height >= 2:
+                posets.append(p)
+                codes.append(code)
+                bounds.append(p.bound)
+                masks.append(comparability_graph(p).edge_mask())
+        planes = graph_list_planes(n, masks)
+        full = (1 << len(posets)) - 1
+        # A bound is below n ** 2, so its digits fit in this many planes.
+        bound_planes = bit_planes(bounds, (n * n).bit_length())
+        at_bound = {b: _compare_planes(bound_planes, b, full)[0] for b in set(bounds)}
+        part, code_bytes = _read_planes(kind, n, codes, planes, at_bound, render)
+        failures = tuple(
+            (codes[i], defect)
+            for i in bits_of(full ^ planes[1])
+            if (defect := _certificate_defect(posets[i])) is not None
+        )
+        summary = summary.merge(
+            part._replace(enumerated=len(batch), certificate_failures=failures)
+        )
         if render:
-            tail = _row_tail(count, bound, universal, meets, equality, shape)
-            rows.append(f"{head}{code}{tail}")
-    summary = SweepSummary(
-        kind, n, enumerated, reported, universal_count, equality_cases, shape_matches,
-        tuple(violations), tuple(mismatch_ids), tuple(cert_failures),
-    )
+            tails = {b: _code_tails(n, b) for b in at_bound}
+            rows += [
+                f"{head}{code}{tails[bound][byte]}"
+                for code, bound, byte in zip(codes, bounds, code_bytes)
+            ]
     return summary, "".join(rows)
 
 
@@ -442,52 +455,53 @@ def _mask_codes(planes: list[int], width: int) -> bytes:
 # The largest n whose jsonl stream a sweep of any kind writes: a graph
 # stream at n = 8 would be about 52 GB.
 _JSONL_CAP = 7
-# The code byte of a mask: its duplicate count in the low 5 bits, then
-# its universal, shape and unreported bits.  The jsonl cap keeps n <= 7,
+# The code byte of an instance: its duplicate count in the low 5 bits,
+# then its universal, shape and unreported bits.  The jsonl cap keeps n <= 7,
 # so at most C(7, 2) - 1 = 20 duplicates.
 _DUPLICATE_BITS = 5
 _UNREPORTED = 1 << _DUPLICATE_BITS + 2
 
 
-def _mask_chunk(
-    kind: str, n: int, chunk: tuple[int, int], render: bool
+def _read_planes(
+    kind: str, n: int, ids: Sequence, planes: tuple, bounds: dict[int, int],
+    render: bool,
 ) -> tuple[SweepSummary, bytes]:
-    """The summary and (when ``render``) the code bytes of one chunk of
-    edge masks [lo, hi), read off the bit planes of the kind's
-    ``kernel``, ``graph_mask_planes`` or ``metric_mask_planes``, where
-    bit i stands for the mask lo + i: the counters are popcounts, the
-    mismatch ids the set bits plus lo, and a ``VerificationReport`` is
-    built only for a violation bit.  A disconnected graph has no metric:
-    it is enumerated but not reported.
+    """The summary and (when ``render``) the code bytes of instances
+    counted at once, from the planes (duplicate planes, universal,
+    shape, reported) of their kernel, where bit i stands for the
+    instance ids[i]: the counters are popcounts, the mismatch ids those
+    of the set bits, and a ``VerificationReport`` is built only for a
+    violation bit.  ``bounds`` maps each line bound to the plane of the
+    instances it applies to.
 
     An instance has n lines exactly when C(n, 2) - n of its pairs repeat
-    a lower pair's line, and fewer when more do.  Byte i of the codes is
-    the code of mask lo + i (``_DUPLICATE_BITS``), from which
-    ``_mask_rows`` renders the jsonl rows: one byte per mask travels,
-    not the rows.
+    a lower pair's line, and fewer than b when more than C(n, 2) - b do.
+    Byte i of the codes is the code of ids[i] (``_DUPLICATE_BITS``).
     """
-    lo, hi = chunk
-    width = hi - lo
+    duplicates, universal, shape, reported = planes
+    width = len(ids)
     full = (1 << width) - 1
-    sweep = KINDS[kind].sweep
-    duplicates, universal, shape, reported = sweep.kernel(n, lo, hi)
     pairs = comb(n, 2)
-    equal, above = _compare_planes(duplicates, pairs - n, full)
     checked = reported ^ universal
-    equality = equal & checked
+    equality = _compare_planes(duplicates, pairs - n, full)[0] & checked
+    below = sorted(
+        (i, bound)
+        for bound, at in bounds.items()
+        for i in bits_of(_compare_planes(duplicates, pairs - bound, full)[1] & at & checked)
+    )
     violations = tuple(
         _report(
-            kind, n, lo + i,
+            kind, n, ids[i],
             pairs - sum((plane >> i & 1) << j for j, plane in enumerate(duplicates)),
-            n, False, bool(shape >> i & 1),
+            bound, False, bool(shape >> i & 1),
         )
-        for i in bits_of(above & checked)
+        for i, bound in below
     )
-    mismatches = (equality ^ shape) & checked if sweep.compare_shape else 0
+    mismatches = (equality ^ shape) & checked if KINDS[kind].sweep.compare_shape else 0
     summary = SweepSummary(
         kind, n, width, reported.bit_count(), universal.bit_count(),
         equality.bit_count(), shape.bit_count(), violations,
-        tuple(lo + i for i in bits_of(mismatches)),
+        tuple(ids[i] for i in bits_of(mismatches)),
     )
     if not render:
         return summary, b""
@@ -498,15 +512,31 @@ def _mask_chunk(
     )
 
 
+def _mask_chunk(
+    kind: str, n: int, chunk: tuple[int, int], render: bool
+) -> tuple[SweepSummary, bytes]:
+    """The summary and (when ``render``) the code bytes of one chunk of
+    edge masks [lo, hi): ``_read_planes`` of the planes of the kind's
+    ``kernel``, ``graph_mask_planes`` or ``metric_mask_planes``, where
+    bit i stands for the mask lo + i and every bound is n.  A
+    disconnected graph has no metric: it is enumerated but not
+    reported.  ``_mask_rows`` renders the jsonl rows from the codes in
+    the parent: one byte per mask travels, not the rows.
+    """
+    lo, hi = chunk
+    planes = KINDS[kind].sweep.kernel(n, lo, hi)
+    return _read_planes(kind, n, range(lo, hi), planes, {n: (1 << hi - lo) - 1}, render)
+
+
 @lru_cache(maxsize=None)
-def _code_tails(n: int) -> tuple[str, ...]:
-    """The row tail that every reported code byte of a mask chunk on n
-    vertices selects, indexed by the byte: the duplicate count, then
-    the universal and shape bits.  Codes no instance has get a tail
-    too."""
+def _code_tails(n: int, bound: int) -> tuple[str, ...]:
+    """The row tail that every reported code byte of an instance on n
+    points with this bound selects, indexed by the byte: the duplicate
+    count, then the universal and shape bits.  Codes no instance has
+    get a tail too."""
     pairs = comb(n, 2)
     return tuple(
-        _row_tail(count, n, universal, *_judge(n, count, universal, n), shape)
+        _row_tail(count, bound, universal, *_judge(n, count, universal, bound), shape)
         for shape in (False, True)
         for universal in (False, True)
         for count in range(pairs, pairs - (1 << _DUPLICATE_BITS), -1)
@@ -518,7 +548,7 @@ def _mask_rows(kind: str, n: int, chunk: tuple[int, int], codes: bytes) -> str:
     reported mask's row is the (kind, n) head, the mask and the tail its
     code selects."""
     head = _row_head(kind, n)
-    tails = _code_tails(n)
+    tails = _code_tails(n, n)
     rows = zip(range(*chunk), codes)
     # The unreported bit is a byte's top bit, so a chunk with no code to
     # drop, as every graph chunk, is ASCII and pays nothing per row.
@@ -566,10 +596,10 @@ class _Kind(NamedTuple):
 # builder reads the kind's own rows (a poset's through its comparability
 # graph, which induces the same lines) into ``core.line_system``.  Graph
 # and metric chunks are counted all at once by their kernel's bit planes
-# and ship one code byte per mask, which the parent renders; posets fold
-# their instance generator one instance at a time and ship their rows.
-# One jsonl cap, ``_JSONL_CAP``, serves every kind and keeps a mask's
-# code in one byte.
+# and ship one code byte per mask, which the parent renders; a poset
+# chunk counts its comparability graphs in batches with the graph
+# kernel's list-of-masks entry and ships its rows.  One jsonl cap,
+# ``_JSONL_CAP``, serves every kind and keeps a code in one byte.
 KINDS = {
     "graph": _Kind(
         lambda text: parse_graph(text), lambda g: graph_lines(g),

@@ -21,7 +21,7 @@ from linesys import (
 
 from linesys import graphs
 from linesys.core import distinct_count, line_system
-from linesys.graphs import graph_mask_planes, has_universal_line
+from linesys.graphs import graph_list_planes, graph_mask_planes, has_universal_line
 
 from reference import (
     all_lines,
@@ -373,18 +373,48 @@ def mask_ranges(draw):
     return n, lo, draw(st.integers(lo + 1, min(total, lo + 1100)))
 
 
+def assert_planes_are_the_per_graph_counters(n, masks, planes):
+    duplicates, universal, shape, reported = planes
+    assert reported == (1 << len(masks)) - 1
+    assert not (universal | shape) >> len(masks)
+    assert not any(plane >> len(masks) for plane in duplicates)
+    for i, mask in enumerate(masks):
+        g = Graph.from_mask(n, mask)
+        repeats = sum((plane >> i & 1) << j for j, plane in enumerate(duplicates))
+        assert (comb(n, 2) - repeats, bool(universal >> i & 1)) == graph_line_count(g)
+        assert bool(shape >> i & 1) == is_extremal_graph(g), mask
+
+
 @settings(deadline=None)
 @given(mask_ranges())
 @example((7, 0, 1100))
 @example((8, (1 << 28) - 700, 1 << 28))
 def test_mask_planes_match_the_per_graph_counters(case):
     n, lo, hi = case
-    duplicates, universal, shape, reported = graph_mask_planes(n, lo, hi)
-    assert reported == (1 << hi - lo) - 1
-    assert not (universal | shape) >> hi - lo
-    assert not any(plane >> hi - lo for plane in duplicates)
-    for i, mask in enumerate(range(lo, hi)):
-        g = Graph.from_mask(n, mask)
-        repeats = sum((plane >> i & 1) << j for j, plane in enumerate(duplicates))
-        assert (comb(n, 2) - repeats, bool(universal >> i & 1)) == graph_line_count(g)
-        assert bool(shape >> i & 1) == is_extremal_graph(g), mask
+    planes = graph_mask_planes(n, lo, hi)
+    assert_planes_are_the_per_graph_counters(n, range(lo, hi), planes)
+
+
+@st.composite
+def mask_lists(draw):
+    """n = 7 or 8 and a list of up to 300 of its edge masks, in any
+    order and with repeats."""
+    n = draw(st.sampled_from((7, 8)))
+    masks = st.integers(0, (1 << comb(n, 2)) - 1)
+    return n, draw(st.lists(masks, min_size=1, max_size=300))
+
+
+@settings(deadline=None)
+@given(mask_lists())
+@example((7, [0, (1 << 21) - 1, 0b111, 5]))
+@example((8, [(1 << 28) - 1 - (1 << p) for p in range(28)]))
+def test_list_planes_match_the_per_graph_counters(case):
+    n, masks = case
+    assert_planes_are_the_per_graph_counters(n, masks, graph_list_planes(n, masks))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_list_planes_count_every_small_graph_in_reverse_order(n):
+    # n = 2 included: the one pair's line is universal, edge or not.
+    masks = list(reversed(range(1 << comb(n, 2))))
+    assert_planes_are_the_per_graph_counters(n, masks, graph_list_planes(n, masks))

@@ -29,13 +29,17 @@ from linesys import (
     MetricError,
     MetricSpace,
     Poset,
+    comparability_graph,
     dbe_bound,
+    graph_line_count,
     graph_report,
+    is_extremal_graph,
     metric_report,
     pair_list,
     poset_report,
     run_sweep,
 )
+from linesys.enumeration import _iter_states
 from linesys.sweeps import VerificationReport, shape_mismatch
 
 
@@ -347,6 +351,36 @@ def test_poset_rows_are_the_reports_in_enumeration_order(n, reported):
     assert jsonl_of("poset", n, workers=1)[0].splitlines(keepends=True) == rows
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batch_planes_give_each_poset_its_comparability_graph_counts(monkeypatch, n):
+    # Every batch the sweep counts, recorded: each poset of height >= 2,
+    # in enumeration order, gets the line count, universal bit and shape
+    # bit of its comparability graph.  No certificate is built: other
+    # tests replay them, and at n = 6 they would take most of the time.
+    batches = []
+    real = sweeps.graph_list_planes
+
+    def recorded(n, masks):
+        planes = real(n, masks)
+        batches.append((masks, planes))
+        return planes
+
+    monkeypatch.setattr(sweeps, "graph_list_planes", recorded)
+    monkeypatch.setattr(sweeps, "_certificate_defect", lambda p: None)
+    summary = run_sweep("poset", n, workers=1)
+    assert sum(len(masks) for masks, _ in batches) == summary.reported
+    posets = (Poset._from_closed(succ, pred) for _, succ, pred in _iter_states(n))
+    graphs = (comparability_graph(p) for p in posets if p.height >= 2)
+    for masks, (duplicates, universal, shape, reported) in batches:
+        assert reported == (1 << len(masks)) - 1
+        for i, (mask, g) in enumerate(zip(masks, graphs)):
+            assert mask == g.edge_mask()
+            repeats = sum((plane >> i & 1) << j for j, plane in enumerate(duplicates))
+            assert (comb(n, 2) - repeats, bool(universal >> i & 1)) == graph_line_count(g)
+            assert bool(shape >> i & 1) == is_extremal_graph(g)
+    assert next(graphs, None) is None
+
+
 def test_poset_sweep_builds_no_betweenness_relation(monkeypatch):
     # Counting, the shape test and certificate build and replay all read
     # order or adjacency rows; a relation on the hot path fails here.
@@ -543,34 +577,37 @@ def test_poset_chunks_fix_point_zero_against_every_other_point():
     assert (len(chunks(5)), len(chunks(7))) == (81, 729)
 
 
-# Planted faults.  A graph sweep counts through ``graph_mask_planes``
-# and ``verify`` through ``graph_line_count`` and ``is_extremal_graph``,
-# so each fault has one plant per seam.
+# Planted faults.  A graph sweep counts through ``graph_mask_planes``,
+# a poset sweep through ``graph_list_planes``, and ``verify`` through
+# ``graph_line_count`` and ``is_extremal_graph``, so each fault has one
+# plant per seam.
 
-def undercount_the_lines(monkeypatch):
-    """Every swept graph repeats one more edge line, so has one line fewer."""
-    real = sweeps.graph_mask_planes
+def undercount_the_lines(monkeypatch, kernel="graph_mask_planes"):
+    """Every graph the kernel counts repeats one more edge line, so has
+    one line fewer."""
+    real = getattr(sweeps, kernel)
 
-    def undercounted(n, lo, hi):
-        duplicates, universal, shape, reported = real(n, lo, hi)
-        planes, carry = [], (1 << hi - lo) - 1
+    def undercounted(*args):
+        duplicates, universal, shape, reported = real(*args)
+        planes, carry = [], reported
         for plane in duplicates:
             planes.append(plane ^ carry)
             carry &= plane
         return (*planes, carry), universal, shape, reported
 
-    monkeypatch.setattr(sweeps, "graph_mask_planes", undercounted)
+    monkeypatch.setattr(sweeps, kernel, undercounted)
 
 
-def flip_the_shape(monkeypatch):
-    """Every swept graph has the extremal shape exactly when it has not."""
-    real = sweeps.graph_mask_planes
+def flip_the_shape(monkeypatch, kernel="graph_mask_planes"):
+    """Every graph the kernel counts has the extremal shape exactly when
+    it has not."""
+    real = getattr(sweeps, kernel)
 
-    def flipped(n, lo, hi):
-        duplicates, universal, shape, reported = real(n, lo, hi)
-        return duplicates, universal, shape ^ (1 << hi - lo) - 1, reported
+    def flipped(*args):
+        duplicates, universal, shape, reported = real(*args)
+        return duplicates, universal, shape ^ reported, reported
 
-    monkeypatch.setattr(sweeps, "graph_mask_planes", flipped)
+    monkeypatch.setattr(sweeps, kernel, flipped)
 
 
 def undercount_the_verified_lines(monkeypatch):
@@ -650,24 +687,48 @@ def test_chunking_does_not_change_the_summary(monkeypatch, kind, flip):
     assert bool(whole.mismatch_ids) == flip
 
 
+def test_batching_does_not_change_the_poset_sweep(monkeypatch):
+    # Batches of 5 enumerated posets split each n = 5 chunk (up to 219
+    # posets) many times; the flipped shape puts mismatch ids in them.
+    whole = run_sweep("poset", 5, workers=1)
+    with monkeypatch.context() as patch:
+        flip_the_shape(patch, "graph_list_planes")
+        flipped = run_sweep("poset", 5, workers=1)
+        patch.setattr(sweeps, "_CHUNK_MASKS", 5)
+        assert run_sweep("poset", 5, workers=1) == flipped
+    assert len(flipped.mismatch_ids) == flipped.checked
+    monkeypatch.setattr(sweeps, "_CHUNK_MASKS", 5)
+    data, summary = jsonl_of("poset", 5, workers=1)
+    assert summary == whole and whole.ok
+    data = data.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == SWEEP_STREAMS["poset", 5]
+
+
 @pytest.mark.parametrize(
-    "plant",
-    [undercount_the_verified_lines, flip_the_verified_shape],
+    "plant, verified_plant",
+    [
+        (undercount_the_lines, undercount_the_verified_lines),
+        (flip_the_shape, flip_the_verified_shape),
+    ],
     ids=["undercount_the_lines", "flip_the_shape"],
 )
-def test_poset_failures_are_the_reports_under_the_same_plant(monkeypatch, plant):
-    # The poset fold counts and tests the shape through the seams of
-    # verify, so a planted fault gives the failures, in id order, that
-    # poset_report and shape_mismatch give each poset.
-    plant(monkeypatch)
+def test_poset_failures_are_the_reports_under_the_same_plant(
+    monkeypatch, plant, verified_plant
+):
+    # The poset fold counts and tests the shape on the batch kernel and
+    # verify on its own seams, so the same fault planted on each gives
+    # the failures, in id order, that poset_report and shape_mismatch
+    # give each poset.
+    plant(monkeypatch, "graph_list_planes")
     summary = run_sweep("poset", 4, workers=1)
+    verified_plant(monkeypatch)
     reports = [poset_report(p)[0] for p in enumerate_posets(4) if p.height >= 2]
     assert summary.violations == tuple(r for r in reports if not r.meets_bound)
     assert summary.mismatch_ids == tuple(
         r.instance_id for r in reports if shape_mismatch(r)
     )
     assert summary.mismatch_ids and not summary.certificate_failures
-    assert bool(summary.violations) == (plant is undercount_the_verified_lines)
+    assert bool(summary.violations) == (plant is undercount_the_lines)
     for name, value in reference_fold(reports).items():
         assert getattr(summary, name) == value, name
 
